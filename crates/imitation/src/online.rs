@@ -143,6 +143,12 @@ pub struct OnlineIlStats {
     pub policy_updates: usize,
     /// Approximate storage footprint of the aggregation buffer, in bytes.
     pub buffer_bytes: usize,
+    /// Online power or time model updates skipped because the observed
+    /// features or the target were not finite (each model counts once).
+    pub skipped_model_updates: usize,
+    /// Decisions whose scaled policy features were not finite, so their
+    /// (state, label) pair was kept out of the aggregation buffer.
+    pub skipped_aggregations: usize,
 }
 
 impl OnlineIlStats {
@@ -352,12 +358,7 @@ impl OnlineIlPolicy {
     pub fn replay_shared_decision(&mut self, scaled: Vec<f64>, proposal: DvfsConfig) {
         self.stats.decisions += 1;
         self.stats.agreements += 1;
-        self.stats.buffer_bytes +=
-            scaled.len() * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<usize>();
-        self.buffer.push((scaled, proposal));
-        if self.buffer.len() >= self.config.buffer_capacity {
-            self.retrain_from_buffer();
-        }
+        self.aggregate(scaled, proposal);
     }
 
     /// Approximate resident footprint of one policy instance in bytes: the
@@ -421,13 +422,33 @@ impl OnlineIlPolicy {
         DvfsConfig::new(little, big)
     }
 
-    fn retrain_from_buffer(&mut self) {
-        for _ in 0..self.config.update_epochs {
-            for (x, label) in &self.buffer {
-                let _ = self.little_mlp.train_classification(x, label.little_idx);
-                let _ = self.big_mlp.train_classification(x, label.big_idx);
-            }
+    /// Appends one (state, label) pair to the aggregation buffer and
+    /// re-trains when it fills.  A state row with a non-finite entry is
+    /// counted and dropped: back-propagating it would turn a whole input
+    /// column of the first layer NaN, after which ReLU zeroes every hidden
+    /// unit and the network proposes one configuration whatever its input.
+    fn aggregate(&mut self, scaled: Vec<f64>, label: DvfsConfig) {
+        if !scaled.iter().all(|v| v.is_finite()) {
+            self.stats.skipped_aggregations += 1;
+            return;
         }
+        self.stats.buffer_bytes +=
+            scaled.len() * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<usize>();
+        self.buffer.push((scaled, label));
+        if self.buffer.len() >= self.config.buffer_capacity {
+            self.retrain_from_buffer();
+        }
+    }
+
+    /// Back-propagation over the buffer.  The two networks share no state, so
+    /// training the LITTLE one over every epoch and then the big one equals
+    /// interleaving them sample by sample.
+    fn retrain_from_buffer(&mut self) {
+        let epochs = self.config.update_epochs;
+        let little = self.buffer.iter().map(|(x, label)| (x.as_slice(), label.little_idx));
+        self.little_mlp.train_classification_epochs(little, epochs);
+        let big = self.buffer.iter().map(|(x, label)| (x.as_slice(), label.big_idx));
+        self.big_mlp.train_classification_epochs(big, epochs);
         self.buffer.clear();
         self.stats.policy_updates += 1;
         self.stats.buffer_bytes = 0;
@@ -447,15 +468,29 @@ impl DvfsPolicy for OnlineIlPolicy {
         // 1. Update the online power/performance models with the snippet that just
         //    executed under `current`.  The time model regresses time per
         //    kilo-instruction so the fit is independent of snippet length.
+        //    A non-finite observation would poison a model for good, so it is
+        //    skipped and counted instead.
         if counters.instructions_retired > 0.0 {
             let observed = basis.features(platform, current);
-            self.power_model.update(&observed, counters.total_chip_power_w);
-            let time_target = self.last_time_s.take().map(|t| t / basis.kilo_instructions());
+            let features_finite = observed.iter().all(|v| v.is_finite());
+            let mut usable = |y: &f64| {
+                let finite = features_finite && y.is_finite();
+                self.stats.skipped_model_updates += usize::from(!finite);
+                finite
+            };
+            let power_target = Some(counters.total_chip_power_w).filter(&mut usable);
+            let time_target =
+                self.last_time_s.take().map(|t| t / basis.kilo_instructions()).filter(usable);
+            if let Some(y) = power_target {
+                self.power_model.update(&observed, y);
+            }
             if let Some(y) = time_target {
                 self.time_model.update(&observed, y);
             }
             if let Some((power_stats, time_stats)) = &mut self.delta_stats {
-                power_stats.observe(&observed, counters.total_chip_power_w);
+                if let Some(y) = power_target {
+                    power_stats.observe(&observed, y);
+                }
                 if let Some(y) = time_target {
                     time_stats.observe(&observed, y);
                 }
@@ -498,12 +533,7 @@ impl DvfsPolicy for OnlineIlPolicy {
         if label == proposal {
             self.stats.agreements += 1;
         }
-        self.stats.buffer_bytes +=
-            scaled.len() * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<usize>();
-        self.buffer.push((scaled, label));
-        if self.buffer.len() >= self.config.buffer_capacity {
-            self.retrain_from_buffer();
-        }
+        self.aggregate(scaled, label);
 
         proposal
     }
@@ -516,6 +546,7 @@ impl DvfsPolicy for OnlineIlPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::POLICY_FEATURE_DIM;
     use crate::offline::PolicyModelKind;
     use soclearn_oracle::{collect_demonstrations, OracleObjective, OracleRun};
     use soclearn_soc_sim::{SnippetCounters, SocSimulator};
@@ -768,6 +799,68 @@ mod tests {
         let (power2, _) = online.take_recorded_stats().expect("still enabled");
         assert!(power2.is_empty());
         assert!(online.model_bytes() > 0);
+    }
+
+    #[test]
+    fn retrain_matches_interleaved_per_sample_training() {
+        let platform = SocPlatform::small();
+        let config = OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() };
+        let mut online = trained_online_policy(&platform, config);
+        let profiles: Vec<_> = unseen_profiles().into_iter().take(40).collect();
+        let (_, _) = run_policy(&platform, &mut online, &profiles);
+        assert_eq!(online.stats().policy_updates, 2);
+        assert!(!online.buffer.is_empty());
+
+        let (mut little, mut big) = (online.little_mlp.clone(), online.big_mlp.clone());
+        for _ in 0..config.update_epochs {
+            for (x, label) in &online.buffer {
+                let _ = little.train_classification(x, label.little_idx);
+                let _ = big.train_classification(x, label.big_idx);
+            }
+        }
+        online.retrain_from_buffer();
+        // `Debug` prints every float in its shortest round-trip form, sign of
+        // zero included, so equal strings mean equal bits.
+        assert_eq!(format!("{:?}", online.little_mlp), format!("{little:?}"));
+        assert_eq!(format!("{:?}", online.big_mlp), format!("{big:?}"));
+    }
+
+    #[test]
+    fn one_nan_counter_leaves_models_and_networks_healthy() {
+        let platform = SocPlatform::small();
+        let config = OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() };
+        let mut online = trained_online_policy(&platform, config);
+        let mut sim = SocSimulator::new(platform.clone());
+        let mut counters = SnippetCounters::default();
+        let mut current = platform.max_config();
+        for (i, p) in unseen_profiles().iter().take(80).enumerate() {
+            if i == 20 {
+                counters.total_chip_power_w = f64::NAN;
+            }
+            current = online.decide(&platform, PolicyDecision::new(&counters, current, i));
+            let r = sim.execute_snippet(p, current);
+            online.observe_outcome(r.energy_j, r.time_s);
+            counters = r.counters;
+        }
+
+        let stats = online.stats();
+        assert_eq!(stats.skipped_model_updates, 1, "only the power update at decision 20");
+        assert_eq!(stats.skipped_aggregations, 1, "only the NaN state row");
+        assert!(stats.policy_updates >= 4, "the networks re-trained after the NaN");
+        // `estimate_energy` clamps a NaN power to its floor, so ask the models.
+        let basis = CandidateFeatureBasis::new(&platform, &counters, current);
+        for candidate in platform.configs() {
+            let f = basis.features(&platform, candidate);
+            assert!(online.power_model.predict(&f).is_finite(), "power model stays finite");
+            assert!(online.time_model.predict(&f).is_finite(), "time model stays finite");
+        }
+        // A poisoned first layer makes a network ignore its input.
+        let (zeros, ones) = ([0.0; POLICY_FEATURE_DIM], [1.0; POLICY_FEATURE_DIM]);
+        for net in [&online.little_mlp, &online.big_mlp] {
+            let (a, b) = (net.forward(&zeros), net.forward(&ones));
+            assert!(a.iter().chain(&b).all(|v| v.is_finite()));
+            assert_ne!(a, b, "network output must still depend on its input");
+        }
     }
 
     #[test]

@@ -10,6 +10,39 @@
 //! The same type serves as a regressor (linear output, squared loss) and as a
 //! classifier (softmax output, cross-entropy loss); the policy crates use the
 //! classifier mode to pick discrete frequency levels.
+//!
+//! # Layout
+//!
+//! Every weight lives in one row-major buffer, layer after layer: weight
+//! `(o, i)` of a layer with `n` inputs sits at `offset + o * n + i`.  The
+//! biases are concatenated the same way.  A forward pass writes each layer's
+//! outputs into a buffer laid out like the biases, so a layer's input is the
+//! block just before its own, and back-propagation keeps its deltas in a
+//! second buffer of that layout.  Both buffers form a per-thread workspace:
+//! a training batch ([`Mlp::train_classification_epochs`]) borrows it once,
+//! and inference ([`Classifier::predict_class`]) never touches the heap.
+//! The workspace cannot live in the network, because one shared network
+//! serves predictions on many threads at once.
+//!
+//! # Bit-identity contract
+//!
+//! Training and prediction produce the same bits as the textbook
+//! `Vec<Vec<f64>>` formulation (one heap vector per layer, delta and
+//! softmax), kept as a test-only reference that property tests compare
+//! against.  That holds because the floating-point operations run in the
+//! same order:
+//!
+//! - initial weights are drawn outputs outer, inputs inner;
+//! - each output's pre-activation is
+//!   `b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>()`.  The
+//!   standard library's float `Sum` folds from `-0.0`, so a hand-rolled loop
+//!   starting at `0.0` would flip the sign of all-zero sums;
+//! - back-propagated deltas accumulate output by output from `0.0`, and the
+//!   delta below the input layer, which nothing reads, is not computed;
+//! - nothing is reassociated for SIMD and nothing is fused into FMA.
+
+use std::cell::RefCell;
+use std::ops::Range;
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -17,6 +50,9 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::traits::{Classifier, OnlineRegressor};
+
+#[cfg(test)]
+mod reference;
 
 /// Hidden-layer activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,31 +86,6 @@ impl Activation {
             Activation::Sigmoid => out * (1.0 - out),
             Activation::Tanh => 1.0 - out * out,
         }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Layer {
-    /// `weights[o][i]` maps input `i` to output `o`.
-    weights: Vec<Vec<f64>>,
-    biases: Vec<f64>,
-}
-
-impl Layer {
-    fn new(inputs: usize, outputs: usize, rng: &mut ChaCha8Rng) -> Self {
-        let scale = (2.0 / (inputs + outputs) as f64).sqrt();
-        let weights = (0..outputs)
-            .map(|_| (0..inputs).map(|_| rng.gen_range(-scale..scale)).collect())
-            .collect();
-        Self { weights, biases: vec![0.0; outputs] }
-    }
-
-    fn forward(&self, input: &[f64]) -> Vec<f64> {
-        self.weights
-            .iter()
-            .zip(&self.biases)
-            .map(|(row, b)| b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>())
-            .collect()
     }
 }
 
@@ -152,40 +163,108 @@ impl MlpBuilder {
         let mut sizes = vec![self.input_dim];
         sizes.extend_from_slice(&self.hidden);
         sizes.push(self.output_dim);
-        let layers = sizes.windows(2).map(|w| Layer::new(w[0], w[1], &mut rng)).collect();
+        let mut layers = Vec::with_capacity(sizes.len() - 1);
+        let mut weights = Vec::new();
+        let mut bias_offset = 0;
+        for pair in sizes.windows(2) {
+            let (inputs, outputs) = (pair[0], pair[1]);
+            layers.push(LayerShape { inputs, outputs, weight_offset: weights.len(), bias_offset });
+            let scale = (2.0 / (inputs + outputs) as f64).sqrt();
+            weights.extend((0..inputs * outputs).map(|_| rng.gen_range(-scale..scale)));
+            bias_offset += outputs;
+        }
         Mlp {
             layers,
+            weights,
+            biases: vec![0.0; bias_offset],
             activation: self.activation,
             learning_rate: self.learning_rate,
             l2: self.l2,
-            input_dim: self.input_dim,
-            output_dim: self.output_dim,
             updates: 0,
         }
+    }
+}
+
+/// Where one dense layer's parameters sit in the network's flat buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct LayerShape {
+    inputs: usize,
+    outputs: usize,
+    /// Start of the layer's `outputs × inputs` row-major weight block.
+    weight_offset: usize,
+    /// Start of the layer's bias block, which is also where its outputs and
+    /// deltas sit in the workspace.
+    bias_offset: usize,
+}
+
+impl LayerShape {
+    fn weights(&self) -> Range<usize> {
+        self.weight_offset..self.weight_offset + self.inputs * self.outputs
+    }
+
+    fn biases(&self) -> Range<usize> {
+        self.bias_offset..self.bias_offset + self.outputs
+    }
+
+    /// Where the previous layer's outputs, this layer's input, sit in the
+    /// workspace (meaningless for the first layer, whose input is the sample).
+    fn previous(&self) -> Range<usize> {
+        self.bias_offset - self.inputs..self.bias_offset
     }
 }
 
 /// A dense feed-forward network trained with stochastic gradient descent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
-    layers: Vec<Layer>,
+    layers: Vec<LayerShape>,
+    /// Every layer's weights, row-major, layer after layer.
+    weights: Vec<f64>,
+    /// Every layer's biases, layer after layer.
+    biases: Vec<f64>,
     activation: Activation,
     learning_rate: f64,
     l2: f64,
-    input_dim: usize,
-    output_dim: usize,
     updates: usize,
+}
+
+/// Per-layer outputs and deltas of one forward/backward pass, both laid out
+/// like the network's biases.  Sized for the largest network the thread has
+/// used.
+struct Workspace {
+    activations: Vec<f64>,
+    deltas: Vec<f64>,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> =
+        const { RefCell::new(Workspace { activations: Vec::new(), deltas: Vec::new() }) };
+}
+
+/// Runs `f` on this thread's workspace, grown to at least `len` entries.
+fn with_workspace<R>(len: usize, f: impl FnOnce(&mut Workspace) -> R) -> R {
+    WORKSPACE.with(|cell| {
+        let mut ws = cell.borrow_mut();
+        if ws.activations.len() < len {
+            ws.activations.resize(len, 0.0);
+            ws.deltas.resize(len, 0.0);
+        }
+        f(&mut ws)
+    })
 }
 
 impl Mlp {
     /// Number of inputs the network expects.
     pub fn input_dim(&self) -> usize {
-        self.input_dim
+        self.layers[0].inputs
     }
 
     /// Number of outputs the network produces.
     pub fn output_dim(&self) -> usize {
-        self.output_dim
+        self.output_layer().outputs
+    }
+
+    fn output_layer(&self) -> LayerShape {
+        self.layers[self.layers.len() - 1]
     }
 
     /// Number of gradient updates applied so far.
@@ -196,10 +275,7 @@ impl Mlp {
     /// Total number of trainable parameters (weights and biases), for
     /// model-footprint accounting.
     pub fn param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.weights.iter().map(Vec::len).sum::<usize>() + l.biases.len())
-            .sum()
+        self.weights.len() + self.biases.len()
     }
 
     /// Raw network outputs (pre-softmax for classification use).
@@ -208,29 +284,39 @@ impl Mlp {
     ///
     /// Panics on input dimension mismatch.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        self.forward_trace(x).outputs.last().cloned().unwrap_or_default()
+        self.with_outputs(x, <[f64]>::to_vec)
     }
 
     /// Softmax of the network outputs, usable as class probabilities.
     pub fn probabilities(&self, x: &[f64]) -> Vec<f64> {
-        softmax(&self.forward(x))
+        let mut probs = self.forward(x);
+        softmax_in_place(&mut probs);
+        probs
     }
 
-    fn forward_trace(&self, x: &[f64]) -> ForwardTrace {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len() + 1);
-        outputs.push(x.to_vec());
-        for (idx, layer) in self.layers.iter().enumerate() {
-            let mut z = layer.forward(outputs.last().expect("at least the input is present"));
-            let is_last = idx + 1 == self.layers.len();
-            if !is_last {
-                for v in &mut z {
-                    *v = self.activation.apply(*v);
-                }
+    /// Runs a forward pass on this thread's workspace and hands `f` the raw
+    /// outputs.
+    fn with_outputs<R>(&self, x: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
+        with_workspace(self.biases.len(), |ws| {
+            self.forward_into(x, &mut ws.activations);
+            f(&ws.activations[self.output_layer().biases()])
+        })
+    }
+
+    /// Writes every layer's (post-activation) outputs into `activations`;
+    /// the last layer's block holds the raw network outputs.
+    fn forward_into(&self, x: &[f64], activations: &mut [f64]) {
+        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
+        let last = self.layers.len() - 1;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (before, rest) = activations.split_at_mut(layer.bias_offset);
+            let input = if l == 0 { x } else { &before[layer.previous()] };
+            let rows = self.weights[layer.weights()].chunks_exact(layer.inputs);
+            for ((z, row), b) in rest.iter_mut().zip(rows).zip(&self.biases[layer.biases()]) {
+                let v = b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>();
+                *z = if l == last { v } else { self.activation.apply(v) };
             }
-            outputs.push(z);
         }
-        ForwardTrace { outputs }
     }
 
     /// One SGD step toward the multi-output regression target `target` using
@@ -240,13 +326,18 @@ impl Mlp {
     ///
     /// Panics on input/target dimension mismatch.
     pub fn train_regression(&mut self, x: &[f64], target: &[f64]) -> f64 {
-        assert_eq!(target.len(), self.output_dim, "target dimension mismatch");
-        let trace = self.forward_trace(x);
-        let prediction = trace.outputs.last().expect("forward produces outputs");
-        let delta: Vec<f64> = prediction.iter().zip(target).map(|(p, t)| p - t).collect();
-        let loss = delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64;
-        self.backpropagate(&trace, delta);
-        loss
+        assert_eq!(target.len(), self.output_dim(), "target dimension mismatch");
+        with_workspace(self.biases.len(), |ws| {
+            self.forward_into(x, &mut ws.activations);
+            let out = self.output_layer().biases();
+            let delta = &mut ws.deltas[out.clone()];
+            for ((d, p), t) in delta.iter_mut().zip(&ws.activations[out]).zip(target) {
+                *d = p - t;
+            }
+            let loss = delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64;
+            self.backpropagate(x, ws);
+            loss
+        })
     }
 
     /// One SGD step of softmax cross-entropy toward the class `label`; returns the
@@ -256,65 +347,88 @@ impl Mlp {
     ///
     /// Panics if `label >= output_dim` or on input dimension mismatch.
     pub fn train_classification(&mut self, x: &[f64], label: usize) -> f64 {
-        assert!(label < self.output_dim, "label out of range");
-        let trace = self.forward_trace(x);
-        let logits = trace.outputs.last().expect("forward produces outputs");
-        let probs = softmax(logits);
-        let loss = -(probs[label].max(1e-12)).ln();
-        let mut delta = probs;
+        with_workspace(self.biases.len(), |ws| self.classification_step(ws, x, label))
+    }
+
+    /// `epochs` passes of [`Mlp::train_classification`] over the
+    /// `(x, label)` samples, in order, on one workspace.  The updates equal,
+    /// bit for bit, calling `train_classification` on each sample in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a label `>= output_dim` or an input dimension mismatch.
+    pub fn train_classification_epochs<'a, I>(&mut self, samples: I, epochs: usize)
+    where
+        I: IntoIterator<Item = (&'a [f64], usize)> + Clone,
+    {
+        with_workspace(self.biases.len(), |ws| {
+            for _ in 0..epochs {
+                for (x, label) in samples.clone() {
+                    let _ = self.classification_step(ws, x, label);
+                }
+            }
+        })
+    }
+
+    fn classification_step(&mut self, ws: &mut Workspace, x: &[f64], label: usize) -> f64 {
+        assert!(label < self.output_dim(), "label out of range");
+        self.forward_into(x, &mut ws.activations);
+        let out = self.output_layer().biases();
+        let delta = &mut ws.deltas[out.clone()];
+        delta.copy_from_slice(&ws.activations[out]);
+        softmax_in_place(delta);
+        let loss = -(delta[label].max(1e-12)).ln();
         delta[label] -= 1.0;
-        self.backpropagate(&trace, delta);
+        self.backpropagate(x, ws);
         loss
     }
 
-    /// Backpropagates the output-layer error signal `delta` (dL/dz for the last
-    /// layer's pre-activation) and applies one SGD update.
-    fn backpropagate(&mut self, trace: &ForwardTrace, mut delta: Vec<f64>) {
+    /// Backpropagates the output-layer error signal (dL/dz for the last
+    /// layer's pre-activation, in the last block of `ws.deltas`) of the
+    /// forward pass of `x` in `ws.activations`, and applies one SGD update.
+    fn backpropagate(&mut self, x: &[f64], ws: &mut Workspace) {
         let lr = self.learning_rate;
-        for layer_idx in (0..self.layers.len()).rev() {
-            let input = &trace.outputs[layer_idx];
-            // Compute the delta to propagate before mutating this layer.
-            let mut next_delta = vec![0.0; input.len()];
-            {
-                let layer = &self.layers[layer_idx];
-                for (o, d) in delta.iter().enumerate() {
-                    for (i, nd) in next_delta.iter_mut().enumerate() {
-                        *nd += layer.weights[o][i] * d;
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let (below, rest) = ws.deltas.split_at_mut(layer.bias_offset);
+            let delta = &rest[..layer.outputs];
+            let input = if l == 0 { x } else { &ws.activations[layer.previous()] };
+            let weights = &mut self.weights[layer.weights()];
+            if l > 0 {
+                // Propagate through this layer's weights before updating them,
+                // then through the activation of the layer below.
+                let next = &mut below[layer.previous()];
+                next.fill(0.0);
+                for (row, d) in weights.chunks_exact(layer.inputs).zip(delta) {
+                    for (nd, w) in next.iter_mut().zip(row) {
+                        *nd += w * d;
                     }
                 }
-            }
-            // Multiply by the activation derivative of the layer below (if any).
-            if layer_idx > 0 {
-                for (nd, out) in next_delta.iter_mut().zip(&trace.outputs[layer_idx]) {
+                for (nd, out) in next.iter_mut().zip(input) {
                     *nd *= self.activation.derivative_from_output(*out);
                 }
             }
-            let layer = &mut self.layers[layer_idx];
-            for (o, d) in delta.iter().enumerate() {
-                for (i, &inp) in input.iter().enumerate() {
-                    let grad = d * inp + self.l2 * layer.weights[o][i];
-                    layer.weights[o][i] -= lr * grad;
+            let rows = weights.chunks_exact_mut(layer.inputs);
+            for ((row, d), b) in rows.zip(delta).zip(&mut self.biases[layer.biases()]) {
+                for (w, inp) in row.iter_mut().zip(input) {
+                    let grad = d * inp + self.l2 * *w;
+                    *w -= lr * grad;
                 }
-                layer.biases[o] -= lr * d;
+                *b -= lr * d;
             }
-            delta = next_delta;
         }
         self.updates += 1;
     }
 }
 
-#[derive(Debug)]
-struct ForwardTrace {
-    /// `outputs[0]` is the input vector, `outputs[i]` the post-activation output of
-    /// layer `i-1` (the last entry is pre-softmax / linear).
-    outputs: Vec<Vec<f64>>,
-}
-
-fn softmax(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum.max(1e-300)).collect()
+fn softmax_in_place(values: &mut [f64]) {
+    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for v in values.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f64 = values.iter().sum();
+    for v in values.iter_mut() {
+        *v /= sum.max(1e-300);
+    }
 }
 
 impl OnlineRegressor for Mlp {
@@ -323,11 +437,11 @@ impl OnlineRegressor for Mlp {
     }
 
     fn predict(&self, x: &[f64]) -> f64 {
-        self.forward(x)[0]
+        self.with_outputs(x, |outputs| outputs[0])
     }
 
     fn input_dim(&self) -> usize {
-        self.input_dim
+        Mlp::input_dim(self)
     }
 
     fn samples_seen(&self) -> usize {
@@ -340,16 +454,12 @@ impl Classifier for Mlp {
         assert_eq!(xs.len(), labels.len(), "sample/label count mismatch");
         assert!(!xs.is_empty(), "cannot fit on an empty dataset");
         const EPOCHS: usize = 30;
-        for _ in 0..EPOCHS {
-            for (x, &label) in xs.iter().zip(labels) {
-                let _ = self.train_classification(x, label);
-            }
-        }
+        let samples = xs.iter().map(Vec::as_slice).zip(labels.iter().copied());
+        self.train_classification_epochs(samples, EPOCHS);
     }
 
     fn predict_class(&self, x: &[f64]) -> usize {
-        let scores = self.forward(x);
-        argmax(&scores)
+        self.with_outputs(x, argmax)
     }
 
     fn scores(&self, x: &[f64]) -> Vec<f64> {
@@ -357,7 +467,7 @@ impl Classifier for Mlp {
     }
 
     fn class_count(&self) -> usize {
-        self.output_dim
+        self.output_dim()
     }
 }
 
@@ -515,16 +625,18 @@ mod gradcheck_tests {
         };
         // numerical gradient for a hidden-layer weight and an output-layer weight
         for (li, o, i) in [(0usize, 1usize, 0usize), (1usize, 0usize, 2usize)] {
+            let layer = net.layers[li];
+            let w = layer.weight_offset + o * layer.inputs + i;
             let eps = 1e-6;
             let mut plus = net.clone();
-            plus.layers[li].weights[o][i] += eps;
+            plus.weights[w] += eps;
             let mut minus = net.clone();
-            minus.layers[li].weights[o][i] -= eps;
+            minus.weights[w] -= eps;
             let num_grad = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
             // analytic: apply one update with lr=1 and measure weight change = -grad
             let mut updated = net.clone();
             updated.train_classification(&x, label);
-            let ana_grad = net.layers[li].weights[o][i] - updated.layers[li].weights[o][i];
+            let ana_grad = net.weights[w] - updated.weights[w];
             println!("layer {li} w[{o}][{i}]: numerical {num_grad:.6} analytic {ana_grad:.6}");
             assert!((num_grad - ana_grad).abs() < 1e-4, "layer {li}: {num_grad} vs {ana_grad}");
         }
