@@ -28,8 +28,9 @@ fn bench(c: &mut Criterion) {
     let platform = SocPlatform::small();
     let driver = ScenarioDriver::new(platform.clone(), 2);
     let subset = &scenarios[..8];
-    let (_, records) = driver
-        .run_recorded(&SliceSource::new(subset), |_, _| Box::new(OndemandGovernor::new(&platform)));
+    let (_, records) = driver.run_recorded_mixed(&SliceSource::new(subset), |_, _| {
+        SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+    });
     let trace = Trace::from_records(&records);
     let jsonl = trace.to_jsonl();
     println!(

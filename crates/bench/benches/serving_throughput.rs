@@ -30,11 +30,11 @@ fn serve(platform: &SocPlatform, specs: &[ScenarioSpec], workers: usize) -> usiz
     let artifacts = shared_artifacts(platform, ExperimentScale::Quick);
     let driver =
         ScenarioDriver::new(platform.clone(), workers).with_cache(artifacts.sweep_cache().clone());
-    let telemetry = driver.run(specs, |_, _| {
-        Box::new(
+    let telemetry = driver.run_stream_mixed(&SliceSource::new(specs), |_, _| {
+        SubstratePolicies::cpu_only(Box::new(
             artifacts
                 .online_policy(OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() }),
-        )
+        ))
     });
     telemetry.decisions
 }
@@ -49,13 +49,12 @@ fn bench(c: &mut Criterion) {
         let driver = ScenarioDriver::new(platform.clone(), workers)
             .with_cache(artifacts.sweep_cache().clone())
             .with_oracle_reference(OracleObjective::Energy);
-        let telemetry =
-            driver.run(&specs, |_, _| {
-                Box::new(artifacts.online_policy(OnlineIlConfig {
-                    buffer_capacity: 15,
-                    ..OnlineIlConfig::default()
-                }))
-            });
+        let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig {
+                buffer_capacity: 15,
+                ..OnlineIlConfig::default()
+            })))
+        });
         println!(
             "{} worker(s): {} users, {} decisions, {:.0} decisions/s, mean latency {:.1} us, oracle agreement {:.0}%, cache hit rate {:.0}%",
             workers,
@@ -74,26 +73,24 @@ fn bench(c: &mut Criterion) {
     // once through a single-mutex cache (the pre-sharding behaviour) and once
     // through the default sharded cache.
     for (label, shards) in [("single-mutex", 1usize), ("sharded", SweepCache::DEFAULT_SHARDS)] {
-        let cache = Arc::new(SweepCache::with_shards(SweepCache::DEFAULT_CAPACITY, 0, shards));
+        let cache = Arc::new(SweepCache::with_shards(SweepCache::DEFAULT_CAPACITY, shards));
         let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
         let driver = ScenarioDriver::new(platform.clone(), 4)
             .with_cache(cache)
             .with_oracle_reference(OracleObjective::Energy);
         // Warm pass populates the cache; the timed pass is steady-state.
-        let _ =
-            driver.run(&specs, |_, _| {
-                Box::new(artifacts.online_policy(OnlineIlConfig {
-                    buffer_capacity: 15,
-                    ..OnlineIlConfig::default()
-                }))
-            });
-        let telemetry =
-            driver.run(&specs, |_, _| {
-                Box::new(artifacts.online_policy(OnlineIlConfig {
-                    buffer_capacity: 15,
-                    ..OnlineIlConfig::default()
-                }))
-            });
+        let _ = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig {
+                buffer_capacity: 15,
+                ..OnlineIlConfig::default()
+            })))
+        });
+        let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig {
+                buffer_capacity: 15,
+                ..OnlineIlConfig::default()
+            })))
+        });
         println!(
             "cache {label} ({} shard(s)): {:.0} decisions/s steady-state at 4 workers, {:.0}% hit rate",
             driver.cache().shard_count(),

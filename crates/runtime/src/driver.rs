@@ -5,37 +5,40 @@
 //! one independent "user" — an [`ApplicationSequence`] executed on a private
 //! [`SocSimulator`] under a private policy instance — and a pool of
 //! `std::thread` workers drains a [`ScenarioSource`] concurrently.  The source
-//! may be a pre-materialised slice ([`ScenarioDriver::run`]) or a streaming
-//! generator that manufactures users on demand
-//! ([`ScenarioDriver::run_stream`]), so fleet-scale workloads never need to be
-//! materialised up front.  All workers share one [`SweepCache`], so the Oracle
-//! reference runs that score policy-vs-oracle agreement deduplicate across
-//! users running the same applications.
+//! may be a pre-materialised slice ([`SliceSource`]) or a streaming generator
+//! that manufactures users on demand, so fleet-scale workloads never need to
+//! be materialised up front.  All workers share one [`SweepCache`], so the
+//! Oracle reference runs that score policy-vs-oracle agreement deduplicate
+//! across users running the same applications.
+//!
+//! The driver has two entry points, both taking a per-scenario
+//! [`SubstratePolicies`] factory (wrap a lone CPU policy in
+//! [`SubstratePolicies::cpu_only`]): [`ScenarioDriver::run_stream_mixed`]
+//! drains the source and returns the aggregated telemetry, and
+//! [`ScenarioDriver::run_recorded_mixed`] additionally captures a
+//! per-decision [`DecisionRecord`] stream per scenario, which the
+//! `soclearn-scenarios` trace layer serialises into replayable JSONL traces.
 //!
 //! The driver aggregates serving telemetry: decision throughput
 //! (decisions/second of clock time), a per-decision policy-latency histogram,
 //! total simulated energy/time, per-worker breakdowns and the shared cache's
-//! hit statistics.  All timestamps read the driver's [`Clock`] — a real wall
-//! clock by default, or a shared virtual clock
+//! hit statistics over the run.  All timestamps read the driver's [`Clock`] —
+//! a real wall clock by default, or a shared virtual clock
 //! ([`ScenarioDriver::with_clock`]) under which the duration and throughput
 //! are computed against discrete-event time and become deterministic
-//! functions of the scenario stream.  [`ScenarioDriver::run_recorded`] additionally captures a
-//! per-decision [`DecisionRecord`] stream per scenario, which the
-//! `soclearn-scenarios` trace layer serialises into replayable JSONL traces.
+//! functions of the scenario stream.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use soclearn_oracle::OracleObjective;
-use soclearn_soc_sim::{
-    DvfsConfig, DvfsPolicy, PolicyDecision, SnippetCounters, SocPlatform, SocSimulator,
-};
+use soclearn_soc_sim::{DvfsConfig, PolicyDecision, SnippetCounters, SocPlatform, SocSimulator};
 use soclearn_workloads::{ApplicationSequence, SnippetProfile};
 
 use crate::clock::Clock;
 use crate::obs::Observability;
-use soclearn_telemetry::{LatencyHistogram, Span};
+use soclearn_telemetry::{LatencyHistogram, QuantileSketch, Span};
 
 use crate::substrate::{
     DecisionKind, GpuAdapter, NocModel, SubstrateDecision, SubstratePolicies, SubstrateRecord,
@@ -161,8 +164,7 @@ pub trait ScenarioSource: Sync {
 }
 
 /// [`ScenarioSource`] over a pre-materialised slice, claiming scenarios in
-/// index order.  This is what [`ScenarioDriver::run`] wraps around its input,
-/// so the slice path and the streaming path are one code path.
+/// index order, so the slice path and the streaming path are one code path.
 pub struct SliceSource<'a> {
     scenarios: &'a [ScenarioSpec],
     next: AtomicUsize,
@@ -183,7 +185,7 @@ impl ScenarioSource for SliceSource<'_> {
 }
 
 /// Everything observed while serving one decision, captured by
-/// [`ScenarioDriver::run_recorded`].  The field set is exactly what a
+/// [`ScenarioDriver::run_recorded_mixed`].  The field set is exactly what a
 /// deterministic replay needs: the snippet, the chosen configuration, the
 /// thermal state the decision was made at, and the telemetry the simulator
 /// produced.
@@ -207,7 +209,7 @@ pub struct DecisionRecord {
     pub counters: SnippetCounters,
 }
 
-/// Per-scenario recording of one [`ScenarioDriver::run_recorded`] run.
+/// Per-scenario recording of one [`ScenarioDriver::run_recorded_mixed`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRecord {
     /// Stable scenario index assigned by the source.
@@ -279,7 +281,7 @@ pub struct WorkerTelemetry {
     pub substrates: [SubstrateTelemetry; 3],
 }
 
-/// Aggregated serving telemetry of one [`ScenarioDriver::run`].
+/// Aggregated serving telemetry of one driver run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriverTelemetry {
     /// Scenarios served.
@@ -304,19 +306,23 @@ pub struct DriverTelemetry {
     pub service_time_s: f64,
     /// Per-scenario sojourn times (queueing wait + service) on the source's
     /// queueing timeline.  Populated only when a queue-aware source returns
-    /// [`QueueStamp`]s; merging integer histograms is order-independent, so
-    /// this field is bit-deterministic at any worker count.
-    pub sojourn: LatencyHistogram,
+    /// [`QueueStamp`]s; sketch merges are order-independent, so this field is
+    /// bit-deterministic at any worker count.
+    pub sojourn: QuantileSketch,
     /// Per-scenario head-of-line queueing delays (time between arrival and
     /// service start).  Same population rules as
     /// [`DriverTelemetry::sojourn`].
-    pub queue_delay: LatencyHistogram,
+    pub queue_delay: QuantileSketch,
     /// Fraction of **CPU** decisions whose big-cluster level matched the
     /// Oracle reference; `None` when the driver ran without an Oracle
     /// reference.  (The Oracle sweeps DVFS configurations, so only CPU
     /// decisions are scored.)
     pub oracle_agreement: Option<f64>,
-    /// Hit/miss statistics of the shared sweep cache.
+    /// Shared sweep cache statistics over this run: hits, misses and
+    /// evictions are the difference across the run (a shared cache's
+    /// lifetime counters also count artifact pretraining and earlier runs),
+    /// `entries` the sweeps resident at its end.  Runs that overlap on one
+    /// cache share the difference.
     pub cache: SweepCacheStats,
     /// Aggregated counters of the per-worker L1 warm tiers (zero-lock hit
     /// path of the Oracle-reference engines); all-zero when the driver runs
@@ -341,8 +347,6 @@ pub struct ScenarioDriver {
     workers: usize,
     cache: Arc<SweepCache>,
     oracle_reference: Option<OracleObjective>,
-    /// Quantised serving: executions routed through a bucketed sweep cache.
-    serving_cache: Option<Arc<SweepCache>>,
     /// Time source for run duration and per-decision latency stamps.
     clock: Clock,
     /// Service-time mode: each decision advances the clock by its simulated
@@ -351,9 +355,9 @@ pub struct ScenarioDriver {
     /// Observability plane: metrics registry + span flight recorder. `None`
     /// (the default) instruments nothing and costs nothing on the hot path.
     obs: Option<Observability>,
-    /// Per-worker L1 warm tier over the shared sweep cache:
-    /// `(capacity, publish_every)`, on by default.
-    worker_l1: Option<(usize, usize)>,
+    /// Per-worker L1 warm tier over the shared sweep cache (default sizes),
+    /// on by default.
+    worker_l1: bool,
     /// Tiered model store for per-user personalization: the driver final-
     /// merges it at run end and reports its accounting.
     personalization: Option<Arc<crate::store::TieredModelStore>>,
@@ -372,14 +376,10 @@ impl ScenarioDriver {
             workers,
             cache: Arc::new(SweepCache::new()),
             oracle_reference: None,
-            serving_cache: None,
             clock: Clock::wall(),
             service_dilation: None,
             obs: None,
-            worker_l1: Some((
-                SweepEngine::DEFAULT_L1_CAPACITY,
-                SweepEngine::DEFAULT_L1_PUBLISH_EVERY,
-            )),
+            worker_l1: true,
             personalization: None,
         }
     }
@@ -407,29 +407,15 @@ impl ScenarioDriver {
         self.personalization.as_ref()
     }
 
-    /// Re-sizes the per-worker L1 warm tier each worker's Oracle-reference
+    /// Disables the per-worker L1 warm tier each worker's Oracle-reference
     /// engine keeps over the shared sweep cache (default: on, with
     /// [`SweepEngine::DEFAULT_L1_CAPACITY`] /
-    /// [`SweepEngine::DEFAULT_L1_PUBLISH_EVERY`]).  Results are bit-identical
-    /// either way; the L1 only removes shard-lock traffic from the warm path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `publish_every` is zero.
-    #[must_use]
-    pub fn with_worker_l1(mut self, capacity: usize, publish_every: usize) -> Self {
-        assert!(capacity > 0, "L1 capacity must be positive");
-        assert!(publish_every > 0, "L1 publish interval must be positive");
-        self.worker_l1 = Some((capacity, publish_every));
-        self
-    }
-
-    /// Disables the per-worker L1 warm tier: every sweep lookup goes to the
-    /// shared shards, as before the tier existed.  The escape hatch for
-    /// measuring the shared path (benchmarks) or minimising per-worker memory.
+    /// [`SweepEngine::DEFAULT_L1_PUBLISH_EVERY`]): every sweep lookup goes to
+    /// the shared shards.  Results are bit-identical either way; the L1 only
+    /// removes shard-lock traffic from the warm path.
     #[must_use]
     pub fn without_worker_l1(mut self) -> Self {
-        self.worker_l1 = None;
+        self.worker_l1 = false;
         self
     }
 
@@ -490,7 +476,7 @@ impl ScenarioDriver {
     /// below one compress.  In this mode the driver also reports each served
     /// scenario back to its source ([`ScenarioSource::scenario_served`]);
     /// queue-aware sources return [`QueueStamp`]s, which feed the sojourn and
-    /// queue-delay histograms and the recorded trace.
+    /// queue-delay sketches and the recorded trace.
     ///
     /// # Panics
     ///
@@ -526,71 +512,16 @@ impl ScenarioDriver {
         self
     }
 
-    /// Switches the driver into **quantised serving** mode: snippet executions
-    /// are served from a shared [`SweepCache::with_quantization`] cache whose
-    /// keys drop the lowest `quantize_bits` mantissa bits of every float
-    /// (profile features *and* cluster temperatures), so nearby thermal states
-    /// within one thermally evolving run share sweep results.
-    ///
-    /// Exact serving stays the default.  Quantised serving trades bit-exact
-    /// telemetry for cache hits: with 44 dropped bits (temperature buckets of
-    /// ≈ 0.25 °C around 45 °C) the energy/time totals of a paper suite stay
-    /// within 2% of exact serving — see
-    /// `quantised_serving_stays_within_documented_bound` in the
-    /// `integration_scenarios` suite, which locks that bound in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantize_bits` is zero (use the default exact mode) or
-    /// `>= 52` (the full `f64` mantissa).
-    #[must_use]
-    pub fn with_quantized_serving(mut self, quantize_bits: u32) -> Self {
-        assert!(quantize_bits > 0, "exact serving is the default; pick 1..52 bits");
-        self.serving_cache = Some(Arc::new(SweepCache::with_quantization(
-            SweepCache::DEFAULT_CAPACITY,
-            quantize_bits,
-        )));
-        self
-    }
-
     /// The shared sweep cache.
     pub fn cache(&self) -> &Arc<SweepCache> {
         &self.cache
     }
 
-    /// The quantised serving cache, when quantised serving is enabled.
-    pub fn serving_cache(&self) -> Option<&Arc<SweepCache>> {
-        self.serving_cache.as_ref()
-    }
-
-    /// Serves every scenario of a pre-materialised slice; equivalent to
-    /// [`ScenarioDriver::run_stream`] over a [`SliceSource`].
-    pub fn run<F>(&self, scenarios: &[ScenarioSpec], make_policy: F) -> DriverTelemetry
-    where
-        F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
-    {
-        self.run_stream(&SliceSource::new(scenarios), make_policy)
-    }
-
     /// Serves every scenario the source yields and returns the aggregated
-    /// telemetry.  `make_policy` is called once per scenario (from the worker
-    /// thread that claimed it) with the scenario index and spec, so every user
-    /// gets an independent policy instance.  GPU/NoC segments (if any) are
-    /// served by the per-substrate governor baselines; use
-    /// [`ScenarioDriver::run_stream_mixed`] to choose their controllers.
-    pub fn run_stream<S, F>(&self, source: &S, make_policy: F) -> DriverTelemetry
-    where
-        S: ScenarioSource + ?Sized,
-        F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
-    {
-        self.run_stream_mixed(source, |index, spec| {
-            SubstratePolicies::cpu_only(make_policy(index, spec))
-        })
-    }
-
-    /// Substrate-generic [`ScenarioDriver::run_stream`]: the factory returns
-    /// the full per-scenario [`SubstratePolicies`] bundle, so heterogeneous
-    /// scenarios choose their GPU controller and NoC latency model too.
+    /// telemetry.  `make_policies` is called once per scenario (from the
+    /// worker thread that claimed it) with the scenario index and spec, so
+    /// every user gets an independent [`SubstratePolicies`] bundle: its CPU
+    /// DVFS policy, GPU controller and NoC latency model.
     pub fn run_stream_mixed<S, F>(&self, source: &S, make_policies: F) -> DriverTelemetry
     where
         S: ScenarioSource + ?Sized,
@@ -599,26 +530,11 @@ impl ScenarioDriver {
         self.run_inner(source, &make_policies, false).0
     }
 
-    /// Like [`ScenarioDriver::run_stream`], but additionally records every
-    /// decision (snippet/frame/window, chosen config, telemetry) per
+    /// Like [`ScenarioDriver::run_stream_mixed`], but additionally records
+    /// every decision (snippet/frame/window, chosen config, telemetry) per
     /// scenario, sorted by scenario index.  The recording is what the trace
-    /// layer in `soclearn-scenarios` serialises and replays; exact serving
-    /// (the default) guarantees a replay reproduces the records bit-for-bit.
-    pub fn run_recorded<S, F>(
-        &self,
-        source: &S,
-        make_policy: F,
-    ) -> (DriverTelemetry, Vec<ScenarioRecord>)
-    where
-        S: ScenarioSource + ?Sized,
-        F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
-    {
-        self.run_recorded_mixed(source, |index, spec| {
-            SubstratePolicies::cpu_only(make_policy(index, spec))
-        })
-    }
-
-    /// Substrate-generic [`ScenarioDriver::run_recorded`].
+    /// layer in `soclearn-scenarios` serialises and replays; serving is
+    /// exact, so a replay reproduces the records bit-for-bit.
     pub fn run_recorded_mixed<S, F>(
         &self,
         source: &S,
@@ -644,15 +560,13 @@ impl ScenarioDriver {
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
         let started_ns = self.clock.now_ns();
+        let cache_before = self.cache.stats();
         // With an observability plane attached, the run's shared locks — the
-        // sweep-cache shards and platform registry (and the quantised serving
-        // cache's, when enabled) — are contention-observed so worker-scaling
-        // stalls show up as named lock sites in the bottleneck report.
+        // sweep-cache shards and platform registry — are contention-observed
+        // so worker-scaling stalls show up as named lock sites in the
+        // bottleneck report.
         if let Some(obs) = &self.obs {
             self.cache.attach_contention(&obs.registry);
-            if let Some(serving) = &self.serving_cache {
-                serving.attach_contention(&obs.registry);
-            }
             if let Some(store) = &self.personalization {
                 store.attach_contention(&obs.registry);
             }
@@ -681,8 +595,8 @@ impl ScenarioDriver {
 
         worker_slots.sort_by_key(|slot| slot.telemetry.worker);
         let mut latency = LatencyHistogram::new();
-        let mut sojourn = LatencyHistogram::new();
-        let mut queue_delay = LatencyHistogram::new();
+        let mut sojourn = QuantileSketch::new();
+        let mut queue_delay = QuantileSketch::new();
         let mut workers = Vec::with_capacity(worker_slots.len());
         let mut records = Vec::new();
         let mut l1 = SweepL1Stats::default();
@@ -711,6 +625,7 @@ impl ScenarioDriver {
             store.finish_run();
             store.snapshot()
         });
+        let cache_after = self.cache.stats();
         let telemetry = DriverTelemetry {
             scenarios: workers.iter().map(|w| w.scenarios).sum(),
             decisions,
@@ -729,7 +644,12 @@ impl ScenarioDriver {
                     matches as f64 / cpu_decisions as f64
                 }
             }),
-            cache: self.cache.stats(),
+            cache: SweepCacheStats {
+                hits: cache_after.hits - cache_before.hits,
+                misses: cache_after.misses - cache_before.misses,
+                evictions: cache_after.evictions - cache_before.evictions,
+                entries: cache_after.entries,
+            },
             l1,
             substrates,
             workers,
@@ -746,8 +666,8 @@ impl ScenarioDriver {
 
     /// Folds one run's aggregated telemetry into the observability plane:
     /// run/lane/worker counters, throughput gauges, and the merged latency /
-    /// sojourn / queue-delay distributions (one histogram merge per run, so
-    /// the per-decision hot path stays untouched).
+    /// sojourn / queue-delay distributions (one merge per run, so the
+    /// per-decision hot path stays untouched).
     fn publish_run(obs: &Observability, telemetry: &DriverTelemetry) {
         let reg = &obs.registry;
         reg.counter("driver_runs_total", &[]).inc();
@@ -769,8 +689,10 @@ impl ScenarioDriver {
         reg.gauge("driver_service_time_seconds", &[]).set(telemetry.service_time_s);
         reg.gauge("driver_total_energy_joules", &[]).set(telemetry.total_energy_j);
         reg.histogram("driver_policy_latency_ns", &[]).merge(&telemetry.latency);
-        reg.histogram("driver_sojourn_hist_ns", &[]).merge(&telemetry.sojourn);
-        reg.histogram("driver_queue_delay_hist_ns", &[]).merge(&telemetry.queue_delay);
+        if telemetry.sojourn.count() > 0 {
+            reg.sketch("driver_sojourn_ns", &[]).merge(&telemetry.sojourn);
+            reg.sketch("driver_queue_delay_ns", &[]).merge(&telemetry.queue_delay);
+        }
         reg.gauge("sweep_cache_hit_rate", &[]).set(telemetry.cache.hit_rate());
         reg.gauge("sweep_cache_entries", &[]).set(telemetry.cache.entries as f64);
         // Per-run quantities (each worker's L1 dies with its run), so
@@ -800,17 +722,21 @@ impl ScenarioDriver {
                 substrates: SubstrateTelemetry::lanes(),
             },
             latency: LatencyHistogram::new(),
-            sojourn: LatencyHistogram::new(),
-            queue_delay: LatencyHistogram::new(),
+            sojourn: QuantileSketch::new(),
+            queue_delay: QuantileSketch::new(),
             records: Vec::new(),
             max_completion_ns: 0,
             l1: SweepL1Stats::default(),
         };
         let mut oracle_engine = self.oracle_reference.map(|_| {
             let engine = SweepEngine::with_cache(self.platform.clone(), Arc::clone(&self.cache));
-            match self.worker_l1 {
-                Some((capacity, publish_every)) => engine.with_warm_l1(capacity, publish_every),
-                None => engine,
+            if self.worker_l1 {
+                engine.with_warm_l1(
+                    SweepEngine::DEFAULT_L1_CAPACITY,
+                    SweepEngine::DEFAULT_L1_PUBLISH_EVERY,
+                )
+            } else {
+                engine
             }
         });
 
@@ -901,19 +827,9 @@ impl ScenarioDriver {
             _ => None,
         };
 
-        // Exact serving executes directly on a private simulator; quantised
-        // serving routes executions through the shared bucketed cache (the
-        // engine owns its own simulator, so only one of the two exists).
         // One CPU simulator per scenario: thermal state carries across CPU
         // segments, exactly as it did when scenarios were one snippet stream.
-        let mut serving_engine = self
-            .serving_cache
-            .as_ref()
-            .map(|cache| SweepEngine::with_cache(self.platform.clone(), Arc::clone(cache)));
-        let mut sim = match serving_engine {
-            None => Some(SocSimulator::new(self.platform.clone())),
-            Some(_) => None,
-        };
+        let mut sim = SocSimulator::new(self.platform.clone());
         // One GPU adapter per scenario, created at the first GPU segment:
         // DVFS/slice transition state and the controller's workload estimate
         // carry across that scenario's GPU segments.
@@ -944,23 +860,9 @@ impl ScenarioDriver {
                             Some(started_ns) => self.clock.now_ns().saturating_sub(started_ns),
                             None => 0,
                         });
-                        let (big_temp_c, little_temp_c, result) = match &mut serving_engine {
-                            Some(engine) => {
-                                let temps = (
-                                    engine.sim().big_temperature_c(),
-                                    engine.sim().little_temperature_c(),
-                                );
-                                (temps.0, temps.1, engine.execute(profile, config))
-                            }
-                            None => {
-                                let sim = sim.as_mut().expect("exact serving owns a simulator");
-                                (
-                                    sim.big_temperature_c(),
-                                    sim.little_temperature_c(),
-                                    sim.execute_snippet(profile, config),
-                                )
-                            }
-                        };
+                        let big_temp_c = sim.big_temperature_c();
+                        let little_temp_c = sim.little_temperature_c();
+                        let result = sim.execute_snippet(profile, config);
                         policies.cpu.observe_outcome(result.energy_j, result.time_s);
                         counters = result.counters;
                         if let Some(reference) = &oracle_decisions {
@@ -1044,8 +946,6 @@ impl ScenarioDriver {
                 // completion spans derived from the schedule-relative stamps,
                 // one track per scenario index — bit-deterministic at any
                 // worker count.
-                obs.registry.sketch("driver_sojourn_ns", &[]).record(stamp.sojourn_ns());
-                obs.registry.sketch("driver_queue_delay_ns", &[]).record(stamp.delay_ns());
                 let track = index as u64;
                 obs.spans.record(
                     Span::new("queue_wait", "queue", track, stamp.arrival_ns, stamp.delay_ns())
@@ -1116,8 +1016,8 @@ impl ScenarioDriver {
 struct WorkerSlot {
     telemetry: WorkerTelemetry,
     latency: LatencyHistogram,
-    sojourn: LatencyHistogram,
-    queue_delay: LatencyHistogram,
+    sojourn: QuantileSketch,
+    queue_delay: QuantileSketch,
     records: Vec<ScenarioRecord>,
     /// Latest queueing-timeline completion stamp this worker observed; the
     /// run's `wall_seconds` is the maximum across workers.
@@ -1153,7 +1053,9 @@ mod tests {
         let platform = SocPlatform::small();
         let driver = ScenarioDriver::new(platform.clone(), 4);
         let specs = scenarios(8);
-        let telemetry = driver.run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)));
+        let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+        });
         assert_eq!(telemetry.scenarios, 8);
         assert_eq!(telemetry.decisions, 24);
         assert_eq!(telemetry.latency.count(), 24);
@@ -1172,7 +1074,9 @@ mod tests {
         let driver =
             ScenarioDriver::new(platform.clone(), 2).with_oracle_reference(OracleObjective::Energy);
         let specs = scenarios(6); // six identical users
-        let telemetry = driver.run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)));
+        let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+        });
         let agreement = telemetry.oracle_agreement.expect("reference was requested");
         assert!((0.0..=1.0).contains(&agreement));
         // Six identical scenario oracle runs: the first misses per snippet,
@@ -1191,7 +1095,9 @@ mod tests {
         let platform = SocPlatform::small();
         let specs = scenarios(6);
         let serve = |driver: ScenarioDriver| {
-            driver.run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)))
+            driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+            })
         };
         let with_l1 = serve(
             ScenarioDriver::new(platform.clone(), 1).with_oracle_reference(OracleObjective::Energy),
@@ -1212,34 +1118,42 @@ mod tests {
     }
 
     #[test]
+    fn cache_stats_count_only_the_run() {
+        let platform = SocPlatform::small();
+        let specs = scenarios(4);
+        let driver = ScenarioDriver::new(platform.clone(), 1)
+            .with_oracle_reference(OracleObjective::Energy)
+            .without_worker_l1();
+        let serve = || {
+            driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+            })
+        };
+        let first = serve();
+        assert!(first.cache.misses > 0, "a cold cache must miss");
+        // Identical users on the warm cache: every sweep hits, and the second
+        // run's counters cover only its own lookups.
+        let second = serve();
+        assert_eq!(second.cache.misses, 0, "the warm run reported the first run's misses");
+        assert_eq!(second.cache.hits, first.cache.hits + first.cache.misses);
+        assert_eq!(second.cache.entries, first.cache.entries);
+    }
+
+    #[test]
     fn oracle_replay_policy_scores_perfect_agreement() {
         let platform = SocPlatform::small();
         let specs = scenarios(3);
         let driver =
             ScenarioDriver::new(platform.clone(), 4).with_oracle_reference(OracleObjective::Energy);
-        let telemetry = driver.run(&specs, |_, spec| {
+        let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, spec| {
             let mut engine = SweepEngine::new(platform.clone());
             let run = engine.oracle_run(&spec.cpu_profiles(), OracleObjective::Energy);
-            Box::new(OraclePolicy::from_run(&run, platform.min_config()))
+            SubstratePolicies::cpu_only(Box::new(OraclePolicy::from_run(
+                &run,
+                platform.min_config(),
+            )))
         });
         assert_eq!(telemetry.oracle_agreement, Some(1.0));
-    }
-
-    #[test]
-    fn streaming_source_matches_the_slice_path() {
-        let platform = SocPlatform::small();
-        let specs = scenarios(5);
-        // One worker makes scenario→worker assignment deterministic, so the
-        // energy totals (f64 sums) must agree bit-for-bit.
-        let driver = ScenarioDriver::new(platform.clone(), 1);
-        let sliced = driver.run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)));
-        let streamed = driver.run_stream(&SliceSource::new(&specs), |_, _| {
-            Box::new(OndemandGovernor::new(&platform))
-        });
-        assert_eq!(sliced.scenarios, streamed.scenarios);
-        assert_eq!(sliced.decisions, streamed.decisions);
-        assert_eq!(sliced.total_energy_j.to_bits(), streamed.total_energy_j.to_bits());
-        assert_eq!(sliced.simulated_time_s.to_bits(), streamed.simulated_time_s.to_bits());
     }
 
     #[test]
@@ -1248,8 +1162,8 @@ mod tests {
         let specs = scenarios(4);
         let driver =
             ScenarioDriver::new(platform.clone(), 2).with_oracle_reference(OracleObjective::Energy);
-        let (telemetry, records) = driver.run_recorded(&SliceSource::new(&specs), |_, _| {
-            Box::new(OndemandGovernor::new(&platform))
+        let (telemetry, records) = driver.run_recorded_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });
         assert_eq!(records.len(), 4);
         // Sorted by scenario index regardless of worker interleaving.
@@ -1275,8 +1189,8 @@ mod tests {
         let platform = SocPlatform::small();
         let specs = scenarios(2);
         let driver = ScenarioDriver::new(platform.clone(), 2);
-        let (_, records) = driver.run_recorded(&SliceSource::new(&specs), |_, _| {
-            Box::new(OndemandGovernor::new(&platform))
+        let (_, records) = driver.run_recorded_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });
         for record in &records {
             let mut sim = SocSimulator::new(platform.clone());
@@ -1291,22 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn quantised_serving_stays_close_to_exact() {
-        let platform = SocPlatform::small();
-        let specs = scenarios(4);
-        let exact = ScenarioDriver::new(platform.clone(), 2)
-            .run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)));
-        let quantised_driver = ScenarioDriver::new(platform.clone(), 2).with_quantized_serving(44);
-        let quantised =
-            quantised_driver.run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)));
-        assert_eq!(exact.decisions, quantised.decisions);
-        let delta = (quantised.total_energy_j - exact.total_energy_j).abs() / exact.total_energy_j;
-        assert!(delta < 0.02, "quantised serving drifted {:.3}% from exact", delta * 100.0);
-        let stats = quantised_driver.serving_cache().expect("quantised cache exists").stats();
-        assert!(stats.hits > 0, "bucketed keys must coalesce repeated snippets");
-    }
-
-    #[test]
     fn service_time_mode_spends_virtual_time_serving() {
         let platform = SocPlatform::small();
         let specs = scenarios(4);
@@ -1315,7 +1213,9 @@ mod tests {
             .with_clock(clock.clone())
             .with_service_time(1.0);
         assert_eq!(driver.service_time_dilation(), Some(1.0));
-        let telemetry = driver.run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)));
+        let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+        });
         // Decisions are no longer instantaneous: the run's virtual span covers
         // the simulated service time, and busy time accounts for it exactly.
         assert!(telemetry.service_time_s > 0.0);
@@ -1327,7 +1227,7 @@ mod tests {
         assert!(telemetry.wall_seconds >= telemetry.service_time_s * (1.0 - 1e-9));
         assert_eq!(clock.now_ns(), (telemetry.wall_seconds * 1e9).round() as u64);
         assert!((telemetry.workers[0].busy_s - telemetry.service_time_s).abs() < 1e-12);
-        // No queue-aware source: the sojourn histograms stay empty.
+        // No queue-aware source: the sojourn sketches stay empty.
         assert_eq!(telemetry.sojourn.count(), 0);
         assert_eq!(telemetry.queue_delay.count(), 0);
     }
@@ -1340,7 +1240,9 @@ mod tests {
             ScenarioDriver::new(platform.clone(), 1)
                 .with_clock(Clock::virtual_clock())
                 .with_service_time(dilation)
-                .run(&specs, |_, _| Box::new(OndemandGovernor::new(&platform)))
+                .run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+                    SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+                })
         };
         let (base, stretched) = (run(1.0), run(60.0));
         assert_eq!(base.decisions, stretched.decisions);
@@ -1354,8 +1256,8 @@ mod tests {
         let platform = SocPlatform::small();
         let specs = scenarios(2);
         let driver = ScenarioDriver::new(platform.clone(), 1);
-        let (telemetry, records) = driver.run_recorded(&SliceSource::new(&specs), |_, _| {
-            Box::new(OndemandGovernor::new(&platform))
+        let (telemetry, records) = driver.run_recorded_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });
         assert_eq!(telemetry.service_time_s, 0.0);
         assert!(records.iter().all(|r| r.queue.is_none()));

@@ -25,16 +25,19 @@
 //!    telemetry.
 //!
 //! ```
-//! use soclearn_runtime::{ExperimentScale, ScenarioDriver, ScenarioSpec, shared_artifacts};
+//! use soclearn_runtime::{
+//!     shared_artifacts, ExperimentScale, ScenarioDriver, ScenarioSpec, SliceSource,
+//!     SubstratePolicies,
+//! };
 //! use soclearn_soc_sim::SocPlatform;
 //! use soclearn_imitation::OnlineIlConfig;
 //!
 //! let platform = SocPlatform::small();
 //! let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
-//! let scenario = ScenarioSpec::new("user-0", artifacts.training_profiles.clone());
+//! let specs = [ScenarioSpec::new("user-0", artifacts.training_profiles.clone())];
 //! let driver = ScenarioDriver::new(platform, 2).with_cache(artifacts.sweep_cache().clone());
-//! let telemetry = driver.run(&[scenario], |_, _| {
-//!     Box::new(artifacts.online_policy(OnlineIlConfig::default()))
+//! let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
+//!     SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig::default())))
 //! });
 //! assert!(telemetry.decisions > 0);
 //! ```

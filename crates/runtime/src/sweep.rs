@@ -17,10 +17,9 @@
 //!   instead of a 40-configuration model evaluation.
 //!
 //! Cached results are **bit-identical** to uncached per-call evaluation: the
-//! default key is the exact bit pattern of every profile field plus both
-//! cluster temperatures, so a hit can only occur for an evaluation that would
-//! have produced the very same floats.  An optional quantisation knob widens
-//! the key buckets for serving scenarios that prefer hit rate over exactness.
+//! key is the exact bit pattern of every profile field plus both cluster
+//! temperatures, so a hit can only occur for an evaluation that would have
+//! produced the very same floats.
 //!
 //! The cache is **lock-striped**: entries live in [`SweepCache::DEFAULT_SHARDS`]
 //! independently-mutexed segments selected by the key's hash, so concurrent
@@ -51,7 +50,7 @@ use soclearn_workloads::{SnippetPhase, SnippetProfile};
 /// Number of packed key words describing one snippet profile.
 const PROFILE_KEY_WORDS: usize = 9;
 
-/// Exact (or quantised) identity of one sweep request.
+/// Exact identity of one sweep request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SweepKey {
     /// Registry id of the platform the sweep ran on.
@@ -60,6 +59,17 @@ struct SweepKey {
     profile: [u64; PROFILE_KEY_WORDS],
     /// Bit patterns of the big and LITTLE cluster temperatures.
     temps: [u64; 2],
+}
+
+impl SweepKey {
+    /// The key of sweeping `profile` from `sim`'s current thermal state.
+    fn new(platform_id: u32, profile: &SnippetProfile, sim: &SocSimulator) -> Self {
+        Self {
+            platform_id,
+            profile: profile_bits(profile),
+            temps: [sim.big_temperature_c().to_bits(), sim.little_temperature_c().to_bits()],
+        }
+    }
 }
 
 fn phase_code(phase: SnippetPhase) -> u64 {
@@ -72,7 +82,7 @@ fn phase_code(phase: SnippetPhase) -> u64 {
 }
 
 /// Exact bit-pattern identity of a snippet profile, used by the artifact
-/// store's Oracle-run memo (and, quantised, by the sweep cache key).
+/// store's Oracle-run memo and the sweep cache key.
 pub(crate) fn profile_bits(profile: &SnippetProfile) -> [u64; PROFILE_KEY_WORDS] {
     [
         profile.instructions,
@@ -270,8 +280,6 @@ pub struct SweepCache {
     /// Registered platform fingerprints; index = platform id.
     platforms: ObservedRwLock<Vec<String>>,
     capacity_per_shard: usize,
-    /// Number of low mantissa bits dropped from every `f64` in the key.
-    quantize_bits: u32,
 }
 
 impl SweepCache {
@@ -282,34 +290,18 @@ impl SweepCache {
     /// Default number of lock-striped shards.
     pub const DEFAULT_SHARDS: usize = 16;
 
-    /// Creates a cache with the default capacity and **exact** keys.
+    /// Creates a cache with the default capacity.
     pub fn new() -> Self {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Creates an exact-key cache bounded to `capacity` resident sweeps.
+    /// Creates a cache bounded to `capacity` resident sweeps.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_quantization(capacity, 0)
-    }
-
-    /// Creates a cache whose keys drop the lowest `quantize_bits` mantissa bits
-    /// of every floating-point feature (profile fields and temperatures).
-    ///
-    /// `quantize_bits = 0` keeps keys exact, which guarantees cached results
-    /// are bit-identical to uncached evaluation.  Positive values trade that
-    /// guarantee for a higher hit rate: snippets whose features differ only in
-    /// the dropped bits share one sweep result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or `quantize_bits >= 52` (the full `f64`
-    /// mantissa).
-    pub fn with_quantization(capacity: usize, quantize_bits: u32) -> Self {
-        Self::with_shards(capacity, quantize_bits, Self::DEFAULT_SHARDS)
+        Self::with_shards(capacity, Self::DEFAULT_SHARDS)
     }
 
     /// Creates a cache with an explicit shard count (`1` reproduces the old
@@ -326,19 +318,16 @@ impl SweepCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` or `shards` is zero, or `quantize_bits >= 52` (the
-    /// full `f64` mantissa).
-    pub fn with_shards(capacity: usize, quantize_bits: u32, shards: usize) -> Self {
+    /// Panics if `capacity` or `shards` is zero.
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "sweep cache capacity must be positive");
         assert!(shards > 0, "sweep cache needs at least one shard");
-        assert!(quantize_bits < 52, "cannot drop the entire f64 mantissa");
         Self {
             shards: (0..shards)
                 .map(|_| ObservedMutex::new("sweep_cache_shard", SweepShard::default()))
                 .collect(),
             platforms: ObservedRwLock::new("sweep_cache_platforms", Vec::new()),
             capacity_per_shard: capacity.div_ceil(shards),
-            quantize_bits,
         }
     }
 
@@ -427,10 +416,6 @@ impl SweepCache {
         }
     }
 
-    fn quantize(&self, value: f64) -> u64 {
-        value.to_bits() & (!0u64 << self.quantize_bits)
-    }
-
     /// Registers (or looks up) a platform and returns its stable id.
     fn platform_id(&self, platform: &SocPlatform) -> u32 {
         let fingerprint = serde_json::to_string(platform).expect("platform serialises");
@@ -446,23 +431,6 @@ impl SweepCache {
         } else {
             platforms.push(fingerprint);
             (platforms.len() - 1) as u32
-        }
-    }
-
-    fn key(&self, platform_id: u32, profile: &SnippetProfile, sim: &SocSimulator) -> SweepKey {
-        let mut bits = profile_bits(profile);
-        // Quantisation applies to the floating-point features only (indices of
-        // the f64 fields within `profile_bits`).
-        for idx in [2usize, 3, 4, 5, 6, 8] {
-            bits[idx] &= !0u64 << self.quantize_bits;
-        }
-        SweepKey {
-            platform_id,
-            profile: bits,
-            temps: [
-                self.quantize(sim.big_temperature_c()),
-                self.quantize(sim.little_temperature_c()),
-            ],
         }
     }
 
@@ -546,7 +514,7 @@ impl SweepCache {
 
     /// Batch-inserts locally-computed sweeps, locking each touched shard once
     /// per batch.  Keys already resident (a racing worker published first)
-    /// keep their resident value — with exact keys the values are
+    /// keep their resident value — keys are exact, so the values are
     /// bit-identical anyway — and only have their recency refreshed.
     fn publish(&self, batch: SweepBatch) {
         let mut groups: HashMap<usize, SweepBatch> = HashMap::new();
@@ -687,7 +655,7 @@ impl SweepEngine {
     /// L1) → local evaluation (no lock held while computing; the result is
     /// buffered and batch-published).  All tiers answer bit-identically.
     pub fn sweep(&self, profile: &SnippetProfile) -> Arc<Vec<SnippetExecution>> {
-        let key = self.cache.key(self.platform_id, profile, &self.sim);
+        let key = SweepKey::new(self.platform_id, profile, &self.sim);
         let Some(cell) = &self.l1 else {
             let sim = &self.sim;
             return self.cache.get_or_compute(key, || sim.evaluate_all_configs(profile));
@@ -877,7 +845,7 @@ mod tests {
         let platform = SocPlatform::small();
         // One shard so the capacity bound is global and the eviction count is
         // exact; the sharded default spreads the bound across segments.
-        let cache = Arc::new(SweepCache::with_shards(2, 0, 1));
+        let cache = Arc::new(SweepCache::with_shards(2, 1));
         let engine = SweepEngine::with_cache(platform, Arc::clone(&cache));
         for instructions in [1_000_000u64, 2_000_000, 3_000_000, 4_000_000] {
             let _ = engine.sweep(&SnippetProfile::compute_bound(instructions));
@@ -892,8 +860,7 @@ mod tests {
     fn sharded_cache_matches_single_shard_results() {
         let platform = SocPlatform::small();
         let sharded = SweepEngine::with_cache(platform.clone(), Arc::new(SweepCache::new()));
-        let single =
-            SweepEngine::with_cache(platform, Arc::new(SweepCache::with_shards(4096, 0, 1)));
+        let single = SweepEngine::with_cache(platform, Arc::new(SweepCache::with_shards(4096, 1)));
         for instructions in [10_000_000u64, 20_000_000, 30_000_000, 10_000_000] {
             let profile = SnippetProfile::compute_bound(instructions);
             let a = sharded.sweep(&profile);
@@ -929,23 +896,6 @@ mod tests {
         assert_eq!(stats.entries, 8);
         assert_eq!(stats.hits + stats.misses, 32);
         assert!(stats.misses >= 8, "every distinct profile misses at least once");
-    }
-
-    #[test]
-    fn quantised_keys_widen_buckets() {
-        let platform = SocPlatform::small();
-        let cache = Arc::new(SweepCache::with_quantization(64, 40));
-        let engine = SweepEngine::with_cache(platform, Arc::clone(&cache));
-        let a = SnippetProfile::compute_bound(100_000_000);
-        let mut b = a.clone();
-        b.ilp += 1e-9; // differs only far below the kept precision
-        let _ = engine.sweep(&a);
-        let _ = engine.sweep(&b);
-        assert_eq!(
-            cache.stats().hits,
-            1,
-            "quantised cache should coalesce near-identical snippets"
-        );
     }
 
     #[test]

@@ -11,10 +11,19 @@
 //! strings borrow unless they contain escapes ([`std::borrow::Cow`]), so the
 //! trace-decode hot path — dozens of keys and numbers per line — allocates
 //! only for the containers, not per token.
+//!
+//! Nesting is capped at 64 levels of arrays/objects: the parser recurses once
+//! per level, so an unbounded run of `[` in untrusted input would otherwise
+//! overflow the stack.  The deepest line the trace format writes nests three
+//! levels.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts; deeper input is a
+/// [`JsonError`].
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value borrowing from the input text.  Numbers keep the
 /// source literal so integer bit patterns survive untouched.
@@ -107,7 +116,7 @@ impl std::error::Error for JsonError {}
 pub fn parse(input: &str) -> Result<JsonValue<'_>, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError { expected: "end of input", offset: pos });
@@ -139,11 +148,19 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8, what: &'static str) -> Result
     }
 }
 
-fn parse_value<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<JsonValue<'a>, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<JsonValue<'a>, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(JsonError { expected: "nesting within the depth limit", offset: *pos })
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -247,7 +264,11 @@ fn parse_string<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, Js
     }
 }
 
-fn parse_array<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<JsonValue<'a>, JsonError> {
+fn parse_array<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<JsonValue<'a>, JsonError> {
     expect(bytes, pos, b'[', "an array")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -256,7 +277,7 @@ fn parse_array<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<JsonValue<'a>, Js
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -269,7 +290,11 @@ fn parse_array<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<JsonValue<'a>, Js
     }
 }
 
-fn parse_object<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<JsonValue<'a>, JsonError> {
+fn parse_object<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<JsonValue<'a>, JsonError> {
     expect(bytes, pos, b'{', "an object")?;
     let mut members = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -281,7 +306,7 @@ fn parse_object<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<JsonValue<'a>, J
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         expect(bytes, pos, b':', "':'")?;
-        members.insert(key, parse_value(bytes, pos)?);
+        members.insert(key, parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -347,5 +372,16 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         let err = parse("").unwrap_err();
         assert!(err.to_string().contains("expected"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.expected.contains("nesting"));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
     }
 }

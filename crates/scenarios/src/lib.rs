@@ -30,13 +30,15 @@
 //!    compress to milliseconds with deterministic virtual-time telemetry.
 //!
 //! ```
-//! use soclearn_scenarios::{ArrivalSchedule, FleetStress, ScenarioGenerator};
+//! use soclearn_scenarios::{FleetStress, ScenarioGenerator};
 //! use soclearn_governors::OndemandGovernor;
+//! use soclearn_runtime::SubstratePolicies;
 //! use soclearn_soc_sim::SocPlatform;
 //!
 //! let platform = SocPlatform::small();
 //! let fleet = FleetStress::new(platform.clone(), ScenarioGenerator::standard(42, 6), 4, 2);
-//! let report = fleet.run(|_, _| Box::new(OndemandGovernor::new(&platform)));
+//! let report =
+//!     fleet.run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform))));
 //! assert_eq!(report.families.len(), 4);
 //! ```
 

@@ -486,8 +486,8 @@ impl QueueModel {
 /// arrival time has passed.
 ///
 /// A source is **single use**: once its `users` scenarios have been claimed
-/// (by one `run_stream` call) it stays drained, and its arrival clock starts
-/// at the first claim.  Build a fresh `FleetSource` for every run — the
+/// (by one `run_stream_mixed` call) it stays drained, and its arrival clock
+/// starts at the first claim.  Build a fresh `FleetSource` for every run — the
 /// generator behind it is cheap to share via `Arc` and produces the identical
 /// fleet each time.
 ///
@@ -898,7 +898,7 @@ pub struct FleetDrainReport {
     /// Fleet utilisation: service time over `user_slots × span` (0 if
     /// queueing off).
     pub utilisation: f64,
-    /// Mean sojourn (queueing wait + service) from the driver's histogram,
+    /// Mean sojourn (queueing wait + service) from the driver's sketch,
     /// seconds (0 if queueing off).
     pub mean_sojourn_s: f64,
     /// Peak concurrently in-flight (claimed, unstamped) arrivals in the
@@ -983,9 +983,9 @@ impl FleetStress {
     }
 
     /// Leases a personalized policy for scenario `index` from the attached
-    /// store, labelled with the scenario's generator family — the policy
-    /// factory to pass to [`FleetStress::run`] / [`FleetStress::drain`] when
-    /// personalization is on.
+    /// store, labelled with the scenario's generator family — the CPU policy
+    /// the factory passed to [`FleetStress::run`] / [`FleetStress::drain`]
+    /// wraps in [`SubstratePolicies::cpu_only`] when personalization is on.
     ///
     /// # Panics
     ///
@@ -1048,7 +1048,7 @@ impl FleetStress {
     /// users — an arrival that lands while its user is still serving an
     /// earlier one waits, producing real queueing-delay, backlog and
     /// utilisation telemetry ([`FleetReport::queueing`], plus the queueing
-    /// fields of [`FamilyTelemetry`] and the driver's sojourn histograms).
+    /// fields of [`FamilyTelemetry`] and the driver's sojourn sketches).
     ///
     /// Under a virtual clock the whole queueing timeline is simulated in
     /// milliseconds and — because stamps are computed from schedule offsets
@@ -1070,28 +1070,10 @@ impl FleetStress {
         &self.generator
     }
 
-    /// Streams the fleet through a [`ScenarioDriver`] serving CPU policies
-    /// from `make_policy`, recording every decision and aggregating
-    /// per-family telemetry.  GPU/NoC segments (if the generator produces
-    /// any) are served by the substrate governor baselines; use
-    /// [`FleetStress::run_mixed`] to choose per-substrate policies.
-    pub fn run<F>(&self, make_policy: F) -> FleetReport
-    where
-        F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
-    {
-        self.run_mixed(|index, spec| SubstratePolicies::cpu_only(make_policy(index, spec)))
-    }
-
-    /// Streams the fleet through a [`ScenarioDriver`] serving the full
-    /// per-substrate policy bundle from `make_policies` — the heterogeneous
-    /// entry point: CPU DVFS, GPU power management and NoC latency throttling
-    /// all route through the same worker pool, and the report's
-    /// [`FamilyTelemetry::substrate_energy_j`] carries the cross-substrate
-    /// energy split.
-    pub fn run_mixed<F>(&self, make_policies: F) -> FleetReport
-    where
-        F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
-    {
+    /// The driver and arrival source one fleet run serves through: the
+    /// harness's clock, Oracle reference, queueing and observability settings
+    /// applied to both.
+    fn driver_and_source(&self) -> (ScenarioDriver, FleetSource) {
         let mut driver =
             ScenarioDriver::new(self.platform.clone(), self.workers).with_clock(self.clock.clone());
         if let Some(objective) = self.oracle_reference {
@@ -1114,6 +1096,21 @@ impl FleetStress {
         if let Some(obs) = &self.obs {
             source.attach_contention(&obs.registry);
         }
+        (driver, source)
+    }
+
+    /// Streams the fleet through a [`ScenarioDriver`] serving the
+    /// per-substrate policy bundle from `make_policies` (wrap a lone CPU
+    /// policy in [`SubstratePolicies::cpu_only`]), recording every decision
+    /// and aggregating per-family telemetry.  CPU DVFS, GPU power management
+    /// and NoC latency throttling all route through the same worker pool,
+    /// and the report's [`FamilyTelemetry::substrate_energy_j`] carries the
+    /// cross-substrate energy split.
+    pub fn run<F>(&self, make_policies: F) -> FleetReport
+    where
+        F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
+    {
+        let (driver, source) = self.driver_and_source();
         let (telemetry, records) = driver.run_recorded_mixed(&source, &make_policies);
         let queueing = self
             .queueing
@@ -1192,34 +1189,13 @@ impl FleetStress {
     /// This is the 10⁵–10⁶-user capacity path behind `bench_snapshot`'s
     /// `fleet_1m` section; use [`FleetStress::run`] when you need traces,
     /// family telemetry or byte-deterministic queue reports.
-    pub fn drain<F>(&self, make_policy: F) -> FleetDrainReport
+    pub fn drain<F>(&self, make_policies: F) -> FleetDrainReport
     where
-        F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
+        F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
-        let mut driver =
-            ScenarioDriver::new(self.platform.clone(), self.workers).with_clock(self.clock.clone());
-        if let Some(objective) = self.oracle_reference {
-            driver = driver.with_oracle_reference(objective);
-        }
-        if let Some(queueing) = self.queueing {
-            driver = driver.with_service_time(queueing.time_dilation);
-        }
-        if let Some(obs) = &self.obs {
-            driver = driver.with_observability(obs.clone());
-        }
-        if let Some(store) = &self.personalization {
-            driver = driver.with_personalization(Arc::clone(store));
-        }
-        let mut source = FleetSource::new(Arc::clone(&self.generator), self.users, self.schedule)
-            .with_clock(self.clock.clone());
-        if let Some(queueing) = self.queueing {
-            source = source.with_queueing(queueing.user_slots);
-        }
-        if let Some(obs) = &self.obs {
-            source.attach_contention(&obs.registry);
-        }
+        let (driver, source) = self.driver_and_source();
         let started = Instant::now();
-        let telemetry = driver.run_stream(&source, make_policy);
+        let telemetry = driver.run_stream_mixed(&source, make_policies);
         let elapsed_s = started.elapsed().as_secs_f64();
         let user_slots = self.queueing.map(|q| q.user_slots).unwrap_or(0);
         let peak = source.queue_peak_resident().unwrap_or(0);
@@ -1298,57 +1274,27 @@ impl FleetStress {
         }
     }
 
-    /// Runs the policy fleet plus *ondemand* and *interactive* governor fleets
-    /// over the identical scenario stream and returns the three reports
-    /// together with per-family energy deltas of the policy against each
-    /// governor (in the order `[vs-ondemand, vs-interactive]`).
-    pub fn run_against_governors<F>(
-        &self,
-        make_policy: F,
-    ) -> (FleetReport, [FleetReport; 2], [Vec<FamilyEnergyDelta>; 2])
-    where
-        F: Fn(usize, &ScenarioSpec) -> Box<dyn DvfsPolicy + Send> + Sync,
-    {
-        let policy_report = self.run(make_policy);
-        let platform = self.platform.clone();
-        let ondemand = self.run(|_, _| Box::new(OndemandGovernor::new(&platform)));
-        let interactive = self.run(|_, _| Box::new(InteractiveGovernor::new()));
-        let deltas = [&ondemand, &interactive].map(|baseline| {
-            policy_report
-                .families
-                .iter()
-                .zip(&baseline.families)
-                .map(|(p, b)| FamilyEnergyDelta {
-                    family: p.family.clone(),
-                    policy_energy_j: p.energy_j,
-                    baseline_energy_j: b.energy_j,
-                })
-                .collect()
-        });
-        (policy_report, [ondemand, interactive], deltas)
-    }
-
-    /// Mixed-substrate analogue of [`FleetStress::run_against_governors`]:
-    /// runs the policy fleet from `make_policies`, then two all-governor
+    /// Runs the policy fleet from `make_policies`, then two all-governor
     /// baseline fleets over the identical scenario stream — *ondemand* and
     /// *interactive* on the CPU, each paired with the GPU utilisation
     /// governor and the analytical NoC latency model (the per-substrate
-    /// governor baselines).  Energy deltas compare total cross-substrate
-    /// energy per family.
-    pub fn run_mixed_against_governors<F>(
+    /// governor baselines) — and returns the three reports together with
+    /// per-family energy deltas of the policy against each governor (in the
+    /// order `[vs-ondemand, vs-interactive]`).  Deltas compare total
+    /// cross-substrate energy per family.
+    pub fn run_against_governors<F>(
         &self,
         make_policies: F,
     ) -> (FleetReport, [FleetReport; 2], [Vec<FamilyEnergyDelta>; 2])
     where
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
-        let policy_report = self.run_mixed(make_policies);
+        let policy_report = self.run(make_policies);
         let platform = self.platform.clone();
-        let ondemand = self.run_mixed(|_, _| {
-            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
-        });
-        let interactive = self
-            .run_mixed(|_, _| SubstratePolicies::cpu_only(Box::new(InteractiveGovernor::new())));
+        let ondemand = self
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform))));
+        let interactive =
+            self.run(|_, _| SubstratePolicies::cpu_only(Box::new(InteractiveGovernor::new())));
         let deltas = [&ondemand, &interactive].map(|baseline| {
             policy_report
                 .families
@@ -1547,8 +1493,9 @@ mod tests {
         .with_clock(clock.clone());
         let driver = ScenarioDriver::new(platform.clone(), 2).with_clock(clock.clone());
         let wall = Instant::now();
-        let telemetry =
-            driver.run_stream(&source, |_, _| Box::new(OndemandGovernor::new(&platform)));
+        let telemetry = driver.run_stream_mixed(&source, |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+        });
         assert!(wall.elapsed() < Duration::from_secs(1), "virtual hour must not take an hour");
         assert_eq!(telemetry.scenarios, 7);
         // Six 10-minute gaps of virtual time elapsed.
@@ -1569,7 +1516,11 @@ mod tests {
                     off_peak: Duration::from_secs(4 * 3_600),
                 })
                 .with_clock(Clock::virtual_clock())
-                .run(|_, _| Box::new(OndemandGovernor::new(&SocPlatform::small())))
+                .run(|_, _| {
+                    SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(
+                        &SocPlatform::small(),
+                    )))
+                })
         };
         let (a, b) = (run(), run());
         assert_eq!(a.telemetry.wall_seconds.to_bits(), b.telemetry.wall_seconds.to_bits());
@@ -1615,7 +1566,11 @@ mod tests {
                 .with_schedule(ArrivalSchedule::Constant { interval: Duration::from_millis(40) })
                 .with_clock(Clock::virtual_clock())
                 .with_queueing(QueueingConfig::new(1.0, 3))
-                .run(|_, _| Box::new(OndemandGovernor::new(&SocPlatform::small())))
+                .run(|_, _| {
+                    SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(
+                        &SocPlatform::small(),
+                    )))
+                })
         };
         let reference = run(1);
         let queueing = reference.queueing.as_ref().expect("queueing was enabled");
@@ -1640,7 +1595,9 @@ mod tests {
             .with_schedule(schedule)
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(2.0, slots))
-            .run(|_, _| Box::new(OndemandGovernor::new(&SocPlatform::small())));
+            .run(|_, _| {
+                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&SocPlatform::small())))
+            });
         let stamps: Vec<_> = report
             .records
             .iter()
@@ -1711,7 +1668,9 @@ mod tests {
                 .with_schedule(ArrivalSchedule::Constant { interval: Duration::from_millis(5) })
                 .with_clock(Clock::virtual_clock())
                 .with_queueing(QueueingConfig::new(1.0, slots));
-            fleet.drain(|_, _| Box::new(OndemandGovernor::new(&SocPlatform::small())))
+            fleet.drain(|_, _| {
+                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&SocPlatform::small())))
+            })
         };
         assert_eq!(report.users, users);
         assert_eq!(report.user_slots, slots);
@@ -1741,7 +1700,7 @@ mod tests {
         let fleet = FleetStress::new(platform, generator(), users, 2)
             .with_clock(Clock::virtual_clock())
             .with_personalization(Arc::clone(&store));
-        let report = fleet.drain(|i, _| fleet.personalized_policy(i));
+        let report = fleet.drain(|i, _| SubstratePolicies::cpu_only(fleet.personalized_policy(i)));
         assert!(report.decisions > 0);
         let stats = report.model_store.expect("personalized drain must report store stats");
         assert_eq!(stats.users_leased, users as u64);
@@ -1766,8 +1725,12 @@ mod tests {
                 .with_clock(Clock::virtual_clock())
                 .with_queueing(QueueingConfig::new(1.0, 3))
         };
-        let recorded = make().run(|_, _| Box::new(OndemandGovernor::new(&SocPlatform::small())));
-        let drained = make().drain(|_, _| Box::new(OndemandGovernor::new(&SocPlatform::small())));
+        let recorded = make().run(|_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&SocPlatform::small())))
+        });
+        let drained = make().drain(|_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&SocPlatform::small())))
+        });
         let queueing = recorded.queueing.expect("queueing was enabled");
         assert_eq!(drained.decisions, recorded.telemetry.decisions);
         assert_eq!(drained.span_s.to_bits(), recorded.telemetry.wall_seconds.to_bits());
@@ -1781,9 +1744,8 @@ mod tests {
         let fleet =
             FleetStress::new(platform.clone(), ScenarioGenerator::heterogeneous(5, 8), 7, 2)
                 .with_clock(Clock::virtual_clock());
-        let report = fleet.run_mixed(|_, _| {
-            SubstratePolicies::learned(Box::new(OndemandGovernor::new(&platform)))
-        });
+        let report = fleet
+            .run(|_, _| SubstratePolicies::learned(Box::new(OndemandGovernor::new(&platform))));
         assert_eq!(report.families.len(), 7);
         assert_eq!(report.telemetry.scenarios, 7);
 
@@ -1826,7 +1788,9 @@ mod tests {
                 .with_queueing(QueueingConfig::new(1.0, 2))
                 .run(|index, _| {
                     assert!(index != 1, "policy exploded");
-                    Box::new(OndemandGovernor::new(&SocPlatform::small()))
+                    SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(
+                        &SocPlatform::small(),
+                    )))
                 })
         });
         assert!(result.is_err(), "the worker panic must propagate to the caller");
@@ -1838,8 +1802,9 @@ mod tests {
         let generator = Arc::new(generator());
         let source = FleetSource::new(Arc::clone(&generator), 8, ArrivalSchedule::Immediate);
         let driver = ScenarioDriver::new(platform.clone(), 3);
-        let telemetry =
-            driver.run_stream(&source, |_, _| Box::new(OndemandGovernor::new(&platform)));
+        let telemetry = driver.run_stream_mixed(&source, |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+        });
         assert_eq!(telemetry.scenarios, 8);
         let expected: usize = (0..8).map(|i| generator.scenario(i).decision_count()).sum();
         assert_eq!(telemetry.decisions, expected);
@@ -1853,11 +1818,12 @@ mod tests {
         let generator = Arc::new(generator());
         let driver = ScenarioDriver::new(platform.clone(), 1);
         let source = FleetSource::new(Arc::clone(&generator), 6, ArrivalSchedule::Immediate);
-        let streamed =
-            driver.run_stream(&source, |_, _| Box::new(OndemandGovernor::new(&platform)));
+        let streamed = driver.run_stream_mixed(&source, |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+        });
         let materialised: Vec<ScenarioSpec> = generator.scenarios(6);
-        let sliced = driver.run_stream(&SliceSource::new(&materialised), |_, _| {
-            Box::new(OndemandGovernor::new(&platform))
+        let sliced = driver.run_stream_mixed(&SliceSource::new(&materialised), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });
         assert_eq!(streamed.decisions, sliced.decisions);
         assert_eq!(streamed.total_energy_j.to_bits(), sliced.total_energy_j.to_bits());
@@ -1869,7 +1835,8 @@ mod tests {
         let platform = SocPlatform::small();
         let fleet = FleetStress::new(platform.clone(), generator(), 8, 2)
             .with_oracle_reference(OracleObjective::Energy);
-        let report = fleet.run(|_, _| Box::new(OndemandGovernor::new(&platform)));
+        let report = fleet
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform))));
         assert_eq!(report.policy, "ondemand");
         assert_eq!(report.families.len(), 4);
         // 8 users round-robin over 4 families = 2 scenarios each.
@@ -1891,7 +1858,9 @@ mod tests {
         let platform = SocPlatform::small();
         let fleet = FleetStress::new(platform.clone(), generator(), 4, 2);
         let (report, [ondemand, interactive], deltas) = fleet.run_against_governors(|_, _| {
-            Box::new(soclearn_soc_sim::FixedConfigPolicy::new(platform.min_config()))
+            SubstratePolicies::cpu_only(Box::new(soclearn_soc_sim::FixedConfigPolicy::new(
+                platform.min_config(),
+            )))
         });
         assert_eq!(report.families.len(), 4);
         assert_eq!(ondemand.policy, "ondemand");
@@ -1916,8 +1885,9 @@ mod tests {
         );
         let driver = ScenarioDriver::new(platform.clone(), 2);
         let started = Instant::now();
-        let telemetry =
-            driver.run_stream(&source, |_, _| Box::new(OndemandGovernor::new(&platform)));
+        let telemetry = driver.run_stream_mixed(&source, |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+        });
         assert_eq!(telemetry.scenarios, 4);
         // The last user is only admitted at 3 * 8 ms.
         assert!(started.elapsed() >= Duration::from_millis(24));

@@ -94,7 +94,7 @@ impl ScenarioTrace {
     }
 }
 
-/// A full recorded run: every scenario of one `run_recorded` call.
+/// A full recorded run: every scenario of one `run_recorded_mixed` call.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// The recorded scenarios, sorted by index.
@@ -207,7 +207,7 @@ impl From<&ScenarioRecord> for ScenarioTrace {
 
 impl Trace {
     /// Builds a trace from the records a
-    /// [`ScenarioDriver::run_recorded`](soclearn_runtime::ScenarioDriver::run_recorded)
+    /// [`ScenarioDriver::run_recorded_mixed`](soclearn_runtime::ScenarioDriver::run_recorded_mixed)
     /// call returned.
     pub fn from_records(records: &[ScenarioRecord]) -> Self {
         Self { scenarios: records.iter().map(ScenarioTrace::from).collect() }
@@ -249,12 +249,12 @@ impl Trace {
     }
 
     /// Parses a JSONL trace written by [`Trace::to_jsonl`].
+    ///
+    /// Declared scenario and decision counts are untrusted: no allocation is
+    /// sized beyond the lines the input has left, and a count the input
+    /// cannot back is a truncated-trace [`TraceError::Format`].
     pub fn from_jsonl(input: &str) -> Result<Self, TraceError> {
-        let mut lines = input
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .map(|(i, l)| (i + 1, l));
+        let mut lines = TraceLines::new(input);
         let (line_no, header) = lines
             .next()
             .ok_or(TraceError::Format { line: 1, message: "empty trace".into() })?;
@@ -275,7 +275,7 @@ impl Trace {
             .and_then(JsonValue::as_usize)
             .ok_or_else(|| format_err(line_no, "missing scenario count"))?;
 
-        let mut scenarios = Vec::with_capacity(scenario_count);
+        let mut scenarios = Vec::with_capacity(scenario_count.min(lines.remaining));
         for _ in 0..scenario_count {
             let (line_no, raw) = lines
                 .next()
@@ -321,7 +321,7 @@ impl Trace {
                         service_ns: field_u64(value, "service", line_no)?,
                     }),
                 },
-                decisions: Vec::with_capacity(decisions_count),
+                decisions: Vec::with_capacity(decisions_count.min(lines.remaining)),
             };
             for _ in 0..decisions_count {
                 let (line_no, raw) = lines
@@ -338,6 +338,33 @@ impl Trace {
             ));
         }
         Ok(Self { scenarios })
+    }
+}
+
+/// The non-blank lines of a JSONL trace, numbered from 1, with a bound on
+/// how many are left so a declared count never sizes an allocation beyond
+/// them.
+struct TraceLines<'a> {
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// Upper bound on the lines left: the input's line count less the lines
+    /// handed out.
+    remaining: usize,
+}
+
+impl<'a> TraceLines<'a> {
+    fn new(input: &'a str) -> Self {
+        let remaining = input.lines().count();
+        Self { lines: input.lines().enumerate(), remaining }
+    }
+}
+
+impl<'a> Iterator for TraceLines<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (index, line) = self.lines.find(|(_, l)| !l.trim().is_empty())?;
+        self.remaining -= 1;
+        Some((index + 1, line))
     }
 }
 
@@ -566,10 +593,9 @@ pub struct ReplayReport {
 /// a fresh GPU simulator (both carry state across decisions); each NoC
 /// window re-simulates independently from its recorded seed.
 ///
-/// An exact-serving recording replays bit-identically; a quantised-serving
-/// recording (whose executions were served from bucketed sweeps) reports its
-/// first divergence instead, which is precisely how far quantisation bent the
-/// telemetry.
+/// A driver recording replays bit-identically; a recording that diverges
+/// (edited, or produced by a different simulator) reports its first
+/// divergence instead.
 pub fn replay(scenario: &ScenarioTrace, platform: &SocPlatform) -> ReplayReport {
     let mut sim = SocSimulator::new(platform.clone());
     let mut gpu: Option<GpuReplayer> = None;
@@ -749,8 +775,8 @@ mod tests {
             ScenarioSpec::new("beta", vec![SnippetProfile::memory_bound(60_000_000)]),
         ];
         let driver = ScenarioDriver::new(platform.clone(), 2);
-        let (_, records) = driver.run_recorded(&SliceSource::new(&specs), |_, _| {
-            Box::new(OndemandGovernor::new(&platform))
+        let (_, records) = driver.run_recorded_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });
         (platform, Trace::from_records(&records))
     }
@@ -856,11 +882,13 @@ mod tests {
         );
         let driver = ScenarioDriver::new(platform.clone(), 1);
         let specs = vec![spec];
-        let (_, a) = driver.run_recorded(&SliceSource::new(&specs), |_, _| {
-            Box::new(OndemandGovernor::new(&platform))
+        let (_, a) = driver.run_recorded_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });
-        let (_, b) = driver.run_recorded(&SliceSource::new(&specs), |_, _| {
-            Box::new(soclearn_soc_sim::FixedConfigPolicy::new(platform.max_config()))
+        let (_, b) = driver.run_recorded_mixed(&SliceSource::new(&specs), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(soclearn_soc_sim::FixedConfigPolicy::new(
+                platform.max_config(),
+            )))
         });
         let (a, b) = (ScenarioTrace::from(&a[0]), ScenarioTrace::from(&b[0]));
         let diff = TraceDiff::between(&a, &b);
@@ -938,6 +966,48 @@ mod tests {
             Trace::from_jsonl("{\"format\":\"soclearn-trace\",\"version\":1,\"scenarios\":0}")
                 .expect("empty trace is valid");
         assert!(empty.scenarios.is_empty());
+    }
+
+    /// A trace header promising `count` scenarios, with nothing after it.
+    fn header_promising(count: &str) -> String {
+        format!("{{\"format\":\"soclearn-trace\",\"version\":3,\"scenarios\":{count}}}\n")
+    }
+
+    fn assert_truncated(result: Result<Trace, TraceError>) {
+        match result {
+            Err(TraceError::Format { message, .. }) => {
+                assert!(message.contains("truncated"), "{message}")
+            }
+            other => panic!("expected a truncated-trace error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn scenario_count_past_usize_capacity_is_a_truncated_trace() {
+        assert_truncated(Trace::from_jsonl(&header_promising("100000000000000000")));
+    }
+
+    #[test]
+    fn scenario_count_past_memory_is_a_truncated_trace() {
+        assert_truncated(Trace::from_jsonl(&header_promising("1000000000000")));
+    }
+
+    #[test]
+    fn decision_count_past_the_input_is_a_truncated_trace() {
+        let input = format!(
+            "{}{{\"scenario\":{{\"index\":0,\"name\":\"u\",\"policy\":\"p\",\
+             \"oracle_matches\":null,\"queue\":null,\"decisions\":100000000000000000}}}}\n",
+            header_promising("1")
+        );
+        assert_truncated(Trace::from_jsonl(&input));
+    }
+
+    #[test]
+    fn bracket_flood_is_a_json_error_not_a_stack_overflow() {
+        match Trace::from_jsonl(&"[".repeat(200_000)) {
+            Err(TraceError::Json { line: 1, .. }) => {}
+            other => panic!("expected a JSON error on line 1, got {other:?}"),
+        }
     }
 
     #[test]

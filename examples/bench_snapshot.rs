@@ -48,9 +48,6 @@
 //! sides, peak personalization bytes per user, and that figure as a fraction
 //! of one full per-user copy.  CI gates the top rung: the copy fraction must
 //! stay under 10 % and personalized throughput within 10 % of the baseline.
-//! The section also carries the fixed-vs-adaptive forgetting comparison
-//! (Full-scale suites plus the generated families) whose `verdict` field
-//! records which λ strategy the default config should ship.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,8 +71,9 @@ use std::time::Duration;
 /// effective core, so core-starved runners stop reading as 97 %-serial code;
 /// 7: added the `model_store` section — the copy-on-write personalization
 /// ladder with its shared-vs-personalized throughput ratio and bytes-per-user
-/// accounting, and the fixed-vs-adaptive forgetting verdict).
-const SCHEMA: u32 = 7;
+/// accounting, and the fixed-vs-adaptive forgetting verdict;
+/// 8: dropped that settled verdict, which ablation A3 in `soclearn-core` reproduces).
+const SCHEMA: u32 = 8;
 /// Timed repetitions per measurement; the best (max throughput / min time)
 /// is reported.
 const REPS: usize = 3;
@@ -114,19 +112,19 @@ fn main() {
     // thresholds.
     let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
     let make_policy = |_: usize, _: &ScenarioSpec| {
-        Box::new(
+        SubstratePolicies::cpu_only(Box::new(
             artifacts
                 .online_policy(OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() }),
-        ) as Box<dyn DvfsPolicy + Send>
+        ))
     };
     let cold_driver = ScenarioDriver::new(platform.clone(), workers)
         .with_oracle_reference(OracleObjective::Energy);
-    let cold = cold_driver.run(&specs, make_policy);
+    let cold = cold_driver.run_stream_mixed(&SliceSource::new(&specs), make_policy);
     let driver = ScenarioDriver::new(platform.clone(), workers)
         .with_cache(artifacts.sweep_cache().clone())
         .with_oracle_reference(OracleObjective::Energy);
     let steady = (0..REPS)
-        .map(|_| driver.run(&specs, make_policy))
+        .map(|_| driver.run_stream_mixed(&SliceSource::new(&specs), make_policy))
         .max_by(|a, b| a.decisions_per_second.total_cmp(&b.decisions_per_second))
         .expect("at least one steady-state rep");
     println!(
@@ -155,8 +153,8 @@ fn main() {
     let small = SocPlatform::small();
     let trace_driver = ScenarioDriver::new(small.clone(), 2);
     let (_, records) = trace_driver
-        .run_recorded(&SliceSource::new(&generator.scenarios(8)), |_, _| {
-            Box::new(OndemandGovernor::new(&small))
+        .run_recorded_mixed(&SliceSource::new(&generator.scenarios(8)), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&small)))
         });
     let trace = Trace::from_records(&records);
     let jsonl = trace.to_jsonl();
@@ -187,7 +185,8 @@ fn main() {
             })
             .with_clock(Clock::virtual_clock());
         let start = Instant::now();
-        let r = fleet.run(|_, _| Box::new(OndemandGovernor::new(&small)));
+        let r =
+            fleet.run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&small))));
         fleet_wall_seconds = fleet_wall_seconds.min(start.elapsed().as_secs_f64());
         report = Some(r);
     }
@@ -213,8 +212,8 @@ fn main() {
             FleetStress::new(small.clone(), ScenarioGenerator::heterogeneous(2020, 8), 21, 4)
                 .with_clock(Clock::virtual_clock());
         let start = Instant::now();
-        let r = fleet
-            .run_mixed(|_, _| SubstratePolicies::learned(Box::new(OndemandGovernor::new(&small))));
+        let r =
+            fleet.run(|_, _| SubstratePolicies::learned(Box::new(OndemandGovernor::new(&small))));
         mixed_wall_seconds = mixed_wall_seconds.min(start.elapsed().as_secs_f64());
         mixed_report = Some(r);
     }
@@ -246,7 +245,7 @@ fn main() {
         FleetStress::new(small.clone(), ScenarioGenerator::standard(2020, 6), queue_users, 4)
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(1.0, 1))
-            .run(|_, _| Box::new(OndemandGovernor::new(&small)));
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&small))));
     let probe_queue = probe.queueing.expect("queueing was enabled");
     let mean_service_s = probe_queue.total_service_s / probe_queue.arrivals as f64;
     let saturated =
@@ -256,7 +255,7 @@ fn main() {
             })
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(1.0, 1))
-            .run(|_, _| Box::new(OndemandGovernor::new(&small)));
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&small))));
     let queueing = saturated.queueing.expect("queueing was enabled");
     println!(
         "queueing: {} arrivals at {OFFERED_LOAD}x the drain rate — utilisation {:.3}, \
@@ -287,14 +286,14 @@ fn main() {
     let obs_driver = ScenarioDriver::new(platform.clone(), workers)
         .with_oracle_reference(OracleObjective::Energy)
         .with_observability(obs.clone());
-    let _ = plain_driver.run(&specs, make_policy);
-    let _ = obs_driver.run(&specs, make_policy);
+    let _ = plain_driver.run_stream_mixed(&SliceSource::new(&specs), make_policy);
+    let _ = obs_driver.run_stream_mixed(&SliceSource::new(&specs), make_policy);
     let pairs = REPS + 2;
     let mut pair_overheads = Vec::with_capacity(pairs);
     let mut steady_obs: Option<DriverTelemetry> = None;
     for _ in 0..pairs {
-        let plain = plain_driver.run(&specs, make_policy);
-        let instrumented = obs_driver.run(&specs, make_policy);
+        let plain = plain_driver.run_stream_mixed(&SliceSource::new(&specs), make_policy);
+        let instrumented = obs_driver.run_stream_mixed(&SliceSource::new(&specs), make_policy);
         pair_overheads
             .push((1.0 - instrumented.decisions_per_second / plain.decisions_per_second) * 100.0);
         let better = steady_obs.as_ref().is_none()
@@ -346,25 +345,20 @@ fn main() {
     };
     // One warm-up pass heats the shared sweep cache for the Full-length
     // streams, so every measured worker count sees the same steady state.
-    full_driver(workers).run(&full_specs, make_policy);
+    full_driver(workers).run_stream_mixed(&SliceSource::new(&full_specs), make_policy);
     let mut full_dps = [0.0f64; 3];
     let mut full_decisions = 0usize;
     let mut full_l1 = SweepL1Stats::default();
-    let mut full_4w: Option<DriverTelemetry> = None;
     for (slot, full_workers) in [1usize, 2, 4].into_iter().enumerate() {
         let driver = full_driver(full_workers);
         let telemetry = (0..REPS)
-            .map(|_| driver.run(&full_specs, make_policy))
+            .map(|_| driver.run_stream_mixed(&SliceSource::new(&full_specs), make_policy))
             .max_by(|a, b| a.decisions_per_second.total_cmp(&b.decisions_per_second))
             .expect("at least one full-scale rep");
         full_dps[slot] = telemetry.decisions_per_second;
         full_decisions = telemetry.decisions;
         full_l1 = telemetry.l1;
-        if full_workers == 4 {
-            full_4w = Some(telemetry);
-        }
     }
-    let full_4w = full_4w.expect("the scaling ladder includes the 4-worker rung");
     // The Amdahl fit is the single source of truth for worker-scaling
     // numbers: `scaling_efficiency_4w` below and the bottleneck artifact's
     // `amdahl` section both read this fit, so they can never disagree.  The
@@ -392,7 +386,7 @@ fn main() {
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(1.0, 1))
             .with_observability(obs.clone())
-            .run(|_, _| Box::new(OndemandGovernor::new(&small)));
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&small))));
     let full_queue_wall_ms = full_queue_start.elapsed().as_secs_f64() * 1e3;
     let full_queue = full_queue_report.queueing.clone().expect("queueing was enabled");
     println!(
@@ -431,7 +425,7 @@ fn main() {
             })
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(1.0, fleet_slots))
-            .drain(|_, _| Box::new(OndemandGovernor::new(&small)));
+            .drain(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&small))));
     println!(
         "fleet_1m: {} users over {:.1} simulated days drained in {:.2} s wall — {:.0} users/s, \
          {:.0} decisions/s, peak {} in flight, {:.1} queue-state bytes/user",
@@ -508,8 +502,13 @@ fn main() {
             // 1.5k times across a 10⁵-user drain; one merge per ~64 in-flight
             // generations keeps federation live without the republish churn.
             let merge_every = (rung_users / 64).max(64);
-            let run_shared =
-                || make_fleet().drain(|_, _| Box::new(artifacts_small.online_policy(store_config)));
+            let run_shared = || {
+                make_fleet().drain(|_, _| {
+                    SubstratePolicies::cpu_only(Box::new(
+                        artifacts_small.online_policy(store_config),
+                    ))
+                })
+            };
             let run_personalized = || {
                 let store = std::sync::Arc::new(TieredModelStore::new(
                     &artifacts_small,
@@ -517,7 +516,7 @@ fn main() {
                     merge_every,
                 ));
                 let fleet = make_fleet().with_personalization(std::sync::Arc::clone(&store));
-                fleet.drain(|i, _| fleet.personalized_policy(i))
+                fleet.drain(|i, _| SubstratePolicies::cpu_only(fleet.personalized_policy(i)))
             };
             let (shared_rep, personal_rep) = if rep % 2 == 0 {
                 let s = run_shared();
@@ -573,54 +572,6 @@ fn main() {
         });
     }
     let store_top = store_rungs.last().expect("the store ladder has at least one rung");
-
-    // Fixed-vs-adaptive forgetting: the same Full-scale suites and the same
-    // generated-family fleet served once with the default fixed λ = 0.97
-    // online models and once with the STAFF-style adaptive variant.  Energy
-    // is deterministic per policy (worker interleaving does not touch it), so
-    // a single pass per side settles which λ strategy the default config
-    // should ship: adaptive must cut Full-suite energy by more than 0.5 % AND
-    // win a majority of the generated families to displace fixed.
-    let adaptive_policy = |_: usize, _: &ScenarioSpec| {
-        Box::new(artifacts.online_policy(OnlineIlConfig {
-            buffer_capacity: 15,
-            adaptive_forgetting: true,
-            ..OnlineIlConfig::default()
-        })) as Box<dyn DvfsPolicy + Send>
-    };
-    let adaptive_full = full_driver(workers).run(&full_specs, adaptive_policy);
-    let verdict_fleet = || {
-        FleetStress::new(platform.clone(), ScenarioGenerator::standard(2020, 8), 24, workers)
-            .with_clock(Clock::virtual_clock())
-            .with_oracle_reference(OracleObjective::Energy)
-    };
-    let fixed_families = verdict_fleet().run(make_policy);
-    let adaptive_families = verdict_fleet().run(adaptive_policy);
-    let adaptive_family_wins = fixed_families
-        .families
-        .iter()
-        .zip(&adaptive_families.families)
-        .filter(|(fixed, adaptive)| adaptive.energy_j < fixed.energy_j)
-        .count();
-    let family_count = fixed_families.families.len();
-    let adaptive_energy_delta_pct =
-        (adaptive_full.total_energy_j / full_4w.total_energy_j - 1.0) * 100.0;
-    let adaptive_verdict =
-        if adaptive_energy_delta_pct < -0.5 && adaptive_family_wins * 2 > family_count {
-            "adaptive"
-        } else {
-            "fixed"
-        };
-    println!(
-        "adaptive_forgetting: full-suite energy {:.1} J fixed vs {:.1} J adaptive ({:+.2}%), \
-         oracle agreement {:.1}% vs {:.1}%, adaptive wins {adaptive_family_wins}/{family_count} \
-         generated families — verdict: {adaptive_verdict} λ as the default",
-        full_4w.total_energy_j,
-        adaptive_full.total_energy_j,
-        adaptive_energy_delta_pct,
-        full_4w.oracle_agreement.unwrap_or(0.0) * 100.0,
-        adaptive_full.oracle_agreement.unwrap_or(0.0) * 100.0,
-    );
 
     // The instrumented runs' own registry, exported next to the snapshot.
     artifacts.publish_stats(&obs.registry);
@@ -803,25 +754,7 @@ fn main() {
     );
     let _ = writeln!(json, "    \"merge_rounds\": {},", store_top.stats.merge_rounds);
     let _ = writeln!(json, "    \"merged_samples\": {},", store_top.stats.merged_samples);
-    let _ = writeln!(json, "    \"base_version\": {},", store_top.stats.base_version);
-    let _ = writeln!(json, "    \"adaptive_forgetting\": {{");
-    let _ = writeln!(json, "      \"fixed_energy_j\": {:.3},", full_4w.total_energy_j);
-    let _ = writeln!(json, "      \"adaptive_energy_j\": {:.3},", adaptive_full.total_energy_j);
-    let _ = writeln!(json, "      \"adaptive_energy_delta_pct\": {adaptive_energy_delta_pct:.3},");
-    let _ = writeln!(
-        json,
-        "      \"fixed_oracle_agreement\": {:.4},",
-        full_4w.oracle_agreement.unwrap_or(0.0)
-    );
-    let _ = writeln!(
-        json,
-        "      \"adaptive_oracle_agreement\": {:.4},",
-        adaptive_full.oracle_agreement.unwrap_or(0.0)
-    );
-    let _ = writeln!(json, "      \"generated_families\": {family_count},");
-    let _ = writeln!(json, "      \"adaptive_family_wins\": {adaptive_family_wins},");
-    let _ = writeln!(json, "      \"verdict\": \"{adaptive_verdict}\"");
-    let _ = writeln!(json, "    }}");
+    let _ = writeln!(json, "    \"base_version\": {}", store_top.stats.base_version);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"contention\": {{");
     let _ = writeln!(json, "    \"serial_fraction\": {:.4},", amdahl.serial_fraction);

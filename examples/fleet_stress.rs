@@ -231,9 +231,9 @@ fn main() {
         // The learned bundle: online-IL on the CPU, explicit NMPC on the GPU,
         // the SVR latency model on the NoC; governor fleets keep the
         // per-substrate baselines (utilisation governor, analytical model).
-        fleet.run_mixed_against_governors(|i, s| SubstratePolicies::learned(online_il(i, s)))
+        fleet.run_against_governors(|i, s| SubstratePolicies::learned(online_il(i, s)))
     } else {
-        fleet.run_against_governors(online_il)
+        fleet.run_against_governors(|i, s| SubstratePolicies::cpu_only(online_il(i, s)))
     };
     if virtual_clock {
         println!(
@@ -617,7 +617,7 @@ fn print_queueing_tables(il: &FleetReport, platform: &SocPlatform, workers: usiz
     .with_schedule(schedule)
     .with_clock(Clock::virtual_clock())
     .with_queueing(QueueingConfig::new(QUEUE_DILATION, 2))
-    .run(|_, _| Box::new(OndemandGovernor::new(platform)));
+    .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(platform))));
     // The memoised plan answers the per-record offset queries below in one
     // linear pass instead of replaying the Markov chain from scratch for
     // every record (2 × O(index) walks each).

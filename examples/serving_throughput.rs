@@ -62,27 +62,32 @@ fn main() {
     let il_driver = ScenarioDriver::new(platform.clone(), workers)
         .with_cache(artifacts.sweep_cache().clone())
         .with_oracle_reference(OracleObjective::Energy);
-    let il = il_driver.run(&scenarios, |_, _| {
-        Box::new(artifacts.online_policy(OnlineIlConfig {
+    let il = il_driver.run_stream_mixed(&SliceSource::new(&scenarios), |_, _| {
+        SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig {
             buffer_capacity: 15,
             neighbourhood_radius: 2,
             ..OnlineIlConfig::default()
-        }))
+        })))
     });
 
     // RL baseline users: per-user exploration seeds, same serving harness.
     let rl_driver = ScenarioDriver::new(platform.clone(), workers)
         .with_cache(artifacts.sweep_cache().clone())
         .with_oracle_reference(OracleObjective::Energy);
-    let rl = rl_driver.run(&scenarios, |user, _| {
-        Box::new(QTableAgent::new(&platform, RlConfig::default().with_seed(1000 + user as u64)))
+    let rl = rl_driver.run_stream_mixed(&SliceSource::new(&scenarios), |user, _| {
+        SubstratePolicies::cpu_only(Box::new(QTableAgent::new(
+            &platform,
+            RlConfig::default().with_seed(1000 + user as u64),
+        )))
     });
 
     // Governor users: the zero-learning baseline.
     let gov_driver = ScenarioDriver::new(platform.clone(), workers)
         .with_cache(artifacts.sweep_cache().clone())
         .with_oracle_reference(OracleObjective::Energy);
-    let gov = gov_driver.run(&scenarios, |_, _| Box::new(OndemandGovernor::new(&platform)));
+    let gov = gov_driver.run_stream_mixed(&SliceSource::new(&scenarios), |_, _| {
+        SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+    });
 
     println!(
         "{}",

@@ -299,7 +299,7 @@ fn instrumented_queueing_run(workers: usize) -> (Observability, FleetReport) {
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(3_600.0, 2))
             .with_observability(obs.clone())
-            .run(|_, _| Box::new(OndemandGovernor::new(&platform)));
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform))));
     (obs, report)
 }
 

@@ -25,7 +25,7 @@ fn constant_rate_fleet(users: usize, workers: usize, interval: Duration) -> Flee
         .with_schedule(ArrivalSchedule::Constant { interval })
         .with_clock(Clock::virtual_clock())
         .with_queueing(QueueingConfig::new(1.0, 1))
-        .run(|_, _| Box::new(OndemandGovernor::new(&platform())))
+        .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform()))))
 }
 
 /// Mean service time per scenario, probed from an immediate-admission fleet.
@@ -33,7 +33,7 @@ fn mean_service_s(users: usize) -> f64 {
     let report = FleetStress::new(platform(), generator(), users, 2)
         .with_clock(Clock::virtual_clock())
         .with_queueing(QueueingConfig::new(1.0, 1))
-        .run(|_, _| Box::new(OndemandGovernor::new(&platform())));
+        .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform()))));
     let queueing = report.queueing.expect("queueing was enabled");
     queueing.total_service_s / queueing.arrivals as f64
 }
@@ -178,7 +178,7 @@ fn queueing_telemetry_is_bit_identical_across_worker_counts() {
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(1.0, 4))
             .with_oracle_reference(OracleObjective::Energy)
-            .run(|_, _| Box::new(OndemandGovernor::new(&platform())))
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform()))))
     };
     let reference = run(1);
     for workers in [2, 4] {
@@ -237,7 +237,7 @@ fn event_calendar_stamps_match_the_fifo_reference_at_any_worker_count() {
             .with_schedule(ArrivalSchedule::Bursty { burst: 5, gap: Duration::from_millis(120) })
             .with_clock(Clock::virtual_clock())
             .with_queueing(QueueingConfig::new(1.0, user_slots))
-            .run(|_, _| Box::new(OndemandGovernor::new(&platform())))
+            .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform()))))
     };
     let reference = run(1);
     for workers in [1, 2, 4] {
@@ -328,7 +328,7 @@ fn v2_queueing_trace_round_trips_and_replays() {
         .with_schedule(ArrivalSchedule::Constant { interval: Duration::from_millis(50) })
         .with_clock(Clock::virtual_clock())
         .with_queueing(QueueingConfig::new(1.0, 2))
-        .run(|_, _| Box::new(OndemandGovernor::new(&platform())));
+        .run(|_, _| SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform()))));
     let trace = Trace::from_records(&report.records);
     assert!(trace.scenarios.iter().all(|s| s.queue.is_some()), "queueing stamps every scenario");
 

@@ -1,15 +1,13 @@
 //! Integration tests of the `soclearn-scenarios` subsystem: generator
 //! determinism across threads, trace record → replay bit-identity through the
 //! JSONL encoding, streaming-source parity with the pre-materialised driver
-//! path, the quantised serving mode's documented accuracy bound on a paper
-//! suite, and the virtual-clock fleet path: a full simulated day of diurnal
+//! path, and the virtual-clock fleet path: a full simulated day of diurnal
 //! arrivals must drain in under a second of wall time with deterministic
 //! telemetry.
 
 use std::time::{Duration, Instant};
 
 use soclearn_core::prelude::*;
-use soclearn_runtime::scaled_suite;
 use soclearn_scenarios::Trace;
 
 #[test]
@@ -50,8 +48,8 @@ fn trace_record_replay_round_trip_is_bit_identical() {
     let scenarios = generator.scenarios(6);
     let driver =
         ScenarioDriver::new(platform.clone(), 3).with_oracle_reference(OracleObjective::Energy);
-    let (telemetry, records) = driver.run_recorded(&SliceSource::new(&scenarios), |_, _| {
-        Box::new(OndemandGovernor::new(&platform))
+    let (telemetry, records) = driver.run_recorded_mixed(&SliceSource::new(&scenarios), |_, _| {
+        SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
     });
     assert_eq!(records.len(), 6);
 
@@ -82,9 +80,13 @@ fn streaming_driver_matches_the_materialised_path() {
     let materialised = generator.scenarios(8);
     // One worker: deterministic claiming order, so totals must be bit-exact.
     let driver = ScenarioDriver::new(platform.clone(), 1);
-    let sliced = driver.run(&materialised, |_, _| Box::new(OndemandGovernor::new(&platform)));
+    let sliced = driver.run_stream_mixed(&SliceSource::new(&materialised), |_, _| {
+        SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+    });
     let source = FleetSource::new(std::sync::Arc::clone(&generator), 8, ArrivalSchedule::Immediate);
-    let streamed = driver.run_stream(&source, |_, _| Box::new(OndemandGovernor::new(&platform)));
+    let streamed = driver.run_stream_mixed(&source, |_, _| {
+        SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+    });
     assert_eq!(streamed.scenarios, sliced.scenarios);
     assert_eq!(streamed.decisions, sliced.decisions);
     assert_eq!(streamed.total_energy_j.to_bits(), sliced.total_energy_j.to_bits());
@@ -94,46 +96,12 @@ fn streaming_driver_matches_the_materialised_path() {
     // summation order.
     let driver = ScenarioDriver::new(platform.clone(), 4);
     let source = FleetSource::new(std::sync::Arc::clone(&generator), 8, ArrivalSchedule::Immediate);
-    let concurrent = driver.run_stream(&source, |_, _| Box::new(OndemandGovernor::new(&platform)));
+    let concurrent = driver.run_stream_mixed(&source, |_, _| {
+        SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+    });
     assert_eq!(concurrent.scenarios, sliced.scenarios);
     assert_eq!(concurrent.decisions, sliced.decisions);
     assert!((concurrent.total_energy_j - sliced.total_energy_j).abs() < 1e-9);
-}
-
-/// The documented quantised-serving bound: with 44 dropped mantissa bits
-/// (≈ 0.25 °C temperature buckets), fleet energy/time on a paper suite stay
-/// within 2% of exact serving.
-#[test]
-fn quantised_serving_stays_within_documented_bound() {
-    let platform = SocPlatform::odroid_xu3();
-    let benchmarks = scaled_suite(SuiteKind::MiBench, ExperimentScale::Quick);
-    // Two waves of identical users: steady-state serving, where the second
-    // wave is answered from the bucketed cache.
-    let scenarios: Vec<ScenarioSpec> = benchmarks
-        .iter()
-        .cycle()
-        .take(benchmarks.len() * 2)
-        .map(|(name, snippets)| ScenarioSpec::new(name.clone(), snippets.clone()))
-        .collect();
-
-    let exact = ScenarioDriver::new(platform.clone(), 2)
-        .run(&scenarios, |_, _| Box::new(OndemandGovernor::new(&platform)));
-    let quantised_driver = ScenarioDriver::new(platform.clone(), 2).with_quantized_serving(44);
-    let quantised =
-        quantised_driver.run(&scenarios, |_, _| Box::new(OndemandGovernor::new(&platform)));
-
-    assert_eq!(exact.decisions, quantised.decisions);
-    let energy_delta =
-        (quantised.total_energy_j - exact.total_energy_j).abs() / exact.total_energy_j;
-    let time_delta =
-        (quantised.simulated_time_s - exact.simulated_time_s).abs() / exact.simulated_time_s;
-    assert!(energy_delta < 0.02, "energy drifted {:.3}% > 2%", energy_delta * 100.0);
-    assert!(time_delta < 0.02, "time drifted {:.3}% > 2%", time_delta * 100.0);
-    let stats = quantised_driver.serving_cache().expect("quantised cache is on").stats();
-    assert!(
-        stats.hits > 0,
-        "quantised buckets must coalesce sweeps within the thermally evolving run"
-    );
 }
 
 /// Long-horizon regression: a diurnal arrival schedule spanning more than 24
@@ -151,7 +119,9 @@ fn day_long_diurnal_fleet_compresses_to_subsecond_wall_time() {
                 off_peak: Duration::from_secs(3 * 3_600),
             })
             .with_clock(Clock::virtual_clock())
-            .run(|_, _| Box::new(OndemandGovernor::new(&SocPlatform::small())))
+            .run(|_, _| {
+                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&SocPlatform::small())))
+            })
     };
     let wall = Instant::now();
     let reference = day(0);

@@ -26,7 +26,7 @@ fn mixed_report(workers: usize) -> FleetReport {
         workers,
     )
     .with_clock(Clock::virtual_clock());
-    fleet.run_mixed(|_, _| SubstratePolicies::learned(Box::new(OndemandGovernor::new(&platform))))
+    fleet.run(|_, _| SubstratePolicies::learned(Box::new(OndemandGovernor::new(&platform))))
 }
 
 #[test]
@@ -116,7 +116,7 @@ fn mixed_fleet_reports_per_substrate_governor_baselines() {
         2,
     )
     .with_clock(Clock::virtual_clock());
-    let (learned, baselines, deltas) = fleet.run_mixed_against_governors(|_, _| {
+    let (learned, baselines, deltas) = fleet.run_against_governors(|_, _| {
         SubstratePolicies::learned(Box::new(OndemandGovernor::new(&platform)))
     });
 

@@ -111,8 +111,8 @@ proptest! {
         let scenarios = ScenarioGenerator::standard(seed, 2).scenarios(3);
 
         let eager_driver = ScenarioDriver::new(platform.clone(), 1);
-        let (_, eager) = eager_driver.run_recorded(&SliceSource::new(&scenarios), |_, _| {
-            Box::new(artifacts.online_policy(config))
+        let (_, eager) = eager_driver.run_recorded_mixed(&SliceSource::new(&scenarios), |_, _| {
+            SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(config)))
         });
         let mut eager = eager;
         eager.sort_by_key(|r| r.index);
@@ -121,8 +121,8 @@ proptest! {
             let store = Arc::new(TieredModelStore::new(&artifacts, config, usize::MAX));
             let driver = ScenarioDriver::new(platform.clone(), workers);
             let (_, mut records) =
-                driver.run_recorded(&SliceSource::new(&scenarios), |_, _| {
-                    Box::new(store.lease("prop"))
+                driver.run_recorded_mixed(&SliceSource::new(&scenarios), |_, _| {
+                    SubstratePolicies::cpu_only(Box::new(store.lease("prop")))
                 });
             records.sort_by_key(|r| r.index);
             prop_assert_eq!(records.len(), eager.len());
