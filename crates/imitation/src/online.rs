@@ -315,52 +315,6 @@ impl OnlineIlPolicy {
         self.delta_stats.take()
     }
 
-    /// The configuration the policy would return from
-    /// [`DvfsPolicy::decide`] for this input, **without** mutating any state.
-    ///
-    /// `decide` always returns the policy network's proposal (the runtime
-    /// Oracle label only feeds the aggregation buffer), so this is exact:
-    /// the tiered model store serves not-yet-diverged users straight off the
-    /// shared base through this method and defers copying until a user's
-    /// first model update.
-    pub fn propose(
-        &self,
-        platform: &SocPlatform,
-        counters: &soclearn_soc_sim::SnippetCounters,
-        current: DvfsConfig,
-    ) -> DvfsConfig {
-        self.propose_scaled(platform, counters, current).1
-    }
-
-    /// [`OnlineIlPolicy::propose`], also returning the scaled feature vector
-    /// the proposal was predicted from.  The tiered model store logs the pair
-    /// while a lease is still on the shared tier so that
-    /// [`OnlineIlPolicy::replay_shared_decision`] can reproduce the decision's
-    /// state effects at materialization without re-running the prediction.
-    pub fn propose_scaled(
-        &self,
-        platform: &SocPlatform,
-        counters: &soclearn_soc_sim::SnippetCounters,
-        current: DvfsConfig,
-    ) -> (Vec<f64>, DvfsConfig) {
-        let features = policy_features(platform, counters, current);
-        let scaled = self.scaler.transform(&features);
-        let proposal = self.prediction_from_scaled(platform, &scaled);
-        (scaled, proposal)
-    }
-
-    /// Applies the state effects of one pre-divergence, zero-counter
-    /// [`DvfsPolicy::decide`] from its logged `(scaled, proposal)` pair: no
-    /// model update runs (the counters were zero) and the Oracle label falls
-    /// back to the proposal (the models were not consulted), so the decision's
-    /// only mutations are the DAgger bookkeeping replicated here.  Produces a
-    /// policy bit-identical to one that took the original `decide` call.
-    pub fn replay_shared_decision(&mut self, scaled: Vec<f64>, proposal: DvfsConfig) {
-        self.stats.decisions += 1;
-        self.stats.agreements += 1;
-        self.aggregate(scaled, proposal);
-    }
-
     /// Approximate resident footprint of one policy instance in bytes: the
     /// scaler, both policy networks, both online RLS models, the aggregation
     /// buffer and any delta-statistics recorder.  This is the per-user cost a
@@ -758,26 +712,6 @@ mod tests {
         }
         assert!(max_bytes > 0);
         assert!(max_bytes < 20_000, "paper reports <20 KB buffer overhead, got {max_bytes}");
-    }
-
-    #[test]
-    fn propose_matches_decide_for_fresh_and_warm_policies() {
-        // `propose` (immutable) must return exactly what `decide` would: the
-        // tiered model store relies on this to serve not-yet-diverged users
-        // off the shared base without copying it.
-        let platform = SocPlatform::small();
-        let mut online = trained_online_policy(&platform, OnlineIlConfig::default());
-        let mut sim = SocSimulator::new(platform.clone());
-        let mut counters = SnippetCounters::default();
-        let mut current = platform.max_config();
-        for (i, p) in unseen_profiles().iter().take(40).enumerate() {
-            let proposed = online.propose(&platform, &counters, current);
-            current = online.decide(&platform, PolicyDecision::new(&counters, current, i));
-            assert_eq!(proposed, current, "propose must predict decide at step {i}");
-            let r = sim.execute_snippet(p, current);
-            online.observe_outcome(r.energy_j, r.time_s);
-            counters = r.counters;
-        }
     }
 
     #[test]

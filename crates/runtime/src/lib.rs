@@ -72,7 +72,7 @@ pub use scale::ExperimentScale;
 /// leases without depending on `soclearn-imitation` directly.
 pub use soclearn_imitation::OnlineIlConfig;
 pub use soclearn_telemetry::{
-    AmdahlFit, BottleneckReport, LatencyHistogram, ObservedMutex, ObservedRwLock, QuantileSketch,
+    BottleneckReport, LatencyHistogram, ObservedMutex, ObservedRwLock, QuantileSketch,
     SiteAttribution, StampedInterval,
 };
 pub use store::{ModelStoreStats, TieredModelStore, TieredPolicy};

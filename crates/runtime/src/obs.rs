@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use soclearn_telemetry::span::DEFAULT_SPAN_CAPACITY;
 pub use soclearn_telemetry::{
-    validate_prometheus, AmdahlFit, BottleneckReport, Counter, Gauge, HistogramCell,
+    sorted_quantile_ns, validate_prometheus, BottleneckReport, Counter, Gauge, HistogramCell,
     LatencyHistogram, MetricId, MetricsSnapshot, ObservedMutex, ObservedRwLock, QuantileSketch,
     SiteAttribution, SketchCell, Span, SpanRecorder, StampedInterval, TelemetryRegistry,
 };

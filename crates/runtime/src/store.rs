@@ -8,16 +8,12 @@
 //! * **Tier 0 — shared base.** One immutable, `Arc`'d [`BaseTier`] per store:
 //!   the batch-pretrained policy prototype plus the cumulative `λ = 1`
 //!   sufficient statistics ([`RlsStats`]) its analytical models refit from.
-//!   Users who have not yet produced a divergent model update are served
-//!   straight off this tier through the immutable
-//!   [`OnlineIlPolicy::propose`] path — zero per-user bytes.
-//! * **Tier 1 — copy-on-write per-user deltas.** A user's first decision that
-//!   carries real counters (`instructions_retired > 0`) triggers an online
-//!   model update, so *that* is the divergence point: the lease clones the
-//!   base prototype, replays its short pre-divergence event log (exact — all
-//!   logged decisions saw zero counters, so the replay is deterministic) and
-//!   from then on the user adapts privately, with every model update also
-//!   recorded as raw sufficient statistics.
+//!   A lease only holds the `Arc` until its first CPU decision, so users that
+//!   never make one (GPU- or NoC-only sessions) cost zero per-user bytes.
+//! * **Tier 1 — copy-on-write per-user deltas.** A lease's first
+//!   [`DvfsPolicy::decide`] clones the base prototype, and from then on the
+//!   user adapts privately, with every model update also recorded as raw
+//!   sufficient statistics.
 //! * **Tier 2 — pending merge pool.** When a lease completes, its recorded
 //!   per-user stats are folded into one accumulated `(power, time)` pair
 //!   (`O(1)` memory however many users complete) and the copy is dropped.
@@ -77,23 +73,11 @@ struct PendingPool {
     completions: usize,
 }
 
-/// One pre-divergence event of a shared-tier lease, kept so the first
-/// divergent update can replay the user's exact history onto its private
-/// copy.  A decision is logged as its *output* — the scaled feature vector
-/// and the proposal the base already computed — so the replay applies the
-/// recorded state effects instead of re-running the prediction (see
-/// [`OnlineIlPolicy::replay_shared_decision`]).
-enum LeaseEvent {
-    Decide { scaled: Vec<f64>, proposal: DvfsConfig },
-    Outcome { energy_j: f64, time_s: f64 },
-}
-
-/// Lease lifecycle: shared (tier 0) until the first divergent update, then a
+/// Lease lifecycle: shared (tier 0) until the first decision, then a
 /// private copy (tier 1) until drop.
 enum LeaseState {
     Shared {
         base: Arc<BaseTier>,
-        log: Vec<LeaseEvent>,
     },
     Diverged {
         policy: Box<OnlineIlPolicy>,
@@ -107,9 +91,7 @@ enum LeaseState {
 pub struct ModelStoreStats {
     /// Leases handed out (one per user served with personalization).
     pub users_leased: u64,
-    /// Decisions served immutably off the shared base (tier 0).
-    pub shared_decisions: u64,
-    /// Users whose first divergent update materialized a private copy.
+    /// Users whose first decision materialized a private copy.
     pub deltas_materialized: u64,
     /// Private copies currently resident (in-flight leases).
     pub resident_copies: usize,
@@ -166,7 +148,6 @@ pub struct TieredModelStore {
     /// per-user audit set, so the table stays `O(families)` at 10⁶ users).
     families: ObservedMutex<HashMap<String, u64>>,
     users_leased: AtomicU64,
-    shared_decisions: AtomicU64,
     deltas_materialized: AtomicU64,
     resident_copies: AtomicUsize,
     peak_resident_copies: AtomicUsize,
@@ -215,7 +196,6 @@ impl TieredModelStore {
             ),
             families: ObservedMutex::new("model_store_families", HashMap::new()),
             users_leased: AtomicU64::new(0),
-            shared_decisions: AtomicU64::new(0),
             deltas_materialized: AtomicU64::new(0),
             resident_copies: AtomicUsize::new(0),
             peak_resident_copies: AtomicUsize::new(0),
@@ -240,20 +220,18 @@ impl TieredModelStore {
         self.merge_every
     }
 
-    /// Leases a personalized policy for one user: served off the shared base
-    /// until the user's first divergent update, then a private copy.  Dropping
-    /// the lease (scenario completion) returns its recorded deltas to the
-    /// merge pool.  `family` labels the per-family materialization table
-    /// (pass an interned `Arc<str>` to make the lease allocation-free).
+    /// Leases a personalized policy for one user: it holds the shared base
+    /// until the user's first decision copies it.  Dropping the lease
+    /// (scenario completion) returns its recorded deltas to the merge pool.
+    /// `family` labels the per-family materialization table (pass an
+    /// interned `Arc<str>` to make the lease allocation-free).
     pub fn lease(self: &Arc<Self>, family: impl Into<Arc<str>>) -> TieredPolicy {
         self.users_leased.fetch_add(1, Ordering::Relaxed);
         let base = Arc::clone(&self.base.read());
         TieredPolicy {
             store: Arc::clone(self),
             family: family.into(),
-            // Pre-size for the common shape: one zero-counter decision and
-            // its outcome before the first divergent update.
-            state: LeaseState::Shared { base, log: Vec::with_capacity(2) },
+            state: LeaseState::Shared { base },
         }
     }
 
@@ -273,7 +251,6 @@ impl TieredModelStore {
     pub fn snapshot(&self) -> ModelStoreStats {
         ModelStoreStats {
             users_leased: self.users_leased.load(Ordering::Relaxed),
-            shared_decisions: self.shared_decisions.load(Ordering::Relaxed),
             deltas_materialized: self.deltas_materialized.load(Ordering::Relaxed),
             resident_copies: self.resident_copies.load(Ordering::Relaxed),
             peak_resident_copies: self.peak_resident_copies.load(Ordering::Relaxed),
@@ -324,9 +301,6 @@ impl TieredModelStore {
         let stats = self.snapshot();
         registry.gauge("model_store_users_leased", &[]).set(stats.users_leased as f64);
         registry
-            .gauge("model_store_shared_decisions", &[])
-            .set(stats.shared_decisions as f64);
-        registry
             .gauge("model_store_deltas_materialized", &[])
             .set(stats.deltas_materialized as f64);
         registry
@@ -351,7 +325,7 @@ impl TieredModelStore {
         }
     }
 
-    /// Records a materialization (first divergent update of a lease).
+    /// Records a materialization (first decision of a lease).
     fn note_materialized(&self, family: &str, copy_bytes: usize) {
         self.deltas_materialized.fetch_add(1, Ordering::Relaxed);
         let resident = self.resident_copies.fetch_add(1, Ordering::Relaxed) + 1;
@@ -435,38 +409,15 @@ pub struct TieredPolicy {
 }
 
 impl TieredPolicy {
-    /// Whether this lease has materialized a private copy yet.
-    pub fn diverged(&self) -> bool {
-        matches!(self.state, LeaseState::Diverged { .. })
-    }
-
-    /// Clones the base prototype, replays the pre-divergence event log and
-    /// switches the lease to its private copy.  The log only ever holds
-    /// zero-counter decisions and their outcomes (a real-counter decision
-    /// diverges *before* being logged), so the replay is deterministic and
-    /// bit-identical to a user that owned a private copy from the start —
-    /// and cheap, because each logged decision carries the scaled features
-    /// and proposal the base already computed.
+    /// Switches a still-shared lease to a private copy of the base
+    /// prototype that records its model updates as sufficient statistics.
     fn materialize(&mut self) {
-        let LeaseState::Shared { base, log } =
-            std::mem::replace(&mut self.state, LeaseState::Released)
-        else {
-            return;
-        };
-        let mut policy = base.prototype.clone();
-        policy.enable_stats_recording();
-        for event in log {
-            match event {
-                LeaseEvent::Decide { scaled, proposal } => {
-                    policy.replay_shared_decision(scaled, proposal);
-                }
-                LeaseEvent::Outcome { energy_j, time_s } => {
-                    policy.observe_outcome(energy_j, time_s);
-                }
-            }
+        if let LeaseState::Shared { base } = &self.state {
+            let mut policy = base.prototype.clone();
+            policy.enable_stats_recording();
+            self.store.note_materialized(&self.family, policy.model_bytes());
+            self.state = LeaseState::Diverged { policy: Box::new(policy) };
         }
-        self.store.note_materialized(&self.family, policy.model_bytes());
-        self.state = LeaseState::Diverged { policy: Box::new(policy) };
     }
 }
 
@@ -476,36 +427,19 @@ impl DvfsPolicy for TieredPolicy {
     }
 
     fn decide(&mut self, platform: &SocPlatform, decision: PolicyDecision<'_>) -> DvfsConfig {
-        // Divergence point: the first decision carrying real counters would
-        // update the online models, so the private copy must exist first.
-        if matches!(self.state, LeaseState::Shared { .. })
-            && decision.counters.instructions_retired > 0.0
-        {
-            self.materialize();
-        }
-        match &mut self.state {
-            LeaseState::Shared { base, log } => {
-                let (scaled, proposal) = base.prototype.propose_scaled(
-                    platform,
-                    decision.counters,
-                    decision.current_config,
-                );
-                log.push(LeaseEvent::Decide { scaled, proposal });
-                self.store.shared_decisions.fetch_add(1, Ordering::Relaxed);
-                proposal
-            }
-            LeaseState::Diverged { policy } => policy.decide(platform, decision),
-            LeaseState::Released => unreachable!("lease used after release"),
-        }
+        // Copy at the first decision, not at lease time: every user that
+        // decides once goes on to update its models, while users without a
+        // CPU segment never reach this call and never pay for a copy.
+        self.materialize();
+        let LeaseState::Diverged { policy } = &mut self.state else {
+            unreachable!("lease used after release");
+        };
+        policy.decide(platform, decision)
     }
 
     fn observe_outcome(&mut self, energy_j: f64, time_s: f64) {
-        match &mut self.state {
-            LeaseState::Shared { log, .. } => {
-                log.push(LeaseEvent::Outcome { energy_j, time_s });
-            }
-            LeaseState::Diverged { policy } => policy.observe_outcome(energy_j, time_s),
-            LeaseState::Released => {}
+        if let LeaseState::Diverged { policy } = &mut self.state {
+            policy.observe_outcome(energy_j, time_s);
         }
     }
 }
@@ -517,7 +451,7 @@ impl Drop for TieredPolicy {
                 let copy_bytes = policy.model_bytes();
                 self.store.release_diverged(policy.finish_stats_recording(), copy_bytes);
             }
-            // A user who never diverged never owned resident state.
+            // A user who never decided never owned resident state.
             LeaseState::Shared { .. } | LeaseState::Released => {}
         }
     }
@@ -565,9 +499,9 @@ mod tests {
             artifacts.training_profiles.iter().take(20).cloned().collect();
 
         let mut lease = store.lease("training");
-        assert!(!lease.diverged());
+        assert_eq!(store.snapshot().resident_copies, 0, "leasing alone copies nothing");
         let cow_decisions = run_lease(&platform, &mut lease, &profiles);
-        assert!(lease.diverged(), "real counters must have materialized a copy");
+        assert_eq!(store.snapshot().resident_copies, 1, "deciding must have materialized a copy");
         drop(lease);
 
         let mut eager = artifacts.online_policy(config);
@@ -582,28 +516,21 @@ mod tests {
         assert!(stats.full_copy_bytes > 0 && stats.peak_copy_bytes >= stats.full_copy_bytes);
     }
 
+    /// A lease that never decides (a user with no CPU segment) stays on the
+    /// shared base: no copy, nothing to merge.
     #[test]
     fn undiverged_lease_serves_shared_and_costs_nothing() {
         let artifacts = quick_artifacts();
-        let platform = SocPlatform::small();
         let store =
             Arc::new(TieredModelStore::with_defaults(&artifacts, OnlineIlConfig::default()));
-        let mut lease = store.lease("idle");
-        let counters = SnippetCounters::default();
-        // Zero-counter decisions never diverge; they are served immutably.
-        let base = artifacts.online_policy(OnlineIlConfig::default());
-        for i in 0..5 {
-            let chosen =
-                lease.decide(&platform, PolicyDecision::new(&counters, platform.max_config(), i));
-            assert_eq!(chosen, base.propose(&platform, &counters, platform.max_config()));
-        }
-        assert!(!lease.diverged());
-        drop(lease);
+        drop(store.lease("idle"));
+        assert!(!store.finish_run(), "a lease without decisions has no deltas to merge");
         let stats = store.snapshot();
-        assert_eq!(stats.shared_decisions, 5);
+        assert_eq!(stats.users_leased, 1);
         assert_eq!(stats.deltas_materialized, 0);
         assert_eq!(stats.peak_resident_copies, 0);
         assert_eq!(stats.peak_resident_bytes(), 0);
+        assert_eq!(stats.merge_rounds, 0);
         assert_eq!(store.base_version(), 0, "nothing to merge");
     }
 

@@ -54,9 +54,9 @@ pub use generator::{
     FamilySpec, GraphicsSpec, HeterogeneousSpec, MeshSpec, Perturbation, PhasePattern,
     ScenarioFamily, ScenarioGenerator, SnippetDistribution,
 };
+pub use soclearn_runtime::obs::sorted_quantile_ns;
 pub use stress::{
-    fifo_stamps, sorted_quantile_ns, ArrivalPlan, ArrivalSchedule, FamilyEnergyDelta,
-    FamilyTelemetry, FleetDrainReport, FleetReport, FleetSource, FleetStress, QueueReport,
-    QueueingConfig,
+    fifo_stamps, ArrivalPlan, ArrivalSchedule, FamilyEnergyDelta, FamilyTelemetry,
+    FleetDrainReport, FleetReport, FleetSource, FleetStress, QueueReport, QueueingConfig,
 };
 pub use trace::{replay, ReplayReport, ScenarioTrace, Trace, TraceDiff, TraceError};

@@ -27,8 +27,7 @@
 //! [`FamilyTelemetry`]) is computed from schedule-relative [`QueueStamp`]s in
 //! scenario-index order — bit-deterministic at any worker count.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -336,53 +335,6 @@ pub fn fifo_stamps(arrivals: &[u64], service_ns: &[u64], user_slots: usize) -> V
         .collect()
 }
 
-/// The event calendar behind a queue-aware [`FleetSource`]: a binary-heap
-/// scheduler over the [`ArrivalPlan`], one cursor lane per user slot.
-///
-/// Lane `s` walks the indices of user `s` (`s`, `s + slots`, `s + 2·slots`,
-/// …); the heap holds each live lane's **next** event keyed by
-/// `(due_ns, index)`.  A claim pops the earliest event and pushes the lane's
-/// successor, so a fleet of a million mostly-idle users costs
-/// O(`user_slots`) resident state and O(log `user_slots`) per claim —
-/// nothing is scanned between events.  Arrival offsets are non-decreasing in
-/// index for every [`ArrivalSchedule`], so the lexicographic `(due, index)`
-/// pop order **is** index order and the scheduler is byte-for-byte
-/// output-equivalent to the sequential-claim path it replaces.
-struct EventCalendar {
-    lanes: usize,
-    total: usize,
-    heap: ObservedMutex<BinaryHeap<Reverse<(u64, usize)>>>,
-}
-
-impl EventCalendar {
-    fn new(lanes: usize, total: usize, plan: &ArrivalPlan) -> Self {
-        // Seed every lane with its first index.  Offsets walk the memoised
-        // plan in index order, so seeding is one O(lanes) prefix pass.
-        let heap: BinaryHeap<Reverse<(u64, usize)>> = (0..lanes.min(total))
-            .map(|index| Reverse((plan.offset(index).as_nanos() as u64, index)))
-            .collect();
-        Self { lanes, total, heap: ObservedMutex::new("fleet_calendar", heap) }
-    }
-
-    /// Observe the calendar's lock (the `fleet_calendar` site) in `registry`.
-    fn attach_contention(&self, registry: &TelemetryRegistry) {
-        self.heap.attach(registry);
-    }
-
-    /// Pops the earliest pending arrival and schedules its lane's successor.
-    /// Returns the claimed `(index, due_ns)`, or `None` once the calendar is
-    /// exhausted.
-    fn claim(&self, plan: &ArrivalPlan) -> Option<(usize, u64)> {
-        let mut heap = self.heap.lock();
-        let Reverse((due_ns, index)) = heap.pop()?;
-        let successor = index + self.lanes;
-        if successor < self.total {
-            heap.push(Reverse((plan.offset(successor).as_nanos() as u64, successor)));
-        }
-        Some((index, due_ns))
-    }
-}
-
 /// The concurrent per-user FIFO bookkeeping behind a queue-aware
 /// [`FleetSource`].
 ///
@@ -491,6 +443,10 @@ impl QueueModel {
 /// generator behind it is cheap to share via `Arc` and produces the identical
 /// fleet each time.
 ///
+/// Workers claim scenarios in index order through one atomic counter.
+/// Arrival offsets never decrease with index for any [`ArrivalSchedule`], so
+/// the next claim is always the earliest pending arrival.
+///
 /// Arrivals are paced on the source's [`Clock`] (wall by default): the
 /// claiming worker waits until the scenario's scheduled offset.  Under a wall
 /// clock that wait sleeps the exact remaining duration; under a shared
@@ -503,13 +459,10 @@ pub struct FleetSource {
     /// workers, so the O(1)-amortised plan replaces per-claim O(index) walks.
     plan: ArrivalPlan,
     clock: Clock,
-    /// Sequential claim counter of the calendar-less path (no queueing).
+    /// Next scenario index to claim.
     next: AtomicUsize,
     started_ns: OnceLock<u64>,
     queueing: Option<QueueModel>,
-    /// Event-calendar scheduler over the plan's per-user cursor lanes;
-    /// built alongside the queue model by [`FleetSource::with_queueing`].
-    calendar: Option<EventCalendar>,
 }
 
 impl FleetSource {
@@ -523,7 +476,6 @@ impl FleetSource {
             next: AtomicUsize::new(0),
             started_ns: OnceLock::new(),
             queueing: None,
-            calendar: None,
         }
     }
 
@@ -534,13 +486,6 @@ impl FleetSource {
     /// is what makes the driver report service durations back — without it
     /// the queue model sits idle.
     ///
-    /// Claims switch from the sequential counter to an [`EventCalendar`]
-    /// over the arrival plan's per-user cursor lanes: the earliest pending
-    /// arrival is always served next, mostly-idle users cost nothing between
-    /// events, and — because arrival offsets are non-decreasing in index —
-    /// the claim order (and therefore every report, trace and bottleneck
-    /// byte) is identical to the sequential path.
-    ///
     /// # Panics
     ///
     /// Panics if `user_slots` is zero.
@@ -548,7 +493,6 @@ impl FleetSource {
     pub fn with_queueing(mut self, user_slots: usize) -> Self {
         assert!(user_slots > 0, "queueing needs at least one user slot");
         self.queueing = Some(QueueModel::new(user_slots));
-        self.calendar = Some(EventCalendar::new(user_slots, self.users, &self.plan));
         self
     }
 
@@ -571,15 +515,12 @@ impl FleetSource {
         self.users
     }
 
-    /// Observe the queueing locks' contention in `registry` (the
-    /// `fleet_queue_model` and `fleet_calendar` sites).  No-op unless
+    /// Observe the queue model's lock contention in `registry` (the
+    /// `fleet_queue_model` site).  No-op unless
     /// [`FleetSource::with_queueing`] enabled the model.
     pub fn attach_contention(&self, registry: &TelemetryRegistry) {
         if let Some(queue) = &self.queueing {
             queue.attach_contention(registry);
-        }
-        if let Some(calendar) = &self.calendar {
-            calendar.attach_contention(registry);
         }
     }
 
@@ -593,21 +534,11 @@ impl FleetSource {
 
 impl ScenarioSource for FleetSource {
     fn next_scenario(&self) -> Option<(usize, ScenarioSpec)> {
-        // Queueing sources claim through the event calendar (earliest pending
-        // arrival first); calendar-less sources walk the index sequence.
-        // Both orders coincide — offsets are non-decreasing in index — so the
-        // paths are output-identical; the calendar is what keeps a huge,
-        // mostly-idle fleet O(user_slots) instead of O(users) to schedule.
-        let (index, due_ns) = match &self.calendar {
-            Some(calendar) => calendar.claim(&self.plan)?,
-            None => {
-                let index = self.next.fetch_add(1, Ordering::Relaxed);
-                if index >= self.users {
-                    return None;
-                }
-                (index, self.plan.offset(index).as_nanos() as u64)
-            }
-        };
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        if index >= self.users {
+            return None;
+        }
+        let due_ns = self.plan.offset(index).as_nanos() as u64;
         let started_ns = *self.started_ns.get_or_init(|| self.clock.now_ns());
         // Generate before registering the arrival: once an index is
         // registered, same-user successors will wait on its queue stamp, so
@@ -723,17 +654,6 @@ pub struct QueueReport {
     pub delay: QuantileSketch,
 }
 
-/// Exact order statistic over pre-sorted nanosecond durations: the value at
-/// quantile `q ∈ [0, 1]`, by the ceiling-rank rule (the same convention the
-/// [`QueueReport`] percentiles use — reuse this instead of re-deriving it).
-pub fn sorted_quantile_ns(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 impl QueueReport {
     /// Aggregates the stamps of a recorded fleet run (records in scenario
     /// index order).  Returns `None` if no record carries a stamp.
@@ -828,8 +748,8 @@ impl FleetReport {
     /// shared clock), so under a virtual clock its bytes are identical at any
     /// worker count.  Enrich it with
     /// [`BottleneckReport::with_span_kinds`] (still deterministic) or
-    /// [`BottleneckReport::with_lock_sites`] /
-    /// [`BottleneckReport::with_amdahl`] (measurement, varies run to run).
+    /// [`BottleneckReport::with_lock_sites`] (measurement, varies run to
+    /// run).
     pub fn bottleneck_report(&self) -> Option<BottleneckReport> {
         let queueing = self.queueing.as_ref()?;
         let stamps: Vec<StampedInterval> = self
@@ -904,10 +824,10 @@ pub struct FleetDrainReport {
     /// Peak concurrently in-flight (claimed, unstamped) arrivals in the
     /// sparse queue model.
     pub queue_peak_resident: usize,
-    /// Estimated peak queueing+calendar state, bytes per fleet user: the
-    /// in-flight map (≈48 B/resident entry), the per-slot FIFO words
-    /// (32 B/slot) and the calendar heap (16 B/lane), over `users`.  The
-    /// point of the sparse model is that this shrinks as the fleet grows.
+    /// Estimated peak queueing state, bytes per fleet user: the in-flight
+    /// map (≈48 B/resident entry) and the per-slot FIFO words (32 B/slot),
+    /// over `users`.  The point of the sparse model is that this shrinks as
+    /// the fleet grows.
     pub queue_bytes_per_user: f64,
     /// Tiered model store accounting after the run's final fleet merge;
     /// `None` unless the fleet ran with [`FleetStress::with_personalization`].
@@ -1054,9 +974,8 @@ impl FleetStress {
     /// milliseconds and — because stamps are computed from schedule offsets
     /// and service durations only, in per-user FIFO order — the per-family
     /// telemetry, the queue report and the recorded stamps are bit-identical
-    /// at **any** worker count.  (The driver-level `wall_seconds` reads the
-    /// shared clock, whose concurrent per-decision advances interleave, so it
-    /// stays bit-stable only with one worker.)  Under a wall clock,
+    /// at **any** worker count, and so is the driver-level `wall_seconds`,
+    /// which is the latest completion stamp.  Under a wall clock,
     /// completions pace real time: the run sleeps until each scenario's
     /// virtual completion instant.
     #[must_use]
@@ -1207,7 +1126,7 @@ impl FleetStress {
         };
         let mean_sojourn_s =
             if telemetry.sojourn.count() > 0 { telemetry.sojourn.mean_ns() / 1e9 } else { 0.0 };
-        let state_bytes = peak as f64 * 48.0 + user_slots as f64 * (32.0 + 16.0);
+        let state_bytes = peak as f64 * 48.0 + user_slots as f64 * 32.0;
         FleetDrainReport {
             users: self.users,
             user_slots,
@@ -1619,47 +1538,6 @@ mod tests {
     }
 
     #[test]
-    fn event_calendar_claims_in_index_order_for_every_schedule() {
-        let schedules = [
-            ArrivalSchedule::Immediate,
-            ArrivalSchedule::Constant { interval: Duration::from_millis(2) },
-            ArrivalSchedule::Bursty { burst: 3, gap: Duration::from_millis(4) },
-            ArrivalSchedule::Ramp {
-                start: Duration::from_millis(4),
-                end: Duration::from_millis(1),
-            },
-            ArrivalSchedule::Diurnal {
-                period: Duration::from_secs(60),
-                peak: Duration::from_millis(5),
-                off_peak: Duration::from_secs(2),
-            },
-            ArrivalSchedule::Markov {
-                calm: Duration::from_secs(1),
-                storm: Duration::from_millis(10),
-                persistence: 0.8,
-                seed: 7,
-            },
-        ];
-        let total = 40;
-        for schedule in schedules {
-            for lanes in [1usize, 3, 7, 40, 64] {
-                let plan = ArrivalPlan::new(schedule, total);
-                let calendar = EventCalendar::new(lanes, total, &plan);
-                let mut claimed = Vec::new();
-                while let Some((index, due_ns)) = calendar.claim(&plan) {
-                    assert_eq!(due_ns, plan.offset(index).as_nanos() as u64);
-                    claimed.push(index);
-                }
-                let expected: Vec<usize> = (0..total).collect();
-                assert_eq!(
-                    claimed, expected,
-                    "{schedule:?} with {lanes} lanes must pop in index order"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn queue_model_state_stays_sparse() {
         let users = 64;
         let slots = 4;
@@ -1715,6 +1593,48 @@ mod tests {
         assert!(!families.is_empty(), "materializations are attributed per family");
         let attributed: u64 = families.iter().map(|(_, n)| n).sum();
         assert_eq!(attributed, stats.deltas_materialized);
+    }
+
+    /// Leases copy the base at their first CPU decision, so users whose
+    /// scenarios have no CPU segment (the GPU- and NoC-only families) are
+    /// leased but never materialize a copy.
+    #[test]
+    fn only_cpu_users_materialize_a_copy() {
+        use soclearn_runtime::{shared_artifacts, ExperimentScale, OnlineIlConfig};
+        let platform = SocPlatform::small();
+        let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
+        let store =
+            Arc::new(TieredModelStore::with_defaults(&artifacts, OnlineIlConfig::default()));
+        let users = 14;
+        let fleet = FleetStress::new(platform, ScenarioGenerator::heterogeneous(5, 6), users, 2)
+            .with_clock(Clock::virtual_clock())
+            .with_personalization(Arc::clone(&store));
+        let report = fleet.drain(|i, _| SubstratePolicies::cpu_only(fleet.personalized_policy(i)));
+
+        let generator = fleet.generator();
+        let mut expected: Vec<(String, u64)> = Vec::new();
+        for index in 0..users {
+            if !generator.scenario(index).kinds().contains(&DecisionKind::Cpu) {
+                continue;
+            }
+            let family = generator.family_of(index);
+            match expected.iter_mut().find(|(name, _)| *name == family) {
+                Some((_, count)) => *count += 1,
+                None => expected.push((family, 1)),
+            }
+        }
+        expected.sort();
+        let cpu_users: u64 = expected.iter().map(|(_, count)| count).sum();
+
+        let stats = report.model_store.expect("personalized drain must report store stats");
+        assert_eq!(stats.users_leased, users as u64);
+        assert_eq!(stats.deltas_materialized, cpu_users);
+        assert!(stats.deltas_materialized < stats.users_leased, "GPU/NoC users must not copy");
+        let families = store.family_materializations();
+        assert_eq!(families, expected);
+        for family in ["graphics-burst", "mesh-monitor"] {
+            assert!(families.iter().all(|(name, _)| name != family), "{family} materialized");
+        }
     }
 
     #[test]

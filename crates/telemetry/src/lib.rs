@@ -36,11 +36,11 @@
 //! 5. Contention profiling and critical-path analysis —
 //!    [`ObservedMutex`]/[`ObservedRwLock`] give every shared lock a named
 //!    site recording acquisitions, wait and hold time into registry
-//!    sketches, and [`BottleneckReport`] turns queue stamps, the span dump,
-//!    lock samples and multi-worker throughputs ([`AmdahlFit`]) into an
-//!    attributable diagnosis of where a fleet run serializes.  The report
-//!    core derives only from schedule-relative stamps, so under the virtual
-//!    clock it is byte-identical at any worker count.
+//!    sketches, and [`BottleneckReport`] turns queue stamps, the span dump
+//!    and lock samples into an attributable diagnosis of where a fleet run
+//!    serializes.  The report core derives only from schedule-relative
+//!    stamps, so under the virtual clock it is byte-identical at any worker
+//!    count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,6 +61,6 @@ pub use histogram::LatencyHistogram;
 pub use registry::{
     Counter, Gauge, HistogramCell, MetricId, MetricsSnapshot, SketchCell, TelemetryRegistry,
 };
-pub use sketch::QuantileSketch;
+pub use sketch::{sorted_quantile_ns, QuantileSketch};
 pub use span::{Span, SpanRecorder};
-pub use timeline::{AmdahlFit, BottleneckReport, SiteAttribution, StampedInterval};
+pub use timeline::{BottleneckReport, SiteAttribution, StampedInterval};

@@ -24,6 +24,18 @@ pub const SUBBUCKETS: u64 = 1 << SUB_BITS;
 /// Total bucket count covering the full `u64` range.
 const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUBBUCKETS as usize;
 
+/// Exact order statistic over pre-sorted nanosecond durations: the value at
+/// quantile `q ∈ [0, 1]` by the ceiling-rank rule (`rank = ceil(q * len)`,
+/// 1-based, clamped) that [`QuantileSketch::quantile_ns`] approximates.
+/// Returns 0 for an empty slice.
+pub fn sorted_quantile_ns(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted[rank.min(sorted.len()) - 1]
+}
+
 /// Bucket index for a value. Values below [`SUBBUCKETS`] map to themselves
 /// (exact); larger values map log-linearly with `SUB_BITS` bits of mantissa.
 fn bucket_of(value_ns: u64) -> usize {
@@ -75,7 +87,7 @@ impl QuantileSketch {
 
     /// Build a sketch from an already-sorted slice of values. Sortedness is
     /// not required for correctness (recording is order-insensitive); the
-    /// name mirrors `sorted_quantile_ns`, whose call sites this replaces.
+    /// name mirrors [`sorted_quantile_ns`], whose call sites this replaces.
     pub fn from_sorted_ns(sorted: &[u64]) -> Self {
         let mut sketch = Self::new();
         for &v in sorted {
@@ -148,7 +160,7 @@ impl QuantileSketch {
     }
 
     /// Quantile estimate using the same ceiling-rank rule as the exact
-    /// `sorted_quantile_ns` (`rank = ceil(q * count)`, 1-based, clamped):
+    /// [`sorted_quantile_ns`] (`rank = ceil(q * count)`, 1-based, clamped):
     /// the returned value is the floor of the bucket containing that rank,
     /// clamped into `[min, max]`, so it is within a `1/SUBBUCKETS` relative
     /// factor of the exact order statistic. Returns 0 when empty.

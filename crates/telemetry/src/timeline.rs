@@ -1,11 +1,8 @@
 //! Critical-path and bottleneck analysis over a fleet run.
 //!
-//! PR 7 left the observability plane able to show *that* worker scaling is
-//! flat (`queueing_full` in BENCH_4: the same ~40k decisions/s at 1, 2 and
-//! 4 workers) but not *where* the serial time goes.  This module turns the
-//! raw observability outputs — schedule-relative queue stamps, the span
-//! dump, per-site lock samples and multi-worker throughput measurements —
-//! into one attributable [`BottleneckReport`].
+//! This module turns the raw observability outputs — schedule-relative
+//! queue stamps, the span dump and per-site lock samples — into one
+//! attributable [`BottleneckReport`] of where a fleet run serializes.
 //!
 //! # Determinism contract
 //!
@@ -20,12 +17,11 @@
 //! The optional sections are additive and clearly labelled:
 //! [`BottleneckReport::with_span_kinds`] aggregates the (also
 //! deterministic) span dump by kind, while
-//! [`BottleneckReport::with_lock_sites`] and
-//! [`BottleneckReport::with_amdahl`] attach **wall-clock** lock samples and
-//! measured 1/2/4-worker throughputs — real measurements that vary run to
-//! run, so callers that need byte-identity (the CI gate) leave them off,
-//! and callers that need the diagnosis (`bench_snapshot`'s `contention`
-//! section, `fleet_stress --obs-summary`) put them on.
+//! [`BottleneckReport::with_lock_sites`] attaches **wall-clock** lock
+//! samples — real measurements that vary run to run, so callers that need
+//! byte-identity (the CI gate) leave them off, and callers that need the
+//! diagnosis (`bench_snapshot`'s `contention` section,
+//! `fleet_stress --obs-summary`) put them on.
 //!
 //! # Wait-share semantics
 //!
@@ -38,10 +34,12 @@ use std::io::{self, Write};
 
 use crate::export::{escape_json, json_f64};
 use crate::registry::MetricsSnapshot;
+use crate::sketch::sorted_quantile_ns;
 use crate::span::Span;
 
-/// Schema version of the bottleneck-report JSON document.
-pub const BOTTLENECK_JSON_SCHEMA: u32 = 1;
+/// Schema version of the bottleneck-report JSON document (2: dropped the
+/// `amdahl` object).
+pub const BOTTLENECK_JSON_SCHEMA: u32 = 2;
 
 /// One served scenario on the queue timeline, all timestamps relative to
 /// the run epoch (schedule-relative, so deterministic under the virtual
@@ -144,142 +142,9 @@ pub struct SpanKindAttribution {
     pub total_ns: u128,
 }
 
-/// One measured throughput point of an Amdahl fit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AmdahlPoint {
-    /// Worker count.
-    pub workers: u32,
-    /// Schedulable parallelism at this point: `min(workers, host cores)`.
-    pub effective_workers: u32,
-    /// Measured throughput (decisions/s).
-    pub throughput: f64,
-    /// Speedup over the 1-worker baseline.
-    pub speedup: f64,
-    /// Parallel efficiency against *achievable* parallelism
-    /// (`speedup / effective_workers`).
-    pub efficiency: f64,
-}
-
-/// Amdahl's-law fit over measured multi-worker throughputs: the serial
-/// fraction `s` solving `speedup(n) = 1 / (s + (1-s)/n)` for each measured
-/// point, averaged. This is the **single source of truth** for
-/// `scaling_efficiency_4w` — `bench_snapshot` and the bottleneck report
-/// both read it from here, so the two can never disagree.
-///
-/// The fit is **core-aware** ([`AmdahlFit::from_throughputs_on`]): each
-/// point's achievable parallelism is `min(workers, host cores)`, so a
-/// 4-worker run on a 1-core host is scored against the speedup it could
-/// physically reach (1×), not against 4×.  Without this, core starvation
-/// reads as a serial fraction of ~1.0 — the misdiagnosis that made a
-/// perfectly-scaling workload look 97% serial on a single-core runner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AmdahlFit {
-    /// Measured points, sorted by worker count (the first is the baseline).
-    pub points: Vec<AmdahlPoint>,
-    /// Host cores the fit assumed (caps every point's achievable speedup).
-    pub cores: u32,
-    /// True when at least one measured point ran more workers than the host
-    /// has cores, i.e. the raw worker counts overstate achievable speedup.
-    pub core_limited: bool,
-    /// Estimated serial fraction in `[0, 1]` (1.0 = perfectly flat scaling
-    /// despite available cores).  When **no** point has more than one
-    /// effective core the throughputs carry no serial-fraction evidence at
-    /// all; the fit reports `0.0` with [`AmdahlFit::core_limited`] set —
-    /// on such a host the capped prediction is the same for every `s`, so
-    /// the choice cannot bias downstream consumers.
-    pub serial_fraction: f64,
-    /// Achievable-parallel efficiency at the largest measured worker count
-    /// (`speedup(n_max) / min(n_max, cores)`).
-    pub scaling_efficiency: f64,
-}
-
-impl AmdahlFit {
-    /// Fit over `(workers, throughput)` measurements assuming every worker
-    /// can run on its own core (the classic textbook fit — equivalent to
-    /// [`AmdahlFit::from_throughputs_on`] with unbounded cores).  Requires a
-    /// 1-worker baseline with positive throughput and at least one
-    /// multi-worker point; returns `None` otherwise.
-    pub fn from_throughputs(measured: &[(u32, f64)]) -> Option<Self> {
-        let max_workers = measured.iter().map(|&(w, _)| w).max().unwrap_or(1);
-        Self::from_throughputs_on(max_workers, measured)
-    }
-
-    /// Fit over `(workers, throughput)` measurements on a host with `cores`
-    /// schedulable CPUs.  Each point's achievable parallelism is
-    /// `min(workers, cores)`; only the shortfall against *that* is
-    /// attributed to serial code.  Requires a 1-worker baseline with
-    /// positive throughput and at least one extra point; returns `None`
-    /// otherwise.
-    pub fn from_throughputs_on(cores: u32, measured: &[(u32, f64)]) -> Option<Self> {
-        let cores = cores.max(1);
-        let mut sorted: Vec<(u32, f64)> = measured.to_vec();
-        sorted.sort_by_key(|a| a.0);
-        sorted.dedup_by_key(|p| p.0);
-        let baseline = sorted.iter().find(|(w, _)| *w == 1)?.1;
-        if baseline <= 0.0 || baseline.is_nan() {
-            return None;
-        }
-        if sorted.len() < 2 {
-            return None;
-        }
-        let points: Vec<AmdahlPoint> = sorted
-            .iter()
-            .map(|&(workers, throughput)| {
-                let effective_workers = workers.min(cores);
-                let speedup = throughput / baseline;
-                AmdahlPoint {
-                    workers,
-                    effective_workers,
-                    throughput,
-                    speedup,
-                    efficiency: speedup / effective_workers as f64,
-                }
-            })
-            .collect();
-        let core_limited = points.iter().any(|p| p.workers > cores);
-        let estimates: Vec<f64> = points
-            .iter()
-            .filter(|p| p.effective_workers > 1 && p.speedup > 0.0)
-            .map(|p| {
-                let n = p.effective_workers as f64;
-                ((n / p.speedup - 1.0) / (n - 1.0)).clamp(0.0, 1.0)
-            })
-            .collect();
-        // With no point above one effective core (a single-core host) the
-        // data is equally consistent with any serial fraction — every capped
-        // prediction is 1× regardless — so report the identity-preserving 0
-        // and let `core_limited` flag the missing evidence.
-        let serial_fraction = if estimates.is_empty() {
-            0.0
-        } else {
-            estimates.iter().sum::<f64>() / estimates.len() as f64
-        };
-        let scaling_efficiency = points.last().expect("points nonempty").efficiency;
-        Some(Self { points, cores, core_limited, serial_fraction, scaling_efficiency })
-    }
-
-    /// Speedup Amdahl's law predicts at `workers` given the fitted serial
-    /// fraction, assuming a core per worker.  On a core-limited host prefer
-    /// [`AmdahlFit::predicted_speedup_on_host`]: this projection assumes
-    /// hardware the fit's own measurements never saw.
-    pub fn predicted_speedup(&self, workers: u32) -> f64 {
-        let s = self.serial_fraction;
-        1.0 / (s + (1.0 - s) / workers as f64)
-    }
-
-    /// Speedup Amdahl's law predicts at `workers` **on the fitted host**:
-    /// the parallel term is capped at the host's cores, so oversubscribed
-    /// worker counts predict the same speedup as `workers == cores`.
-    pub fn predicted_speedup_on_host(&self, workers: u32) -> f64 {
-        let s = self.serial_fraction;
-        let n = workers.min(self.cores).max(1) as f64;
-        1.0 / (s + (1.0 - s) / n)
-    }
-}
-
 /// The bottleneck diagnosis of one fleet run. Built from queue stamps
 /// ([`BottleneckReport::from_stamps`], the deterministic core), optionally
-/// extended with span-kind, lock-site and Amdahl sections. Renders as a
+/// extended with span-kind and lock-site sections. Renders as a
 /// deterministic JSON document ([`BottleneckReport::to_json`]) and a
 /// human-readable table ([`BottleneckReport::to_text`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -305,18 +170,6 @@ pub struct BottleneckReport {
     /// Span-kind aggregation of the span dump (empty until
     /// [`BottleneckReport::with_span_kinds`]).
     pub span_kinds: Vec<SpanKindAttribution>,
-    /// Measured Amdahl fit (absent in the deterministic CI artifact).
-    pub amdahl: Option<AmdahlFit>,
-}
-
-/// Exact ceiling-rank quantile of a sorted slice (the convention shared
-/// with `sorted_quantile_ns` in the scenarios crate).
-fn sorted_quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 impl BottleneckReport {
@@ -399,7 +252,7 @@ impl BottleneckReport {
                 contended: delays.iter().filter(|&&d| d > 0).count() as u64,
                 wait_ns: total_queue_wait_ns,
                 hold_ns: total_service_ns,
-                p99_wait_ns: sorted_quantile(&delays, 0.99),
+                p99_wait_ns: sorted_quantile_ns(&delays, 0.99),
                 share: 0.0,
             });
         }
@@ -414,7 +267,6 @@ impl BottleneckReport {
             critical_path,
             sites,
             span_kinds: Vec::new(),
-            amdahl: None,
         };
         report.recompute_shares();
         report
@@ -489,13 +341,6 @@ impl BottleneckReport {
         lock_sites.sort_by(|a, b| b.wait_ns.cmp(&a.wait_ns).then_with(|| a.site.cmp(&b.site)));
         self.sites.extend(lock_sites);
         self.recompute_shares();
-        self
-    }
-
-    /// Attach a measured multi-worker Amdahl fit (absent in the
-    /// deterministic CI artifact).
-    pub fn with_amdahl(mut self, fit: AmdahlFit) -> Self {
-        self.amdahl = Some(fit);
         self
     }
 
@@ -580,34 +425,7 @@ impl BottleneckReport {
                 comma
             )?;
         }
-        writeln!(out, "  ],")?;
-        match &self.amdahl {
-            Some(fit) => {
-                writeln!(out, "  \"amdahl\": {{")?;
-                writeln!(out, "    \"points\": [")?;
-                for (i, p) in fit.points.iter().enumerate() {
-                    let comma = if i + 1 < fit.points.len() { "," } else { "" };
-                    writeln!(
-                        out,
-                        "      {{\"workers\": {}, \"effective_workers\": {}, \"throughput\": {}, \
-                         \"speedup\": {}, \"efficiency\": {}}}{}",
-                        p.workers,
-                        p.effective_workers,
-                        json_f64(p.throughput),
-                        json_f64(p.speedup),
-                        json_f64(p.efficiency),
-                        comma
-                    )?;
-                }
-                writeln!(out, "    ],")?;
-                writeln!(out, "    \"cores\": {},", fit.cores)?;
-                writeln!(out, "    \"core_limited\": {},", fit.core_limited)?;
-                writeln!(out, "    \"serial_fraction\": {},", json_f64(fit.serial_fraction))?;
-                writeln!(out, "    \"scaling_efficiency\": {}", json_f64(fit.scaling_efficiency))?;
-                writeln!(out, "  }}")?;
-            }
-            None => writeln!(out, "  \"amdahl\": null")?,
-        }
+        writeln!(out, "  ]")?;
         writeln!(out, "}}")?;
         Ok(())
     }
@@ -620,8 +438,7 @@ impl BottleneckReport {
     }
 
     /// Render the human-readable diagnosis: run summary, critical path,
-    /// per-lane timelines, top sites and span kinds, and the Amdahl fit
-    /// when present.
+    /// per-lane timelines, top sites and span kinds.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let seconds = |ns: u128| format!("{:.3}", ns as f64 / 1e9);
@@ -647,17 +464,6 @@ impl BottleneckReport {
                 } else {
                     0.0
                 },
-            ));
-        }
-        if let Some(fit) = &self.amdahl {
-            out.push_str(&format!(
-                "  amdahl fit: serial fraction {:.3}, scaling efficiency {:.3} at {} workers \
-                 on {} cores{}\n",
-                fit.serial_fraction,
-                fit.scaling_efficiency,
-                fit.points.last().map(|p| p.workers).unwrap_or(0),
-                fit.cores,
-                if fit.core_limited { " (core-limited)" } else { "" },
             ));
         }
 
@@ -802,7 +608,7 @@ mod tests {
         let backward = BottleneckReport::from_stamps(&shuffled);
         assert_eq!(forward, backward, "report must not depend on stamp order");
         assert_eq!(forward.to_json(), backward.to_json());
-        assert!(forward.to_json().contains("\"bottleneck_schema\": 1"));
+        assert!(forward.to_json().contains("\"bottleneck_schema\": 2"));
     }
 
     #[test]
@@ -855,66 +661,5 @@ mod tests {
         assert_eq!(report.sites[0].share, 1.0);
         assert!(report.top_lock_site().is_some());
         assert!(report.to_json().contains("\"kind\": \"lock\""));
-    }
-
-    #[test]
-    fn amdahl_fit_recovers_flat_and_linear_scaling() {
-        let flat = AmdahlFit::from_throughputs(&[(1, 40_000.0), (2, 40_000.0), (4, 40_000.0)])
-            .expect("fit");
-        assert!((flat.serial_fraction - 1.0).abs() < 1e-9, "flat scaling is fully serial");
-        assert!((flat.scaling_efficiency - 0.25).abs() < 1e-9);
-
-        let linear = AmdahlFit::from_throughputs(&[(1, 10_000.0), (2, 20_000.0), (4, 40_000.0)])
-            .expect("fit");
-        assert!(linear.serial_fraction.abs() < 1e-9, "linear scaling has no serial part");
-        assert!((linear.scaling_efficiency - 1.0).abs() < 1e-9);
-        assert!((linear.predicted_speedup(8) - 8.0).abs() < 1e-9);
-
-        // A real Amdahl curve: s = 0.5 → speedups 1, 4/3, 8/5.
-        let half = AmdahlFit::from_throughputs(&[(1, 30_000.0), (2, 40_000.0), (4, 48_000.0)])
-            .expect("fit");
-        assert!((half.serial_fraction - 0.5).abs() < 1e-6, "got {}", half.serial_fraction);
-
-        assert!(AmdahlFit::from_throughputs(&[(2, 1.0), (4, 2.0)]).is_none(), "needs baseline");
-        assert!(AmdahlFit::from_throughputs(&[(1, 1.0)]).is_none(), "needs a scaling point");
-    }
-
-    #[test]
-    fn core_aware_amdahl_fit_does_not_read_core_starvation_as_serial_code() {
-        // A single-core host: 4 workers cannot beat 1 worker, and the classic
-        // fit misreads that as a ~1.0 serial fraction.  The core-aware fit
-        // scores each point against min(workers, cores) instead.
-        let points = [(1u32, 42_000.0), (2, 41_500.0), (4, 41_600.0)];
-        let classic = AmdahlFit::from_throughputs(&points).expect("fit");
-        assert!(classic.serial_fraction > 0.95, "classic fit blames serial code");
-        assert!(!classic.core_limited);
-
-        let capped = AmdahlFit::from_throughputs_on(1, &points).expect("fit");
-        assert!(capped.core_limited, "4 workers on 1 core is core-limited");
-        assert_eq!(capped.cores, 1);
-        assert_eq!(capped.serial_fraction, 0.0, "no serial-fraction evidence on 1 core");
-        assert!(
-            capped.scaling_efficiency > 0.9,
-            "near-baseline throughput is near-perfect achievable scaling: {}",
-            capped.scaling_efficiency
-        );
-        for point in &capped.points {
-            assert_eq!(point.effective_workers, 1);
-        }
-        // Capped prediction: every worker count predicts the 1-core speedup.
-        assert!((capped.predicted_speedup_on_host(4) - 1.0).abs() < 1e-9);
-
-        // On a 2-core host only the 2-effective-core evidence is used; the
-        // 4-worker point is scored as a 2-wide run.
-        let two = AmdahlFit::from_throughputs_on(2, &[(1, 30_000.0), (2, 40_000.0), (4, 40_000.0)])
-            .expect("fit");
-        assert!(two.core_limited);
-        assert!((two.serial_fraction - 0.5).abs() < 1e-6, "got {}", two.serial_fraction);
-        assert!((two.predicted_speedup_on_host(4) - two.predicted_speedup(2)).abs() < 1e-12);
-
-        // With cores >= max workers the core-aware fit IS the classic fit.
-        let wide = AmdahlFit::from_throughputs_on(8, &points).expect("fit");
-        assert!(!wide.core_limited);
-        assert!((wide.serial_fraction - classic.serial_fraction).abs() < 1e-12);
     }
 }

@@ -23,22 +23,20 @@
 //! registry snapshot itself is written next to the output as
 //! `<stem>.metrics.json` and uploaded by CI alongside `BENCH_4.json`.
 //!
-//! The `contention` section (schema 5) turns the flat 1/2/4-worker scaling
-//! numbers into a diagnosis: the Amdahl-fitted serial fraction behind
-//! `scaling_efficiency_4w` (one source of truth for both numbers), the
-//! measured per-lock-site wait shares from the contention sketches, and the
-//! instrumented-vs-plain overhead the gate bounds at 5 %.  The full
+//! The `queueing_full` section reports the raw 1/2/4-worker throughputs of
+//! the Full-scale serving fleet (served through the per-worker L1 warm
+//! tier), the host's core count, and
+//! `scaling_efficiency_4w = (dps_4w / dps_1w) / min(4, host_cores)`, which
+//! CI's scaling gate ratchets.  The `contention` section names the measured
+//! per-lock-site wait shares from the contention sketches.  The full
 //! critical-path report of the saturated queueing drain is written next to
 //! the output as `<stem>.bottleneck.json` and uploaded as a CI artifact.
 //!
 //! The `fleet_1m` section (schema 6) is the capacity benchmark of the
 //! non-recording drain path: a simulated week of constant-rate arrivals —
 //! 10⁵ users by default, 10⁶ when `BENCH_FLEET_USERS=1000000` — through the
-//! event-calendar scheduler and the sparse queue model, reporting users/s
-//! drained, wall time and peak queueing state bytes per user.  The 1/2/4-
-//! worker scaling runs behind `queueing_full` now serve through the
-//! per-worker L1 warm tier; `scaling_efficiency_4w` and the re-fitted serial
-//! fraction are what CI's `scaling-gate` ratchets.
+//! sparse queue model, reporting users/s drained, wall time and peak
+//! queueing state bytes per user.
 //!
 //! The `model_store` section (schema 7) measures tiered copy-on-write
 //! personalization: a users ladder (10⁴ and 10⁵ by default, the top rung
@@ -48,6 +46,9 @@
 //! sides, peak personalization bytes per user, and that figure as a fraction
 //! of one full per-user copy.  CI gates the top rung: the copy fraction must
 //! stay under 10 % and personalized throughput within 10 % of the baseline.
+//!
+//! `BENCH_FLEET_USERS` and `BENCH_STORE_USERS` must be positive integers; any
+//! other value is rejected with exit status 2.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -66,14 +67,15 @@ use std::time::Duration;
 /// L1 warm-tier fields in `queueing_full`, derived `queueing_full.users` from
 /// the measured spec list instead of hand-carrying it, and made the scaling
 /// numbers core-aware — `scaling_efficiency_4w` is now the fraction of
-/// *achievable* speedup (`speedup / min(workers, host_cores)`) and
-/// `serial_fraction` only accumulates evidence from points with more than one
+/// *achievable* speedup (`speedup / min(workers, host_cores)`) and the
+/// serial fraction only accumulates evidence from points with more than one
 /// effective core, so core-starved runners stop reading as 97 %-serial code;
 /// 7: added the `model_store` section — the copy-on-write personalization
 /// ladder with its shared-vs-personalized throughput ratio and bytes-per-user
 /// accounting, and the fixed-vs-adaptive forgetting verdict;
-/// 8: dropped that settled verdict, which ablation A3 in `soclearn-core` reproduces).
-const SCHEMA: u32 = 8;
+/// 8: dropped that settled verdict, which ablation A3 in `soclearn-core` reproduces;
+/// 9: dropped the Amdahl serial fraction, the shared-decision count and duplicates).
+const SCHEMA: u32 = 9;
 /// Timed repetitions per measurement; the best (max throughput / min time)
 /// is reported.
 const REPS: usize = 3;
@@ -99,6 +101,8 @@ fn serving_users(users: usize, scale: ExperimentScale) -> Vec<ScenarioSpec> {
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_4.json".to_owned());
+    let fleet_users = users_from_env("BENCH_FLEET_USERS", 100_000);
+    let store_users_top = users_from_env("BENCH_STORE_USERS", 100_000);
     let platform = SocPlatform::odroid_xu3();
     let users = 12;
     let workers = 4;
@@ -359,23 +363,13 @@ fn main() {
         full_decisions = telemetry.decisions;
         full_l1 = telemetry.l1;
     }
-    // The Amdahl fit is the single source of truth for worker-scaling
-    // numbers: `scaling_efficiency_4w` below and the bottleneck artifact's
-    // `amdahl` section both read this fit, so they can never disagree.  The
-    // fit is core-aware: each point is scored against min(workers, host
-    // cores), so a core-starved runner (the 1-core class that measured
-    // "0.97 serial fraction" before schema 6) no longer reads as serial code
-    // — scaling_efficiency_4w is the fraction of *achievable* scaling
-    // realised, and serial_fraction only accumulates evidence from points
-    // with real parallelism available.
+    // Scaling efficiency is the fraction of *achievable* speedup realised:
+    // 4 workers on fewer cores are scored against the cores they can use.
     let host_cores = std::thread::available_parallelism()
         .map(|cores| cores.get() as u32)
         .unwrap_or(1);
-    let amdahl = AmdahlFit::from_throughputs_on(
-        host_cores,
-        &[(1, full_dps[0]), (2, full_dps[1]), (4, full_dps[2])],
-    )
-    .expect("full-scale measurement includes a positive 1-worker baseline");
+    let core_limited = 4 > host_cores;
+    let scaling_efficiency_4w = (full_dps[2] / full_dps[0]) / 4.min(host_cores) as f64;
     let full_queue_users = 96;
     let full_queue_start = Instant::now();
     let full_queue_report =
@@ -397,7 +391,7 @@ fn main() {
         full_dps[0],
         full_dps[1],
         full_dps[2],
-        amdahl.scaling_efficiency * 100.0,
+        scaling_efficiency_4w * 100.0,
         full_l1.warm_hit_rate() * 100.0,
         full_queue.arrivals,
         full_queue_wall_ms,
@@ -406,16 +400,11 @@ fn main() {
     );
 
     // Fleet capacity: a simulated week of constant-rate arrivals drained
-    // through the non-recording path — the event-calendar scheduler feeding
-    // the sparse queue model, no per-scenario records — at 10⁵ users by
-    // default (BENCH_FLEET_USERS=1000000 for the full 10⁶-user drain).  The
-    // headline numbers are users/s drained, wall time for the week, and peak
-    // queueing+calendar state in bytes per user, which must *shrink* as the
-    // fleet grows.
-    let fleet_users: usize = std::env::var("BENCH_FLEET_USERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    // through the non-recording path — the sparse queue model, no
+    // per-scenario records — at 10⁵ users by default (BENCH_FLEET_USERS=1000000
+    // for the full 10⁶-user drain).  The headline numbers are users/s
+    // drained, wall time for the week, and peak queueing state in bytes per
+    // user, which must *shrink* as the fleet grows.
     let week_s = 7.0 * 24.0 * 3_600.0;
     let fleet_slots = 16;
     let fleet_1m =
@@ -447,10 +436,6 @@ fn main() {
     // copies are bounded by in-flight leases (the slots), not the fleet, so
     // the per-user fraction of a full copy *shrinks* as the rung grows — the
     // top rung is what CI gates (< 10 % of a copy, throughput within 10 %).
-    let store_users_top: usize = std::env::var("BENCH_STORE_USERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
     let store_ladder: Vec<usize> = if store_users_top > 10_000 {
         vec![10_000, store_users_top]
     } else {
@@ -584,27 +569,20 @@ fn main() {
     // The measured bottleneck diagnosis of the saturated Full-size queueing
     // drain: per-slot timelines and the critical path from its stamps, span
     // kinds from the flight recorder, lock-site wait shares from the
-    // contention sketches, and the Amdahl fit above.  Written next to the
-    // snapshot as `<stem>.bottleneck.json` and uploaded by CI.
+    // contention sketches.  Written next to the snapshot as
+    // `<stem>.bottleneck.json` and uploaded by CI.
     let bottleneck = full_queue_report
         .bottleneck_report()
         .expect("queueing_full stamps every record")
         .with_span_kinds(&obs.spans.sorted_spans())
-        .with_lock_sites(&metrics_snapshot)
-        .with_amdahl(amdahl.clone());
+        .with_lock_sites(&metrics_snapshot);
     let lock_sites: Vec<_> = bottleneck.sites.iter().filter(|s| s.kind == "lock").collect();
     let top_lock_site = bottleneck
         .top_lock_site()
         .map(|s| s.site.clone())
         .unwrap_or_else(|| "-".to_owned());
     println!(
-        "contention: serial fraction {:.3} (scaling efficiency {:.0}% of achievable at 4 workers \
-         on {} cores{}), overhead {:+.2}%, top lock site {} ({} lock sites measured)",
-        amdahl.serial_fraction,
-        amdahl.scaling_efficiency * 100.0,
-        host_cores,
-        if amdahl.core_limited { ", core-limited" } else { "" },
-        -overhead_pct,
+        "contention: top lock site {} ({} lock sites measured)",
         top_lock_site,
         lock_sites.len(),
     );
@@ -683,10 +661,9 @@ fn main() {
     let _ = writeln!(json, "    \"decisions_per_s_1w\": {:.1},", full_dps[0]);
     let _ = writeln!(json, "    \"decisions_per_s_2w\": {:.1},", full_dps[1]);
     let _ = writeln!(json, "    \"decisions_per_s_4w\": {:.1},", full_dps[2]);
-    let _ = writeln!(json, "    \"scaling_efficiency_4w\": {:.4},", amdahl.scaling_efficiency);
-    let _ = writeln!(json, "    \"serial_fraction\": {:.4},", amdahl.serial_fraction);
+    let _ = writeln!(json, "    \"scaling_efficiency_4w\": {scaling_efficiency_4w:.4},");
     let _ = writeln!(json, "    \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "    \"core_limited\": {},", amdahl.core_limited);
+    let _ = writeln!(json, "    \"core_limited\": {core_limited},");
     let _ = writeln!(json, "    \"l1_warm_hit_rate\": {:.4},", full_l1.warm_hit_rate());
     let _ = writeln!(json, "    \"l1_hits\": {},", full_l1.hits);
     let _ = writeln!(json, "    \"l1_publishes\": {},", full_l1.publishes);
@@ -740,7 +717,6 @@ fn main() {
     let _ = writeln!(json, "    \"personalized_decisions_per_s\": {:.1},", store_top.personal_dps);
     let _ = writeln!(json, "    \"throughput_ratio\": {:.4},", store_top.ratio);
     let _ = writeln!(json, "    \"users_leased\": {},", store_top.stats.users_leased);
-    let _ = writeln!(json, "    \"shared_decisions\": {},", store_top.stats.shared_decisions);
     let _ = writeln!(json, "    \"deltas_materialized\": {},", store_top.stats.deltas_materialized);
     let _ =
         writeln!(json, "    \"peak_resident_copies\": {},", store_top.stats.peak_resident_copies);
@@ -757,11 +733,6 @@ fn main() {
     let _ = writeln!(json, "    \"base_version\": {}", store_top.stats.base_version);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"contention\": {{");
-    let _ = writeln!(json, "    \"serial_fraction\": {:.4},", amdahl.serial_fraction);
-    let _ = writeln!(json, "    \"scaling_efficiency_4w\": {:.4},", amdahl.scaling_efficiency);
-    let _ = writeln!(json, "    \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "    \"core_limited\": {},", amdahl.core_limited);
-    let _ = writeln!(json, "    \"overhead_pct\": {overhead_pct:.2},");
     let _ = writeln!(json, "    \"top_lock_site\": \"{top_lock_site}\",");
     let _ = writeln!(json, "    \"lock_sites\": [");
     for (i, site) in lock_sites.iter().enumerate() {
@@ -793,6 +764,25 @@ fn main() {
         .unwrap_or_else(|| format!("{out_path}.bottleneck.json"));
     std::fs::write(&bottleneck_path, bottleneck.to_json()).expect("bottleneck file writes");
     println!("\nWrote {out_path}, {metrics_path} and {bottleneck_path}.");
+}
+
+/// A positive user count from environment variable `name`, or `default`
+/// when it is unset.  A value that is set but not a positive integer exits
+/// with status 2 instead of silently falling back to the default.
+fn users_from_env(name: &str, default: usize) -> usize {
+    let Some(value) = std::env::var_os(name) else {
+        return default;
+    };
+    match value.to_str().and_then(|v| v.parse::<usize>().ok()) {
+        Some(users) if users > 0 => users,
+        _ => {
+            eprintln!("bench_snapshot: {name} must be a positive integer, got {value:?}");
+            eprintln!(
+                "usage: [BENCH_FLEET_USERS=N] [BENCH_STORE_USERS=N] bench_snapshot [OUT.json]"
+            );
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Seconds one call takes (the result is black-holed through `println`-free

@@ -14,6 +14,9 @@
 //! cargo run --release --example fleet_stress -- --virtual-clock --queueing --trace-out fleet.jsonl
 //! ```
 //!
+//! A malformed command line exits with status 2, printing a one-line reason
+//! and the usage line to stderr.
+//!
 //! `--virtual-clock` swaps the default bursty millisecond schedule for a 24 h
 //! sinusoidal diurnal arrival cycle driven by a shared virtual clock: the
 //! simulated day-plus of arrivals drains in milliseconds and the recorded
@@ -29,15 +32,15 @@
 //!
 //! `--users N` and `--workers N` override the fleet size and the worker pool
 //! — the determinism gates run the same workload at `--workers 1/2/4` and
-//! byte-compare every artifact, and the calendar gate drains a 10⁴-user
+//! byte-compare every artifact, and the fleet-scale gate drains a 10⁴-user
 //! queueing fleet twice.
 //!
 //! `--personalize` serves the online-IL fleet from a [`TieredModelStore`]
 //! instead of handing every user a private policy copy: users lease the
-//! shared base, copy-on-write materialize a delta on their first divergent
-//! update, and their RLS sufficient statistics are federated back into the
-//! base.  The run then prints the store's accounting — bytes per user against
-//! a full per-user copy, merge rounds, base version — and a per-family
+//! shared base, copy it on their first CPU decision, and their RLS
+//! sufficient statistics are federated back into the base.  The run then
+//! prints the store's accounting — bytes per user against a full per-user
+//! copy, merge rounds, base version — and a per-family
 //! delta-materialization table.  Merged base weights depend on completion
 //! order at the floating-point level, so `--personalize` is not combined with
 //! the byte-compare determinism gates.
@@ -79,92 +82,126 @@ const QUEUE_DILATION: f64 = 3_600.0;
 /// Users the queueing arrivals are round-robined onto.
 const QUEUE_SLOTS: usize = 2;
 
-fn main() {
-    let mut virtual_clock = false;
-    let mut queueing = false;
-    let mut substrates_all = false;
-    let mut personalize = false;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut prom_out: Option<String> = None;
-    let mut spans_out: Option<String> = None;
-    let mut bottleneck_out: Option<String> = None;
-    let mut obs_summary = false;
-    let mut users_override: Option<usize> = None;
-    let mut workers_override: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--virtual-clock" => virtual_clock = true,
-            "--queueing" => queueing = true,
-            "--personalize" => personalize = true,
-            "--users" => {
-                let value = args.next().expect("--users needs a count");
-                users_override =
-                    Some(value.parse().expect("--users needs a positive integer count"));
-            }
-            "--workers" => {
-                let value = args.next().expect("--workers needs a count");
-                workers_override =
-                    Some(value.parse().expect("--workers needs a positive integer count"));
-            }
-            "--substrates" => {
-                match args.next().expect("--substrates needs a value (all|cpu)").as_str() {
-                    "all" => substrates_all = true,
-                    "cpu" => substrates_all = false,
-                    other => panic!("unknown --substrates value {other:?} (try all or cpu)"),
+/// Printed after every flag error.
+const USAGE: &str = "usage: fleet_stress [--virtual-clock] [--queueing] [--personalize] \
+                     [--users N] [--workers N] [--substrates all|cpu] [--trace-out PATH] \
+                     [--metrics-out PATH] [--prom-out PATH] [--spans-out PATH] \
+                     [--bottleneck-out PATH] [--obs-summary]";
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    virtual_clock: bool,
+    queueing: bool,
+    substrates_all: bool,
+    personalize: bool,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    prom_out: Option<String>,
+    spans_out: Option<String>,
+    bottleneck_out: Option<String>,
+    obs_summary: bool,
+    users: Option<usize>,
+    workers: Option<usize>,
+}
+
+impl Args {
+    /// Parses the flags that follow the program name.  A missing value, a
+    /// count that is not a positive integer, an unknown flag or value, and a
+    /// flag combination the run cannot honour are each an `Err` carrying a
+    /// one-line message.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut parsed = Self::default();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--virtual-clock" => parsed.virtual_clock = true,
+                "--queueing" => parsed.queueing = true,
+                "--personalize" => parsed.personalize = true,
+                "--obs-summary" => parsed.obs_summary = true,
+                "--users" => parsed.users = Some(positive_count(&flag, &value()?)?),
+                "--workers" => parsed.workers = Some(positive_count(&flag, &value()?)?),
+                "--substrates" => {
+                    parsed.substrates_all = match value()?.as_str() {
+                        "all" => true,
+                        "cpu" => false,
+                        other => {
+                            return Err(format!(
+                                "unknown --substrates value {other:?} (try all or cpu)"
+                            ))
+                        }
+                    }
                 }
+                "--trace-out" => parsed.trace_out = Some(value()?),
+                "--metrics-out" => parsed.metrics_out = Some(value()?),
+                "--prom-out" => parsed.prom_out = Some(value()?),
+                "--spans-out" => parsed.spans_out = Some(value()?),
+                "--bottleneck-out" => parsed.bottleneck_out = Some(value()?),
+                other => return Err(format!("unknown argument {other:?}")),
             }
-            "--trace-out" => {
-                trace_out = Some(args.next().expect("--trace-out needs a file path"));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(args.next().expect("--metrics-out needs a file path"));
-            }
-            "--prom-out" => {
-                prom_out = Some(args.next().expect("--prom-out needs a file path"));
-            }
-            "--spans-out" => {
-                spans_out = Some(args.next().expect("--spans-out needs a file path"));
-            }
-            "--bottleneck-out" => {
-                bottleneck_out = Some(args.next().expect("--bottleneck-out needs a file path"));
-            }
-            "--obs-summary" => obs_summary = true,
-            other => panic!(
-                "unknown argument {other:?} (try --virtual-clock, --queueing, --personalize, \
-                 --users N, --workers N, --substrates all, --trace-out PATH, --metrics-out PATH, \
-                 --prom-out PATH, --spans-out PATH, --bottleneck-out PATH, --obs-summary)"
-            ),
         }
-    }
-    if spans_out.is_some() {
         // Wall-clock spans are live profiling data whose timestamps depend on
         // scheduler interleaving; only virtual-clock spans (derived from
         // schedule-relative queue stamps) dump byte-identically across runs.
-        assert!(
-            virtual_clock,
-            "--spans-out needs --virtual-clock: wall-clock span timestamps are \
-             nondeterministic, only virtual-time spans dump reproducibly"
-        );
-    }
-    if bottleneck_out.is_some() {
+        if parsed.spans_out.is_some() && !parsed.virtual_clock {
+            return Err("--spans-out needs --virtual-clock: wall-clock span timestamps are \
+                        nondeterministic, only virtual-time spans dump reproducibly"
+                .to_owned());
+        }
         // The report's deterministic core is built from queue stamps, and
         // only virtual-clock stamps (plus the span dump they derive) are a
         // pure function of the workload.
-        assert!(
-            virtual_clock && queueing,
-            "--bottleneck-out needs --virtual-clock --queueing: the critical-path \
-             report is reconstructed from deterministic queue stamps"
-        );
+        if parsed.bottleneck_out.is_some() && !(parsed.virtual_clock && parsed.queueing) {
+            return Err("--bottleneck-out needs --virtual-clock --queueing: the critical-path \
+                        report is reconstructed from deterministic queue stamps"
+                .to_owned());
+        }
+        // With each simulated second dilated to a virtual hour, a wall clock
+        // would really sleep until every completion instant — hours of real
+        // time.  Queueing in this example is a virtual-clock demo.
+        if parsed.queueing && !parsed.virtual_clock {
+            return Err(format!(
+                "--queueing needs --virtual-clock: dilation {QUEUE_DILATION}x would sleep for \
+                 real hours on the wall clock"
+            ));
+        }
+        Ok(parsed)
     }
+}
+
+/// `value` as the positive integer count `flag` needs.
+fn positive_count(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(count) if count > 0 => Ok(count),
+        _ => Err(format!("{flag} needs a positive integer count, got {value:?}")),
+    }
+}
+
+fn main() {
+    let Args {
+        virtual_clock,
+        queueing,
+        substrates_all,
+        personalize,
+        trace_out,
+        metrics_out,
+        prom_out,
+        spans_out,
+        bottleneck_out,
+        obs_summary,
+        users,
+        workers,
+    } = Args::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("fleet_stress: {message}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
 
     let platform = SocPlatform::odroid_xu3();
     let scale = ExperimentScale::Quick;
-    let users = users_override.unwrap_or(if virtual_clock { 24 } else { 12 });
-    let workers = workers_override.unwrap_or(4);
-    assert!(users > 0, "--users needs a positive count");
-    assert!(workers > 0, "--workers needs a positive count");
+    let users = users.unwrap_or(if virtual_clock { 24 } else { 12 });
+    let workers = workers.unwrap_or(4);
 
     let artifacts = shared_artifacts(&platform, scale);
     let generator = if substrates_all {
@@ -197,14 +234,6 @@ fn main() {
         fleet = fleet.with_clock(Clock::virtual_clock());
     }
     if queueing {
-        // With each simulated second dilated to a virtual hour, a wall clock
-        // would really sleep until every completion instant — hours of real
-        // time.  Queueing in this example is a virtual-clock demo.
-        assert!(
-            virtual_clock,
-            "--queueing needs --virtual-clock: dilation {QUEUE_DILATION}x would sleep for \
-             real hours on the wall clock"
-        );
         fleet = fleet.with_queueing(QueueingConfig::new(QUEUE_DILATION, QUEUE_SLOTS));
     }
     let obs = Observability::new();
@@ -393,8 +422,8 @@ fn main() {
     }
     if let Some(path) = &bottleneck_out {
         // Deterministic sections only (stamps + the sorted span dump): no
-        // lock-site or Amdahl measurement, so the bytes are identical at any
-        // worker count and CI can byte-compare two runs.
+        // lock-site measurement, so the bytes are identical at any worker
+        // count and CI can byte-compare two runs.
         let report = il
             .bottleneck_report()
             .expect("--queueing stamps every record")
@@ -456,12 +485,8 @@ fn print_store_tables(store: &TieredModelStore, il: &FleetReport) {
         )
     );
     println!(
-        "Model store: {} users leased, {} shared decisions, {} deltas materialized, \
-         peak {} resident copies.",
-        stats.users_leased,
-        stats.shared_decisions,
-        stats.deltas_materialized,
-        stats.peak_resident_copies,
+        "Model store: {} users leased, {} deltas materialized, peak {} resident copies.",
+        stats.users_leased, stats.deltas_materialized, stats.peak_resident_copies,
     );
     println!(
         "Memory: {:.0} B/user amortized vs {} KB full per-user copy ({:.2}% of a copy); \
@@ -663,4 +688,68 @@ fn print_queueing_tables(il: &FleetReport, platform: &SocPlatform, workers: usiz
         markov_queue.utilisation * 100.0,
         markov_queue.max_queue_depth,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse(line.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn bad_flags_are_errors_not_panics() {
+        for line in [
+            "--users abc",
+            "--users 0",
+            "--users -3",
+            "--workers",
+            "--workers 2.5",
+            "--substrates gpu",
+            "--substrates",
+            "--trace-out",
+            "--bogus",
+            "--spans-out x.json",
+            "--bottleneck-out x.json --virtual-clock",
+            "--bottleneck-out x.json --queueing",
+            "--queueing",
+        ] {
+            let error = parse(line).expect_err(line);
+            assert!(!error.is_empty() && !error.contains('\n'), "{line}: {error:?}");
+        }
+    }
+
+    #[test]
+    fn every_ci_flag_set_parses() {
+        for line in [
+            "",
+            "--virtual-clock --queueing --workers 4 --trace-out trace-n.jsonl",
+            "--substrates all --virtual-clock --workers 2 --trace-out hetero-n.jsonl",
+            "--virtual-clock --queueing --workers 1 --spans-out spans-ref.json \
+             --metrics-out metrics-ref.json --prom-out prom-ref.txt",
+            "--virtual-clock --queueing --workers 1 --bottleneck-out bottleneck-ref.json \
+             --obs-summary",
+            "--virtual-clock --queueing --users 10000 --trace-out cal-a.jsonl \
+             --bottleneck-out cal-a.bottleneck.json",
+            "--personalize --users 1000",
+            "--substrates cpu --personalize --virtual-clock --workers 1",
+        ] {
+            if let Err(error) = parse(line) {
+                panic!("{line:?} must parse: {error}");
+            }
+        }
+        let args = parse("--virtual-clock --queueing --users 10000 --trace-out cal-a.jsonl")
+            .expect("valid flags");
+        assert_eq!(
+            args,
+            Args {
+                virtual_clock: true,
+                queueing: true,
+                users: Some(10_000),
+                trace_out: Some("cal-a.jsonl".to_owned()),
+                ..Args::default()
+            }
+        );
+    }
 }

@@ -373,7 +373,7 @@ fn bottleneck_report_bit_identical_across_worker_counts() {
         "1-worker and 4-worker bottleneck reports diverged"
     );
     let text = String::from_utf8(json1).expect("report is UTF-8");
-    assert!(text.contains("\"bottleneck_schema\": 1"), "schema marker missing");
+    assert!(text.contains("\"bottleneck_schema\": 2"), "schema marker missing");
     assert!(
         text.contains("\"site\": \"fifo_queue\""),
         "report must name the FIFO queue serialization site"

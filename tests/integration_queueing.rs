@@ -224,7 +224,7 @@ fn queueing_telemetry_is_bit_identical_across_worker_counts() {
     assert!((summed - queueing.utilisation).abs() < 1e-9);
 }
 
-/// The event-calendar scheduler behind every queueing fleet reproduces the
+/// Claiming arrivals in index order behind every queueing fleet reproduces the
 /// pure per-user FIFO reference exactly, at 1, 2 and 4 workers: feeding the
 /// recorded arrival/service sequences through [`fifo_stamps`] yields the very
 /// stamps the fleet recorded, and the aggregated `QueueReport` is identical
