@@ -64,12 +64,12 @@ pub mod prelude {
     };
     pub use soclearn_rl::{DqnAgent, QTableAgent, RlConfig};
     pub use soclearn_runtime::{
-        shared_artifacts, ArtifactStore, BottleneckReport, Clock, DecisionKind, DriverTelemetry,
-        ExperimentScale, FrameDemand, GpuServing, GpuSessionSpec, ModelStoreStats, NocServing,
-        NocSessionSpec, Observability, QuantileSketch, QueueStamp, ScenarioDriver, ScenarioSource,
-        ScenarioSpec, SliceSource, SubstrateDecision, SubstratePolicies, SubstrateRecord,
-        SubstrateTelemetry, SubstrateWork, SweepCache, SweepEngine, SweepL1Stats, TieredModelStore,
-        TieredPolicy, TrainingArtifacts,
+        shared_artifacts, ArtifactStore, Clock, DecisionKind, DriverTelemetry, ExperimentScale,
+        FrameDemand, GpuServing, GpuSessionSpec, ModelStoreStats, NocServing, NocSessionSpec,
+        Observability, QuantileSketch, QueueStamp, ScenarioDriver, ScenarioSource, ScenarioSpec,
+        SliceSource, SubstrateDecision, SubstratePolicies, SubstrateRecord, SubstrateTelemetry,
+        SubstrateWork, SweepCache, SweepEngine, SweepL1Stats, TieredModelStore, TieredPolicy,
+        TrainingArtifacts,
     };
     pub use soclearn_scenarios::{
         fifo_stamps, replay, ArrivalSchedule, FleetDrainReport, FleetReport, FleetSource,

@@ -3,10 +3,10 @@
 //! Section III of the DAC 2020 paper builds its runtime models out of a small
 //! set of machine-learning primitives that are cheap enough to run in an OS
 //! governor or firmware: recursive least squares with (adaptive) forgetting,
-//! online feature selection, linear/ridge regression, shallow neural networks
-//! trained by back-propagation, regression trees and kernel (SVR-style)
-//! regression.  This crate implements all of them from scratch — no external
-//! ML dependency — with a uniform feature-vector interface so the policy
+//! linear/ridge regression, shallow neural networks trained by
+//! back-propagation, regression trees and kernel (SVR-style) regression.
+//! This crate implements all of them from scratch — no external ML
+//! dependency — with a uniform feature-vector interface so the policy
 //! crates can mix and match models.
 //!
 //! # Example: tracking a drifting linear relationship online
@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod feature_selection;
 pub mod kernel;
 pub mod linalg;
 pub mod linear;
@@ -40,7 +39,6 @@ pub mod stats;
 pub mod traits;
 pub mod tree;
 
-pub use feature_selection::OnlineFeatureSelector;
 pub use kernel::KernelRidgeRegression;
 pub use linear::RidgeRegression;
 pub use mlp::{Activation, Mlp, MlpBuilder};

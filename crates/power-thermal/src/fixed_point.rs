@@ -34,6 +34,9 @@ pub enum FixedPointError {
     },
     /// The thermal network is degenerate (singular conductance matrix).
     DegenerateNetwork,
+    /// A power vector the analysis evaluated, or the steady state it drove,
+    /// held a NaN or an infinity.
+    NonFinite,
 }
 
 impl std::fmt::Display for FixedPointError {
@@ -49,6 +52,9 @@ impl std::fmt::Display for FixedPointError {
                 write!(f, "fixed-point iteration did not converge (residual {residual:.3} °C)")
             }
             FixedPointError::DegenerateNetwork => write!(f, "thermal network is degenerate"),
+            FixedPointError::NonFinite => {
+                write!(f, "non-finite power or temperature in the fixed-point map")
+            }
         }
     }
 }
@@ -93,8 +99,10 @@ impl FixedPointAnalysis {
     ///
     /// Returns [`FixedPointError::ThermalRunaway`] if temperatures exceed
     /// `runaway_limit_c`, [`FixedPointError::NotConverged`] if the iteration budget
-    /// is exhausted, and [`FixedPointError::DegenerateNetwork`] for a singular
-    /// thermal network.
+    /// is exhausted, [`FixedPointError::DegenerateNetwork`] for a singular
+    /// thermal network, and [`FixedPointError::NonFinite`] as soon as any
+    /// evaluated power vector (the Jacobian probes included) or steady state
+    /// holds a NaN or an infinity.
     pub fn compute<F>(
         model: &RcThermalModel,
         mut power_of_temperature: F,
@@ -112,8 +120,7 @@ impl FixedPointAnalysis {
         let mut residual = f64::INFINITY;
         for _ in 0..MAX_ITERS {
             iterations += 1;
-            let power = power_of_temperature(&temps);
-            let next = model.steady_state(&power).ok_or(FixedPointError::DegenerateNetwork)?;
+            let (_, next) = Self::map(model, &mut power_of_temperature, &temps)?;
             residual = next.iter().zip(&temps).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
             temps = next;
             if temps.iter().any(|&t| t > runaway_limit_c) {
@@ -130,13 +137,11 @@ impl FixedPointAnalysis {
         // Numerical Jacobian of the map T -> steady_state(power(T)) at the fixed point.
         let eps = 0.01;
         let mut jac = vec![vec![0.0; n]; n];
-        let base_power = power_of_temperature(&temps);
-        let base = model.steady_state(&base_power).ok_or(FixedPointError::DegenerateNetwork)?;
+        let (base_power, base) = Self::map(model, &mut power_of_temperature, &temps)?;
         for j in 0..n {
             let mut perturbed = temps.clone();
             perturbed[j] += eps;
-            let p = power_of_temperature(&perturbed);
-            let mapped = model.steady_state(&p).ok_or(FixedPointError::DegenerateNetwork)?;
+            let (_, mapped) = Self::map(model, &mut power_of_temperature, &perturbed)?;
             for i in 0..n {
                 jac[i][j] = (mapped[i] - base[i]) / eps;
             }
@@ -148,9 +153,32 @@ impl FixedPointAnalysis {
         let norm_bound = linalg::inf_norm(&jac);
         let spectral_radius =
             if norm_bound < 1.0 { norm_bound } else { linalg::spectral_radius(&jac, 200) };
-        let total_power_w = power_of_temperature(&temps).iter().sum();
+        let total_power_w = base_power.iter().sum();
 
         Ok(Self { temperatures_c: temps, total_power_w, spectral_radius, iterations })
+    }
+
+    /// One application of the map: the power at `temps` and the steady state
+    /// it drives.  Non-finite values are rejected here because nothing
+    /// downstream would catch them: `f64::max` drops a NaN residual, and no
+    /// comparison against the runaway limit holds for NaN.
+    fn map<F>(
+        model: &RcThermalModel,
+        power_of_temperature: &mut F,
+        temps: &[f64],
+    ) -> Result<(Vec<f64>, Vec<f64>), FixedPointError>
+    where
+        F: FnMut(&[f64]) -> Vec<f64>,
+    {
+        let power = power_of_temperature(temps);
+        if !power.iter().all(|p| p.is_finite()) {
+            return Err(FixedPointError::NonFinite);
+        }
+        let next = model.steady_state(&power).ok_or(FixedPointError::DegenerateNetwork)?;
+        if !next.iter().all(|t| t.is_finite()) {
+            return Err(FixedPointError::NonFinite);
+        }
+        Ok((power, next))
     }
 }
 
@@ -231,6 +259,28 @@ mod tests {
         assert!(fp.temperatures_c.iter().all(|&t| (t - 20.0).abs() < 1e-6));
         assert_eq!(fp.total_power_w, 0.0);
         assert!(fp.is_stable());
+    }
+
+    #[test]
+    fn non_finite_power_is_an_error() {
+        let model = RcThermalModel::mobile_soc(25.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let result = FixedPointAnalysis::compute(&model, |_t| vec![1.0, bad, 0.5, 0.0], 150.0);
+            assert_eq!(result, Err(FixedPointError::NonFinite), "power {bad}");
+        }
+        // Finite along the whole iteration, NaN only at the Jacobian's
+        // probes (+0.01 °C on one node).
+        let model = RcThermalModel::mobile_soc(20.0);
+        let probe_only = |temps: &[f64]| {
+            if temps.iter().any(|&t| t > 20.005) {
+                vec![f64::NAN; 4]
+            } else {
+                vec![0.0; 4]
+            }
+        };
+        let result = FixedPointAnalysis::compute(&model, probe_only, 100.0);
+        assert_eq!(result, Err(FixedPointError::NonFinite));
+        assert!(FixedPointError::NonFinite.to_string().contains("non-finite"));
     }
 
     #[test]

@@ -564,7 +564,7 @@ impl ScenarioDriver {
         // With an observability plane attached, the run's shared locks — the
         // sweep-cache shards and platform registry — are contention-observed
         // so worker-scaling stalls show up as named lock sites in the
-        // bottleneck report.
+        // registry.
         if let Some(obs) = &self.obs {
             self.cache.attach_contention(&obs.registry);
             if let Some(store) = &self.personalization {

@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use soclearn_telemetry::span::DEFAULT_SPAN_CAPACITY;
 pub use soclearn_telemetry::{
-    sorted_quantile_ns, validate_prometheus, BottleneckReport, Counter, Gauge, HistogramCell,
-    LatencyHistogram, MetricId, MetricsSnapshot, ObservedMutex, ObservedRwLock, QuantileSketch,
-    SiteAttribution, SketchCell, Span, SpanRecorder, StampedInterval, TelemetryRegistry,
+    sorted_quantile_ns, validate_prometheus, Counter, Gauge, HistogramCell, LatencyHistogram,
+    MetricId, MetricsSnapshot, ObservedMutex, ObservedRwLock, QuantileSketch, SketchCell, Span,
+    SpanRecorder, TelemetryRegistry,
 };
 
 /// Shared handle on the observability plane: one metrics registry plus one

@@ -35,9 +35,9 @@
 //!
 //! Peak resident model memory is `resident copies × copy bytes`, and resident
 //! copies is bounded by in-flight leases (≈ the driver's worker count), not by
-//! the user population — which is how a 10⁵-user fleet stays under 10% of one
-//! full per-user copy in amortized bytes/user (measured in `bench_snapshot`'s
-//! `model_store` section).
+//! the user population — which is how a fleet stays under 10% of one full
+//! per-user copy in amortized bytes/user (asserted by the scenarios crate's
+//! fleet-scale store invariant at 10⁴ users, and at 10⁶ users nightly).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -127,7 +127,7 @@ impl ModelStoreStats {
     }
 
     /// `bytes_per_user` as a fraction of one full per-user policy copy — the
-    /// acceptance gate asserts this stays below 0.10 at 10⁵ users.
+    /// fleet-scale store invariant asserts this stays below 0.10.
     pub fn copy_fraction_per_user(&self) -> f64 {
         if self.full_copy_bytes == 0 {
             0.0

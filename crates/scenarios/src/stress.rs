@@ -30,13 +30,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use soclearn_governors::{InteractiveGovernor, OndemandGovernor};
 use soclearn_oracle::OracleObjective;
-use soclearn_runtime::obs::{
-    BottleneckReport, Observability, ObservedMutex, Span, StampedInterval, TelemetryRegistry,
-};
+use soclearn_runtime::obs::{Observability, ObservedMutex, Span, TelemetryRegistry};
 use soclearn_runtime::{
     Clock, DecisionKind, DriverTelemetry, ModelStoreStats, QuantileSketch, QueueStamp,
     ScenarioDriver, ScenarioRecord, ScenarioSource, ScenarioSpec, SubstrateDecision,
@@ -739,37 +737,6 @@ impl FleetReport {
     pub fn family(&self, name: &str) -> Option<&FamilyTelemetry> {
         self.families.iter().find(|f| f.family == name)
     }
-
-    /// Reconstructs per-slot busy/blocked/idle timelines and the critical
-    /// path from the run's queue stamps.  `None` unless the fleet ran with
-    /// [`FleetStress::with_queueing`] and stamped at least one arrival.
-    ///
-    /// The report derives only from the schedule-relative stamps (never the
-    /// shared clock), so under a virtual clock its bytes are identical at any
-    /// worker count.  Enrich it with
-    /// [`BottleneckReport::with_span_kinds`] (still deterministic) or
-    /// [`BottleneckReport::with_lock_sites`] (measurement, varies run to
-    /// run).
-    pub fn bottleneck_report(&self) -> Option<BottleneckReport> {
-        let queueing = self.queueing.as_ref()?;
-        let stamps: Vec<StampedInterval> = self
-            .records
-            .iter()
-            .filter_map(|record| {
-                record.queue.map(|stamp| StampedInterval {
-                    index: record.index as u64,
-                    slot: (record.index % queueing.user_slots) as u64,
-                    arrival_ns: stamp.arrival_ns,
-                    start_ns: stamp.start_ns,
-                    completion_ns: stamp.completion_ns,
-                })
-            })
-            .collect();
-        if stamps.is_empty() {
-            return None;
-        }
-        Some(BottleneckReport::from_stamps(&stamps))
-    }
 }
 
 /// Energy comparison of one policy fleet against a baseline fleet over the
@@ -794,10 +761,11 @@ impl FamilyEnergyDelta {
 
 /// Lightweight outcome of a non-recording fleet drain ([`FleetStress::drain`]).
 ///
-/// Everything a fleet-scale capacity benchmark needs — drain rate, queueing
-/// utilisation, sojourn, and the sparse queue model's in-flight footprint —
-/// without materialising a single [`ScenarioRecord`], so fleets of 10⁵–10⁶
-/// users run in O(`user_slots` + in-flight) memory.
+/// Everything a fleet-scale capacity check needs — decisions served, the
+/// simulated span, queueing utilisation, sojourn, the sparse queue model's
+/// in-flight footprint and the model store's accounting — without
+/// materialising a single [`ScenarioRecord`], so fleets of 10⁵–10⁶ users run
+/// in O(`user_slots` + in-flight) memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetDrainReport {
     /// Users drained.
@@ -809,12 +777,6 @@ pub struct FleetDrainReport {
     /// Simulated span of the run (stamped queueing horizon under queueing,
     /// otherwise the clock reading), seconds.
     pub span_s: f64,
-    /// Real elapsed time of the drain, seconds.
-    pub elapsed_s: f64,
-    /// Drain rate: users per real second.
-    pub users_per_s: f64,
-    /// Serving rate: decisions per real second.
-    pub decisions_per_s: f64,
     /// Fleet utilisation: service time over `user_slots × span` (0 if
     /// queueing off).
     pub utilisation: f64,
@@ -1105,17 +1067,16 @@ impl FleetStress {
     /// driver exactly like [`FleetStress::run`], but keeps no per-scenario
     /// records, no per-family breakdown and no [`QueueReport`] — the run's
     /// memory stays O(`user_slots` + in-flight) however large the fleet.
-    /// This is the 10⁵–10⁶-user capacity path behind `bench_snapshot`'s
-    /// `fleet_1m` section; use [`FleetStress::run`] when you need traces,
-    /// family telemetry or byte-deterministic queue reports.
+    /// This is the capacity path the fleet-scale invariants drive at 10⁴
+    /// users in every test run and at 10⁶ users nightly; use
+    /// [`FleetStress::run`] when you need traces, family telemetry or
+    /// byte-deterministic queue reports.
     pub fn drain<F>(&self, make_policies: F) -> FleetDrainReport
     where
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
         let (driver, source) = self.driver_and_source();
-        let started = Instant::now();
         let telemetry = driver.run_stream_mixed(&source, make_policies);
-        let elapsed_s = started.elapsed().as_secs_f64();
         let user_slots = self.queueing.map(|q| q.user_slots).unwrap_or(0);
         let peak = source.queue_peak_resident().unwrap_or(0);
         let span_s = telemetry.wall_seconds;
@@ -1132,9 +1093,6 @@ impl FleetStress {
             user_slots,
             decisions: telemetry.decisions,
             span_s,
-            elapsed_s,
-            users_per_s: self.users as f64 / elapsed_s.max(1e-9),
-            decisions_per_s: telemetry.decisions as f64 / elapsed_s.max(1e-9),
             utilisation,
             mean_sojourn_s,
             queue_peak_resident: peak,
@@ -1537,46 +1495,84 @@ mod tests {
         assert!((service - 2.0 * simulated).abs() < 1e-6 * service.max(1.0));
     }
 
-    #[test]
-    fn queue_model_state_stays_sparse() {
-        let users = 64;
-        let slots = 4;
-        let report = {
-            let fleet = FleetStress::new(SocPlatform::small(), generator(), users, 4)
-                .with_schedule(ArrivalSchedule::Constant { interval: Duration::from_millis(5) })
-                .with_clock(Clock::virtual_clock())
-                .with_queueing(QueueingConfig::new(1.0, slots));
-            fleet.drain(|_, _| {
-                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&SocPlatform::small())))
+    /// Queueing slots of the fleet-scale invariants.  Arrivals go to slot
+    /// `index % slots` and the generator deals families in a fixed rotation,
+    /// so a slot count the family count divides (16 with four families)
+    /// would pin every slot to one family.
+    const FLEET_SLOTS: usize = 17;
+
+    /// A constant-rate simulated week of `users` arrivals on the virtual
+    /// clock, queued onto [`FLEET_SLOTS`] users.
+    fn week_long_fleet(generator: ScenarioGenerator, users: usize, workers: usize) -> FleetStress {
+        let week_s = 7.0 * 86_400.0;
+        FleetStress::new(SocPlatform::small(), generator, users, workers)
+            .with_schedule(ArrivalSchedule::Constant {
+                interval: Duration::from_secs_f64(week_s / users as f64),
             })
-        };
+            .with_clock(Clock::virtual_clock())
+            .with_queueing(QueueingConfig::new(1.0, FLEET_SLOTS))
+    }
+
+    /// The capacity invariants of a week-long fleet drained without
+    /// recording: every user served, the whole week simulated, and queueing
+    /// state that tracks in-flight work rather than the fleet.
+    fn assert_queue_model_state_stays_sparse(users: usize) {
+        let workers = 4;
+        let report =
+            week_long_fleet(ScenarioGenerator::standard(2020, 2), users, workers).drain(|_, _| {
+                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&SocPlatform::small())))
+            });
         assert_eq!(report.users, users);
-        assert_eq!(report.user_slots, slots);
-        assert!(report.decisions > 0);
+        assert_eq!(report.user_slots, FLEET_SLOTS);
+        assert!(report.decisions >= users, "{} decisions for {users} users", report.decisions);
         assert!(report.utilisation > 0.0);
         assert!(report.mean_sojourn_s > 0.0);
+        assert!(
+            report.span_s >= 6.0 * 86_400.0,
+            "simulated span {:.2} days is short of the week",
+            report.span_s / 86_400.0
+        );
         assert!(report.queue_peak_resident >= 1);
         assert!(report.queue_peak_resident <= users, "resident arrivals are bounded by the fleet");
-        // The sparse model only holds claimed-but-unstamped jobs: with 4
-        // workers the in-flight set stays near the worker count, far below
-        // the dense per-job vectors the old model kept.
+        // The sparse model only holds claimed-but-unstamped jobs: the
+        // in-flight set stays near the worker count, far below the dense
+        // per-job vectors the old model kept.
         assert!(
-            report.queue_peak_resident <= 2 * 4 + slots,
+            report.queue_peak_resident <= 2 * workers + FLEET_SLOTS,
             "peak resident ({}) must track in-flight work, not fleet size",
             report.queue_peak_resident
+        );
+        assert!(
+            report.queue_bytes_per_user < 1000.0,
+            "queue state {:.1} bytes/user",
+            report.queue_bytes_per_user
         );
     }
 
     #[test]
-    fn personalized_fleet_reports_store_accounting() {
+    fn queue_model_state_stays_sparse() {
+        assert_queue_model_state_stays_sparse(10_000);
+    }
+
+    #[test]
+    #[ignore = "10⁶ users: run with --release -- --ignored"]
+    fn queue_model_state_stays_sparse_at_a_million_users() {
+        assert_queue_model_state_stays_sparse(1_000_000);
+    }
+
+    /// The store invariants of a week-long fleet of 8-snippet personalized
+    /// sessions: copy-on-write memory stays a small fraction of a per-user
+    /// copy, real workloads diverge, and the federated merge folds their
+    /// deltas into new base generations.
+    fn assert_personalized_fleet_reports_store_accounting(users: usize) {
         use soclearn_runtime::{shared_artifacts, ExperimentScale, OnlineIlConfig};
-        let platform = SocPlatform::small();
-        let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
+        let artifacts = shared_artifacts(&SocPlatform::small(), ExperimentScale::Quick);
+        // One merge per ~64 in-flight generations keeps federation live
+        // without refitting and republishing the base every 64 completions.
+        let merge_every = (users / 64).max(64);
         let store =
-            Arc::new(TieredModelStore::with_defaults(&artifacts, OnlineIlConfig::default()));
-        let users = 12;
-        let fleet = FleetStress::new(platform, generator(), users, 2)
-            .with_clock(Clock::virtual_clock())
+            Arc::new(TieredModelStore::new(&artifacts, OnlineIlConfig::default(), merge_every));
+        let fleet = week_long_fleet(ScenarioGenerator::standard(2020, 8), users, 2)
             .with_personalization(Arc::clone(&store));
         let report = fleet.drain(|i, _| SubstratePolicies::cpu_only(fleet.personalized_policy(i)));
         assert!(report.decisions > 0);
@@ -1586,13 +1582,30 @@ mod tests {
         assert!(stats.merge_rounds >= 1, "finish_run must fold pending deltas into the base");
         assert!(stats.base_version >= 1);
         assert!(
-            (stats.peak_resident_copies as usize) <= users,
-            "resident copies are bounded by in-flight leases"
+            (stats.peak_resident_copies as usize) < users,
+            "resident copies ({}) are bounded by in-flight leases, not the fleet",
+            stats.peak_resident_copies
+        );
+        assert!(
+            stats.copy_fraction_per_user() < 0.10,
+            "personalization costs {:.4} of a full copy per user",
+            stats.copy_fraction_per_user()
         );
         let families = store.family_materializations();
         assert!(!families.is_empty(), "materializations are attributed per family");
         let attributed: u64 = families.iter().map(|(_, n)| n).sum();
         assert_eq!(attributed, stats.deltas_materialized);
+    }
+
+    #[test]
+    fn personalized_fleet_reports_store_accounting() {
+        assert_personalized_fleet_reports_store_accounting(10_000);
+    }
+
+    #[test]
+    #[ignore = "10⁶ users: run with --release -- --ignored"]
+    fn personalized_fleet_reports_store_accounting_at_a_million_users() {
+        assert_personalized_fleet_reports_store_accounting(1_000_000);
     }
 
     /// Leases copy the base at their first CPU decision, so users whose

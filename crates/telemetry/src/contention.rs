@@ -1,12 +1,11 @@
 //! Contention-observed lock wrappers: [`ObservedMutex`] and
 //! [`ObservedRwLock`].
 //!
-//! The flat worker-scaling finding (BENCH_4 `queueing_full`: throughput is
-//! the same at 1, 2 and 4 workers) says the serving stack serializes on
-//! shared state — but a plain `std::sync::Mutex` leaves no trace of *where*
-//! the serial time goes.  These wrappers are drop-in replacements that give
-//! every lock a **site name** and record, per site, into the
-//! [`TelemetryRegistry`]:
+//! A serving stack whose throughput stays flat as workers are added
+//! serializes on shared state — but a plain `std::sync::Mutex` leaves no
+//! trace of *where* the serial time goes.  These wrappers are drop-in
+//! replacements that give every lock a **site name** and record, per site,
+//! into the [`TelemetryRegistry`]:
 //!
 //! - `lock_acquisitions_total{site}` — one count per acquisition,
 //! - `lock_contended_total{site}` — acquisitions that had to block,
@@ -29,16 +28,14 @@
 //! attached, an **uncontended** acquisition costs two relaxed atomic adds
 //! (the acquisition counter and the wait sketch's deferred-zero channel,
 //! [`SketchCell::record_zero`](crate::registry::SketchCell::record_zero)) —
-//! still no clock read and no mutex beyond the lock itself, which is what
-//! keeps the `bench_snapshot` instrumented run inside its 5% overhead gate.
-//! Only a **contended** acquisition, already paying a block, takes the two
+//! still no clock read and no mutex beyond the lock itself.  Only a
+//! **contended** acquisition, already paying a block, takes the two
 //! `Instant` readings and two sketch-mutex updates.
 //!
 //! Wait and hold times are **wall-clock** measurements of real
 //! serialization, even under the virtual clock — they feed the metrics
-//! export and the human obs summary, never the byte-identical
-//! [`BottleneckReport`](crate::timeline::BottleneckReport) core, which is
-//! derived from schedule-relative stamps only.
+//! export and the human obs summary, never the byte-identical trace or span
+//! dump, which derive from schedule-relative stamps only.
 //!
 //! # Measurement invariants (property-tested)
 //!

@@ -1,7 +1,7 @@
 //! Exporters over [`MetricsSnapshot`]: a deterministic JSON document
-//! (consumed by `bench_snapshot` and `fleet_stress --metrics-out`) and the
-//! Prometheus text exposition format, plus [`validate_prometheus`], the
-//! format lint CI gates the export on.
+//! (`fleet_stress --metrics-out`) and the Prometheus text exposition
+//! format, plus [`validate_prometheus`], the format lint CI gates the
+//! export on.
 //!
 //! Both exporters consume the snapshot's sorted metric order verbatim and
 //! format every number deterministically, so exporting the same snapshot

@@ -33,14 +33,10 @@
 //!    byte-identical traces at any worker count (as long as the ring never
 //!    overflows — overflow is counted, never silent, and exported as the
 //!    `spans_dropped_total` counter).
-//! 5. Contention profiling and critical-path analysis —
-//!    [`ObservedMutex`]/[`ObservedRwLock`] give every shared lock a named
-//!    site recording acquisitions, wait and hold time into registry
-//!    sketches, and [`BottleneckReport`] turns queue stamps, the span dump
-//!    and lock samples into an attributable diagnosis of where a fleet run
-//!    serializes.  The report core derives only from schedule-relative
-//!    stamps, so under the virtual clock it is byte-identical at any worker
-//!    count.
+//! 5. Contention profiling — [`ObservedMutex`]/[`ObservedRwLock`] give
+//!    every shared lock a named site recording acquisitions, wait and hold
+//!    time into registry sketches, so where a fleet run serializes is read
+//!    straight from the registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +48,6 @@ pub mod histogram;
 pub mod registry;
 pub mod sketch;
 pub mod span;
-pub mod timeline;
 
 pub use clock::Clock;
 pub use contention::{ObservedMutex, ObservedRwLock};
@@ -63,4 +58,3 @@ pub use registry::{
 };
 pub use sketch::{sorted_quantile_ns, QuantileSketch};
 pub use span::{Span, SpanRecorder};
-pub use timeline::{BottleneckReport, SiteAttribution, StampedInterval};

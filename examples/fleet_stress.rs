@@ -31,9 +31,9 @@
 //! `--trace-out` the trace then carries the v2 queue stamps.
 //!
 //! `--users N` and `--workers N` override the fleet size and the worker pool
-//! — the determinism gates run the same workload at `--workers 1/2/4` and
-//! byte-compare every artifact, and the fleet-scale gate drains a 10⁴-user
-//! queueing fleet twice.
+//! (default: the host's cores, at most 4) — the determinism gates run the
+//! same workload at `--workers 1/2/4` and byte-compare every artifact, and
+//! the fleet-scale gate drains a 10⁴-user queueing fleet twice.
 //!
 //! `--personalize` serves the online-IL fleet from a [`TieredModelStore`]
 //! instead of handing every user a private policy copy: users lease the
@@ -60,14 +60,9 @@
 //! runs produce byte-identical dumps at any worker count (CI byte-compares
 //! them), whereas wall-clock spans are live profiling data.
 //!
-//! `--bottleneck-out PATH` (requires `--virtual-clock --queueing`) writes the
-//! run's critical-path diagnosis: per-user busy/blocked/idle timelines, the
-//! longest back-to-back service chain, and attributed wait per serialization
-//! site.  The report derives only from schedule-relative queue stamps and the
-//! deterministic span dump, so its bytes are identical at any worker count —
-//! CI runs it twice and byte-compares.  `--obs-summary` prints a one-screen
-//! digest of the registry instead: top counters, sketch percentiles and the
-//! measured lock-site wait table (live wall-clock data, varies run to run).
+//! `--obs-summary` prints a one-screen digest of the registry: top counters,
+//! sketch percentiles and the measured wait per lock site (live wall-clock
+//! data, varies run to run).
 
 use std::time::{Duration, Instant};
 
@@ -86,7 +81,7 @@ const QUEUE_SLOTS: usize = 2;
 const USAGE: &str = "usage: fleet_stress [--virtual-clock] [--queueing] [--personalize] \
                      [--users N] [--workers N] [--substrates all|cpu] [--trace-out PATH] \
                      [--metrics-out PATH] [--prom-out PATH] [--spans-out PATH] \
-                     [--bottleneck-out PATH] [--obs-summary]";
+                     [--obs-summary]";
 
 /// The parsed command line.
 #[derive(Debug, Default, PartialEq)]
@@ -99,7 +94,6 @@ struct Args {
     metrics_out: Option<String>,
     prom_out: Option<String>,
     spans_out: Option<String>,
-    bottleneck_out: Option<String>,
     obs_summary: bool,
     users: Option<usize>,
     workers: Option<usize>,
@@ -137,7 +131,6 @@ impl Args {
                 "--metrics-out" => parsed.metrics_out = Some(value()?),
                 "--prom-out" => parsed.prom_out = Some(value()?),
                 "--spans-out" => parsed.spans_out = Some(value()?),
-                "--bottleneck-out" => parsed.bottleneck_out = Some(value()?),
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -147,14 +140,6 @@ impl Args {
         if parsed.spans_out.is_some() && !parsed.virtual_clock {
             return Err("--spans-out needs --virtual-clock: wall-clock span timestamps are \
                         nondeterministic, only virtual-time spans dump reproducibly"
-                .to_owned());
-        }
-        // The report's deterministic core is built from queue stamps, and
-        // only virtual-clock stamps (plus the span dump they derive) are a
-        // pure function of the workload.
-        if parsed.bottleneck_out.is_some() && !(parsed.virtual_clock && parsed.queueing) {
-            return Err("--bottleneck-out needs --virtual-clock --queueing: the critical-path \
-                        report is reconstructed from deterministic queue stamps"
                 .to_owned());
         }
         // With each simulated second dilated to a virtual hour, a wall clock
@@ -188,7 +173,6 @@ fn main() {
         metrics_out,
         prom_out,
         spans_out,
-        bottleneck_out,
         obs_summary,
         users,
         workers,
@@ -201,7 +185,9 @@ fn main() {
     let platform = SocPlatform::odroid_xu3();
     let scale = ExperimentScale::Quick;
     let users = users.unwrap_or(if virtual_clock { 24 } else { 12 });
-    let workers = workers.unwrap_or(4);
+    let workers = workers.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, |cores| cores.get()).min(4)
+    });
 
     let artifacts = shared_artifacts(&platform, scale);
     let generator = if substrates_all {
@@ -420,28 +406,8 @@ fn main() {
         std::fs::write(path, trace_json).expect("span file writes");
         println!("Wrote {} virtual-time spans to {path}.", obs.spans.len());
     }
-    if let Some(path) = &bottleneck_out {
-        // Deterministic sections only (stamps + the sorted span dump): no
-        // lock-site measurement, so the bytes are identical at any worker
-        // count and CI can byte-compare two runs.
-        let report = il
-            .bottleneck_report()
-            .expect("--queueing stamps every record")
-            .with_span_kinds(&obs.spans.sorted_spans());
-        let mut json = Vec::new();
-        report.write_json(&mut json).expect("bottleneck report renders");
-        std::fs::write(path, json).expect("bottleneck file writes");
-        let top_site =
-            report.sites.first().map(|s| s.site.clone()).unwrap_or_else(|| "-".to_owned());
-        println!(
-            "Bottleneck: avg parallelism {:.2} on {} users; top serialization site \
-             {top_site}; wrote the critical-path report to {path}.",
-            report.avg_parallelism,
-            report.slots.len(),
-        );
-    }
     if obs_summary {
-        print_obs_summary(&snapshot, &il);
+        print_obs_summary(&snapshot);
     }
 
     let il_wins = vs_ondemand
@@ -509,9 +475,9 @@ fn sojourn_quantile_min(sketch: &QuantileSketch, q: f64) -> f64 {
 
 /// Renders `--obs-summary`: the run's registry and contention digest on one
 /// screen — the top counters, the busiest duration sketches' percentiles, and
-/// attributed wait per serialization site (the schedule's FIFO queue from the
-/// stamps, when queueing ran, next to the measured lock sites).
-fn print_obs_summary(snapshot: &soclearn_runtime::obs::MetricsSnapshot, il: &FleetReport) {
+/// the measured wait per lock site, read from the `lock_wait_ns{site}`
+/// sketches and `lock_contended_total{site}` counters.
+fn print_obs_summary(snapshot: &soclearn_runtime::obs::MetricsSnapshot) {
     let label_suffix = |id: &soclearn_runtime::obs::MetricId| {
         if id.labels.is_empty() {
             String::new()
@@ -558,30 +524,39 @@ fn print_obs_summary(snapshot: &soclearn_runtime::obs::MetricsSnapshot, il: &Fle
         )
     );
 
-    let report = il
-        .bottleneck_report()
-        .unwrap_or_else(|| BottleneckReport::from_stamps(&[]))
-        .with_lock_sites(snapshot);
-    let rows: Vec<Vec<String>> = report
-        .sites
+    // Lock sites, most total wait first.
+    let mut sites: Vec<(&str, &QuantileSketch)> = snapshot
+        .sketches
         .iter()
-        .map(|site| {
+        .filter(|(id, _)| id.name == "lock_wait_ns")
+        .filter_map(|(id, wait)| {
+            let site = id.labels.iter().find(|(k, _)| k == "site")?;
+            Some((site.1.as_str(), wait))
+        })
+        .collect();
+    sites.sort_by(|a, b| b.1.sum_ns().cmp(&a.1.sum_ns()).then_with(|| a.0.cmp(b.0)));
+    let total_wait_ns: u128 = sites.iter().map(|(_, wait)| wait.sum_ns()).sum();
+    let rows: Vec<Vec<String>> = sites
+        .iter()
+        .map(|&(site, wait)| {
+            let contended = snapshot.counter("lock_contended_total", &[("site", site)]);
+            let share =
+                if total_wait_ns > 0 { wait.sum_ns() as f64 / total_wait_ns as f64 } else { 0.0 };
             vec![
-                site.site.clone(),
-                site.kind.clone(),
-                site.samples.to_string(),
-                site.contended.to_string(),
-                format!("{:.1}", site.wait_ns as f64 / 1e3),
-                format!("{:.1}", site.p99_wait_ns as f64 / 1e3),
-                format!("{:.1}%", site.share * 100.0),
+                site.to_owned(),
+                wait.count().to_string(),
+                contended.unwrap_or(0).to_string(),
+                format!("{:.1}", wait.sum_ns() as f64 / 1e3),
+                format!("{:.1}", wait.quantile_ns(0.99) as f64 / 1e3),
+                format!("{:.1}%", share * 100.0),
             ]
         })
         .collect();
     println!(
         "{}",
         render_table(
-            "Attributed wait per serialization site (waits in microseconds)",
-            &["Site", "Kind", "Samples", "Contended", "Total wait", "p99 wait", "Share of kind"],
+            "Measured wait per lock site (microseconds)",
+            &["Site", "Samples", "Contended", "Total wait", "p99 wait", "Share"],
             &rows
         )
     );
@@ -711,8 +686,6 @@ mod tests {
             "--trace-out",
             "--bogus",
             "--spans-out x.json",
-            "--bottleneck-out x.json --virtual-clock",
-            "--bottleneck-out x.json --queueing",
             "--queueing",
         ] {
             let error = parse(line).expect_err(line);
@@ -727,11 +700,8 @@ mod tests {
             "--virtual-clock --queueing --workers 4 --trace-out trace-n.jsonl",
             "--substrates all --virtual-clock --workers 2 --trace-out hetero-n.jsonl",
             "--virtual-clock --queueing --workers 1 --spans-out spans-ref.json \
-             --metrics-out metrics-ref.json --prom-out prom-ref.txt",
-            "--virtual-clock --queueing --workers 1 --bottleneck-out bottleneck-ref.json \
-             --obs-summary",
-            "--virtual-clock --queueing --users 10000 --trace-out cal-a.jsonl \
-             --bottleneck-out cal-a.bottleneck.json",
+             --metrics-out metrics-ref.json --prom-out prom-ref.txt --obs-summary",
+            "--virtual-clock --queueing --workers 4 --users 10000 --trace-out scale-a.jsonl",
             "--personalize --users 1000",
             "--substrates cpu --personalize --virtual-clock --workers 1",
         ] {
@@ -739,15 +709,17 @@ mod tests {
                 panic!("{line:?} must parse: {error}");
             }
         }
-        let args = parse("--virtual-clock --queueing --users 10000 --trace-out cal-a.jsonl")
-            .expect("valid flags");
+        let args =
+            parse("--virtual-clock --queueing --workers 4 --users 10000 --trace-out scale-a.jsonl")
+                .expect("valid flags");
         assert_eq!(
             args,
             Args {
                 virtual_clock: true,
                 queueing: true,
                 users: Some(10_000),
-                trace_out: Some("cal-a.jsonl".to_owned()),
+                workers: Some(4),
+                trace_out: Some("scale-a.jsonl".to_owned()),
                 ..Args::default()
             }
         );

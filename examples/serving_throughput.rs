@@ -42,7 +42,8 @@ fn telemetry_row(policy: &str, t: &DriverTelemetry) -> Vec<String> {
 fn main() {
     let platform = SocPlatform::odroid_xu3();
     let scale = ExperimentScale::Quick;
-    let workers = 4;
+    // One worker per host core, at most four.
+    let workers = std::thread::available_parallelism().map_or(1, |cores| cores.get()).min(4);
     let users = 12;
 
     // Design-time artifacts are built once per process and shared by every

@@ -230,7 +230,7 @@ fn queueing_telemetry_is_bit_identical_across_worker_counts() {
 /// stamps the fleet recorded, and the aggregated `QueueReport` is identical
 /// across worker counts.
 #[test]
-fn event_calendar_stamps_match_the_fifo_reference_at_any_worker_count() {
+fn fleet_stamps_match_the_fifo_reference_at_any_worker_count() {
     let user_slots = 3;
     let run = |workers| {
         FleetStress::new(platform(), generator(), 30, workers)
@@ -251,7 +251,7 @@ fn event_calendar_stamps_match_the_fifo_reference_at_any_worker_count() {
         let services: Vec<u64> = stamps.iter().map(|s| s.service_ns).collect();
         assert!(
             arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "{workers} workers: the calendar must admit arrivals in schedule order"
+            "{workers} workers: the fleet must admit arrivals in schedule order"
         );
         let expected = fifo_stamps(&arrivals, &services, user_slots);
         assert_eq!(stamps, expected, "{workers} workers diverged from the FIFO reference");
