@@ -12,7 +12,9 @@ PAIRS times on each binary, the binary that runs first alternating from pair
 to pair, untraced at full scale for BENCHMARK.json's `run_seconds`.
 
 Prints one row per workload and end-to-end metric: base median, change
-median, their ratio, the base runs' interquartile range and a verdict.  The
+median, their ratio, the base runs' interquartile range, how many of the
+completed pairs the change won (`k/n`; a tie is a win for neither side, so a
+claimed gain can be read against a k-of-n rule) and a verdict.  The
 verdict is `unresolved` when that range, relative to the base median, exceeds
 the metric's bound, so a difference inside it cannot be told from noise
 (unless every change run reads better than every base run); otherwise `worse`
@@ -105,8 +107,10 @@ def main():
     rows = []
     for workload in (w["name"] for w in spec["workloads"]):
         values = {"base": [], "change": []}
+        pairs = []
         for pair in range(PAIRS):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            done = {}
             for side in order:
                 result, error = run(binaries[side], workload, seconds)
                 if error:
@@ -114,8 +118,11 @@ def main():
                     print(f"  {workload} pair {pair + 1} {side}: {error}", file=sys.stderr)
                     continue
                 values[side].append(result)
+                done[side] = result
                 print(f"  {workload} pair {pair + 1} {side}: "
                       f"{result['decisions_per_s']:.0f} decisions/s", file=sys.stderr)
+            if len(done) == 2:
+                pairs.append((done["base"], done["change"]))
         # Quartiles need two base runs; a failed run has already failed the job.
         if len(values["base"]) < 2 or not values["change"]:
             continue
@@ -123,16 +130,19 @@ def main():
             name = metric["name"]
             base, change, ratio, spread, word = verdict(
                 [r[name] for r in values["base"]], [r[name] for r in values["change"]], metric)
-            rows.append((workload, name, base, change, ratio, spread, metric["bound"], word))
+            wins = sum(relative_worsening(b[name], c[name], metric["better"]) < 0
+                       for b, c in pairs)
+            rows.append((workload, name, base, change, ratio, spread, f"{wins}/{len(pairs)}",
+                         metric["bound"], word))
             if word == "worse":
                 failures.append(f"{workload}: {name} worse than the base by more than "
                                 f"{metric['bound']:.0%} ({base:.6g} -> {change:.6g})")
 
-    header = ("workload", "metric", "base median", "change median", "ratio", "base IQR", "bound",
-              "verdict")
+    header = ("workload", "metric", "base median", "change median", "ratio", "base IQR", "wins",
+              "bound", "verdict")
     table = [header] + [
-        (w, n, f"{b:.6g}", f"{c:.6g}", f"{r:.3f}", f"{s:.1%}", f"{bd:.0%}", v)
-        for w, n, b, c, r, s, bd, v in rows
+        (w, n, f"{b:.6g}", f"{c:.6g}", f"{r:.3f}", f"{s:.1%}", k, f"{bd:.0%}", v)
+        for w, n, b, c, r, s, k, bd, v in rows
     ]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:

@@ -8,11 +8,21 @@
 //! simulator, but it reproduces the property every NoC latency model has to
 //! capture: latency grows gently with injection rate until links approach
 //! saturation, then explodes.
+//!
+//! The order of draws from the seeded generator is part of the contract,
+//! because every recorded trace and trained latency model depends on it:
+//! each cycle makes one Bernoulli injection draw per node in row-major order
+//! (`y` outer, `x` inner); destination draws follow an injection only; and a
+//! simulator keeps its generator across runs, so consecutive runs (as in
+//! [`crate::SvrLatencyModel::train`]'s rates) continue one stream.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+
+#[cfg(test)]
+mod reference;
 
 /// Mesh dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -123,10 +133,6 @@ impl NocSimulator {
         self.packet_service_cycles
     }
 
-    fn node_index(&self, x: usize, y: usize) -> usize {
-        y * self.mesh.width + x
-    }
-
     fn destination(&mut self, src_x: usize, src_y: usize) -> (usize, usize) {
         match self.pattern {
             TrafficPattern::Uniform => {
@@ -146,32 +152,6 @@ impl NocSimulator {
         }
     }
 
-    /// XY route from source to destination as a list of directed link ids.
-    fn route(&self, src: (usize, usize), dst: (usize, usize)) -> Vec<usize> {
-        // Link id encoding: for each node, four outgoing links (E, W, N, S).
-        let mut links = Vec::new();
-        let (mut x, mut y) = src;
-        while x != dst.0 {
-            let dir = if dst.0 > x { 0 } else { 1 };
-            links.push(self.node_index(x, y) * 4 + dir);
-            if dst.0 > x {
-                x += 1;
-            } else {
-                x -= 1;
-            }
-        }
-        while y != dst.1 {
-            let dir = if dst.1 > y { 2 } else { 3 };
-            links.push(self.node_index(x, y) * 4 + dir);
-            if dst.1 > y {
-                y += 1;
-            } else {
-                y -= 1;
-            }
-        }
-        links
-    }
-
     /// Runs the simulation for `cycles` cycles at the given injection rate
     /// (packets per node per cycle) and returns aggregate statistics.
     ///
@@ -182,11 +162,13 @@ impl NocSimulator {
         assert!(injection_rate > 0.0 && injection_rate <= 1.0, "injection rate must be in (0, 1]");
         assert!(cycles > 0, "simulation length must be positive");
 
+        let MeshConfig { width, height } = self.mesh;
+        // Four outgoing links per node, id `node * 4 + direction` (E, W, N, S).
         let link_count = self.mesh.nodes() * 4;
         // Earliest cycle at which each link becomes free again.
         let mut link_free_at = vec![0u64; link_count];
         let mut link_busy_cycles = vec![0u64; link_count];
-        let mut latencies: Vec<f64> = Vec::new();
+        let mut latencies: Vec<u64> = Vec::new();
         let mut total_hops = 0usize;
 
         // Warm-up fraction: packets injected in the first 20% are simulated but not
@@ -194,42 +176,61 @@ impl NocSimulator {
         let warmup = cycles / 5;
 
         for cycle in 0..cycles {
-            for y in 0..self.mesh.height {
-                for x in 0..self.mesh.width {
-                    if !self.rng.gen_bool(injection_rate.min(1.0)) {
+            for y in 0..height {
+                for x in 0..width {
+                    if !self.rng.gen_bool(injection_rate) {
                         continue;
                     }
                     let dst = self.destination(x, y);
                     if dst == (x, y) {
                         continue;
                     }
-                    let links = self.route((x, y), dst);
+                    // Walk the XY route: along the row first, then the column.
+                    let (mut at_x, mut at_y) = (x, y);
+                    let mut hops = 0;
                     let mut time = cycle;
-                    for &link in &links {
+                    while (at_x, at_y) != dst {
+                        let node = at_y * width + at_x;
+                        let direction = if at_x < dst.0 {
+                            at_x += 1;
+                            0
+                        } else if at_x > dst.0 {
+                            at_x -= 1;
+                            1
+                        } else if at_y < dst.1 {
+                            at_y += 1;
+                            2
+                        } else {
+                            at_y -= 1;
+                            3
+                        };
+                        let link = node * 4 + direction;
                         // Wait for the link to become free, then occupy it.
                         let start = time.max(link_free_at[link]);
                         let finish = start + self.packet_service_cycles;
                         link_busy_cycles[link] += self.packet_service_cycles;
                         link_free_at[link] = finish;
                         time = finish + self.router_delay_cycles;
+                        hops += 1;
                     }
                     if cycle >= warmup {
-                        latencies.push((time - cycle) as f64);
-                        total_hops += links.len();
+                        latencies.push(time - cycle);
+                        total_hops += hops;
                     }
                 }
             }
         }
 
         let packets = latencies.len();
+        // Integer latencies sum exactly, and so does an f64 accumulation while
+        // the sum stays below 2^53 cycles, so this is the f64 mean.
         let avg_latency =
-            if packets == 0 { 0.0 } else { latencies.iter().sum::<f64>() / packets as f64 };
+            if packets == 0 { 0.0 } else { latencies.iter().sum::<u64>() as f64 / packets as f64 };
         let p95 = if packets == 0 {
             0.0
         } else {
-            let mut sorted = latencies.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            sorted[((packets - 1) as f64 * 0.95) as usize]
+            let rank = ((packets - 1) as f64 * 0.95) as usize;
+            *latencies.select_nth_unstable(rank).1 as f64
         };
         let max_util = link_busy_cycles
             .iter()
@@ -245,11 +246,6 @@ impl NocSimulator {
             avg_hops: if packets == 0 { 0.0 } else { total_hops as f64 / packets as f64 },
             max_link_utilization: max_util,
         }
-    }
-
-    /// Convenience sweep over injection rates, returning one [`NocStats`] per rate.
-    pub fn sweep(&mut self, rates: &[f64], cycles: u64) -> Vec<NocStats> {
-        rates.iter().map(|&r| self.run(r, cycles)).collect()
     }
 }
 

@@ -707,16 +707,21 @@ impl GpuReplayer {
         Self { sim: GpuSimulator::new(GpuPlatform::gen9_like()) }
     }
 
-    /// Re-renders one recorded frame at its recorded configuration.
-    pub fn replay_frame(&mut self, record: &GpuDecisionRecord) -> GpuReplayOutcome {
+    /// Re-renders one recorded frame at its recorded configuration, or
+    /// returns `None` if the serving platform has no such configuration (an
+    /// edited recording).
+    pub fn replay_frame(&mut self, record: &GpuDecisionRecord) -> Option<GpuReplayOutcome> {
+        if !self.sim.platform().is_valid(record.config) {
+            return None;
+        }
         let result = self.sim.render_frame(&record.demand, record.config, record.deadline_s);
-        GpuReplayOutcome {
+        Some(GpuReplayOutcome {
             energy_j: result.package_dram_energy_j(),
             time_s: result.frame_time_s,
             gpu_power_w: result.counters.gpu_power_w,
             utilization: result.counters.utilization,
             deadline_met: !result.missed_deadline,
-        }
+        })
     }
 }
 

@@ -252,7 +252,9 @@ impl Trace {
     ///
     /// Declared scenario and decision counts are untrusted: no allocation is
     /// sized beyond the lines the input has left, and a count the input
-    /// cannot back is a truncated-trace [`TraceError::Format`].
+    /// cannot back is a truncated-trace [`TraceError::Format`].  A NoC window
+    /// [`replay`] could not simulate (a zero or unallocatable mesh, zero
+    /// cycles, a rate outside `(0, 1]`) is a [`TraceError::Format`] too.
     pub fn from_jsonl(input: &str) -> Result<Self, TraceError> {
         let mut lines = TraceLines::new(input);
         let (line_no, header) = lines
@@ -549,19 +551,36 @@ fn parse_noc_decision(value: &JsonValue, line: usize) -> Result<NocDecisionRecor
     }
     let width = mesh[0].as_usize().ok_or_else(|| format_err(line, "bad mesh width"))?;
     let height = mesh[1].as_usize().ok_or_else(|| format_err(line, "bad mesh height"))?;
+    if width == 0 || height == 0 {
+        return Err(format_err(line, "mesh dimensions must be positive"));
+    }
+    // Replay allocates one u64 per directed link (four per node); a mesh
+    // whose link table cannot exist is an error here, not a panic there.
+    let link_bytes = width.checked_mul(height).and_then(|nodes| nodes.checked_mul(4 * 8));
+    if !link_bytes.is_some_and(|bytes| bytes <= isize::MAX as usize) {
+        return Err(format_err(line, "mesh too large to simulate"));
+    }
     let pattern = value
         .get("pattern")
         .and_then(JsonValue::as_str)
         .and_then(pattern_from)
         .ok_or_else(|| format_err(line, "bad traffic pattern"))?;
+    let cycles = field_u64(value, "cycles", line)?;
+    if cycles == 0 {
+        return Err(format_err(line, "noc window must simulate at least one cycle"));
+    }
+    let injection_rate = field_f64_bits(value, "rate", line)?;
+    if !(injection_rate > 0.0 && injection_rate <= 1.0) {
+        return Err(format_err(line, "noc injection rate must be in (0, 1]"));
+    }
     Ok(NocDecisionRecord {
         index: field_u64(value, "i", line)? as usize,
         mesh: MeshConfig { width, height },
         pattern,
         seed: field_u64(value, "seed", line)?,
-        cycles: field_u64(value, "cycles", line)?,
+        cycles,
         offered_rate: field_f64_bits(value, "offered", line)?,
-        injection_rate: field_f64_bits(value, "rate", line)?,
+        injection_rate,
         predicted_latency_cycles: field_f64_bits(value, "predicted", line)?,
         analytical_latency_cycles: field_f64_bits(value, "analytical", line)?,
         measured_latency_cycles: field_f64_bits(value, "measured", line)?,
@@ -595,7 +614,8 @@ pub struct ReplayReport {
 ///
 /// A driver recording replays bit-identically; a recording that diverges
 /// (edited, or produced by a different simulator) reports its first
-/// divergence instead.
+/// divergence instead.  A CPU or GPU configuration the platform does not
+/// have is such a divergence: it is reported, not executed.
 pub fn replay(scenario: &ScenarioTrace, platform: &SocPlatform) -> ReplayReport {
     let mut sim = SocSimulator::new(platform.clone());
     let mut gpu: Option<GpuReplayer> = None;
@@ -604,6 +624,7 @@ pub fn replay(scenario: &ScenarioTrace, platform: &SocPlatform) -> ReplayReport 
     let mut total_time_s = 0.0;
     for decision in &scenario.decisions {
         let matches = match decision {
+            SubstrateRecord::Cpu(d) if !platform.is_valid(d.config) => false,
             SubstrateRecord::Cpu(d) => {
                 let temps_match = sim.big_temperature_c().to_bits() == d.big_temp_c.to_bits()
                     && sim.little_temperature_c().to_bits() == d.little_temp_c.to_bits();
@@ -616,14 +637,18 @@ pub fn replay(scenario: &ScenarioTrace, platform: &SocPlatform) -> ReplayReport 
                     && result.counters == d.counters
             }
             SubstrateRecord::Gpu(d) => {
-                let outcome = gpu.get_or_insert_with(GpuReplayer::new).replay_frame(d);
-                total_energy_j += outcome.energy_j;
-                total_time_s += outcome.time_s;
-                outcome.energy_j.to_bits() == d.energy_j.to_bits()
-                    && outcome.time_s.to_bits() == d.time_s.to_bits()
-                    && outcome.gpu_power_w.to_bits() == d.gpu_power_w.to_bits()
-                    && outcome.utilization.to_bits() == d.utilization.to_bits()
-                    && outcome.deadline_met == d.deadline_met
+                match gpu.get_or_insert_with(GpuReplayer::new).replay_frame(d) {
+                    Some(outcome) => {
+                        total_energy_j += outcome.energy_j;
+                        total_time_s += outcome.time_s;
+                        outcome.energy_j.to_bits() == d.energy_j.to_bits()
+                            && outcome.time_s.to_bits() == d.time_s.to_bits()
+                            && outcome.gpu_power_w.to_bits() == d.gpu_power_w.to_bits()
+                            && outcome.utilization.to_bits() == d.utilization.to_bits()
+                            && outcome.deadline_met == d.deadline_met
+                    }
+                    None => false,
+                }
             }
             SubstrateRecord::Noc(d) => {
                 let (latency, delivered, energy) = replay_noc_window(d);
@@ -1008,6 +1033,105 @@ mod tests {
             Err(TraceError::Json { line: 1, .. }) => {}
             other => panic!("expected a JSON error on line 1, got {other:?}"),
         }
+    }
+
+    /// The mixed recording's JSONL with one hostile edit: `key`'s value on
+    /// the first decision line of `kind` becomes `value`.  Returns the
+    /// platform, the edited text and the edited line's 1-based number.
+    fn edit_first(kind: &str, key: &str, value: &str) -> (SocPlatform, String, usize) {
+        let (platform, trace) = mixed_trace();
+        let tag = format!("\"kind\":\"{kind}\"");
+        let field = format!("\"{key}\":");
+        let mut edited_line = 0;
+        let mut out = String::new();
+        for (number, line) in trace.to_jsonl().lines().enumerate() {
+            let mut line = line.to_owned();
+            if edited_line == 0 && line.contains(&tag) {
+                edited_line = number + 1;
+                let start = line.find(&field).expect("field present") + field.len();
+                let rest = &line[start..];
+                let len = if rest.starts_with('[') {
+                    rest.find(']').expect("closed array") + 1
+                } else {
+                    rest.find([',', '}']).expect("value ends")
+                };
+                line.replace_range(start..start + len, value);
+            }
+            out.push_str(&line);
+            out.push('\n');
+        }
+        assert!(edited_line > 0, "no {kind} decision to edit");
+        (platform, out, edited_line)
+    }
+
+    fn assert_rejected(kind: &str, key: &str, value: &str, expected: &str) {
+        let (_, edited, line) = edit_first(kind, key, value);
+        match Trace::from_jsonl(&edited) {
+            Err(TraceError::Format { line: at, message }) => {
+                assert_eq!(at, line);
+                assert!(message.contains(expected), "{message}");
+            }
+            other => panic!("{key}={value}: expected a format error, got {other:?}"),
+        }
+    }
+
+    /// Decodes, then replays as a divergence at the edited decision.
+    fn assert_replays_as_divergence(kind: &str, key: &str, value: &str) {
+        let (platform, edited, _) = edit_first(kind, key, value);
+        let trace = Trace::from_jsonl(&edited).expect("the edited trace decodes");
+        let scenario = &trace.scenarios[0];
+        let index = scenario.decisions.iter().find(|d| d.kind().label() == kind).map(|d| d.index());
+        let report = replay(scenario, &platform);
+        assert!(!report.bit_identical);
+        assert_eq!(report.first_divergence, index, "{key}={value}");
+    }
+
+    #[test]
+    fn noc_rate_of_zero_is_a_format_error() {
+        assert_rejected("noc", "rate", &0.0f64.to_bits().to_string(), "injection rate");
+    }
+
+    #[test]
+    fn noc_rate_above_one_is_a_format_error() {
+        assert_rejected("noc", "rate", &2.0f64.to_bits().to_string(), "injection rate");
+    }
+
+    #[test]
+    fn noc_rate_of_nan_is_a_format_error() {
+        assert_rejected("noc", "rate", &f64::NAN.to_bits().to_string(), "injection rate");
+    }
+
+    #[test]
+    fn noc_window_of_zero_cycles_is_a_format_error() {
+        assert_rejected("noc", "cycles", "0", "at least one cycle");
+    }
+
+    #[test]
+    fn noc_mesh_whose_link_count_overflows_is_a_format_error() {
+        assert_rejected("noc", "mesh", "[4294967296,4294967296]", "too large");
+        // Representable link count, but no Vec can hold its link table.
+        assert_rejected("noc", "mesh", "[1073741824,1073741824]", "too large");
+    }
+
+    #[test]
+    fn noc_mesh_with_a_zero_dimension_is_a_format_error() {
+        assert_rejected("noc", "mesh", "[0,4]", "must be positive");
+        assert_rejected("noc", "mesh", "[4,0]", "must be positive");
+    }
+
+    #[test]
+    fn cpu_config_off_the_platform_replays_as_a_divergence() {
+        assert_replays_as_divergence("cpu", "big", "99");
+    }
+
+    #[test]
+    fn gpu_frequency_off_the_platform_replays_as_a_divergence() {
+        assert_replays_as_divergence("gpu", "freq", "99");
+    }
+
+    #[test]
+    fn gpu_with_zero_slices_replays_as_a_divergence() {
+        assert_replays_as_divergence("gpu", "slices", "0");
     }
 
     #[test]
