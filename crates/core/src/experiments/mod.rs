@@ -1,15 +1,14 @@
 //! Reproduction of every table and figure in the paper's evaluation.
 //!
 //! Each sub-module regenerates one experiment and returns a serialisable
-//! result struct whose rows mirror what the paper reports; the Criterion
-//! benches in `soclearn-bench` and the runnable examples print these rows.
-//! Every experiment accepts an [`ExperimentScale`] so the same code path can
-//! run as a fast smoke test (CI) or at full fidelity (benchmark harness).
+//! result struct whose rows mirror what the paper reports; the runnable
+//! examples print these rows.  Every experiment accepts an
+//! [`ExperimentScale`] so the same code path runs as a fast test (`Quick`)
+//! or at full fidelity (`Full`, what the examples use).
 //!
 //! | Experiment | Paper reference | Module |
 //! |---|---|---|
 //! | Offline-IL generalisation gap | Table II | [`table2`] |
-//! | Generalisation to generated workloads | beyond the paper | [`generalisation`] |
 //! | Online frame-time prediction | Figure 2 | [`fig2`] |
 //! | Online-IL vs RL convergence | Figure 3 | [`fig3`] |
 //! | Online-IL vs RL energy | Figure 4 | [`fig4`] |
@@ -22,7 +21,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
-pub mod generalisation;
 pub mod helpers;
 pub mod noc;
 pub mod table2;
@@ -39,6 +37,5 @@ pub use fig2::{frame_time_prediction, Fig2Result};
 pub use fig3::{convergence_comparison, Fig3Result};
 pub use fig4::{energy_comparison, Fig4Result, Fig4Row};
 pub use fig5::{enmpc_savings, Fig5Result, Fig5Row};
-pub use generalisation::{generalisation_gap, GeneralisationResult, GeneralisationRow};
 pub use noc::{noc_latency_models, NocModelRow, NocModelsResult};
 pub use table2::{offline_il_generalization, Table2Result, Table2Row};

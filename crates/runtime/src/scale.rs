@@ -1,4 +1,4 @@
-//! Experiment scaling knobs shared by tests, benches and the serving runtime.
+//! Experiment scaling knobs shared by tests, examples and the serving runtime.
 
 use serde::{Deserialize, Serialize};
 
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub enum ExperimentScale {
     /// Reduced workload sizes; suitable for unit/integration tests.
     Quick,
-    /// Full workload sizes used by the benchmark harness and EXPERIMENTS.md.
+    /// Full workload sizes used by the examples and by `perfbench`.
     Full,
 }
 

@@ -305,8 +305,8 @@ impl SweepCache {
     }
 
     /// Creates a cache with an explicit shard count (`1` reproduces the old
-    /// single-mutex behaviour, which the `serving_throughput` bench uses as
-    /// its before/after baseline).
+    /// single-mutex behaviour, whose global capacity bound the eviction test
+    /// relies on).
     ///
     /// The capacity bound is enforced **per shard** (`capacity / shards`,
     /// rounded up), so the whole cache holds at most ≈ `capacity` sweeps —

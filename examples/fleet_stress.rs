@@ -331,9 +331,9 @@ fn main() {
                 vec![
                     format!("{:?}", lane.kind).to_lowercase(),
                     format!("{}", lane.decisions),
-                    format!("{:.2}", lane.energy_j),
-                    format!("{:.2}", base.energy_j),
-                    format!("{:.2} s", lane.time_s),
+                    si(lane.energy_j, "J"),
+                    si(base.energy_j, "J"),
+                    si(lane.time_s, "s"),
                 ]
             })
             .collect();
@@ -341,7 +341,7 @@ fn main() {
             "{}",
             render_table(
                 "Per-substrate serving (learned bundle vs governor baselines)",
-                &["Substrate", "Decisions", "Learned (J)", "Governor (J)", "Sim time"],
+                &["Substrate", "Decisions", "Learned energy", "Governor energy", "Sim time"],
                 &lane_rows
             )
         );
@@ -466,6 +466,17 @@ fn print_store_tables(store: &TieredModelStore, il: &FleetReport) {
         "Federation: {} merge rounds absorbed {} observations; base at version {}.\n",
         stats.merge_rounds, stats.merged_samples, stats.base_version,
     );
+}
+
+/// `value` in `unit` under the SI prefix that puts its magnitude in
+/// [1, 1000): a NoC lane's sub-microjoule energy and microsecond time would
+/// print as 0.00 in joules and seconds.  Zero prints in the bare unit.
+fn si(value: f64, unit: &str) -> String {
+    let (scale, prefix) = [(1.0, ""), (1e-3, "m"), (1e-6, "µ"), (1e-9, "n")]
+        .into_iter()
+        .find(|&(scale, _)| value.abs() >= scale)
+        .unwrap_or((1.0, ""));
+    format!("{:.2} {prefix}{unit}", value / scale)
 }
 
 /// A sketch quantile (the `QueueReport` ceiling-rank rule) in virtual minutes.
@@ -691,6 +702,16 @@ mod tests {
             let error = parse(line).expect_err(line);
             assert!(!error.is_empty() && !error.contains('\n'), "{line}: {error:?}");
         }
+    }
+
+    #[test]
+    fn si_prefixes_keep_sub_millijoule_lanes_visible() {
+        assert_eq!(si(123.456, "J"), "123.46 J");
+        assert_eq!(si(0.0042, "J"), "4.20 mJ");
+        assert_eq!(si(8.88e-7, "J"), "888.00 nJ");
+        assert_eq!(si(4.99e-6, "J"), "4.99 µJ");
+        assert_eq!(si(3.6e-5, "s"), "36.00 µs");
+        assert_eq!(si(0.0, "s"), "0.00 s");
     }
 
     #[test]

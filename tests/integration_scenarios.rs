@@ -1,9 +1,10 @@
 //! Integration tests of the `soclearn-scenarios` subsystem: generator
 //! determinism across threads, trace record → replay bit-identity through the
 //! JSONL encoding, streaming-source parity with the pre-materialised driver
-//! path, and the virtual-clock fleet path: a full simulated day of diurnal
+//! path, the virtual-clock fleet path (a full simulated day of diurnal
 //! arrivals must drain in under a second of wall time with deterministic
-//! telemetry.
+//! telemetry), and online-IL against the production governors on generated
+//! families it never saw at design time.
 
 use std::time::{Duration, Instant};
 
@@ -156,5 +157,34 @@ fn day_long_diurnal_fleet_compresses_to_subsecond_wall_time() {
     assert_eq!(
         Trace::from_records(&rerun.records).to_jsonl(),
         Trace::from_records(&reference.records).to_jsonl()
+    );
+}
+
+/// Online-IL, bootstrapped on the Mi-Bench-like training suite, must use less
+/// energy than both production governors on at least one generated family,
+/// served as `fleet_stress` serves it.
+#[test]
+fn online_il_beats_both_governors_on_a_generated_family() {
+    let platform = SocPlatform::odroid_xu3();
+    let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
+    let il_config = OnlineIlConfig {
+        buffer_capacity: 15,
+        neighbourhood_radius: 2,
+        ..OnlineIlConfig::default()
+    };
+    let fleet = FleetStress::new(platform, ScenarioGenerator::standard(2020, 10), 12, 2);
+    let (_, _, [vs_ondemand, vs_interactive]) = fleet.run_against_governors(|_, _| {
+        SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(il_config)))
+    });
+    assert_eq!(vs_ondemand.len(), 4, "the standard generator has four families");
+    assert_eq!(vs_interactive.len(), 4);
+    let il_wins = vs_ondemand
+        .iter()
+        .zip(&vs_interactive)
+        .filter(|(od, ia)| od.ratio() < 1.0 && ia.ratio() < 1.0)
+        .count();
+    assert!(
+        il_wins >= 1,
+        "online-IL should beat both governors on some family:\n{vs_ondemand:?}\n{vs_interactive:?}"
     );
 }
