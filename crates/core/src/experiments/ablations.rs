@@ -1,4 +1,4 @@
-//! Ablation studies called out by DESIGN.md.
+//! Ablation studies of the online-IL policy.
 //!
 //! * **A1 — aggregation-buffer size**: the paper states that a buffer of about
 //!   100 entries achieves close to 100% adaptation accuracy at under 20 KB of
@@ -8,10 +8,6 @@
 //!   same decision stream to substantiate the firmware-implementability
 //!   argument (IL and explicit NMPC must be orders of magnitude cheaper than
 //!   exhaustive search).
-//! * **A3 — forgetting strategy**: the online-IL policy with the paper's fixed
-//!   forgetting factor versus the STAFF-style adaptive factor
-//!   ([`soclearn_imitation::OnlineIlConfig::adaptive_forgetting`]), measured on
-//!   the same unseen-application sequence.
 
 use std::time::Instant;
 
@@ -66,51 +62,6 @@ pub fn buffer_ablation(scale: ExperimentScale, capacities: &[usize]) -> Vec<Buff
                     * (soclearn_imitation::features::POLICY_FEATURE_DIM
                         * std::mem::size_of::<f64>()
                         + 2 * std::mem::size_of::<usize>()),
-                policy_updates: stats.policy_updates,
-            }
-        })
-        .collect()
-}
-
-/// One row of the forgetting-strategy ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ForgettingAblationRow {
-    /// Forgetting strategy of the online models (`"fixed"` or `"adaptive"`).
-    pub strategy: String,
-    /// Energy of the adapted policy normalised to the Oracle.
-    pub normalized_energy: f64,
-    /// Fraction of decisions agreeing with the runtime Oracle label.
-    pub agreement_rate: f64,
-    /// Number of policy re-training events during the run.
-    pub policy_updates: usize,
-}
-
-/// Regenerates the forgetting-strategy ablation (A3): fixed exponential
-/// forgetting versus the STAFF-style adaptive factor, both starting from the
-/// same offline bootstrap and adapting over the same unseen sequence.
-pub fn forgetting_ablation(scale: ExperimentScale) -> Vec<ForgettingAblationRow> {
-    let platform = SocPlatform::odroid_xu3();
-    let artifacts = experiment_artifacts(&platform, scale);
-    let mut benchmarks = scaled_suite(SuiteKind::Cortex, scale);
-    benchmarks.extend(scaled_suite(SuiteKind::Parsec, scale));
-    let profiles = profiles_of(&benchmarks);
-    let sequence = sequence_of(&benchmarks, SuiteKind::Cortex);
-    let oracle = artifacts.oracle_run(&profiles);
-
-    [("fixed", false), ("adaptive", true)]
-        .into_iter()
-        .map(|(strategy, adaptive_forgetting)| {
-            let mut policy = artifacts.online_policy(OnlineIlConfig {
-                buffer_capacity: 15,
-                adaptive_forgetting,
-                ..OnlineIlConfig::default()
-            });
-            let report = run_policy(&platform, &mut policy, &sequence);
-            let stats = policy.stats();
-            ForgettingAblationRow {
-                strategy: strategy.to_owned(),
-                normalized_energy: report.total_energy_j / oracle.total_energy_j,
-                agreement_rate: stats.agreement_rate(),
                 policy_updates: stats.policy_updates,
             }
         })
@@ -185,26 +136,6 @@ mod tests {
         // Smaller buffers flush (and therefore retrain) at least as often.
         let ten = rows.iter().find(|r| r.buffer_capacity == 10).unwrap();
         assert!(ten.policy_updates >= hundred.policy_updates);
-    }
-
-    #[test]
-    fn forgetting_strategies_both_track_the_oracle() {
-        let rows = forgetting_ablation(ExperimentScale::Quick);
-        assert_eq!(rows.len(), 2);
-        let fixed = rows.iter().find(|r| r.strategy == "fixed").unwrap();
-        let adaptive = rows.iter().find(|r| r.strategy == "adaptive").unwrap();
-        for row in &rows {
-            assert!(
-                row.normalized_energy > 0.95 && row.normalized_energy < 2.0,
-                "{} strategy drifted from the Oracle ({:.2})",
-                row.strategy,
-                row.normalized_energy
-            );
-            assert!(row.policy_updates > 0, "{} strategy never re-trained", row.strategy);
-        }
-        // The adaptive factor must not degrade adaptation materially relative
-        // to the paper's fixed factor on this sequence.
-        assert!(adaptive.normalized_energy < fixed.normalized_energy * 1.15);
     }
 
     #[test]

@@ -77,11 +77,8 @@ pub fn convergence_comparison(scale: ExperimentScale) -> Fig3Result {
 
     let oracle = artifacts.oracle_run(&profiles);
 
-    let mut online_il = artifacts.online_policy(OnlineIlConfig {
-        buffer_capacity: 15,
-        neighbourhood_radius: 2,
-        ..OnlineIlConfig::default()
-    });
+    let mut online_il =
+        artifacts.online_policy(OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 });
     let il_report = run_policy(&platform, &mut online_il, &sequence);
 
     let mut rl = QTableAgent::new(&platform, RlConfig::default());

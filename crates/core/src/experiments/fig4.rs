@@ -71,11 +71,9 @@ pub fn energy_comparison(scale: ExperimentScale) -> Fig4Result {
     let platform = SocPlatform::odroid_xu3();
     let artifacts = experiment_artifacts(&platform, scale);
 
-    let mut online_il: Box<dyn DvfsPolicy> = Box::new(artifacts.online_policy(OnlineIlConfig {
-        buffer_capacity: 15,
-        neighbourhood_radius: 2,
-        ..OnlineIlConfig::default()
-    }));
+    let mut online_il: Box<dyn DvfsPolicy> = Box::new(
+        artifacts.online_policy(OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 }),
+    );
     let mut rl: Box<dyn DvfsPolicy> = Box::new(QTableAgent::new(&platform, RlConfig::default()));
 
     let mut rows = Vec::new();

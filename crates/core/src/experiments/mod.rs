@@ -14,7 +14,7 @@
 //! | Online-IL vs RL energy | Figure 4 | [`fig4`] |
 //! | Explicit-NMPC energy savings | Figure 5 | [`fig5`] |
 //! | NoC latency models | Section III-C | [`noc`] |
-//! | Buffer-size and overhead ablations | Sections IV-A3 / IV-B | [`ablations`] |
+//! | Buffer-size (A1) and decision-overhead (A2) ablations | Sections IV-A3 / IV-B | [`ablations`] |
 
 pub mod ablations;
 pub mod fig2;
@@ -29,10 +29,7 @@ pub mod table2;
 /// [`soclearn_runtime`] because it is part of every artifact-store key.
 pub use soclearn_runtime::ExperimentScale;
 
-pub use ablations::{
-    buffer_ablation, forgetting_ablation, overhead_ablation, BufferAblationRow,
-    ForgettingAblationRow, OverheadRow,
-};
+pub use ablations::{buffer_ablation, overhead_ablation, BufferAblationRow, OverheadRow};
 pub use fig2::{frame_time_prediction, Fig2Result};
 pub use fig3::{convergence_comparison, Fig3Result};
 pub use fig4::{energy_comparison, Fig4Result, Fig4Row};

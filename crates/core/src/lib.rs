@@ -62,7 +62,7 @@ pub mod prelude {
     pub use soclearn_power_thermal::{
         FixedPointAnalysis, RcThermalModel, SkinTemperatureEstimator,
     };
-    pub use soclearn_rl::{DqnAgent, QTableAgent, RlConfig};
+    pub use soclearn_rl::{QTableAgent, RlConfig};
     pub use soclearn_runtime::{
         shared_artifacts, ArtifactStore, Clock, DecisionKind, DriverTelemetry, ExperimentScale,
         FrameDemand, GpuServing, GpuSessionSpec, ModelStoreStats, NocServing, NocSessionSpec,

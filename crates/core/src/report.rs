@@ -51,6 +51,18 @@ pub fn percent(value: f64) -> String {
     format!("{:.1}%", value * 100.0)
 }
 
+/// `value` in `unit` under the SI prefix that puts its magnitude in
+/// [1, 1000), with two decimals: a NoC lane's sub-microjoule energy or a
+/// governor's nanosecond decision would print as 0.00 in joules or seconds.
+/// Zero prints in the bare unit.
+pub fn si(value: f64, unit: &str) -> String {
+    let (scale, prefix) = [(1.0, ""), (1e-3, "m"), (1e-6, "µ"), (1e-9, "n")]
+        .into_iter()
+        .find(|&(scale, _)| value.abs() >= scale)
+        .unwrap_or((1.0, ""));
+    format!("{:.2} {prefix}{unit}", value / scale)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +84,16 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(ratio(1.2345), "1.23");
         assert_eq!(percent(0.256), "25.6%");
+    }
+
+    #[test]
+    fn si_prefixes_keep_sub_millijoule_lanes_visible() {
+        assert_eq!(si(123.456, "J"), "123.46 J");
+        assert_eq!(si(0.0042, "J"), "4.20 mJ");
+        assert_eq!(si(8.88e-7, "J"), "888.00 nJ");
+        assert_eq!(si(4.99e-6, "J"), "4.99 µJ");
+        assert_eq!(si(3.6e-5, "s"), "36.00 µs");
+        assert_eq!(si(0.0, "s"), "0.00 s");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The offline policy approximates the Oracle with two supervised classifiers,
 //! one per control knob (LITTLE-cluster frequency level and big-cluster
 //! frequency level), trained on Oracle demonstrations collected at design
-//! time.  Regression-tree and neural-network variants are provided, mirroring
-//! the models used by the paper's references [18] and [13].
+//! time.  Decision-tree and neural-network variants are provided, mirroring
+//! the models used by the paper's references \[18\] and \[13\].
 
 use serde::{Deserialize, Serialize};
 use soclearn_online_learning::mlp::{Mlp, MlpBuilder};

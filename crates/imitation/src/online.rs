@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 use soclearn_online_learning::mlp::Mlp;
-use soclearn_online_learning::rls::{AdaptiveForgettingRls, RecursiveLeastSquares};
+use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::stats::RlsStats;
 use soclearn_online_learning::traits::{Classifier, OnlineRegressor};
@@ -28,109 +28,32 @@ use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocP
 use crate::features::{policy_features, CandidateFeatureBasis, CANDIDATE_FEATURE_DIM};
 use crate::offline::OfflineIlPolicy;
 
-/// Tunable parameters of the online-IL methodology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Tunable parameters of the online-IL methodology: the two the paper
+/// studies.  The model warm-up, the retraining epochs and the models'
+/// forgetting factor are fixed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OnlineIlConfig {
     /// Number of (state, label) pairs aggregated before the policy is re-trained.
     pub buffer_capacity: usize,
     /// Radius (in DVFS levels per cluster) of the candidate neighbourhood.
     pub neighbourhood_radius: usize,
-    /// Number of model updates required before the analytical models are trusted
-    /// to supervise the policy.
-    pub model_warmup: usize,
-    /// Back-propagation epochs over the buffer at each policy update.
-    pub update_epochs: usize,
-    /// Forgetting factor of the online power/performance models (`λ_max` when
-    /// adaptive forgetting is enabled).
-    pub forgetting_factor: f64,
-    /// Use the STAFF-style [`AdaptiveForgettingRls`] for the online models: the
-    /// factor drops toward [`OnlineIlConfig::lambda_min`] when prediction
-    /// errors spike (workload change) and recovers toward
-    /// [`OnlineIlConfig::forgetting_factor`] in steady state, avoiding the
-    /// covariance wind-up that a fixed factor suffers without persistent
-    /// excitation.
-    pub adaptive_forgetting: bool,
-    /// Lower bound of the adaptive forgetting factor; unused when
-    /// [`OnlineIlConfig::adaptive_forgetting`] is off.
-    pub lambda_min: f64,
 }
 
 impl Default for OnlineIlConfig {
     fn default() -> Self {
-        Self {
-            buffer_capacity: 100,
-            neighbourhood_radius: 1,
-            model_warmup: 5,
-            update_epochs: 8,
-            forgetting_factor: 0.97,
-            adaptive_forgetting: false,
-            lambda_min: 0.90,
-        }
+        Self { buffer_capacity: 100, neighbourhood_radius: 1 }
     }
 }
 
-/// An online power/performance model: fixed-forgetting RLS or the adaptive
-/// STAFF-style variant, selected by [`OnlineIlConfig::adaptive_forgetting`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum OnlineModel {
-    Fixed(RecursiveLeastSquares),
-    Adaptive(AdaptiveForgettingRls),
-}
+/// Number of model updates required before the analytical models are
+/// trusted to supervise the policy.
+const MODEL_WARMUP: usize = 5;
 
-impl OnlineModel {
-    fn fresh(dim: usize, config: &OnlineIlConfig) -> Self {
-        Self::from_pretrained(RecursiveLeastSquares::new(dim, 1.0), config)
-    }
+/// Back-propagation epochs over the buffer at each policy update.
+const UPDATE_EPOCHS: usize = 8;
 
-    /// Wraps a batch-pretrained (`λ = 1`) estimator in the variant the config
-    /// selects, with the configured runtime forgetting factor(s).
-    fn from_pretrained(rls: RecursiveLeastSquares, config: &OnlineIlConfig) -> Self {
-        if config.adaptive_forgetting {
-            OnlineModel::Adaptive(AdaptiveForgettingRls::from_pretrained(
-                rls,
-                config.lambda_min,
-                config.forgetting_factor,
-            ))
-        } else {
-            OnlineModel::Fixed(rls.with_lambda(config.forgetting_factor))
-        }
-    }
-
-    fn update(&mut self, x: &[f64], y: f64) {
-        match self {
-            OnlineModel::Fixed(m) => m.update(x, y),
-            OnlineModel::Adaptive(m) => m.update(x, y),
-        }
-    }
-
-    fn predict(&self, x: &[f64]) -> f64 {
-        match self {
-            OnlineModel::Fixed(m) => m.predict(x),
-            OnlineModel::Adaptive(m) => m.predict(x),
-        }
-    }
-
-    fn samples_seen(&self) -> usize {
-        match self {
-            OnlineModel::Fixed(m) => m.samples_seen(),
-            OnlineModel::Adaptive(m) => m.samples_seen(),
-        }
-    }
-
-    /// Approximate resident footprint: the `d × d` covariance plus the weight
-    /// vector dominate; the adaptive shell adds a handful of scalars.
-    fn approx_bytes(&self) -> usize {
-        let d = match self {
-            OnlineModel::Fixed(m) => m.input_dim(),
-            OnlineModel::Adaptive(m) => m.input_dim(),
-        };
-        let core = (d * d + d) * std::mem::size_of::<f64>();
-        match self {
-            OnlineModel::Fixed(_) => core,
-            OnlineModel::Adaptive(_) => core + 6 * std::mem::size_of::<f64>(),
-        }
-    }
-}
+/// Forgetting factor of the online power and time models.
+const FORGETTING_FACTOR: f64 = 0.97;
 
 /// Runtime statistics of an online-IL policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -206,8 +129,8 @@ pub struct OnlineIlPolicy {
     scaler: StandardScaler,
     little_mlp: Mlp,
     big_mlp: Mlp,
-    power_model: OnlineModel,
-    time_model: OnlineModel,
+    power_model: RecursiveLeastSquares,
+    time_model: RecursiveLeastSquares,
     buffer: Vec<(Vec<f64>, DvfsConfig)>,
     config: OnlineIlConfig,
     stats: OnlineIlStats,
@@ -235,8 +158,8 @@ impl OnlineIlPolicy {
             scaler,
             little_mlp,
             big_mlp,
-            power_model: OnlineModel::fresh(CANDIDATE_FEATURE_DIM, &config),
-            time_model: OnlineModel::fresh(CANDIDATE_FEATURE_DIM, &config),
+            power_model: RecursiveLeastSquares::new(CANDIDATE_FEATURE_DIM, FORGETTING_FACTOR),
+            time_model: RecursiveLeastSquares::new(CANDIDATE_FEATURE_DIM, FORGETTING_FACTOR),
             buffer: Vec::with_capacity(config.buffer_capacity),
             config,
             stats: OnlineIlStats::default(),
@@ -258,9 +181,9 @@ impl OnlineIlPolicy {
     }
 
     /// Installs externally pretrained (batch-fitted, `λ = 1`) power and time
-    /// candidate models, wrapping them with this policy's configured runtime
-    /// forgetting behaviour.  Lets a process-wide artifact store pretrain the
-    /// models once and share clones across many policy instances.
+    /// candidate models, switching them to the runtime forgetting factor.
+    /// Lets a process-wide artifact store pretrain the models once and share
+    /// clones across many policy instances.
     ///
     /// # Panics
     ///
@@ -273,8 +196,8 @@ impl OnlineIlPolicy {
     ) {
         assert_eq!(power_model.input_dim(), CANDIDATE_FEATURE_DIM, "power model dimension");
         assert_eq!(time_model.input_dim(), CANDIDATE_FEATURE_DIM, "time model dimension");
-        self.power_model = OnlineModel::from_pretrained(power_model, &self.config);
-        self.time_model = OnlineModel::from_pretrained(time_model, &self.config);
+        self.power_model = power_model.with_lambda(FORGETTING_FACTOR);
+        self.time_model = time_model.with_lambda(FORGETTING_FACTOR);
     }
 
     /// Current runtime statistics.
@@ -324,7 +247,9 @@ impl OnlineIlPolicy {
         let f = std::mem::size_of::<f64>();
         let scaler = (2 * self.scaler.dim() + 1) * f;
         let mlps = (self.little_mlp.param_count() + self.big_mlp.param_count()) * f;
-        let models = self.power_model.approx_bytes() + self.time_model.approx_bytes();
+        // Each RLS model: the `d × d` covariance plus the weight vector.
+        let models =
+            2 * (CANDIDATE_FEATURE_DIM * CANDIDATE_FEATURE_DIM + CANDIDATE_FEATURE_DIM) * f;
         let deltas = self
             .delta_stats
             .as_ref()
@@ -398,11 +323,10 @@ impl OnlineIlPolicy {
     /// training the LITTLE one over every epoch and then the big one equals
     /// interleaving them sample by sample.
     fn retrain_from_buffer(&mut self) {
-        let epochs = self.config.update_epochs;
         let little = self.buffer.iter().map(|(x, label)| (x.as_slice(), label.little_idx));
-        self.little_mlp.train_classification_epochs(little, epochs);
+        self.little_mlp.train_classification_epochs(little, UPDATE_EPOCHS);
         let big = self.buffer.iter().map(|(x, label)| (x.as_slice(), label.big_idx));
-        self.big_mlp.train_classification_epochs(big, epochs);
+        self.big_mlp.train_classification_epochs(big, UPDATE_EPOCHS);
         self.buffer.clear();
         self.stats.policy_updates += 1;
         self.stats.buffer_bytes = 0;
@@ -461,8 +385,8 @@ impl DvfsPolicy for OnlineIlPolicy {
         //    The feature basis is shared across candidates and each candidate is
         //    scored exactly once.
         let label = if counters.instructions_retired > 0.0
-            && self.power_model.samples_seen() >= self.config.model_warmup
-            && self.time_model.samples_seen() >= self.config.model_warmup
+            && self.power_model.samples_seen() >= MODEL_WARMUP
+            && self.time_model.samples_seen() >= MODEL_WARMUP
         {
             let mut candidates = platform.neighbourhood(current, self.config.neighbourhood_radius);
             if !candidates.contains(&proposal) {
@@ -647,28 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_forgetting_switch_tracks_the_oracle_too() {
-        let platform = SocPlatform::small();
-        let mut adaptive = trained_online_policy(
-            &platform,
-            OnlineIlConfig {
-                buffer_capacity: 20,
-                adaptive_forgetting: true,
-                ..OnlineIlConfig::default()
-            },
-        );
-        let profiles = unseen_profiles();
-        let (energy, _) = run_policy(&platform, &mut adaptive, &profiles);
-        let oracle = unseen_oracle(&platform);
-        let ratio = energy / oracle.total_energy_j;
-        assert!(
-            ratio < 1.25,
-            "adaptive-forgetting online IL should stay near the Oracle ({ratio:.3})"
-        );
-        assert!(adaptive.stats().policy_updates > 0);
-    }
-
-    #[test]
     fn pretrained_models_can_be_shared_across_policies() {
         // An artifact store pretrains once and installs clones; the result must
         // match a policy that pretrained its own models.
@@ -746,7 +648,7 @@ mod tests {
         assert!(!online.buffer.is_empty());
 
         let (mut little, mut big) = (online.little_mlp.clone(), online.big_mlp.clone());
-        for _ in 0..config.update_epochs {
+        for _ in 0..UPDATE_EPOCHS {
             for (x, label) in &online.buffer {
                 let _ = little.train_classification(x, label.little_idx);
                 let _ = big.train_classification(x, label.big_idx);

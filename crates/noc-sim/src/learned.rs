@@ -1,6 +1,6 @@
 //! Learned (SVR-style) NoC latency model.
 //!
-//! Following the hybrid approach of Qian et al. (cited as [34] in the paper),
+//! Following the hybrid approach of Qian et al. (cited as \[34\] in the paper),
 //! the learned model takes the *analytical* latency estimate as one of its
 //! features, together with the traffic description, and regresses the residual
 //! structure the closed-form model misses (burstiness near saturation, pattern

@@ -2,12 +2,18 @@
 //!
 //! Section III of the DAC 2020 paper builds its runtime models out of a small
 //! set of machine-learning primitives that are cheap enough to run in an OS
-//! governor or firmware: recursive least squares with (adaptive) forgetting,
-//! linear/ridge regression, shallow neural networks trained by
-//! back-propagation, regression trees and kernel (SVR-style) regression.
-//! This crate implements all of them from scratch — no external ML
-//! dependency — with a uniform feature-vector interface so the policy
-//! crates can mix and match models.
+//! governor or firmware.  This crate implements from scratch — no external ML
+//! dependency — the ones a reproduced claim runs:
+//!
+//! * recursive least squares with fixed forgetting (the online-IL power and
+//!   time models, the GPU sensitivity model) and with adaptive forgetting
+//!   (Figure 2's frame-time model), plus their mergeable sufficient
+//!   statistics;
+//! * ridge regression (the explicit-NMPC control surface);
+//! * a shallow neural-network classifier trained by back-propagation and a
+//!   decision-tree classifier (the imitation-learning policies);
+//! * RBF kernel ridge regression (the SVR-style NoC latency model);
+//! * a feature scaler and the MAPE metric.
 //!
 //! # Example: tracking a drifting linear relationship online
 //!
@@ -46,4 +52,4 @@ pub use rls::{AdaptiveForgettingRls, RecursiveLeastSquares};
 pub use scaler::StandardScaler;
 pub use stats::RlsStats;
 pub use traits::{Classifier, OnlineRegressor, Regressor};
-pub use tree::{DecisionTreeClassifier, RegressionTree};
+pub use tree::DecisionTreeClassifier;

@@ -1,37 +1,5 @@
-//! Evaluation metrics for regression and classification models.
-
-/// Mean squared error between predictions and targets.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mse(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "cannot compute a metric over zero samples");
-    predictions.iter().zip(targets).map(|(p, t)| (p - t) * (p - t)).sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Root mean squared error.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`mse`].
-pub fn rmse(predictions: &[f64], targets: &[f64]) -> f64 {
-    mse(predictions, targets).sqrt()
-}
-
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`mse`].
-pub fn mae(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "cannot compute a metric over zero samples");
-    predictions.iter().zip(targets).map(|(p, t)| (p - t).abs()).sum::<f64>()
-        / predictions.len() as f64
-}
+//! Prediction-error metric: the mean absolute percentage error that Figure 2
+//! reports for the online frame-time model.
 
 /// Mean absolute percentage error, in percent.  Targets with magnitude below
 /// `1e-12` are skipped to avoid division blow-ups; if every target is skipped the
@@ -58,35 +26,6 @@ pub fn mape(predictions: &[f64], targets: &[f64]) -> f64 {
     }
 }
 
-/// Coefficient of determination (R²).  Returns zero when the targets have no
-/// variance.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn r_squared(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "cannot compute a metric over zero samples");
-    let mean = targets.iter().sum::<f64>() / targets.len() as f64;
-    let ss_tot: f64 = targets.iter().map(|t| (t - mean) * (t - mean)).sum();
-    if ss_tot < 1e-18 {
-        return 0.0;
-    }
-    let ss_res: f64 = predictions.iter().zip(targets).map(|(p, t)| (p - t) * (p - t)).sum();
-    1.0 - ss_res / ss_tot
-}
-
-/// Fraction of predictions that exactly match the target labels.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
-    assert_eq!(predictions.len(), labels.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "cannot compute a metric over zero samples");
-    predictions.iter().zip(labels).filter(|(p, l)| p == l).count() as f64 / labels.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,19 +33,13 @@ mod tests {
     #[test]
     fn perfect_predictions() {
         let y = [1.0, 2.0, 3.0];
-        assert_eq!(mse(&y, &y), 0.0);
-        assert_eq!(rmse(&y, &y), 0.0);
-        assert_eq!(mae(&y, &y), 0.0);
         assert_eq!(mape(&y, &y), 0.0);
-        assert_eq!(r_squared(&y, &y), 1.0);
     }
 
     #[test]
     fn known_values() {
         let p = [1.0, 2.0, 3.0];
         let t = [2.0, 2.0, 5.0];
-        assert!((mse(&p, &t) - (1.0 + 0.0 + 4.0) / 3.0).abs() < 1e-12);
-        assert!((mae(&p, &t) - 1.0).abs() < 1e-12);
         assert!((mape(&p, &t) - 100.0 * (0.5 + 0.0 + 0.4) / 3.0).abs() < 1e-9);
     }
 
@@ -117,22 +50,8 @@ mod tests {
     }
 
     #[test]
-    fn r_squared_of_mean_predictor_is_zero() {
-        let t = [1.0, 2.0, 3.0, 4.0];
-        let mean = [2.5; 4];
-        assert!(r_squared(&mean, &t).abs() < 1e-12);
-        assert_eq!(r_squared(&[1.0, 1.0], &[2.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        assert_eq!(accuracy(&[1, 2, 3, 4], &[1, 0, 3, 0]), 0.5);
-        assert_eq!(accuracy(&[7], &[7]), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let _ = mse(&[1.0], &[1.0, 2.0]);
+        let _ = mape(&[1.0], &[1.0, 2.0]);
     }
 }

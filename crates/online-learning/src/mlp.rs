@@ -7,9 +7,8 @@
 //! stochastic gradient descent is faithful to the original and fast enough to
 //! be called once per snippet.
 //!
-//! The same type serves as a regressor (linear output, squared loss) and as a
-//! classifier (softmax output, cross-entropy loss); the policy crates use the
-//! classifier mode to pick discrete frequency levels.
+//! The network is a classifier (softmax output, cross-entropy loss); the
+//! policy crates use it to pick discrete frequency levels.
 //!
 //! # Layout
 //!
@@ -49,7 +48,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::traits::{Classifier, OnlineRegressor};
+use crate::traits::Classifier;
 
 #[cfg(test)]
 mod reference;
@@ -319,27 +318,6 @@ impl Mlp {
         }
     }
 
-    /// One SGD step toward the multi-output regression target `target` using
-    /// squared loss; returns the loss before the update.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input/target dimension mismatch.
-    pub fn train_regression(&mut self, x: &[f64], target: &[f64]) -> f64 {
-        assert_eq!(target.len(), self.output_dim(), "target dimension mismatch");
-        with_workspace(self.biases.len(), |ws| {
-            self.forward_into(x, &mut ws.activations);
-            let out = self.output_layer().biases();
-            let delta = &mut ws.deltas[out.clone()];
-            for ((d, p), t) in delta.iter_mut().zip(&ws.activations[out]).zip(target) {
-                *d = p - t;
-            }
-            let loss = delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64;
-            self.backpropagate(x, ws);
-            loss
-        })
-    }
-
     /// One SGD step of softmax cross-entropy toward the class `label`; returns the
     /// cross-entropy loss before the update.
     ///
@@ -431,24 +409,6 @@ fn softmax_in_place(values: &mut [f64]) {
     }
 }
 
-impl OnlineRegressor for Mlp {
-    fn update(&mut self, x: &[f64], y: f64) {
-        let _ = self.train_regression(x, &[y]);
-    }
-
-    fn predict(&self, x: &[f64]) -> f64 {
-        self.with_outputs(x, |outputs| outputs[0])
-    }
-
-    fn input_dim(&self) -> usize {
-        Mlp::input_dim(self)
-    }
-
-    fn samples_seen(&self) -> usize {
-        self.updates
-    }
-}
-
 impl Classifier for Mlp {
     fn fit(&mut self, xs: &[Vec<f64>], labels: &[usize]) {
         assert_eq!(xs.len(), labels.len(), "sample/label count mismatch");
@@ -485,23 +445,6 @@ pub fn argmax(values: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn learns_linear_regression() {
-        let mut net = MlpBuilder::new(2, 1)
-            .hidden_layers(&[])
-            .learning_rate(0.05)
-            .l2(0.0)
-            .seed(1)
-            .build();
-        for epoch in 0..400 {
-            let x = [((epoch * 13) % 10) as f64 / 10.0, 1.0];
-            let y = 2.0 * x[0] - 0.5;
-            net.update(&x, y);
-        }
-        assert!((net.predict(&[0.5, 1.0]) - 0.5).abs() < 0.1);
-        assert!(net.samples_seen() == 400);
-    }
 
     #[test]
     fn learns_xor_classification() {

@@ -96,16 +96,6 @@ impl ReferenceMlp {
         outputs
     }
 
-    pub(super) fn train_regression(&mut self, x: &[f64], target: &[f64]) -> f64 {
-        assert_eq!(target.len(), self.output_dim, "target dimension mismatch");
-        let trace = self.forward_trace(x);
-        let prediction = trace.last().expect("forward produces outputs");
-        let delta: Vec<f64> = prediction.iter().zip(target).map(|(p, t)| p - t).collect();
-        let loss = delta.iter().map(|d| d * d).sum::<f64>() / delta.len() as f64;
-        self.backpropagate(&trace, delta);
-        loss
-    }
-
     pub(super) fn train_classification(&mut self, x: &[f64], label: usize) -> f64 {
         assert!(label < self.output_dim, "label out of range");
         let trace = self.forward_trace(x);
@@ -237,26 +227,6 @@ mod tests {
                 }
             }
             prop_assert!(same_network(&flat, &reference, &xs), "diverged after per-sample training");
-        }
-
-        #[test]
-        fn flat_regression_matches_reference_bit_for_bit(
-            spec in net_spec(),
-            pool in vec(-3.0f64..3.0, 32 * 12),
-            targets in vec(-5.0f64..5.0, 32 * 12),
-            count in 1usize..=12,
-        ) {
-            let (mut flat, mut reference) = build(&spec);
-            let xs = samples(&pool, spec.0[0], count);
-            let ys = samples(&targets, flat.output_dim(), count);
-            for _ in 0..3 {
-                for (x, y) in xs.iter().zip(&ys) {
-                    let flat_loss = flat.train_regression(x, y);
-                    let reference_loss = reference.train_regression(x, y);
-                    prop_assert_eq!(flat_loss.to_bits(), reference_loss.to_bits());
-                }
-            }
-            prop_assert!(same_network(&flat, &reference, &xs), "diverged after regression training");
         }
 
         #[test]

@@ -1,7 +1,7 @@
 //! Recursive least squares with exponential and adaptive forgetting.
 //!
 //! The paper's online performance and power models (Section III-B, references
-//! [12] and [30]) are recursive-least-squares estimators: a linear model whose
+//! \[12\] and \[30\]) are recursive-least-squares estimators: a linear model whose
 //! coefficients are refreshed after every observation with `O(d²)` work, where
 //! `d` is the number of selected hardware counters.  Two variants are
 //! provided:
@@ -12,7 +12,8 @@
 //!   the spirit of STAFF ("Stabilized Adaptive Forgetting Factor", DAC 2018):
 //!   the factor shrinks when prediction errors spike (workload change → adapt
 //!   fast) and recovers toward its ceiling when errors are small (steady state
-//!   → keep memory, avoid covariance wind-up).
+//!   → keep memory, avoid covariance wind-up).  Figure 2's frame-time model
+//!   uses it; the online-IL policy runs the fixed-factor estimator.
 
 use serde::{Deserialize, Serialize};
 
@@ -235,14 +236,14 @@ impl OnlineRegressor for RecursiveLeastSquares {
 /// RLS with a stabilized adaptive forgetting factor.
 ///
 /// The forgetting factor is decreased proportionally to the normalised
-/// magnitude of recent prediction errors and pulled back toward `lambda_max`
-/// when the model is tracking well, bounded below by `lambda_min` to avoid
-/// instability.
+/// magnitude of recent prediction errors and pulled back toward
+/// `lambda_ceiling` when the model is tracking well, bounded below by
+/// `lambda_floor` to avoid instability.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveForgettingRls {
     inner: RecursiveLeastSquares,
-    lambda_min: f64,
-    lambda_max: f64,
+    lambda_floor: f64,
+    lambda_ceiling: f64,
     current_lambda: f64,
     /// Exponential moving average of the squared prediction error.
     error_ema: f64,
@@ -253,66 +254,32 @@ pub struct AdaptiveForgettingRls {
 
 impl AdaptiveForgettingRls {
     /// Creates an adaptive-forgetting RLS estimator for `dim` features with the
-    /// forgetting factor constrained to `[lambda_min, lambda_max]`.
+    /// forgetting factor constrained to `[lambda_floor, lambda_ceiling]`.
     ///
     /// # Panics
     ///
-    /// Panics if `dim` is zero or the bounds are not `0 < lambda_min <= lambda_max <= 1`.
-    pub fn new(dim: usize, lambda_min: f64, lambda_max: f64) -> Self {
+    /// Panics if `dim` is zero or the bounds are not
+    /// `0 < lambda_floor <= lambda_ceiling <= 1`.
+    pub fn new(dim: usize, lambda_floor: f64, lambda_ceiling: f64) -> Self {
         assert!(dim > 0, "feature dimension must be positive");
         assert!(
-            lambda_min > 0.0 && lambda_min <= lambda_max && lambda_max <= 1.0,
-            "require 0 < lambda_min <= lambda_max <= 1"
+            lambda_floor > 0.0 && lambda_floor <= lambda_ceiling && lambda_ceiling <= 1.0,
+            "require 0 < lambda_floor <= lambda_ceiling <= 1"
         );
         Self {
-            inner: RecursiveLeastSquares::new(dim, lambda_max),
-            lambda_min,
-            lambda_max,
-            current_lambda: lambda_max,
+            inner: RecursiveLeastSquares::new(dim, lambda_ceiling),
+            lambda_floor,
+            lambda_ceiling,
+            current_lambda: lambda_ceiling,
             error_ema: 0.0,
             target_ema: 1e-9,
             ema_alpha: 0.1,
         }
-    }
-
-    /// Wraps an already-fitted estimator (typically batch-pretrained with
-    /// `λ = 1` updates) in an adaptive-forgetting shell constrained to
-    /// `[lambda_min, lambda_max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not `0 < lambda_min <= lambda_max <= 1`.
-    pub fn from_pretrained(inner: RecursiveLeastSquares, lambda_min: f64, lambda_max: f64) -> Self {
-        assert!(
-            lambda_min > 0.0 && lambda_min <= lambda_max && lambda_max <= 1.0,
-            "require 0 < lambda_min <= lambda_max <= 1"
-        );
-        Self {
-            inner,
-            lambda_min,
-            lambda_max,
-            current_lambda: lambda_max,
-            error_ema: 0.0,
-            target_ema: 1e-9,
-            ema_alpha: 0.1,
-        }
-    }
-
-    /// One update that does not discount past data (`λ = 1`) and does not move
-    /// the adaptive factor; the design-time counterpart of
-    /// [`RecursiveLeastSquares::update_retaining`].
-    pub fn update_retaining(&mut self, x: &[f64], y: f64) {
-        self.inner.update_retaining(x, y);
     }
 
     /// The forgetting factor used for the most recent update.
     pub fn current_lambda(&self) -> f64 {
         self.current_lambda
-    }
-
-    /// The underlying weight vector.
-    pub fn weights(&self) -> &[f64] {
-        self.inner.weights()
     }
 }
 
@@ -325,9 +292,9 @@ impl OnlineRegressor for AdaptiveForgettingRls {
         self.target_ema = (1.0 - self.ema_alpha) * self.target_ema + self.ema_alpha * y * y;
         let normalised = (self.error_ema / self.target_ema.max(1e-12)).min(1.0);
         // Large normalised error -> forget faster (smaller lambda).
-        self.current_lambda = (self.lambda_max
-            - (self.lambda_max - self.lambda_min) * normalised.sqrt())
-        .clamp(self.lambda_min, self.lambda_max);
+        self.current_lambda = (self.lambda_ceiling
+            - (self.lambda_ceiling - self.lambda_floor) * normalised.sqrt())
+        .clamp(self.lambda_floor, self.lambda_ceiling);
         let lambda = self.current_lambda;
         let _ = self.inner.update_with_lambda(x, y, lambda);
     }
@@ -402,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_forgetting_shrinks_lambda_on_change() {
+    fn adaptive_factor_shrinks_lambda_on_change() {
         let mut adaptive = AdaptiveForgettingRls::new(2, 0.85, 0.995);
         for i in 0..200 {
             let x = vec![(i % 10) as f64, 1.0];
@@ -478,20 +445,6 @@ mod tests {
         assert_eq!(retuned.weights(), rls.weights());
         assert_eq!(retuned.samples_seen(), rls.samples_seen());
         assert_eq!(retuned.lambda(), 0.95);
-    }
-
-    #[test]
-    fn from_pretrained_predicts_like_the_inner_model() {
-        let mut rls = RecursiveLeastSquares::new(3, 1.0);
-        for (x, y) in stationary_stream(200) {
-            rls.update_retaining(&x, y);
-        }
-        let probe = [0.4, 0.2, 1.0];
-        let expected = rls.predict(&probe);
-        let adaptive = AdaptiveForgettingRls::from_pretrained(rls, 0.9, 0.99);
-        assert_eq!(adaptive.predict(&probe), expected);
-        assert_eq!(adaptive.current_lambda(), 0.99);
-        assert_eq!(adaptive.samples_seen(), 200);
     }
 
     #[test]

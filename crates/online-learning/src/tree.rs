@@ -1,19 +1,19 @@
-//! CART-style decision trees.
+//! CART-style decision-tree classifier.
 //!
-//! The offline IL work the paper builds on ([18], [19]) uses regression-tree
+//! The offline IL work the paper builds on (\[18\], \[19\]) uses tree
 //! models for the control policy because they are cheap to evaluate in an OS
-//! governor.  This module provides both a regression tree (squared-error
-//! splits) and a classification tree (Gini splits); both are depth- and
-//! leaf-size-limited to keep the memory footprint firmware friendly.
+//! governor.  This module provides a classification tree with Gini splits,
+//! depth- and leaf-size-limited to keep the memory footprint firmware
+//! friendly.
 
 use serde::{Deserialize, Serialize};
 
-use crate::traits::{Classifier, Regressor};
+use crate::traits::Classifier;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Node {
     Leaf {
-        /// Mean target (regression) or per-class counts (classification).
+        /// Per-class training counts.
         value: Vec<f64>,
     },
     Split {
@@ -38,13 +38,6 @@ impl Node {
         }
     }
 
-    fn depth(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 0,
-            Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
-        }
-    }
-
     fn leaves(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
@@ -53,7 +46,7 @@ impl Node {
     }
 }
 
-/// Shared hyper-parameters of the tree learners.
+/// Hyper-parameters of the tree learner.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TreeConfig {
     /// Maximum tree depth.
@@ -75,109 +68,6 @@ fn candidate_thresholds(values: &mut Vec<f64>) -> Vec<f64> {
     values.dedup();
     values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
 }
-
-// ---------------------------------------------------------------------------
-// Regression tree
-// ---------------------------------------------------------------------------
-
-/// Depth-limited CART regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegressionTree {
-    config: TreeConfig,
-    root: Option<Node>,
-}
-
-impl RegressionTree {
-    /// Creates an unfitted regression tree with the given configuration.
-    pub fn new(config: TreeConfig) -> Self {
-        Self { config, root: None }
-    }
-
-    /// Creates and fits in one call.
-    pub fn fitted(xs: &[Vec<f64>], ys: &[f64], config: TreeConfig) -> Self {
-        let mut tree = Self::new(config);
-        tree.fit(xs, ys);
-        tree
-    }
-
-    /// Depth of the fitted tree (zero for a single leaf or before fitting).
-    pub fn depth(&self) -> usize {
-        self.root.as_ref().map_or(0, Node::depth)
-    }
-
-    /// Number of leaves in the fitted tree.
-    pub fn leaf_count(&self) -> usize {
-        self.root.as_ref().map_or(0, Node::leaves)
-    }
-
-    // `feature` is a column index into the row-major sample matrix; there is
-    // no column iterator to replace it with.
-    #[allow(clippy::needless_range_loop)]
-    fn build(&self, xs: &[Vec<f64>], ys: &[f64], indices: &[usize], depth: usize) -> Node {
-        let mean = indices.iter().map(|&i| ys[i]).sum::<f64>() / indices.len() as f64;
-        if depth >= self.config.max_depth || indices.len() < self.config.min_samples_split {
-            return Node::Leaf { value: vec![mean] };
-        }
-        let parent_sse: f64 = indices.iter().map(|&i| (ys[i] - mean).powi(2)).sum();
-        let dims = xs[0].len();
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        for feature in 0..dims {
-            let mut values: Vec<f64> = indices.iter().map(|&i| xs[i][feature]).collect();
-            for threshold in candidate_thresholds(&mut values) {
-                let (mut ln, mut ls, mut lss) = (0.0, 0.0, 0.0);
-                let (mut rn, mut rs, mut rss) = (0.0, 0.0, 0.0);
-                for &i in indices {
-                    if xs[i][feature] <= threshold {
-                        ln += 1.0;
-                        ls += ys[i];
-                        lss += ys[i] * ys[i];
-                    } else {
-                        rn += 1.0;
-                        rs += ys[i];
-                        rss += ys[i] * ys[i];
-                    }
-                }
-                if ln < 1.0 || rn < 1.0 {
-                    continue;
-                }
-                let sse = (lss - ls * ls / ln) + (rss - rs * rs / rn);
-                if best.as_ref().map_or(true, |&(_, _, b)| sse < b - 1e-12) {
-                    best = Some((feature, threshold, sse));
-                }
-            }
-        }
-        match best {
-            Some((feature, threshold, sse)) if sse < parent_sse - 1e-12 => {
-                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-                    indices.iter().partition(|&&i| xs[i][feature] <= threshold);
-                Node::Split {
-                    feature,
-                    threshold,
-                    left: Box::new(self.build(xs, ys, &left_idx, depth + 1)),
-                    right: Box::new(self.build(xs, ys, &right_idx, depth + 1)),
-                }
-            }
-            _ => Node::Leaf { value: vec![mean] },
-        }
-    }
-}
-
-impl Regressor for RegressionTree {
-    fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
-        assert!(!xs.is_empty(), "cannot fit on an empty dataset");
-        assert_eq!(xs.len(), ys.len(), "sample/target count mismatch");
-        let indices: Vec<usize> = (0..xs.len()).collect();
-        self.root = Some(self.build(xs, ys, &indices, 0));
-    }
-
-    fn predict(&self, x: &[f64]) -> f64 {
-        self.root.as_ref().expect("predict called before fit").evaluate(x)[0]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Classification tree
-// ---------------------------------------------------------------------------
 
 /// Depth-limited CART classification tree with Gini-impurity splits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -313,29 +203,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn regression_tree_fits_step_function() {
-        let xs: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| if x[0] < 0.5 { 1.0 } else { 5.0 }).collect();
-        let tree = RegressionTree::fitted(&xs, &ys, TreeConfig::default());
-        assert!((tree.predict(&[0.2]) - 1.0).abs() < 1e-9);
-        assert!((tree.predict(&[0.8]) - 5.0).abs() < 1e-9);
-        assert!(tree.depth() >= 1);
-        assert!(tree.leaf_count() >= 2);
-    }
-
-    #[test]
-    fn regression_tree_respects_depth_limit() {
-        let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0].sin()).collect();
-        let shallow =
-            RegressionTree::fitted(&xs, &ys, TreeConfig { max_depth: 2, min_samples_split: 2 });
-        let deep =
-            RegressionTree::fitted(&xs, &ys, TreeConfig { max_depth: 8, min_samples_split: 2 });
-        assert!(shallow.depth() <= 2);
-        assert!(deep.leaf_count() > shallow.leaf_count());
-    }
-
-    #[test]
     fn classifier_separates_quadrants() {
         let mut xs = Vec::new();
         let mut labels = Vec::new();
@@ -388,12 +255,5 @@ mod tests {
     fn classifier_rejects_out_of_range_labels() {
         let mut tree = DecisionTreeClassifier::new(2, TreeConfig::default());
         tree.fit(&[vec![0.0]], &[5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "before fit")]
-    fn regression_predict_before_fit_panics() {
-        let tree = RegressionTree::new(TreeConfig::default());
-        let _ = tree.predict(&[0.0]);
     }
 }

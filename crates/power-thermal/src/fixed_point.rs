@@ -2,7 +2,7 @@
 //!
 //! Because leakage power grows with temperature, and temperature grows with
 //! power, the SoC's thermal trajectory is governed by a feedback loop.  The
-//! *thermal fixed point* (Bhat et al., ACM TECS 2017, cited as [25] in the
+//! *thermal fixed point* (Bhat et al., ACM TECS 2017, cited as \[25\] in the
 //! paper) is the steady-state temperature reached under a given workload once
 //! this loop settles.  This module finds the fixed point of the composed map
 //!

@@ -2,7 +2,7 @@
 //!
 //! Device skin temperature cannot be measured directly in production phones,
 //! so it is *estimated* from internal sensors (die thermistors, power rails).
-//! The paper (Section III-A, references [26]–[28]) describes machine-learning
+//! The paper (Section III-A, references \[26\]–\[28\]) describes machine-learning
 //! estimators coupled with DVFS and greedy sensor-selection algorithms that
 //! decide which internal sensors feed the estimator.  This module implements
 //! both: a ridge-regression skin estimator trained from logged sensor/skin

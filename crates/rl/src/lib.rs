@@ -1,18 +1,14 @@
-//! Reinforcement-learning baselines for SoC resource management.
+//! Reinforcement-learning baseline for SoC resource management.
 //!
 //! Section IV-A2 of the DAC 2020 paper discusses why reinforcement learning is
 //! a poor fit for runtime resource management: table-based Q-learning needs
 //! too much storage and exploration, and deep-Q approaches converge too slowly
 //! for workloads that change within seconds.  Figures 3 and 4 quantify this by
-//! comparing an RL agent against the online-IL policy; both agents implemented
-//! here exist to regenerate that comparison.
+//! measuring the tabular agent here, [`QTableAgent`] (Q-learning over a
+//! discretised counter state), against the online-IL policy.
 //!
-//! * [`QTableAgent`] — tabular Q-learning over a discretised counter state.
-//! * [`DqnAgent`] — a small neural Q-network trained online (no replay across
-//!   episodes, as a firmware implementation would have to operate).
-//!
-//! Both implement [`soclearn_soc_sim::DvfsPolicy`]; the reward is the negative
-//! energy of the executed snippet, delivered through
+//! The agent implements [`soclearn_soc_sim::DvfsPolicy`]; the reward is the
+//! negative energy of the executed snippet, delivered through
 //! [`soclearn_soc_sim::DvfsPolicy::observe_outcome`].
 
 #![forbid(unsafe_code)]
@@ -22,53 +18,36 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use soclearn_online_learning::mlp::{argmax, Mlp, MlpBuilder};
+use soclearn_online_learning::mlp::argmax;
 use soclearn_soc_sim::{DvfsConfig, DvfsPolicy, PolicyDecision, SnippetCounters, SocPlatform};
 
 /// Number of bins used when discretising utilization and memory intensity.
 const STATE_BINS: usize = 4;
 
-/// Shared hyper-parameters of the RL agents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Parameters of the RL agent: its exploration seed.  The learning rate,
+/// discount and exploration schedule are fixed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RlConfig {
-    /// Learning rate (α for the table, SGD rate for the network).
-    pub learning_rate: f64,
-    /// Discount factor γ.
-    pub discount: f64,
-    /// Initial exploration rate ε.
-    pub epsilon_start: f64,
-    /// Final exploration rate after decay.
-    pub epsilon_end: f64,
-    /// Multiplicative ε decay applied after every decision.
-    pub epsilon_decay: f64,
     /// RNG seed for exploration.
     pub seed: u64,
 }
 
-impl RlConfig {
-    /// Returns the configuration with the exploration seed replaced.
-    ///
-    /// Serving harnesses that spawn one agent per user/worker use this to give
-    /// every agent an independent, reproducible exploration stream.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+impl Default for RlConfig {
+    fn default() -> Self {
+        Self { seed: 11 }
     }
 }
 
-impl Default for RlConfig {
-    fn default() -> Self {
-        Self {
-            learning_rate: 0.10,
-            discount: 0.90,
-            epsilon_start: 0.6,
-            epsilon_end: 0.05,
-            epsilon_decay: 0.995,
-            seed: 11,
-        }
-    }
-}
+/// Q-learning rate α.
+const LEARNING_RATE: f64 = 0.10;
+/// Discount factor γ.
+const DISCOUNT: f64 = 0.90;
+/// Initial exploration rate ε.
+const EPSILON_START: f64 = 0.6;
+/// Final exploration rate after decay.
+const EPSILON_END: f64 = 0.05;
+/// Multiplicative ε decay applied after every decision.
+const EPSILON_DECAY: f64 = 0.995;
 
 /// Discretises the counter state into a small index usable by the Q-table.
 fn discretise_state(
@@ -99,15 +78,10 @@ fn state_count(platform: &SocPlatform) -> usize {
     platform.config_count() * STATE_BINS * STATE_BINS
 }
 
-// ---------------------------------------------------------------------------
-// Tabular Q-learning
-// ---------------------------------------------------------------------------
-
 /// Table-based Q-learning agent over the discretised counter state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QTableAgent {
     q: Vec<Vec<f64>>,
-    config: RlConfig,
     epsilon: f64,
     rng: ChaCha8Rng,
     last_state: Option<usize>,
@@ -121,9 +95,8 @@ impl QTableAgent {
     pub fn new(platform: &SocPlatform, config: RlConfig) -> Self {
         Self {
             q: vec![vec![0.0; platform.config_count()]; state_count(platform)],
-            epsilon: config.epsilon_start,
+            epsilon: EPSILON_START,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
-            config,
             last_state: None,
             last_action: None,
             pending_reward: None,
@@ -161,9 +134,9 @@ impl DvfsPolicy for QTableAgent {
             (self.last_state, self.last_action, self.pending_reward.take())
         {
             let best_next = self.q[state].iter().cloned().fold(f64::MIN, f64::max);
-            let target = reward + self.config.discount * best_next;
+            let target = reward + DISCOUNT * best_next;
             let entry = &mut self.q[prev_state][prev_action];
-            *entry += self.config.learning_rate * (target - *entry);
+            *entry += LEARNING_RATE * (target - *entry);
         }
 
         // ε-greedy action selection.
@@ -172,7 +145,7 @@ impl DvfsPolicy for QTableAgent {
         } else {
             argmax(&self.q[state])
         };
-        self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_end);
+        self.epsilon = (self.epsilon * EPSILON_DECAY).max(EPSILON_END);
         self.last_state = Some(state);
         self.last_action = Some(action);
         self.decisions += 1;
@@ -181,109 +154,6 @@ impl DvfsPolicy for QTableAgent {
 
     fn observe_outcome(&mut self, energy_j: f64, _time_s: f64) {
         // Negative energy as reward; scaled so typical snippets land around ±1.
-        self.pending_reward = Some(-energy_j);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DQN-style agent
-// ---------------------------------------------------------------------------
-
-/// Deep-Q-learning agent: a small MLP maps the continuous counter features to
-/// one Q-value per configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DqnAgent {
-    network: Mlp,
-    config: RlConfig,
-    epsilon: f64,
-    rng: ChaCha8Rng,
-    last_features: Option<Vec<f64>>,
-    last_action: Option<usize>,
-    pending_reward: Option<f64>,
-    decisions: usize,
-}
-
-impl DqnAgent {
-    /// Creates an agent for the given platform.
-    pub fn new(platform: &SocPlatform, config: RlConfig) -> Self {
-        let network =
-            MlpBuilder::new(SnippetCounters::NORMALIZED_FEATURE_DIM + 2, platform.config_count())
-                .hidden_layers(&[32])
-                .learning_rate(config.learning_rate * 0.1)
-                .seed(config.seed)
-                .build();
-        Self {
-            network,
-            epsilon: config.epsilon_start,
-            rng: ChaCha8Rng::seed_from_u64(config.seed ^ 0xD00D),
-            config,
-            last_features: None,
-            last_action: None,
-            pending_reward: None,
-            decisions: 0,
-        }
-    }
-
-    fn features(
-        platform: &SocPlatform,
-        counters: &SnippetCounters,
-        current: DvfsConfig,
-    ) -> Vec<f64> {
-        let mut f = counters.normalized_features();
-        f.push(
-            current.little_idx as f64
-                / platform.level_count(soclearn_soc_sim::ClusterKind::Little) as f64,
-        );
-        f.push(
-            current.big_idx as f64
-                / platform.level_count(soclearn_soc_sim::ClusterKind::Big) as f64,
-        );
-        f
-    }
-
-    /// Number of decisions taken so far.
-    pub fn decisions(&self) -> usize {
-        self.decisions
-    }
-
-    /// Current exploration rate.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-}
-
-impl DvfsPolicy for DqnAgent {
-    fn name(&self) -> &str {
-        "rl-dqn"
-    }
-
-    fn decide(&mut self, platform: &SocPlatform, decision: PolicyDecision<'_>) -> DvfsConfig {
-        let features = Self::features(platform, decision.counters, decision.current_config);
-
-        // One-step temporal-difference update for the previous transition.
-        if let (Some(prev_features), Some(prev_action), Some(reward)) =
-            (self.last_features.take(), self.last_action, self.pending_reward.take())
-        {
-            let next_q = self.network.forward(&features);
-            let best_next = next_q.iter().cloned().fold(f64::MIN, f64::max);
-            let mut target = self.network.forward(&prev_features);
-            target[prev_action] = reward + self.config.discount * best_next;
-            let _ = self.network.train_regression(&prev_features, &target);
-        }
-
-        let action = if self.rng.gen_bool(self.epsilon) {
-            self.rng.gen_range(0..platform.config_count())
-        } else {
-            argmax(&self.network.forward(&features))
-        };
-        self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_end);
-        self.last_features = Some(features);
-        self.last_action = Some(action);
-        self.decisions += 1;
-        platform.config_from_index(action)
-    }
-
-    fn observe_outcome(&mut self, energy_j: f64, _time_s: f64) {
         self.pending_reward = Some(-energy_j);
     }
 }
@@ -338,15 +208,6 @@ mod tests {
             late < early * 1.05,
             "energy should not grow as the agent learns: early {early}, late {late}"
         );
-    }
-
-    #[test]
-    fn dqn_agent_runs_and_decays_epsilon() {
-        let platform = SocPlatform::small();
-        let mut agent = DqnAgent::new(&platform, RlConfig::default());
-        let _ = run_agent(&platform, &mut agent, 100);
-        assert_eq!(agent.decisions(), 100);
-        assert!(agent.epsilon() < RlConfig::default().epsilon_start);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   of racing duplicate ones;
 //! * [`TrainingArtifacts::oracle_run`] memoises Oracle runs per exact profile
 //!   sequence, with the underlying sweeps shared through one
-//!   [`SweepCache`](crate::SweepCache);
+//!   [`SweepCache`];
 //! * [`TrainingArtifacts::online_policy`] hands out online-IL policies whose
 //!   power/performance models were pretrained **once** and cloned per policy,
 //!   bit-identical to per-policy pretraining.
@@ -185,8 +185,8 @@ impl TrainingArtifacts {
     }
 
     /// Builds the online-IL policy: the offline MLP policy plus clones of the
-    /// pretrained power/performance models, wrapped with the runtime forgetting
-    /// behaviour `config` selects.  Bit-identical to pretraining per policy.
+    /// pretrained power/performance models, switched to the runtime
+    /// forgetting factor.  Bit-identical to pretraining per policy.
     pub fn online_policy(&self, config: OnlineIlConfig) -> OnlineIlPolicy {
         let mut online = OnlineIlPolicy::from_offline(self.mlp_policy.clone(), config);
         online

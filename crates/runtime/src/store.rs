@@ -5,7 +5,7 @@
 //! a scaler — a few tens of KB each).  The [`TieredModelStore`] makes
 //! personalization affordable with three tiers:
 //!
-//! * **Tier 0 — shared base.** One immutable, `Arc`'d [`BaseTier`] per store:
+//! * **Tier 0 — shared base.** One immutable, `Arc`'d `BaseTier` per store:
 //!   the batch-pretrained policy prototype plus the cumulative `λ = 1`
 //!   sufficient statistics ([`RlsStats`]) its analytical models refit from.
 //!   A lease only holds the `Arc` until its first CPU decision, so users that

@@ -727,11 +727,6 @@ impl ScenarioGenerator {
         index % self.families.len()
     }
 
-    /// Name of the family scenario `index` belongs to.
-    pub fn family_of(&self, index: usize) -> String {
-        self.families[self.family_index_of(index)].name()
-    }
-
     /// Generates scenario `index`: deterministic per `(seed, index)`,
     /// independent of call order and calling thread.
     pub fn scenario(&self, index: usize) -> ScenarioSpec {
@@ -843,7 +838,7 @@ mod tests {
         assert_eq!(g.families().len(), 4);
         assert_eq!(g.family_index_of(0), 0);
         assert_eq!(g.family_index_of(5), 1);
-        assert_eq!(g.family_of(3), "perturbed-cortex");
+        assert_eq!(g.families()[g.family_index_of(3)].name(), "perturbed-cortex");
         assert!(g.scenario(3).name.starts_with("perturbed-cortex-"));
         assert!(g.scenario(0).name.starts_with("bursty-compute-"));
     }
@@ -854,9 +849,9 @@ mod tests {
 
         let g = ScenarioGenerator::heterogeneous(9, 12);
         assert_eq!(g.families().len(), 7);
-        assert_eq!(g.family_of(4), "graphics-burst");
-        assert_eq!(g.family_of(5), "mesh-monitor");
-        assert_eq!(g.family_of(6), "hetero-pipeline");
+        assert_eq!(g.families()[g.family_index_of(4)].name(), "graphics-burst");
+        assert_eq!(g.families()[g.family_index_of(5)].name(), "mesh-monitor");
+        assert_eq!(g.families()[g.family_index_of(6)].name(), "hetero-pipeline");
 
         let graphics = g.scenario(4);
         assert_eq!(graphics.kinds(), vec![DecisionKind::Gpu]);

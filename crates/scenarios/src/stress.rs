@@ -1630,7 +1630,7 @@ mod tests {
             if !generator.scenario(index).kinds().contains(&DecisionKind::Cpu) {
                 continue;
             }
-            let family = generator.family_of(index);
+            let family = generator.families()[generator.family_index_of(index)].name();
             match expected.iter_mut().find(|(name, _)| *name == family) {
                 Some((_, count)) => *count += 1,
                 None => expected.push((family, 1)),

@@ -81,7 +81,9 @@ impl LatencyHistogram {
         self.max_ns
     }
 
-    /// Upper bound (bucket edge) of the latency at quantile `q ∈ [0, 1]`.
+    /// Upper bound of the latency at quantile `q ∈ [0, 1]`: the edge of the
+    /// quantile's bucket, clamped to the recorded maximum, since an edge can
+    /// lie above every sample in its bucket.
     ///
     /// The last bucket has no finite edge (it absorbs everything slower than
     /// `2^47` ns), so quantiles landing there report the recorded maximum.
@@ -94,7 +96,8 @@ impl LatencyHistogram {
         for (i, &bucket) in self.buckets.iter().enumerate() {
             seen += bucket;
             if seen >= rank {
-                return if i + 1 < LATENCY_BUCKETS { 1u64 << (i + 1) } else { self.max_ns };
+                let edge = if i + 1 < LATENCY_BUCKETS { 1u64 << (i + 1) } else { u64::MAX };
+                return edge.min(self.max_ns);
             }
         }
         self.max_ns
@@ -131,6 +134,17 @@ mod tests {
         other.merge(&h);
         assert_eq!(other.count(), 7);
         assert_eq!(other.buckets().iter().sum::<u64>(), 7);
+    }
+
+    #[test]
+    fn quantile_bound_never_exceeds_the_recorded_maximum() {
+        // 9 ns sits in the [8, 16) bucket: its edge, 16, overstates the p99.
+        let h = LatencyHistogram::from_sorted_ns(&[5, 9]);
+        assert_eq!(h.quantile_upper_bound_ns(0.99), 9);
+        assert_eq!(h.quantile_upper_bound_ns(0.5), 8, "an edge below the maximum stays");
+        // A virtual-clock run records zero-length decisions.
+        let zeros = LatencyHistogram::from_sorted_ns(&[0, 0, 0]);
+        assert_eq!(zeros.quantile_upper_bound_ns(0.99), 0);
     }
 
     #[test]

@@ -67,7 +67,7 @@
 use std::time::{Duration, Instant};
 
 use soclearn_core::prelude::*;
-use soclearn_core::report::render_table;
+use soclearn_core::report::{render_table, si};
 use soclearn_scenarios::{ArrivalPlan, Trace};
 
 /// Dilation of the queueing demo: one simulated second of service occupies
@@ -224,11 +224,7 @@ fn main() {
     }
     let obs = Observability::new();
     fleet = fleet.with_observability(obs.clone());
-    let il_config = OnlineIlConfig {
-        buffer_capacity: 15,
-        neighbourhood_radius: 2,
-        ..OnlineIlConfig::default()
-    };
+    let il_config = OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 };
     let store = personalize
         .then(|| std::sync::Arc::new(TieredModelStore::with_defaults(&artifacts, il_config)));
     if let Some(store) = &store {
@@ -468,17 +464,6 @@ fn print_store_tables(store: &TieredModelStore, il: &FleetReport) {
     );
 }
 
-/// `value` in `unit` under the SI prefix that puts its magnitude in
-/// [1, 1000): a NoC lane's sub-microjoule energy and microsecond time would
-/// print as 0.00 in joules and seconds.  Zero prints in the bare unit.
-fn si(value: f64, unit: &str) -> String {
-    let (scale, prefix) = [(1.0, ""), (1e-3, "m"), (1e-6, "µ"), (1e-9, "n")]
-        .into_iter()
-        .find(|&(scale, _)| value.abs() >= scale)
-        .unwrap_or((1.0, ""));
-    format!("{:.2} {prefix}{unit}", value / scale)
-}
-
 /// A sketch quantile (the `QueueReport` ceiling-rank rule) in virtual minutes.
 fn sojourn_quantile_min(sketch: &QuantileSketch, q: f64) -> f64 {
     sketch.quantile_ns(q) as f64 / 1e9 / 60.0
@@ -702,16 +687,6 @@ mod tests {
             let error = parse(line).expect_err(line);
             assert!(!error.is_empty() && !error.contains('\n'), "{line}: {error:?}");
         }
-    }
-
-    #[test]
-    fn si_prefixes_keep_sub_millijoule_lanes_visible() {
-        assert_eq!(si(123.456, "J"), "123.46 J");
-        assert_eq!(si(0.0042, "J"), "4.20 mJ");
-        assert_eq!(si(8.88e-7, "J"), "888.00 nJ");
-        assert_eq!(si(4.99e-6, "J"), "4.99 µJ");
-        assert_eq!(si(3.6e-5, "s"), "36.00 µs");
-        assert_eq!(si(0.0, "s"), "0.00 s");
     }
 
     #[test]

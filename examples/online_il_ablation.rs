@@ -6,7 +6,7 @@
 //! ```
 
 use soclearn_core::experiments::{buffer_ablation, overhead_ablation, ExperimentScale};
-use soclearn_core::report::render_table;
+use soclearn_core::report::{render_table, si};
 
 fn main() {
     let rows = buffer_ablation(ExperimentScale::Full, &[10, 25, 50, 100, 200, 400]);
@@ -34,7 +34,7 @@ fn main() {
     let rows = overhead_ablation(ExperimentScale::Full);
     let table: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| vec![r.policy.clone(), format!("{:.1} us", r.mean_decision_ns / 1000.0)])
+        .map(|r| vec![r.policy.clone(), si(r.mean_decision_ns / 1e9, "s")])
         .collect();
     println!(
         "{}",

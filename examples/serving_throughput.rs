@@ -64,11 +64,10 @@ fn main() {
         .with_cache(artifacts.sweep_cache().clone())
         .with_oracle_reference(OracleObjective::Energy);
     let il = il_driver.run_stream_mixed(&SliceSource::new(&scenarios), |_, _| {
-        SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig {
-            buffer_capacity: 15,
-            neighbourhood_radius: 2,
-            ..OnlineIlConfig::default()
-        })))
+        SubstratePolicies::cpu_only(Box::new(
+            artifacts
+                .online_policy(OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 }),
+        ))
     });
 
     // RL baseline users: per-user exploration seeds, same serving harness.
@@ -78,7 +77,7 @@ fn main() {
     let rl = rl_driver.run_stream_mixed(&SliceSource::new(&scenarios), |user, _| {
         SubstratePolicies::cpu_only(Box::new(QTableAgent::new(
             &platform,
-            RlConfig::default().with_seed(1000 + user as u64),
+            RlConfig { seed: 1000 + user as u64 },
         )))
     });
 

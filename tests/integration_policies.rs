@@ -79,11 +79,7 @@ fn online_il_keeps_improving_when_the_workload_shifts_twice() {
     let offline = OfflineIlPolicy::train(&platform, &demos, PolicyModelKind::Mlp);
     let mut online = OnlineIlPolicy::from_offline(
         offline,
-        OnlineIlConfig {
-            buffer_capacity: 20,
-            neighbourhood_radius: 2,
-            ..OnlineIlConfig::default()
-        },
+        OnlineIlConfig { buffer_capacity: 20, neighbourhood_radius: 2 },
     );
     online.pretrain_models(&SocSimulator::new(platform.clone()), &train);
 
@@ -117,11 +113,7 @@ fn rl_agents_learn_something_but_remain_worse_than_online_il() {
     let offline = OfflineIlPolicy::train(&platform, &demos, PolicyModelKind::Mlp);
     let mut online = OnlineIlPolicy::from_offline(
         offline,
-        OnlineIlConfig {
-            buffer_capacity: 20,
-            neighbourhood_radius: 2,
-            ..OnlineIlConfig::default()
-        },
+        OnlineIlConfig { buffer_capacity: 20, neighbourhood_radius: 2 },
     );
     online.pretrain_models(&SocSimulator::new(platform.clone()), &train);
 

@@ -167,11 +167,7 @@ fn day_long_diurnal_fleet_compresses_to_subsecond_wall_time() {
 fn online_il_beats_both_governors_on_a_generated_family() {
     let platform = SocPlatform::odroid_xu3();
     let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
-    let il_config = OnlineIlConfig {
-        buffer_capacity: 15,
-        neighbourhood_radius: 2,
-        ..OnlineIlConfig::default()
-    };
+    let il_config = OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 };
     let fleet = FleetStress::new(platform, ScenarioGenerator::standard(2020, 10), 12, 2);
     let (_, _, [vs_ondemand, vs_interactive]) = fleet.run_against_governors(|_, _| {
         SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(il_config)))
