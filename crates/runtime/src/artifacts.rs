@@ -20,9 +20,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use soclearn_telemetry::{ObservedMutex, ObservedRwLock, TelemetryRegistry};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use soclearn_imitation::{
     pretrain_candidate_models, OfflineIlPolicy, OnlineIlConfig, OnlineIlPolicy, PolicyModelKind,
@@ -100,7 +98,7 @@ pub struct TrainingArtifacts {
     /// Sweep memo shared by every engine derived from these artifacts.
     sweep_cache: Arc<SweepCache>,
     /// Memoised Oracle runs keyed by exact profile sequence.
-    oracle_runs: ObservedMutex<HashMap<ProfilesKey, Arc<OracleRun>>>,
+    oracle_runs: Mutex<HashMap<ProfilesKey, Arc<OracleRun>>>,
     /// Scale the artifacts were built at (telemetry label).
     scale: ExperimentScale,
     /// Wall-clock seconds the design-time build took.
@@ -139,7 +137,7 @@ impl TrainingArtifacts {
             pretrained_power,
             pretrained_time,
             sweep_cache,
-            oracle_runs: ObservedMutex::new("artifact_oracle_memo", HashMap::new()),
+            oracle_runs: Mutex::new(HashMap::new()),
             scale,
             build_wall_s: build_started.elapsed().as_secs_f64(),
             oracle_memo_hits: AtomicUsize::new(0),
@@ -155,14 +153,6 @@ impl TrainingArtifacts {
     /// The scale the artifacts were built at.
     pub fn scale(&self) -> ExperimentScale {
         self.scale
-    }
-
-    /// Observe this artifact set's lock contention in `registry`: the
-    /// Oracle-run memo (`artifact_oracle_memo` site) and the shared sweep
-    /// cache's shard/platform locks.
-    pub fn attach_contention(&self, registry: &TelemetryRegistry) {
-        self.oracle_runs.attach(registry);
-        self.sweep_cache.attach_contention(registry);
     }
 
     /// Publishes build/memo telemetry into an observability registry: the
@@ -221,20 +211,20 @@ impl TrainingArtifacts {
     /// Oracle run through the sweep cache.
     pub fn oracle_run(&self, profiles: &[SnippetProfile]) -> Arc<OracleRun> {
         let key = ProfilesKey::of(profiles);
-        if let Some(run) = self.oracle_runs.lock().get(&key) {
+        if let Some(run) = self.oracle_runs.lock().expect("oracle memo lock").get(&key) {
             self.oracle_memo_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(run);
         }
         self.oracle_memo_misses.fetch_add(1, Ordering::Relaxed);
         let mut engine = self.sweep_engine();
         let run = Arc::new(engine.oracle_run(profiles, OracleObjective::Energy));
-        let mut memo = self.oracle_runs.lock();
+        let mut memo = self.oracle_runs.lock().expect("oracle memo lock");
         Arc::clone(memo.entry(key).or_insert(run))
     }
 
     /// Number of memoised Oracle runs.
     pub fn oracle_runs_cached(&self) -> usize {
-        self.oracle_runs.lock().len()
+        self.oracle_runs.lock().expect("oracle memo lock").len()
     }
 }
 
@@ -251,36 +241,14 @@ type ArtifactCell = Arc<OnceLock<Arc<TrainingArtifacts>>>;
 /// Distinct keys build independently (the map lock is only held to fetch the
 /// cell, never during a build).
 pub struct ArtifactStore {
-    cells: ObservedRwLock<HashMap<ArtifactKey, ArtifactCell>>,
+    cells: Mutex<HashMap<ArtifactKey, ArtifactCell>>,
     builds: AtomicUsize,
-    /// Registry attached via [`ArtifactStore::attach_contention`]; artifact
-    /// sets built afterwards attach themselves on construction.
-    contention: OnceLock<Arc<TelemetryRegistry>>,
 }
 
 impl ArtifactStore {
     /// Creates an empty store (tests; production code uses [`ArtifactStore::global`]).
     pub fn new() -> Self {
-        Self {
-            cells: ObservedRwLock::new("artifact_store_cells", HashMap::new()),
-            builds: AtomicUsize::new(0),
-            contention: OnceLock::new(),
-        }
-    }
-
-    /// Observe the store's lock contention in `registry`: the cell map
-    /// (`artifact_store_cells` site), every already-built artifact set's
-    /// memo and sweep-cache locks, and — through the stored registry handle
-    /// — every artifact set built later.
-    pub fn attach_contention(&self, registry: &Arc<TelemetryRegistry>) {
-        self.cells.attach(registry);
-        let _ = self.contention.set(Arc::clone(registry));
-        let cells: Vec<ArtifactCell> = self.cells.read().values().cloned().collect();
-        for cell in cells {
-            if let Some(artifacts) = cell.get() {
-                artifacts.attach_contention(registry);
-            }
-        }
+        Self { cells: Mutex::new(HashMap::new()), builds: AtomicUsize::new(0) }
     }
 
     /// The process-wide store.
@@ -298,22 +266,17 @@ impl ArtifactStore {
     ) -> Arc<TrainingArtifacts> {
         let key = (serde_json::to_string(platform).expect("platform serialises to JSON"), scale);
         // Fetch (or create) the key's cell under the map lock, then build
-        // outside it: the read guard must be dropped before the write lock is
-        // taken, and neither is held while `build` runs.
-        let existing = self.cells.read().get(&key).cloned();
-        let cell = match existing {
-            Some(cell) => cell,
-            None => Arc::clone(
-                self.cells.write().entry(key).or_insert_with(|| Arc::new(OnceLock::new())),
-            ),
-        };
+        // outside it: the lock is never held while `build` runs.
+        let cell = Arc::clone(
+            self.cells
+                .lock()
+                .expect("artifact store lock")
+                .entry(key)
+                .or_insert_with(|| Arc::new(OnceLock::new())),
+        );
         Arc::clone(cell.get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
-            let artifacts = TrainingArtifacts::build(platform.clone(), scale);
-            if let Some(registry) = self.contention.get() {
-                artifacts.attach_contention(registry);
-            }
-            Arc::new(artifacts)
+            Arc::new(TrainingArtifacts::build(platform.clone(), scale))
         }))
     }
 
@@ -324,7 +287,7 @@ impl ArtifactStore {
 
     /// Number of distinct keys the store has seen.
     pub fn len(&self) -> usize {
-        self.cells.read().len()
+        self.cells.lock().expect("artifact store lock").len()
     }
 
     /// Whether the store has seen no keys yet.

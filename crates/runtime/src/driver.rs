@@ -326,8 +326,7 @@ pub struct DriverTelemetry {
     pub cache: SweepCacheStats,
     /// Aggregated counters of the per-worker L1 warm tiers (zero-lock hit
     /// path of the Oracle-reference engines); all-zero when the driver runs
-    /// without an Oracle reference or with the L1 disabled
-    /// ([`ScenarioDriver::without_worker_l1`]).
+    /// without an Oracle reference.
     pub l1: SweepL1Stats,
     /// Per-substrate decision/energy/time breakdown, canonical order
     /// (cross-substrate energy accounting of a heterogeneous fleet).
@@ -355,9 +354,6 @@ pub struct ScenarioDriver {
     /// Observability plane: metrics registry + span flight recorder. `None`
     /// (the default) instruments nothing and costs nothing on the hot path.
     obs: Option<Observability>,
-    /// Per-worker L1 warm tier over the shared sweep cache (default sizes),
-    /// on by default.
-    worker_l1: bool,
     /// Tiered model store for per-user personalization: the driver final-
     /// merges it at run end and reports its accounting.
     personalization: Option<Arc<crate::store::TieredModelStore>>,
@@ -379,7 +375,6 @@ impl ScenarioDriver {
             clock: Clock::wall(),
             service_dilation: None,
             obs: None,
-            worker_l1: true,
             personalization: None,
         }
     }
@@ -407,26 +402,12 @@ impl ScenarioDriver {
         self.personalization.as_ref()
     }
 
-    /// Disables the per-worker L1 warm tier each worker's Oracle-reference
-    /// engine keeps over the shared sweep cache (default: on, with
-    /// [`SweepEngine::DEFAULT_L1_CAPACITY`] /
-    /// [`SweepEngine::DEFAULT_L1_PUBLISH_EVERY`]): every sweep lookup goes to
-    /// the shared shards.  Results are bit-identical either way; the L1 only
-    /// removes shard-lock traffic from the warm path.
-    #[must_use]
-    pub fn without_worker_l1(mut self) -> Self {
-        self.worker_l1 = false;
-        self
-    }
-
     /// Publishes serving telemetry into an [`Observability`] plane: per-run,
     /// per-worker, per-substrate-lane and per-policy counters plus latency /
     /// sojourn / queue-delay distributions into the registry, and per-scenario
-    /// spans into the span recorder.  Span timestamps follow the determinism
-    /// contract: under a wall clock the driver records live profiling spans
-    /// (worker tracks, racy by nature); under a virtual clock it records
-    /// spans **only** for scenarios with [`QueueStamp`]s, derived from the
-    /// schedule-relative stamps (user tracks), so the recorded span multiset
+    /// spans into the span recorder.  The driver records spans **only** for
+    /// scenarios with [`QueueStamp`]s, derived from the schedule-relative
+    /// stamps (one track per scenario index), so the recorded span multiset
     /// is bit-deterministic at any worker count.
     #[must_use]
     pub fn with_observability(mut self, obs: Observability) -> Self {
@@ -489,11 +470,6 @@ impl ScenarioDriver {
         );
         self.service_dilation = Some(time_dilation);
         self
-    }
-
-    /// The service-time dilation factor, when service-time mode is on.
-    pub fn service_time_dilation(&self) -> Option<f64> {
-        self.service_dilation
     }
 
     /// Scores every decision against an Oracle run of the same scenario under
@@ -729,15 +705,10 @@ impl ScenarioDriver {
             l1: SweepL1Stats::default(),
         };
         let mut oracle_engine = self.oracle_reference.map(|_| {
-            let engine = SweepEngine::with_cache(self.platform.clone(), Arc::clone(&self.cache));
-            if self.worker_l1 {
-                engine.with_warm_l1(
-                    SweepEngine::DEFAULT_L1_CAPACITY,
-                    SweepEngine::DEFAULT_L1_PUBLISH_EVERY,
-                )
-            } else {
-                engine
-            }
+            SweepEngine::with_cache(self.platform.clone(), Arc::clone(&self.cache)).with_warm_l1(
+                SweepEngine::DEFAULT_L1_CAPACITY,
+                SweepEngine::DEFAULT_L1_PUBLISH_EVERY,
+            )
         });
 
         while let Some((index, scenario)) = source.next_scenario() {
@@ -795,14 +766,6 @@ impl ScenarioDriver {
         S: ScenarioSource + ?Sized,
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
-        // Live profiling span start: wall clock only.  Under a virtual clock
-        // a `now_ns` read here would race with other workers' advances, so
-        // virtual-clock spans are instead derived from the deterministic
-        // queue stamps below.
-        let scenario_started_ns = match &self.obs {
-            Some(_) if !self.clock.is_virtual() => Some(self.clock.now_ns()),
-            _ => None,
-        };
         let mut policies = make_policies(index, scenario);
         let policy_name = (record || self.obs.is_some()).then(|| {
             // Pure-CPU scenarios keep the bare CPU policy name (the original
@@ -942,10 +905,9 @@ impl ScenarioDriver {
                 .counter("driver_policy_decisions_total", &[("policy", policy)])
                 .add(ordinal as u64);
             if let Some(stamp) = &queue {
-                // Virtual-clock (or any queue-aware) run: arrival→start→
-                // completion spans derived from the schedule-relative stamps,
-                // one track per scenario index — bit-deterministic at any
-                // worker count.
+                // Arrival→start→completion spans derived from the
+                // schedule-relative stamps, one track per scenario index —
+                // bit-deterministic at any worker count.
                 let track = index as u64;
                 obs.spans.record(
                     Span::new("queue_wait", "queue", track, stamp.arrival_ns, stamp.delay_ns())
@@ -955,20 +917,6 @@ impl ScenarioDriver {
                     Span::new("serve", "driver", track, stamp.start_ns, stamp.service_ns)
                         .with_arg("user", &scenario.name)
                         .with_arg("policy", policy),
-                );
-            } else if let Some(started_ns) = scenario_started_ns {
-                // Wall clock: a live profiling span on the worker's track.
-                let dur_ns = self.clock.now_ns().saturating_sub(started_ns);
-                obs.spans.record(
-                    Span::new(
-                        "serve_scenario",
-                        "driver",
-                        slot.telemetry.worker as u64,
-                        started_ns,
-                        dur_ns,
-                    )
-                    .with_arg("user", &scenario.name)
-                    .with_arg("policy", policy),
                 );
             }
         }
@@ -1023,7 +971,7 @@ struct WorkerSlot {
     /// run's `wall_seconds` is the maximum across workers.
     max_completion_ns: u64,
     /// Final counters of this worker's private L1 warm tier (all-zero when
-    /// the run had no Oracle-reference engine or the L1 is disabled).
+    /// the run had no Oracle-reference engine).
     l1: SweepL1Stats,
 }
 
@@ -1091,39 +1039,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_l1_is_transparent_to_run_results() {
-        let platform = SocPlatform::small();
-        let specs = scenarios(6);
-        let serve = |driver: ScenarioDriver| {
-            driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
-                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
-            })
-        };
-        let with_l1 = serve(
-            ScenarioDriver::new(platform.clone(), 1).with_oracle_reference(OracleObjective::Energy),
-        );
-        let without = serve(
-            ScenarioDriver::new(platform.clone(), 1)
-                .with_oracle_reference(OracleObjective::Energy)
-                .without_worker_l1(),
-        );
-        assert_eq!(with_l1.oracle_agreement, without.oracle_agreement);
-        assert_eq!(with_l1.total_energy_j.to_bits(), without.total_energy_j.to_bits());
-        assert_eq!(with_l1.simulated_time_s.to_bits(), without.simulated_time_s.to_bits());
-        assert!(with_l1.l1.hits > 0, "repeated users should warm the L1");
-        assert_eq!(without.l1, SweepL1Stats::default());
-        // The worker flushes its pending batch on drain, so the shared cache
-        // ends up warm either way.
-        assert!(with_l1.cache.entries > 0, "flush must publish L1-computed sweeps");
-    }
-
-    #[test]
     fn cache_stats_count_only_the_run() {
         let platform = SocPlatform::small();
         let specs = scenarios(4);
-        let driver = ScenarioDriver::new(platform.clone(), 1)
-            .with_oracle_reference(OracleObjective::Energy)
-            .without_worker_l1();
+        let driver =
+            ScenarioDriver::new(platform.clone(), 1).with_oracle_reference(OracleObjective::Energy);
         let serve = || {
             driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
                 SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
@@ -1212,7 +1132,6 @@ mod tests {
         let driver = ScenarioDriver::new(platform.clone(), 1)
             .with_clock(clock.clone())
             .with_service_time(1.0);
-        assert_eq!(driver.service_time_dilation(), Some(1.0));
         let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
             SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });

@@ -71,7 +71,7 @@ pub use scale::ExperimentScale;
 /// Re-exported so downstream crates can configure [`TieredModelStore`]
 /// leases without depending on `soclearn-imitation` directly.
 pub use soclearn_imitation::OnlineIlConfig;
-pub use soclearn_telemetry::{LatencyHistogram, ObservedMutex, ObservedRwLock, QuantileSketch};
+pub use soclearn_telemetry::{LatencyHistogram, ObservedMutex, QuantileSketch};
 pub use store::{ModelStoreStats, TieredModelStore, TieredPolicy};
 pub use substrate::{
     noc_decision_seed, replay_noc_window, DecisionKind, FrameDemand, GpuConfig, GpuDecisionRecord,

@@ -1,6 +1,6 @@
 //! Observability plane re-export: the [`soclearn_telemetry`] registry, span
 //! recorder and exporters, bundled as one [`Observability`] handle that the
-//! driver, sweep cache, artifact store and fleet harness all accept.
+//! driver and the fleet harness accept.
 //!
 //! The handle is two `Arc`s — cloning is cheap, and every layer that gets a
 //! clone publishes into the same registry and span ring. Layers that are
@@ -8,11 +8,10 @@
 
 use std::sync::Arc;
 
-use soclearn_telemetry::span::DEFAULT_SPAN_CAPACITY;
 pub use soclearn_telemetry::{
     sorted_quantile_ns, validate_prometheus, Counter, Gauge, HistogramCell, LatencyHistogram,
-    MetricId, MetricsSnapshot, ObservedMutex, ObservedRwLock, QuantileSketch, SketchCell, Span,
-    SpanRecorder, TelemetryRegistry,
+    MetricId, MetricsSnapshot, ObservedMutex, QuantileSketch, SketchCell, Span, SpanRecorder,
+    TelemetryRegistry,
 };
 
 /// Shared handle on the observability plane: one metrics registry plus one
@@ -29,23 +28,18 @@ pub struct Observability {
 
 impl Default for Observability {
     fn default() -> Self {
-        Self::with_span_capacity(DEFAULT_SPAN_CAPACITY)
+        Self::new()
     }
 }
 
 impl Observability {
-    /// A fresh plane with the default span-ring capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh plane with an explicit span-ring capacity. The span ring's
+    /// A fresh plane with the default span-ring capacity. The span ring's
     /// own lock is contention-observed in the registry from birth (the
     /// `span_ring` site), so the flight recorder can never become an
     /// invisible serialization point.
-    pub fn with_span_capacity(capacity: usize) -> Self {
+    pub fn new() -> Self {
         let registry = Arc::new(TelemetryRegistry::new());
-        let spans = Arc::new(SpanRecorder::with_capacity(capacity));
+        let spans = Arc::new(SpanRecorder::default());
         spans.attach_contention(&registry);
         Self { registry, spans }
     }

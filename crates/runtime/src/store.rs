@@ -47,7 +47,7 @@ use soclearn_imitation::{OnlineIlConfig, OnlineIlPolicy};
 use soclearn_online_learning::stats::RlsStats;
 use soclearn_online_learning::traits::OnlineRegressor;
 use soclearn_soc_sim::{DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
-use soclearn_telemetry::{ObservedMutex, ObservedRwLock, TelemetryRegistry};
+use soclearn_telemetry::{ObservedMutex, TelemetryRegistry};
 
 use crate::artifacts::TrainingArtifacts;
 
@@ -142,7 +142,7 @@ pub struct TieredModelStore {
     config: OnlineIlConfig,
     merge_every: usize,
     full_copy_bytes: usize,
-    base: ObservedRwLock<Arc<BaseTier>>,
+    base: ObservedMutex<Arc<BaseTier>>,
     pending: ObservedMutex<PendingPool>,
     /// Delta materializations per scenario family (lease-time labels — no
     /// per-user audit set, so the table stays `O(families)` at 10⁶ users).
@@ -182,7 +182,7 @@ impl TieredModelStore {
             config,
             merge_every,
             full_copy_bytes,
-            base: ObservedRwLock::new(
+            base: ObservedMutex::new(
                 "model_store_base",
                 Arc::new(BaseTier { version: 0, prototype, power_stats, time_stats }),
             ),
@@ -227,7 +227,7 @@ impl TieredModelStore {
     /// interned `Arc<str>` to make the lease allocation-free).
     pub fn lease(self: &Arc<Self>, family: impl Into<Arc<str>>) -> TieredPolicy {
         self.users_leased.fetch_add(1, Ordering::Relaxed);
-        let base = Arc::clone(&self.base.read());
+        let base = Arc::clone(&self.base.lock());
         TieredPolicy {
             store: Arc::clone(self),
             family: family.into(),
@@ -237,13 +237,13 @@ impl TieredModelStore {
 
     /// Current base generation (0 until the first fleet merge completes).
     pub fn base_version(&self) -> u64 {
-        self.base.read().version
+        self.base.lock().version
     }
 
     /// Clones the base tier's cumulative `(power, time)` sufficient
     /// statistics — what the merge-law tests compare against batch fits.
     pub fn base_stats(&self) -> (RlsStats, RlsStats) {
-        let base = self.base.read();
+        let base = self.base.lock();
         (base.power_stats.clone(), base.time_stats.clone())
     }
 
@@ -382,10 +382,10 @@ impl TieredModelStore {
     /// The fleet merge: absorb `(power, time)` deltas into the cumulative
     /// base statistics, refit the analytical models at `λ = 1` and publish a
     /// new base generation.  Exact by the [`RlsStats::merge`] law; concurrent
-    /// merges serialize on the base write lock and compose (each folds its
+    /// merges serialize on the base lock and compose (each folds its
     /// delta into whatever cumulative state it finds).
     fn fold_into_base(&self, power: RlsStats, time: RlsStats) {
-        let mut slot = self.base.write();
+        let mut slot = self.base.lock();
         let mut power_stats = slot.power_stats.clone();
         let mut time_stats = slot.time_stats.clone();
         power_stats.merge(&power);

@@ -7,9 +7,9 @@
 //! [`SubstrateWork`] segments (CPU snippet streams, GPU frame sessions, NoC
 //! monitoring windows), every served decision is captured as a kind-tagged
 //! [`SubstrateRecord`], and the [`SubstrateDecision`] trait exposes the
-//! fields every substrate shares — configuration chosen, energy, service
-//! time and a feature vector — so telemetry, traces and fleet aggregation
-//! never need to know which substrate produced a decision.
+//! fields every substrate shares — kind, energy and service time — so
+//! telemetry, traces and fleet aggregation never need to know which
+//! substrate produced a decision.
 //!
 //! The execution adapters live here too: [`GpuServing`] routes a GPU frame
 //! session through either the baseline utilization governor or the paper's
@@ -20,7 +20,6 @@
 //! seeded simulations.  Both adapters are deterministic: a scenario's
 //! decisions depend only on its spec, never on worker interleaving.
 
-use soclearn_gpu_sim::controller::MaxPerformanceController;
 use soclearn_gpu_sim::{FrameResult, GpuSimulator};
 pub use soclearn_gpu_sim::{GpuConfig, GpuController, GpuPlatform, UtilizationGovernor};
 use soclearn_nmpc::{GpuSensitivityModel, MultiRateNmpcController, NmpcSettings};
@@ -64,16 +63,6 @@ impl DecisionKind {
             DecisionKind::Noc => 2,
         }
     }
-
-    /// Parses a [`DecisionKind::label`] back into the kind.
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "cpu" => Some(DecisionKind::Cpu),
-            "gpu" => Some(DecisionKind::Gpu),
-            "noc" => Some(DecisionKind::Noc),
-            _ => None,
-        }
-    }
 }
 
 /// Substrate-agnostic view of one serving decision.
@@ -85,19 +74,12 @@ pub trait SubstrateDecision {
     /// The substrate this decision managed.
     fn kind(&self) -> DecisionKind;
 
-    /// Human-readable label of the configuration the policy chose.
-    fn config_label(&self) -> String;
-
     /// Energy attributed to the decision, joules.
     fn energy_j(&self) -> f64;
 
     /// Simulated service time of the decision, seconds (what service-time
     /// mode spends on the driver's clock).
     fn service_time_s(&self) -> f64;
-
-    /// The feature vector the managing policy observed (substrate-specific
-    /// dimensionality, but always plain `f64`s).
-    fn feature_vector(&self) -> Vec<f64>;
 }
 
 /// A GPU frame-rendering session inside a scenario.
@@ -226,25 +208,12 @@ impl SubstrateDecision for GpuDecisionRecord {
         DecisionKind::Gpu
     }
 
-    fn config_label(&self) -> String {
-        format!("{}sl/f{}", self.config.active_slices, self.config.freq_idx)
-    }
-
     fn energy_j(&self) -> f64 {
         self.energy_j
     }
 
     fn service_time_s(&self) -> f64 {
         self.time_s
-    }
-
-    fn feature_vector(&self) -> Vec<f64> {
-        vec![
-            self.demand.work_cycles,
-            self.demand.parallel_fraction,
-            self.demand.memory_accesses,
-            self.utilization,
-        ]
     }
 }
 
@@ -285,25 +254,12 @@ impl SubstrateDecision for NocDecisionRecord {
         DecisionKind::Noc
     }
 
-    fn config_label(&self) -> String {
-        format!("rate{:.3}", self.injection_rate)
-    }
-
     fn energy_j(&self) -> f64 {
         self.energy_j
     }
 
     fn service_time_s(&self) -> f64 {
         self.time_s
-    }
-
-    fn feature_vector(&self) -> Vec<f64> {
-        vec![
-            self.injection_rate,
-            self.mesh.nodes() as f64,
-            self.analytical_latency_cycles,
-            self.predicted_latency_cycles,
-        ]
     }
 }
 
@@ -312,31 +268,12 @@ impl SubstrateDecision for DecisionRecord {
         DecisionKind::Cpu
     }
 
-    fn config_label(&self) -> String {
-        format!("{}", self.config)
-    }
-
     fn energy_j(&self) -> f64 {
         self.energy_j
     }
 
     fn service_time_s(&self) -> f64 {
         self.time_s
-    }
-
-    fn feature_vector(&self) -> Vec<f64> {
-        let c = &self.counters;
-        vec![
-            c.instructions_retired,
-            c.cpu_cycles_total,
-            c.branch_mispredictions_per_core,
-            c.l2_cache_misses,
-            c.data_memory_accesses,
-            c.external_memory_requests,
-            c.little_cluster_utilization,
-            c.big_cluster_utilization,
-            c.total_chip_power_w,
-        ]
     }
 }
 
@@ -395,14 +332,6 @@ impl SubstrateDecision for SubstrateRecord {
         }
     }
 
-    fn config_label(&self) -> String {
-        match self {
-            SubstrateRecord::Cpu(record) => record.config_label(),
-            SubstrateRecord::Gpu(record) => record.config_label(),
-            SubstrateRecord::Noc(record) => record.config_label(),
-        }
-    }
-
     fn energy_j(&self) -> f64 {
         match self {
             SubstrateRecord::Cpu(record) => record.energy_j(),
@@ -418,14 +347,6 @@ impl SubstrateDecision for SubstrateRecord {
             SubstrateRecord::Noc(record) => record.service_time_s(),
         }
     }
-
-    fn feature_vector(&self) -> Vec<f64> {
-        match self {
-            SubstrateRecord::Cpu(record) => record.feature_vector(),
-            SubstrateRecord::Gpu(record) => record.feature_vector(),
-            SubstrateRecord::Noc(record) => record.feature_vector(),
-        }
-    }
 }
 
 /// How GPU segments are served.
@@ -434,8 +355,6 @@ pub enum GpuServing {
     /// Baseline utilization governor (all slices powered, threshold DVFS) —
     /// the per-substrate governor baseline.
     Governor,
-    /// Reference controller: every slice at maximum frequency.
-    MaxPerformance,
     /// Multi-rate NMPC over RLS sensitivity models, pretrained per scenario
     /// on a strided sample of the session's own frames.
     Nmpc {
@@ -456,7 +375,6 @@ impl GpuServing {
     pub fn label(&self) -> &'static str {
         match self {
             GpuServing::Governor => "gpu-governor",
-            GpuServing::MaxPerformance => "gpu-max",
             GpuServing::Nmpc { .. } => "gpu-nmpc",
         }
     }
@@ -557,7 +475,6 @@ impl GpuAdapter {
         let sim = GpuSimulator::new(platform.clone());
         let controller: Box<dyn GpuController + Send> = match *serving {
             GpuServing::Governor => Box::new(UtilizationGovernor::new()),
-            GpuServing::MaxPerformance => Box::new(MaxPerformanceController),
             GpuServing::Nmpc { forgetting_factor, pretrain_stride } => {
                 let mut model = GpuSensitivityModel::new(forgetting_factor);
                 let sample: Vec<FrameDemand> =
@@ -814,9 +731,7 @@ mod tests {
     #[test]
     fn decision_kind_labels_round_trip() {
         for kind in DecisionKind::ALL {
-            assert_eq!(DecisionKind::from_label(kind.label()), Some(kind));
             assert_eq!(DecisionKind::ALL[kind.lane()], kind);
         }
-        assert_eq!(DecisionKind::from_label("dsp"), None);
     }
 }

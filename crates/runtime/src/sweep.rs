@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use soclearn_telemetry::{ObservedMutex, ObservedRwLock};
+use soclearn_telemetry::ObservedMutex;
 
 use soclearn_oracle::{Demonstration, OracleObjective, OracleRun, OracleSearch};
 use soclearn_soc_sim::{DvfsConfig, SnippetExecution, SocPlatform, SocSimulator};
@@ -278,7 +278,7 @@ struct SweepShard {
 pub struct SweepCache {
     shards: Vec<ObservedMutex<SweepShard>>,
     /// Registered platform fingerprints; index = platform id.
-    platforms: ObservedRwLock<Vec<String>>,
+    platforms: ObservedMutex<Vec<String>>,
     capacity_per_shard: usize,
 }
 
@@ -326,7 +326,7 @@ impl SweepCache {
             shards: (0..shards)
                 .map(|_| ObservedMutex::new("sweep_cache_shard", SweepShard::default()))
                 .collect(),
-            platforms: ObservedRwLock::new("sweep_cache_platforms", Vec::new()),
+            platforms: ObservedMutex::new("sweep_cache_platforms", Vec::new()),
             capacity_per_shard: capacity.div_ceil(shards),
         }
     }
@@ -419,13 +419,7 @@ impl SweepCache {
     /// Registers (or looks up) a platform and returns its stable id.
     fn platform_id(&self, platform: &SocPlatform) -> u32 {
         let fingerprint = serde_json::to_string(platform).expect("platform serialises");
-        {
-            let platforms = self.platforms.read();
-            if let Some(idx) = platforms.iter().position(|p| *p == fingerprint) {
-                return idx as u32;
-            }
-        }
-        let mut platforms = self.platforms.write();
+        let mut platforms = self.platforms.lock();
         if let Some(idx) = platforms.iter().position(|p| *p == fingerprint) {
             idx as u32
         } else {

@@ -22,8 +22,8 @@
 //!    compares two policy runs over the same snippet stream.
 //! 3. [`stress`] — a **fleet stress harness**: [`stress::FleetSource`]
 //!    streams generated users into the driver under arrival schedules
-//!    (constant, bursty, ramp, 24 h diurnal cycles, Markov-modulated
-//!    calm/storm traffic) and [`stress::FleetStress`] aggregates fleet
+//!    (constant, bursty, 24 h diurnal cycles, Markov-modulated calm/storm
+//!    traffic) and [`stress::FleetStress`] aggregates fleet
 //!    telemetry — per-family oracle agreement, energy deltas against baseline
 //!    governor fleets, tail latency.  Pacing and telemetry share a
 //!    `soclearn_runtime::Clock`, so under a virtual clock multi-day schedules

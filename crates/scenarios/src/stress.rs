@@ -3,10 +3,10 @@
 //! [`FleetSource`] adapts a [`ScenarioGenerator`] into the driver's streaming
 //! [`ScenarioSource`]: users are manufactured on demand as workers claim them
 //! (never materialised up front) and released according to an
-//! [`ArrivalSchedule`] — constant spacing, bursts, a ramp, a sinusoidal
-//! diurnal cycle or Markov-modulated calm/storm traffic — so the serving
-//! stack is exercised under realistic admission patterns, not just a
-//! pre-loaded queue.  [`FleetStress`] wraps the whole loop and aggregates
+//! [`ArrivalSchedule`] — constant spacing, bursts, a sinusoidal diurnal
+//! cycle or Markov-modulated calm/storm traffic — so the serving stack is
+//! exercised under realistic admission patterns, not just a pre-loaded
+//! queue.  [`FleetStress`] wraps the whole loop and aggregates
 //! *fleet* telemetry on top of the driver's: per-family decision counts,
 //! energy and oracle agreement, plus energy deltas against baseline governor
 //! fleets over the identical scenario stream.
@@ -69,14 +69,6 @@ pub enum ArrivalSchedule {
         /// Pause between bursts.
         gap: Duration,
     },
-    /// Arrival spacing shrinks linearly from `start` to `end` over the fleet —
-    /// a load ramp.
-    Ramp {
-        /// Spacing at the first arrival.
-        start: Duration,
-        /// Spacing at the last arrival.
-        end: Duration,
-    },
     /// Day/night load cycle: arrival spacing oscillates sinusoidally between
     /// `peak` (the densest spacing, at phase zero) and `off_peak` (the
     /// sparsest, half a `period` later), with the phase driven by the arrival
@@ -119,29 +111,20 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl ArrivalSchedule {
-    /// Offset from the run start at which user `index` of `total` arrives.
+    /// Offset from the run start at which user `index` arrives.
     ///
     /// A pure function of the schedule and `index` — that purity is what the
-    /// fleet determinism guarantees rest on.  `Immediate`, `Constant`,
-    /// `Bursty` and `Ramp` are closed-form O(1); the self-referential
-    /// schedules (`Diurnal`, whose spacing depends on the arrival time
-    /// itself, and `Markov`, whose state chain advances per arrival) cost
-    /// O(`index`) float steps from scratch — an [`ArrivalPlan`] memoises the
-    /// prefix so a fleet that queries every arrival pays O(n) total instead
-    /// of O(n²).
-    pub fn arrival_offset(&self, index: usize, total: usize) -> Duration {
+    /// fleet determinism guarantees rest on.  `Immediate`, `Constant` and
+    /// `Bursty` are closed-form O(1); the self-referential schedules
+    /// (`Diurnal`, whose spacing depends on the arrival time itself, and
+    /// `Markov`, whose state chain advances per arrival) cost O(`index`)
+    /// float steps per call — an [`ArrivalPlan`] memoises the prefix so
+    /// a fleet that queries every arrival pays O(n) total instead of O(n²).
+    pub fn arrival_offset(&self, index: usize) -> Duration {
         match *self {
             ArrivalSchedule::Immediate => Duration::ZERO,
             ArrivalSchedule::Constant { interval } => interval * index as u32,
             ArrivalSchedule::Bursty { burst, gap } => gap * (index / burst.max(1)) as u32,
-            ArrivalSchedule::Ramp { start, end } => {
-                // Arithmetic series of the linearly interpolated spacing
-                // sequence: sum of start + (end-start)·(i/n) for i < index.
-                let n = total.max(2) as f64 - 1.0;
-                let k = index as f64;
-                let slope = (end.as_secs_f64() - start.as_secs_f64()) / n;
-                Duration::from_secs_f64(k * start.as_secs_f64() + slope * (k * (k - 1.0) / 2.0))
-            }
             ArrivalSchedule::Diurnal { .. } | ArrivalSchedule::Markov { .. } => {
                 let mut state = CumulativeState::new(*self);
                 for _ in 0..index {
@@ -205,19 +188,18 @@ impl CumulativeState {
     }
 }
 
-/// Memoised arrival offsets of one schedule over one fleet: O(1) for the
-/// closed-form schedules and O(1) amortised for the self-referential ones
-/// (`Diurnal`, `Markov`), against O(`index`) per query on the bare
+/// Memoised arrival offsets of one schedule: O(1) for the closed-form
+/// schedules and O(1) amortised for the self-referential ones (`Diurnal`,
+/// `Markov`), against O(`index`) per query on the bare
 /// [`ArrivalSchedule::arrival_offset`].
 ///
-/// Every offset is **bit-identical** to `arrival_offset(index, total)`: the
+/// Every offset is **bit-identical** to `arrival_offset(index)`: the
 /// plan extends a cached prefix by stepping the same recurrence in the same
 /// order, it never re-associates the float accumulation.  Queries may arrive
 /// from any thread in any index order (the cache sits behind a mutex), which
 /// is exactly how a multi-worker [`FleetSource`] drains a fleet.
 pub struct ArrivalPlan {
     schedule: ArrivalSchedule,
-    total: usize,
     /// Offsets of indices `0..cached.offsets_s.len()` plus the stepping state
     /// to extend the prefix; only populated for cumulative schedules.
     cached: Mutex<PlanCache>,
@@ -229,11 +211,10 @@ struct PlanCache {
 }
 
 impl ArrivalPlan {
-    /// Plans `schedule` over a fleet of `total` users.
-    pub fn new(schedule: ArrivalSchedule, total: usize) -> Self {
+    /// Plans `schedule`.
+    pub fn new(schedule: ArrivalSchedule) -> Self {
         Self {
             schedule,
-            total,
             cached: Mutex::new(PlanCache {
                 offsets_s: vec![0.0],
                 state: CumulativeState::new(schedule),
@@ -247,10 +228,10 @@ impl ArrivalPlan {
     }
 
     /// Offset at which user `index` arrives; bit-identical to
-    /// `self.schedule().arrival_offset(index, total)` at any query order.
+    /// `self.schedule().arrival_offset(index)` at any query order.
     pub fn offset(&self, index: usize) -> Duration {
         if !self.schedule.is_cumulative() {
-            return self.schedule.arrival_offset(index, self.total);
+            return self.schedule.arrival_offset(index);
         }
         let mut cache = self.cached.lock().expect("arrival plan lock");
         while cache.offsets_s.len() <= index {
@@ -469,7 +450,7 @@ impl FleetSource {
         Self {
             generator,
             users,
-            plan: ArrivalPlan::new(schedule, users),
+            plan: ArrivalPlan::new(schedule),
             clock: Clock::wall(),
             next: AtomicUsize::new(0),
             started_ns: OnceLock::new(),
@@ -1138,9 +1119,8 @@ impl FleetStress {
         } else if self.clock.is_virtual() {
             // No stamps to derive spans from: mark each arrival as an
             // instant event at its schedule offset — a pure function of
-            // `(schedule, index, users)`, bit-deterministic at any worker
-            // count.
-            let plan = ArrivalPlan::new(self.schedule, self.users);
+            // `(schedule, index)`, bit-deterministic at any worker count.
+            let plan = ArrivalPlan::new(self.schedule);
             for record in records {
                 let due_ns = plan.offset(record.index).as_nanos() as u64;
                 obs.spans.record(
@@ -1204,10 +1184,6 @@ mod tests {
             ArrivalSchedule::Immediate,
             ArrivalSchedule::Constant { interval: Duration::from_millis(2) },
             ArrivalSchedule::Bursty { burst: 3, gap: Duration::from_millis(4) },
-            ArrivalSchedule::Ramp {
-                start: Duration::from_millis(4),
-                end: Duration::from_millis(1),
-            },
             ArrivalSchedule::Diurnal {
                 period: Duration::from_secs(60),
                 peak: Duration::from_millis(5),
@@ -1221,21 +1197,13 @@ mod tests {
             },
         ];
         for schedule in schedules {
-            let offsets: Vec<Duration> = (0..10).map(|i| schedule.arrival_offset(i, 10)).collect();
+            let offsets: Vec<Duration> = (0..10).map(|i| schedule.arrival_offset(i)).collect();
             assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{schedule:?} not monotone");
         }
-        // A ramp tightens its spacing.
-        let ramp = ArrivalSchedule::Ramp {
-            start: Duration::from_millis(4),
-            end: Duration::from_millis(1),
-        };
-        let early = ramp.arrival_offset(1, 10) - ramp.arrival_offset(0, 10);
-        let late = ramp.arrival_offset(9, 10) - ramp.arrival_offset(8, 10);
-        assert!(late < early, "ramp spacing must shrink ({early:?} -> {late:?})");
         // Bursts arrive together.
         let bursty = ArrivalSchedule::Bursty { burst: 3, gap: Duration::from_millis(4) };
-        assert_eq!(bursty.arrival_offset(0, 10), bursty.arrival_offset(2, 10));
-        assert!(bursty.arrival_offset(3, 10) > bursty.arrival_offset(2, 10));
+        assert_eq!(bursty.arrival_offset(0), bursty.arrival_offset(2));
+        assert!(bursty.arrival_offset(3) > bursty.arrival_offset(2));
     }
 
     #[test]
@@ -1244,10 +1212,6 @@ mod tests {
             ArrivalSchedule::Immediate,
             ArrivalSchedule::Constant { interval: Duration::from_millis(2) },
             ArrivalSchedule::Bursty { burst: 3, gap: Duration::from_millis(4) },
-            ArrivalSchedule::Ramp {
-                start: Duration::from_millis(4),
-                end: Duration::from_millis(1),
-            },
             ArrivalSchedule::Diurnal {
                 period: Duration::from_secs(60),
                 peak: Duration::from_millis(5),
@@ -1262,22 +1226,22 @@ mod tests {
         ];
         let total = 200;
         for schedule in schedules {
-            let plan = ArrivalPlan::new(schedule, total);
+            let plan = ArrivalPlan::new(schedule);
             // Query backwards first (worst case for a prefix cache), then
             // forwards, then randomly-ish; every answer must equal the pure
             // reference to the bit, including the Duration's nanosecond part.
             for index in (0..total).rev() {
                 assert_eq!(
                     plan.offset(index),
-                    schedule.arrival_offset(index, total),
+                    schedule.arrival_offset(index),
                     "{schedule:?} diverges at reverse query {index}"
                 );
             }
             for index in 0..total {
-                assert_eq!(plan.offset(index), schedule.arrival_offset(index, total));
+                assert_eq!(plan.offset(index), schedule.arrival_offset(index));
             }
             for index in [97, 3, 150, 0, 199, 42] {
-                assert_eq!(plan.offset(index), schedule.arrival_offset(index, total));
+                assert_eq!(plan.offset(index), schedule.arrival_offset(index));
             }
         }
     }
@@ -1292,7 +1256,7 @@ mod tests {
             off_peak: Duration::from_secs(30),
         };
         let total = 20_000;
-        let plan = ArrivalPlan::new(schedule, total);
+        let plan = ArrivalPlan::new(schedule);
         let started = Instant::now();
         let mut last = Duration::ZERO;
         for index in 0..total {
@@ -1315,8 +1279,7 @@ mod tests {
             peak: Duration::from_secs(60),
             off_peak: Duration::from_secs(7_200),
         };
-        let offsets: Vec<f64> =
-            (0..150).map(|i| diurnal.arrival_offset(i, 150).as_secs_f64()).collect();
+        let offsets: Vec<f64> = (0..150).map(|i| diurnal.arrival_offset(i).as_secs_f64()).collect();
         let first_gap = offsets[1] - offsets[0];
         assert!((first_gap - 60.0).abs() < 1.0, "phase-zero spacing is the peak interval");
         let widest = offsets.windows(2).map(|w| w[1] - w[0]).fold(0.0, f64::max);
@@ -1325,11 +1288,7 @@ mod tests {
             offsets.last().unwrap() > &86_400.0,
             "150 arrivals span more than one simulated day"
         );
-        assert_eq!(
-            diurnal.arrival_offset(17, 40),
-            diurnal.arrival_offset(17, 40),
-            "offsets are pure"
-        );
+        assert_eq!(diurnal.arrival_offset(17), diurnal.arrival_offset(17), "offsets are pure");
     }
 
     #[test]
@@ -1340,12 +1299,12 @@ mod tests {
             persistence: 0.85,
             seed,
         };
-        let a: Vec<Duration> = (0..50).map(|i| markov(3).arrival_offset(i, 50)).collect();
-        let b: Vec<Duration> = (0..50).map(|i| markov(3).arrival_offset(i, 50)).collect();
+        let a: Vec<Duration> = (0..50).map(|i| markov(3).arrival_offset(i)).collect();
+        let b: Vec<Duration> = (0..50).map(|i| markov(3).arrival_offset(i)).collect();
         assert_eq!(a, b, "same seed, same schedule");
         assert_ne!(
             a,
-            (0..50).map(|i| markov(4).arrival_offset(i, 50)).collect::<Vec<_>>(),
+            (0..50).map(|i| markov(4).arrival_offset(i)).collect::<Vec<_>>(),
             "different seeds must differ"
         );
         // Both regimes appear: some gaps are calm-sized, some storm-sized.
@@ -1480,9 +1439,8 @@ mod tests {
             .iter()
             .map(|r| r.queue.expect("queueing stamps every record"))
             .collect();
-        let arrivals: Vec<u64> = (0..users)
-            .map(|i| schedule.arrival_offset(i, users).as_nanos() as u64)
-            .collect();
+        let arrivals: Vec<u64> =
+            (0..users).map(|i| schedule.arrival_offset(i).as_nanos() as u64).collect();
         let services: Vec<u64> = stamps.iter().map(|s| s.service_ns).collect();
         assert_eq!(stamps, fifo_stamps(&arrivals, &services, slots));
         // Dilation 2.0: service is twice the simulated time, to rounding.

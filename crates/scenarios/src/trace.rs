@@ -254,7 +254,9 @@ impl Trace {
     /// sized beyond the lines the input has left, and a count the input
     /// cannot back is a truncated-trace [`TraceError::Format`].  A NoC window
     /// [`replay`] could not simulate (a zero or unallocatable mesh, zero
-    /// cycles, a rate outside `(0, 1]`) is a [`TraceError::Format`] too.
+    /// cycles, a rate outside `(0, 1]`), a GPU frame deadline that is not
+    /// finite and positive, and a thread or slice count past `u32::MAX` are
+    /// [`TraceError::Format`]s too.
     pub fn from_jsonl(input: &str) -> Result<Self, TraceError> {
         let mut lines = TraceLines::new(input);
         let (line_no, header) = lines
@@ -452,6 +454,12 @@ fn field_f64_bits(value: &JsonValue, key: &str, line: usize) -> Result<f64, Trac
     Ok(f64::from_bits(field_u64(value, key, line)?))
 }
 
+/// A `u32` field: a wider value is an error, never silently truncated.
+fn field_u32(value: &JsonValue, key: &str, line: usize) -> Result<u32, TraceError> {
+    u32::try_from(field_u64(value, key, line)?)
+        .map_err(|_| format_err(line, &format!("field '{key}' exceeds u32")))
+}
+
 fn parse_decision(line: usize, raw: &str) -> Result<SubstrateRecord, TraceError> {
     let value = parse_line(line, raw)?;
     // v1/v2 decision lines carry no kind member: they predate heterogeneous
@@ -483,7 +491,7 @@ fn parse_cpu_decision(value: &JsonValue, line: usize) -> Result<DecisionRecord, 
         external_memory_fraction: field_f64_bits(profile, "external_memory_fraction", line)?,
         branch_misprediction_pki: field_f64_bits(profile, "branch_misprediction_pki", line)?,
         ilp: field_f64_bits(profile, "ilp", line)?,
-        thread_count: field_u64(profile, "thread_count", line)? as u32,
+        thread_count: field_u32(profile, "thread_count", line)?,
         parallel_fraction: field_f64_bits(profile, "parallel_fraction", line)?,
     };
     let counters_raw = value
@@ -516,6 +524,12 @@ fn parse_gpu_decision(value: &JsonValue, line: usize) -> Result<GpuDecisionRecor
     let demand = value
         .get("demand")
         .ok_or_else(|| format_err(line, "gpu decision missing demand"))?;
+    // Replay renders the frame against this deadline, which the GPU
+    // simulator requires to be finite and positive.
+    let deadline_s = field_f64_bits(value, "deadline", line)?;
+    if !(deadline_s.is_finite() && deadline_s > 0.0) {
+        return Err(format_err(line, "gpu frame deadline must be finite and positive"));
+    }
     Ok(GpuDecisionRecord {
         index: field_u64(value, "i", line)? as usize,
         // Literal construction: the clamping constructor must not run on the
@@ -525,9 +539,9 @@ fn parse_gpu_decision(value: &JsonValue, line: usize) -> Result<GpuDecisionRecor
             parallel_fraction: field_f64_bits(demand, "parallel", line)?,
             memory_accesses: field_f64_bits(demand, "memory", line)?,
         },
-        deadline_s: field_f64_bits(value, "deadline", line)?,
+        deadline_s,
         config: GpuConfig {
-            active_slices: field_u64(value, "slices", line)? as u32,
+            active_slices: field_u32(value, "slices", line)?,
             freq_idx: field_u64(value, "freq", line)? as usize,
         },
         energy_j: field_f64_bits(value, "energy", line)?,
@@ -1099,6 +1113,21 @@ mod tests {
     #[test]
     fn noc_rate_of_nan_is_a_format_error() {
         assert_rejected("noc", "rate", &f64::NAN.to_bits().to_string(), "injection rate");
+    }
+
+    #[test]
+    fn gpu_deadline_that_is_not_positive_is_a_format_error() {
+        for deadline in [0.0f64, -1.0, f64::NAN] {
+            assert_rejected("gpu", "deadline", &deadline.to_bits().to_string(), "deadline");
+        }
+    }
+
+    #[test]
+    fn u32_fields_past_u32_max_are_format_errors() {
+        for value in ["4294967296", "4294967297"] {
+            assert_rejected("cpu", "thread_count", value, "exceeds u32");
+            assert_rejected("gpu", "slices", value, "exceeds u32");
+        }
     }
 
     #[test]

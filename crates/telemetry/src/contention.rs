@@ -1,10 +1,9 @@
-//! Contention-observed lock wrappers: [`ObservedMutex`] and
-//! [`ObservedRwLock`].
+//! The contention-observed lock wrapper, [`ObservedMutex`].
 //!
 //! A serving stack whose throughput stays flat as workers are added
 //! serializes on shared state — but a plain `std::sync::Mutex` leaves no
-//! trace of *where* the serial time goes.  These wrappers are drop-in
-//! replacements that give every lock a **site name** and record, per site,
+//! trace of *where* the serial time goes.  The wrapper is a drop-in
+//! replacement that gives every lock a **site name** and records, per site,
 //! into the [`TelemetryRegistry`]:
 //!
 //! - `lock_acquisitions_total{site}` — one count per acquisition,
@@ -22,11 +21,12 @@
 //!
 //! Until [`ObservedMutex::attach`] connects a lock to a registry, an
 //! acquisition costs **one relaxed atomic add** on top of the plain lock —
-//! no `Instant::now()`, no sketch update — so the wrappers can live
-//! permanently at the choke points (sweep-cache shards, artifact store,
-//! queue model, span ring) without taxing un-instrumented runs.  Once
-//! attached, an **uncontended** acquisition costs two relaxed atomic adds
-//! (the acquisition counter and the wait sketch's deferred-zero channel,
+//! no `Instant::now()`, no sketch update — so the wrapper can live
+//! permanently at the choke points (sweep-cache shards and platform
+//! registry, model store, queue model, span ring) without taxing
+//! un-instrumented runs.  Once attached, an **uncontended** acquisition
+//! costs two relaxed atomic adds (the acquisition counter and the wait
+//! sketch's deferred-zero channel,
 //! [`SketchCell::record_zero`](crate::registry::SketchCell::record_zero)) —
 //! still no clock read and no mutex beyond the lock itself.  Only a
 //! **contended** acquisition, already paying a block, takes the two
@@ -48,10 +48,7 @@
 //! [`QuantileSketch`](crate::QuantileSketch).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    TryLockError,
-};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::Instant;
 
 use crate::registry::{Counter, SketchCell, TelemetryRegistry};
@@ -290,172 +287,6 @@ impl<T> Drop for ObservedMutexGuard<'_, T> {
     }
 }
 
-/// A [`RwLock`] with a named contention-observation site. Read and write
-/// acquisitions record into the same per-site metrics (a reader that blocks
-/// behind a writer is exactly the serialization the site exists to show).
-#[derive(Debug)]
-pub struct ObservedRwLock<T> {
-    site: LockSite,
-    inner: RwLock<T>,
-}
-
-impl<T> ObservedRwLock<T> {
-    /// Wrap `value` in a reader-writer lock observed under `site`.
-    pub fn new(site: &str, value: T) -> Self {
-        Self { site: LockSite::new(site), inner: RwLock::new(value) }
-    }
-
-    /// Connect this lock's site to a registry (see [`ObservedMutex::attach`]).
-    pub fn attach(&self, registry: &TelemetryRegistry) {
-        self.site.attach(registry);
-    }
-
-    /// The site name this lock records under.
-    pub fn site(&self) -> &str {
-        &self.site.name
-    }
-
-    /// Total acquisitions so far (reads plus writes).
-    pub fn acquisitions(&self) -> u64 {
-        self.site.acquisitions()
-    }
-
-    /// Acquire shared read access (observed).
-    pub fn read(&self) -> ObservedReadGuard<'_, T> {
-        match self.site.observer.get() {
-            None => {
-                self.site.pending.fetch_add(1, Ordering::Relaxed);
-                let inner = self
-                    .inner
-                    .read()
-                    .unwrap_or_else(|_| panic!("lock poisoned at site {}", self.site.name));
-                ObservedReadGuard { inner: Some(inner), timing: None }
-            }
-            Some(observer) => {
-                observer.acquisitions.inc();
-                match self.inner.try_read() {
-                    Ok(inner) => {
-                        observer.wait_ns.record_zero();
-                        ObservedReadGuard { inner: Some(inner), timing: None }
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        observer.contended.inc();
-                        let before = Instant::now();
-                        let inner = self
-                            .inner
-                            .read()
-                            .unwrap_or_else(|_| panic!("lock poisoned at site {}", self.site.name));
-                        observer.wait_ns.record(before.elapsed().as_nanos() as u64);
-                        ObservedReadGuard {
-                            inner: Some(inner),
-                            timing: Some((Instant::now(), observer)),
-                        }
-                    }
-                    Err(TryLockError::Poisoned(_)) => {
-                        panic!("lock poisoned at site {}", self.site.name)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Acquire exclusive write access (observed).
-    pub fn write(&self) -> ObservedWriteGuard<'_, T> {
-        match self.site.observer.get() {
-            None => {
-                self.site.pending.fetch_add(1, Ordering::Relaxed);
-                let inner = self
-                    .inner
-                    .write()
-                    .unwrap_or_else(|_| panic!("lock poisoned at site {}", self.site.name));
-                ObservedWriteGuard { inner: Some(inner), timing: None }
-            }
-            Some(observer) => {
-                observer.acquisitions.inc();
-                match self.inner.try_write() {
-                    Ok(inner) => {
-                        observer.wait_ns.record_zero();
-                        ObservedWriteGuard { inner: Some(inner), timing: None }
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        observer.contended.inc();
-                        let before = Instant::now();
-                        let inner = self
-                            .inner
-                            .write()
-                            .unwrap_or_else(|_| panic!("lock poisoned at site {}", self.site.name));
-                        observer.wait_ns.record(before.elapsed().as_nanos() as u64);
-                        ObservedWriteGuard {
-                            inner: Some(inner),
-                            timing: Some((Instant::now(), observer)),
-                        }
-                    }
-                    Err(TryLockError::Poisoned(_)) => {
-                        panic!("lock poisoned at site {}", self.site.name)
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Shared-read guard for [`ObservedRwLock`] (release-then-record, like the
-/// mutex guard).
-#[derive(Debug)]
-pub struct ObservedReadGuard<'a, T> {
-    inner: Option<RwLockReadGuard<'a, T>>,
-    timing: Option<(Instant, &'a SiteObserver)>,
-}
-
-impl<T> std::ops::Deref for ObservedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("observed guard already released")
-    }
-}
-
-impl<T> Drop for ObservedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(guard) = self.inner.take() {
-            drop(guard);
-            if let Some((held_since, observer)) = self.timing.take() {
-                observer.hold_ns.record(held_since.elapsed().as_nanos() as u64);
-            }
-        }
-    }
-}
-
-/// Exclusive-write guard for [`ObservedRwLock`].
-#[derive(Debug)]
-pub struct ObservedWriteGuard<'a, T> {
-    inner: Option<RwLockWriteGuard<'a, T>>,
-    timing: Option<(Instant, &'a SiteObserver)>,
-}
-
-impl<T> std::ops::Deref for ObservedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("observed guard already released")
-    }
-}
-
-impl<T> std::ops::DerefMut for ObservedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("observed guard already released")
-    }
-}
-
-impl<T> Drop for ObservedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(guard) = self.inner.take() {
-            drop(guard);
-            if let Some((held_since, observer)) = self.timing.take() {
-                observer.hold_ns.record(held_since.elapsed().as_nanos() as u64);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,20 +396,6 @@ mod tests {
             "condvar block must show as lock wait, got max {} ns",
             wait.max_ns()
         );
-    }
-
-    #[test]
-    fn rwlock_reads_and_writes_share_the_site() {
-        let registry = TelemetryRegistry::new();
-        let lock = ObservedRwLock::new("rw", vec![1, 2, 3]);
-        lock.attach(&registry);
-        assert_eq!(lock.read().len(), 3);
-        lock.write().push(4);
-        assert_eq!(lock.read()[3], 4);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("lock_acquisitions_total", &[("site", "rw")]), Some(3));
-        let wait = &snap.sketches.iter().find(|(id, _)| id.name == "lock_wait_ns").expect("wait").1;
-        assert_eq!(wait.count(), 3, "reads and writes both sample the shared wait sketch");
     }
 
     #[test]

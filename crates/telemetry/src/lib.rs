@@ -6,13 +6,13 @@
 //! exposed one aggregated counter struct — three divergent paths, none of
 //! them exportable, and all of the quantile math O(n) in the number of
 //! arrivals (the recorded blocker on million-user fleets).  This crate
-//! replaces them with one plane, in four layers:
+//! replaces them with one plane, in five layers:
 //!
 //! 1. [`Clock`] — the time seam (moved here from `soclearn-runtime`, which
 //!    re-exports it at the old paths): wall time or a shared virtual
-//!    discrete-event counter.  Every timestamp in the plane reads a `Clock`,
-//!    so spans recorded under a virtual clock are pure functions of the
-//!    workload, never of the host scheduler.
+//!    discrete-event counter.  Arrival pacing, run durations and decision
+//!    latencies read a `Clock`, so a virtual clock plays a multi-day
+//!    schedule out in the milliseconds its decisions take to serve.
 //! 2. Mergeable aggregates — [`LatencyHistogram`] (power-of-two buckets) and
 //!    [`QuantileSketch`] (log-linear HDR-style buckets with a documented
 //!    relative-error bound).  Both are fixed-memory and their
@@ -28,15 +28,15 @@
 //!    format (with [`validate_prometheus`] as the lint CI gates on).
 //! 4. [`SpanRecorder`] — a bounded flight-recorder ring buffer of
 //!    [`Span`]s, exported as chrome://tracing JSON.  Span timestamps come
-//!    from the `Clock` seam or from schedule-relative queue stamps, and the
-//!    export sorts spans by content, so a virtual-clock run dumps
-//!    byte-identical traces at any worker count (as long as the ring never
-//!    overflows — overflow is counted, never silent, and exported as the
-//!    `spans_dropped_total` counter).
-//! 5. Contention profiling — [`ObservedMutex`]/[`ObservedRwLock`] give
-//!    every shared lock a named site recording acquisitions, wait and hold
-//!    time into registry sketches, so where a fleet run serializes is read
-//!    straight from the registry.
+//!    from schedule-relative queue stamps or arrival offsets, never from a
+//!    clock reading, and the export sorts spans by content, so a
+//!    virtual-clock run dumps byte-identical traces at any worker count (as
+//!    long as the ring never overflows — overflow is counted, never silent,
+//!    and exported as the `spans_dropped_total` counter).
+//! 5. Contention profiling — [`ObservedMutex`] gives every shared lock a
+//!    named site recording acquisitions, wait and hold time into registry
+//!    sketches, so where a fleet run serializes is read straight from the
+//!    registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +50,7 @@ pub mod sketch;
 pub mod span;
 
 pub use clock::Clock;
-pub use contention::{ObservedMutex, ObservedRwLock};
+pub use contention::ObservedMutex;
 pub use export::validate_prometheus;
 pub use histogram::LatencyHistogram;
 pub use registry::{

@@ -1,15 +1,14 @@
 //! Span tracing behind a bounded flight-recorder ring buffer.
 //!
-//! A [`Span`] is a named interval with nanosecond timestamps taken from the
-//! [`Clock`](crate::Clock) seam (live wall-clock profiling) or derived from
-//! schedule-relative queue stamps (virtual-clock runs). The
-//! [`SpanRecorder`] keeps the most recent `capacity` spans in a ring —
-//! overflow evicts the oldest span and increments a drop counter, never
-//! blocks and never grows.
+//! A [`Span`] is a named interval with nanosecond timestamps derived from
+//! schedule-relative queue stamps or arrival offsets, never read off a
+//! clock. The [`SpanRecorder`] keeps the most recent `capacity` spans in a
+//! ring — overflow evicts the oldest span and increments a drop counter,
+//! never blocks and never grows.
 //!
-//! **Determinism contract:** under the virtual clock every span's content is
-//! a pure function of the workload (timestamps come from deterministic
-//! `QueueStamp`s / arrival offsets, never the racy shared clock), and
+//! **Determinism contract:** every span's content is a pure function of the
+//! workload (timestamps come from deterministic `QueueStamp`s / arrival
+//! offsets, never the racy shared clock), and
 //! [`SpanRecorder::export_chrome_trace`] sorts spans by full content before
 //! writing, so two runs of the same workload dump byte-identical traces at
 //! any worker count — as long as the ring never overflowed (check
@@ -26,17 +25,17 @@ use crate::registry::TelemetryRegistry;
 /// workloads (a few thousand) while bounding a runaway recorder to ~10 MB.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
-/// One traced interval. `track` maps to the chrome://tracing thread id
-/// (worker index, user id, or substrate lane).
+/// One traced interval. `track` maps to the chrome://tracing thread id.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Span {
     /// Start timestamp, nanoseconds since the run epoch.
     pub start_ns: u64,
-    /// Track (rendered as the tid): worker index, user id or lane.
+    /// Track (rendered as the tid): the index of the scenario the span
+    /// belongs to.
     pub track: u64,
     /// Span name, e.g. `serve` or `queue_wait`.
     pub name: String,
-    /// Category, e.g. `driver`, `queue`, `artifacts`.
+    /// Category, e.g. `driver`, `queue`, `fleet`.
     pub category: String,
     /// Duration in nanoseconds (0 renders as an instant event).
     pub dur_ns: u64,

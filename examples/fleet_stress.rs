@@ -55,10 +55,10 @@
 //! Observability: `--metrics-out PATH` writes the run's metrics registry as a
 //! JSON snapshot, `--prom-out PATH` writes (and lints) the Prometheus text
 //! exposition, and `--spans-out PATH` dumps the recorded spans as
-//! chrome://tracing JSON.  Span dumps require `--virtual-clock` — under the
-//! virtual clock every span is derived from schedule-relative stamps, so two
-//! runs produce byte-identical dumps at any worker count (CI byte-compares
-//! them), whereas wall-clock spans are live profiling data.
+//! chrome://tracing JSON.  Span dumps require `--virtual-clock`: spans come
+//! only from schedule-relative queue stamps and arrival offsets, which this
+//! example records on the virtual clock alone, so two runs produce
+//! byte-identical dumps at any worker count (CI byte-compares them).
 //!
 //! `--obs-summary` prints a one-screen digest of the registry: top counters,
 //! sketch percentiles and the measured wait per lock site (live wall-clock
@@ -134,12 +134,12 @@ impl Args {
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        // Wall-clock spans are live profiling data whose timestamps depend on
-        // scheduler interleaving; only virtual-clock spans (derived from
-        // schedule-relative queue stamps) dump byte-identically across runs.
+        // Spans come from queue stamps and arrival offsets, which this
+        // example only records on the virtual clock: a wall-clock run would
+        // dump an empty trace.
         if parsed.spans_out.is_some() && !parsed.virtual_clock {
-            return Err("--spans-out needs --virtual-clock: wall-clock span timestamps are \
-                        nondeterministic, only virtual-time spans dump reproducibly"
+            return Err("--spans-out needs --virtual-clock: spans come from queue stamps and \
+                        arrival offsets, which only virtual-clock runs record"
                 .to_owned());
         }
         // With each simulated second dilated to a virtual hour, a wall clock
@@ -290,10 +290,10 @@ fn main() {
     );
     if virtual_clock {
         println!(
-            "Serving: {} decisions over {:.1} simulated hours ({:.2} decisions per virtual second)",
+            "Serving: {} decisions over {:.1} simulated hours ({:.1} decisions per virtual hour)",
             il.telemetry.decisions,
             il.telemetry.wall_seconds / 3_600.0,
-            il.telemetry.decisions_per_second,
+            il.telemetry.decisions_per_second * 3_600.0,
         );
     } else {
         println!(
@@ -617,7 +617,7 @@ fn print_queueing_tables(il: &FleetReport, platform: &SocPlatform, workers: usiz
     // The memoised plan answers the per-record offset queries below in one
     // linear pass instead of replaying the Markov chain from scratch for
     // every record (2 × O(index) walks each).
-    let plan = ArrivalPlan::new(schedule, markov_users);
+    let plan = ArrivalPlan::new(schedule);
     // Per-regime sojourn percentiles come from fixed-memory mergeable
     // sketches — no sorted per-regime vectors, however many arrivals land.
     let (mut calm, mut storm) = (QuantileSketch::new(), QuantileSketch::new());
@@ -694,7 +694,8 @@ mod tests {
         for line in [
             "",
             "--virtual-clock --queueing --workers 4 --trace-out trace-n.jsonl",
-            "--substrates all --virtual-clock --workers 2 --trace-out hetero-n.jsonl",
+            "--substrates all --virtual-clock --workers 2 --trace-out hetero-n.jsonl \
+             --spans-out hetero-spans-n.json",
             "--virtual-clock --queueing --workers 1 --spans-out spans-ref.json \
              --metrics-out metrics-ref.json --prom-out prom-ref.txt --obs-summary",
             "--virtual-clock --queueing --workers 4 --users 10000 --trace-out scale-a.jsonl",

@@ -9,9 +9,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use soclearn_core::prelude::*;
-use soclearn_runtime::obs::{
-    validate_prometheus, MetricId, ObservedMutex, ObservedRwLock, TelemetryRegistry,
-};
+use soclearn_runtime::obs::{validate_prometheus, MetricId, ObservedMutex, TelemetryRegistry};
 use soclearn_runtime::LatencyHistogram;
 use soclearn_scenarios::{json, sorted_quantile_ns};
 
@@ -133,19 +131,14 @@ proptest! {
         );
     }
 
-    /// Observed-lock accounting is exact for any mix of pre-attach locks,
-    /// post-attach locks and rwlock reads/writes sharing a site name: the
-    /// acquisition counter sees every acquisition, the snapshotted wait
-    /// sketch has exactly one sample per acquisition, and the hold sketch
-    /// has exactly one sample per contended acquisition (none here — the
-    /// sequence is single-threaded, so nothing ever blocks).
+    /// Observed-lock accounting is exact for any mix of pre-attach and
+    /// post-attach locks: the acquisition counter sees every acquisition,
+    /// the snapshotted wait sketch has exactly one sample per acquisition,
+    /// and the hold sketch has exactly one sample per contended acquisition
+    /// (none here — the sequence is single-threaded, so nothing ever
+    /// blocks).
     #[test]
-    fn observed_lock_accounting_is_exact(
-        pre in 0u64..8,
-        post in 0u64..16,
-        reads in 0u64..8,
-        writes in 0u64..8,
-    ) {
+    fn observed_lock_accounting_is_exact(pre in 0u64..8, post in 0u64..16) {
         let registry = TelemetryRegistry::new();
         let lock = ObservedMutex::new("prop_site", 0u64);
         for _ in 0..pre {
@@ -155,15 +148,7 @@ proptest! {
         for _ in 0..post {
             *lock.lock() += 1;
         }
-        let rw = ObservedRwLock::new("prop_site", ());
-        rw.attach(&registry);
-        for _ in 0..reads {
-            drop(rw.read());
-        }
-        for _ in 0..writes {
-            drop(rw.write());
-        }
-        let total = pre + post + reads + writes;
+        let total = pre + post;
         let snap = registry.snapshot();
         prop_assert!(
             snap.counter("lock_acquisitions_total", &[("site", "prop_site")]) == Some(total),
@@ -389,4 +374,46 @@ fn exporters_parse_and_lint() {
 
     let prometheus = snapshot.to_prometheus();
     validate_prometheus(&prometheus).expect("Prometheus exposition lints");
+}
+
+/// Every lock site the serving stack names registers in the registry of a
+/// run that takes it, with one wait sample per acquisition: the sweep
+/// cache's shards and platform table, the model store's base, pending pool
+/// and family table, the fleet queue model and the span ring.
+#[test]
+fn every_named_lock_site_registers() {
+    let platform = SocPlatform::small();
+    let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
+    let store = Arc::new(TieredModelStore::with_defaults(&artifacts, OnlineIlConfig::default()));
+    let obs = Observability::new();
+    let fleet = FleetStress::new(platform.clone(), ScenarioGenerator::standard(2020, 6), 8, 1)
+        .with_schedule(ArrivalSchedule::Constant { interval: Duration::from_secs(60) })
+        .with_clock(Clock::virtual_clock())
+        .with_queueing(QueueingConfig::new(1.0, 2))
+        .with_oracle_reference(OracleObjective::Energy)
+        .with_observability(obs.clone())
+        .with_personalization(Arc::clone(&store));
+    fleet.run(|i, _| SubstratePolicies::cpu_only(fleet.personalized_policy(i)));
+
+    let snapshot = obs.snapshot();
+    for site in [
+        "sweep_cache_shard",
+        "sweep_cache_platforms",
+        "model_store_base",
+        "model_store_pending",
+        "model_store_families",
+        "fleet_queue_model",
+        "span_ring",
+    ] {
+        let labels = [("site", site)];
+        let acquisitions = snapshot.counter("lock_acquisitions_total", &labels).unwrap_or(0);
+        assert!(acquisitions > 0, "lock site {site} registered no acquisition");
+        let wait_id = MetricId::new("lock_wait_ns", &labels);
+        let waits = snapshot
+            .sketches
+            .iter()
+            .find(|(id, _)| *id == wait_id)
+            .map_or(0, |(_, wait)| wait.count());
+        assert_eq!(waits, acquisitions, "{site}: one wait sample per acquisition");
+    }
 }
