@@ -8,8 +8,11 @@ Usage, from the repository root:
 BASE_BIN and CHANGE_BIN are perfbench binaries built from the parent and from
 the change, in the same checkout path (Cargo hashes the path into crate
 metadata, which moves code layout).  Every workload BENCHMARK.json names runs
-PAIRS times on each binary, the binary that runs first alternating from pair
-to pair, untraced at full scale for BENCHMARK.json's `run_seconds`.
+PAIRS (10) times on each binary, the binary that runs first alternating from
+pair to pair, untraced at full scale for BENCHMARK.json's `run_seconds`.  Ten
+pairs is the fewest at which a gain can be claimed: the change must win at
+least nine of them, and its median must differ from the base median by more
+than the base runs' interquartile range.
 
 Prints one row per workload and end-to-end metric: base median, change
 median, their ratio, the base runs' interquartile range, how many of the
@@ -32,7 +35,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 5
+PAIRS = 10
 SEED = 1
 RUN_TIMEOUT_S = 600
 

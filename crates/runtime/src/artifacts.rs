@@ -12,7 +12,7 @@
 //!   `OnceLock`-per-key, so concurrent callers block on a single build instead
 //!   of racing duplicate ones;
 //! * [`TrainingArtifacts::oracle_run`] memoises Oracle runs per exact profile
-//!   sequence, with the underlying sweeps shared through one
+//!   sequence, with the per-snippet Oracle answers shared through one
 //!   [`SweepCache`];
 //! * [`TrainingArtifacts::online_policy`] hands out online-IL policies whose
 //!   power/performance models were pretrained **once** and cloned per policy,
@@ -81,7 +81,7 @@ impl ProfilesKey {
 /// Design-time artefacts shared by the IL experiments: Oracle demonstrations
 /// from the Mi-Bench-like training suite, the trained offline policies, the
 /// pretrained online candidate models, and the caches that keep re-derived
-/// quantities (Oracle runs, configuration sweeps) once-per-process.
+/// quantities (Oracle runs, per-snippet Oracle answers) once-per-process.
 pub struct TrainingArtifacts {
     /// The platform everything is trained for.
     pub platform: SocPlatform,
@@ -207,8 +207,8 @@ impl TrainingArtifacts {
 
     /// Runs the Oracle over a profile sequence, memoised per exact sequence:
     /// the second request for the same profiles returns the stored run, and
-    /// even the first request shares configuration sweeps with every other
-    /// Oracle run through the sweep cache.
+    /// even the first request shares per-snippet Oracle answers with every
+    /// other Oracle run through the sweep cache.
     pub fn oracle_run(&self, profiles: &[SnippetProfile]) -> Arc<OracleRun> {
         let key = ProfilesKey::of(profiles);
         if let Some(run) = self.oracle_runs.lock().expect("oracle memo lock").get(&key) {

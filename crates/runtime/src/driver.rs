@@ -321,7 +321,7 @@ pub struct DriverTelemetry {
     /// Shared sweep cache statistics over this run: hits, misses and
     /// evictions are the difference across the run (a shared cache's
     /// lifetime counters also count artifact pretraining and earlier runs),
-    /// `entries` the sweeps resident at its end.  Runs that overlap on one
+    /// `entries` the answers resident at its end.  Runs that overlap on one
     /// cache share the difference.
     pub cache: SweepCacheStats,
     /// Aggregated counters of the per-worker L1 warm tiers (zero-lock hit
@@ -473,7 +473,7 @@ impl ScenarioDriver {
     }
 
     /// Scores every decision against an Oracle run of the same scenario under
-    /// `objective` (sweeps shared through the driver's cache, so identical
+    /// `objective` (answers shared through the driver's cache, so identical
     /// scenarios across users are scored almost for free).
     #[must_use]
     pub fn with_oracle_reference(mut self, objective: OracleObjective) -> Self {
@@ -740,7 +740,7 @@ impl ScenarioDriver {
             }
         }
         if let Some(engine) = &oracle_engine {
-            // Push any still-buffered locally-computed sweeps to the shared
+            // Push any still-buffered locally-computed answers to the shared
             // shards so later runs on the same cache start warm.
             engine.flush_l1();
             if let Some(stats) = engine.l1_stats() {

@@ -10,11 +10,12 @@
 //!    pretrained online models) keyed by *(platform fingerprint,
 //!    [`ExperimentScale`])*, so the expensive design-time pipeline runs once
 //!    per process no matter how many experiments, tests or serving lanes ask.
-//! 2. [`SweepEngine`] / [`SweepCache`] — the batched full-configuration sweep
-//!    primitive with an LRU memo keyed by exact snippet feature bits and
-//!    thermal state.  Cached sweeps are bit-identical to per-call
-//!    `evaluate_snippet` loops; Oracle search, candidate ranking and baseline
-//!    normalisation all route through it.
+//! 2. [`SweepEngine`] / [`SweepCache`] — the Oracle's per-snippet answer
+//!    (one batched full-configuration sweep, ranked by the objective) with an
+//!    LRU memo of that answer keyed by objective, exact snippet feature bits
+//!    and thermal state.  Cached answers are bit-identical to an uncached
+//!    Oracle search; Oracle runs, demonstration collection and the driver's
+//!    Oracle reference all route through it.
 //! 3. [`ScenarioDriver`] — a multi-worker serving harness that executes many
 //!    independent application-sequence "users" concurrently and aggregates
 //!    serving telemetry: decision throughput, per-decision latency histogram,
@@ -71,7 +72,7 @@ pub use scale::ExperimentScale;
 /// Re-exported so downstream crates can configure [`TieredModelStore`]
 /// leases without depending on `soclearn-imitation` directly.
 pub use soclearn_imitation::OnlineIlConfig;
-pub use soclearn_telemetry::{LatencyHistogram, ObservedMutex, QuantileSketch};
+pub use soclearn_telemetry::{LatencyHistogram, QuantileSketch};
 pub use store::{ModelStoreStats, TieredModelStore, TieredPolicy};
 pub use substrate::{
     noc_decision_seed, replay_noc_window, DecisionKind, FrameDemand, GpuConfig, GpuDecisionRecord,

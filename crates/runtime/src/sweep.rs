@@ -1,25 +1,25 @@
-//! Batched, memoised full-configuration sweeps.
+//! Memoised Oracle answers.
 //!
-//! Every policy-serving flow in this repository ultimately asks the same
-//! question — *"what would this snippet do at each supported DVFS
-//! configuration?"* — and the seed implementation answered it one
-//! `evaluate_snippet` call at a time, recomputing all per-snippet work once
-//! per configuration.  This module provides the serving-grade primitive:
+//! Every Oracle reference in this repository asks the same question — *"which
+//! supported DVFS configuration is best for this snippet under this
+//! objective, and what does the snippet do there?"* — and answering it means
+//! evaluating the snippet at all 40 configurations.  This module provides the
+//! serving-grade primitive:
 //!
-//! * [`SweepEngine`] evaluates a snippet against **all** candidate
-//!   configurations in one batched call
-//!   ([`soclearn_soc_sim::SocSimulator::evaluate_all_configs`]), hoisting the
-//!   per-snippet work out of the inner loop, and
-//! * [`SweepCache`] memoises whole sweep results behind an LRU keyed by the
-//!   snippet's exact feature bits, the thermal state and the platform, so
-//!   repeated snippets (many users running the same applications, experiments
-//!   re-normalising against the same Oracle runs) cost one lock acquisition
-//!   instead of a 40-configuration model evaluation.
+//! * [`SweepEngine`] answers it with one batched sweep
+//!   ([`OracleSearch::best_config`] over
+//!   [`soclearn_soc_sim::SocSimulator::evaluate_all_configs`]), and
+//! * [`SweepCache`] memoises the answer — the winning [`SnippetExecution`],
+//!   128 B inline — behind an LRU keyed by the objective, the snippet's exact
+//!   feature bits, the thermal state and the platform, so repeated snippets
+//!   (many users running the same applications, experiments re-normalising
+//!   against the same Oracle runs) cost one lock acquisition instead of a
+//!   40-configuration model evaluation.
 //!
-//! Cached results are **bit-identical** to uncached per-call evaluation: the
-//! key is the exact bit pattern of every profile field plus both cluster
-//! temperatures, so a hit can only occur for an evaluation that would have
-//! produced the very same floats.
+//! Cached answers are **bit-identical** to an uncached search: the key is the
+//! exact bit pattern of every profile field plus both cluster temperatures,
+//! so a hit can only occur for a search that would have produced the very
+//! same floats.
 //!
 //! The cache is **lock-striped**: entries live in [`SweepCache::DEFAULT_SHARDS`]
 //! independently-mutexed segments selected by the key's hash, so concurrent
@@ -31,10 +31,10 @@
 //! L1 misses probe the shared shards once (one lock) and fill the private
 //! tier; shared misses are computed locally and published back to the shards
 //! in batches (one lock per touched shard per batch) so other workers still
-//! deduplicate against this worker's results.  Keys are exact bit patterns,
-//! so every tier answers with results bit-identical to fresh evaluation —
-//! the `prop_invariants` suite holds any interleaving of fills and publishes
-//! to the shared-path reference.
+//! deduplicate against this worker's answers.  Keys are exact bit patterns,
+//! so every tier answers bit-identically to a fresh search — the
+//! `prop_invariants` suite holds any interleaving of fills and publishes to
+//! the shared-path reference.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -50,11 +50,13 @@ use soclearn_workloads::{SnippetPhase, SnippetProfile};
 /// Number of packed key words describing one snippet profile.
 const PROFILE_KEY_WORDS: usize = 9;
 
-/// Exact identity of one sweep request.
+/// Exact identity of one Oracle question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SweepKey {
     /// Registry id of the platform the sweep ran on.
     platform_id: u32,
+    /// Objective the answer optimises.
+    objective: OracleObjective,
     /// Bit patterns of every profile field.
     profile: [u64; PROFILE_KEY_WORDS],
     /// Bit patterns of the big and LITTLE cluster temperatures.
@@ -62,10 +64,17 @@ struct SweepKey {
 }
 
 impl SweepKey {
-    /// The key of sweeping `profile` from `sim`'s current thermal state.
-    fn new(platform_id: u32, profile: &SnippetProfile, sim: &SocSimulator) -> Self {
+    /// The key of asking for `profile`'s best configuration under
+    /// `objective` from `sim`'s current thermal state.
+    fn new(
+        platform_id: u32,
+        objective: OracleObjective,
+        profile: &SnippetProfile,
+        sim: &SocSimulator,
+    ) -> Self {
         Self {
             platform_id,
+            objective,
             profile: profile_bits(profile),
             temps: [sim.big_temperature_c().to_bits(), sim.little_temperature_c().to_bits()],
         }
@@ -136,7 +145,7 @@ pub struct SweepL1Stats {
     pub misses: u64,
     /// Private entries evicted to respect the L1 capacity bound.
     pub evictions: u64,
-    /// Batches of locally-computed sweeps pushed back to the shared shards.
+    /// Batches of locally-computed answers pushed back to the shared shards.
     pub publishes: u64,
     /// Entries currently resident in the private tier.
     pub entries: usize,
@@ -164,20 +173,20 @@ impl SweepL1Stats {
     }
 }
 
-/// A batch of locally-computed sweeps headed for the shared shards.
-type SweepBatch = Vec<(SweepKey, Arc<Vec<SnippetExecution>>)>;
+/// A batch of locally-computed answers headed for the shared shards.
+type SweepBatch = Vec<(SweepKey, SnippetExecution)>;
 
 /// A worker-private warm tier over the shared [`SweepCache`]: an unlocked LRU
-/// map plus a buffer of locally-computed sweeps awaiting batch publication.
+/// map plus a buffer of locally-computed answers awaiting batch publication.
 #[derive(Debug)]
 struct SweepL1 {
-    entries: HashMap<SweepKey, (u64, Arc<Vec<SnippetExecution>>)>,
+    entries: HashMap<SweepKey, (u64, SnippetExecution)>,
     /// Recency index, same scheme as [`SweepShard::order`].
     order: BTreeMap<u64, SweepKey>,
     tick: u64,
     capacity: usize,
     publish_every: usize,
-    /// Locally-computed sweeps not yet pushed to the shared shards.
+    /// Locally-computed answers not yet pushed to the shared shards.
     pending: SweepBatch,
     hits: u64,
     shared_hits: u64,
@@ -205,20 +214,20 @@ impl SweepL1 {
         }
     }
 
-    fn get(&mut self, key: &SweepKey) -> Option<Arc<Vec<SnippetExecution>>> {
+    fn get(&mut self, key: &SweepKey) -> Option<SnippetExecution> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.entries.get_mut(key)?;
         let old_tick = entry.0;
         entry.0 = tick;
-        let sweep = Arc::clone(&entry.1);
+        let best = entry.1;
         self.order.remove(&old_tick);
         self.order.insert(tick, *key);
         self.hits += 1;
-        Some(sweep)
+        Some(best)
     }
 
-    fn insert(&mut self, key: SweepKey, sweep: Arc<Vec<SnippetExecution>>) {
+    fn insert(&mut self, key: SweepKey, best: SnippetExecution) {
         self.tick += 1;
         let tick = self.tick;
         match self.entries.entry(key) {
@@ -229,7 +238,7 @@ impl SweepL1 {
                 self.order.insert(tick, key);
             }
             std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert((tick, sweep));
+                vacant.insert((tick, best));
                 self.order.insert(tick, key);
                 if self.entries.len() > self.capacity {
                     if let Some((_, oldest_key)) = self.order.pop_first() {
@@ -256,8 +265,8 @@ impl SweepL1 {
 /// One lock-striped segment of the cache: an independent LRU map.
 #[derive(Debug, Default)]
 struct SweepShard {
-    /// Sweep results plus the logical timestamp of their last use.
-    entries: HashMap<SweepKey, (u64, Arc<Vec<SnippetExecution>>)>,
+    /// Oracle answers plus the logical timestamp of their last use.
+    entries: HashMap<SweepKey, (u64, SnippetExecution)>,
     /// Recency index: last-use tick → key.  Ticks are unique (allocated under
     /// the shard lock), so the first entry is always the least recently used
     /// and eviction is `O(log n)` instead of a full map scan.
@@ -268,8 +277,9 @@ struct SweepShard {
     evictions: u64,
 }
 
-/// Thread-safe LRU memo of full-configuration sweep results, shareable between
-/// many [`SweepEngine`]s (and therefore many worker threads) via `Arc`.
+/// Thread-safe LRU memo of Oracle answers (the best [`SnippetExecution`] per
+/// objective, snippet, thermal state and platform), shareable between many
+/// [`SweepEngine`]s (and therefore many worker threads) via `Arc`.
 ///
 /// Internally the cache is split into lock-striped shards (the key's hash
 /// picks a mutexed segment), so workers serving different snippets contend on
@@ -283,8 +293,8 @@ pub struct SweepCache {
 }
 
 impl SweepCache {
-    /// Default number of resident sweeps (a sweep for the Odroid-class platform
-    /// is 40 [`SnippetExecution`]s, ≈ 6 KB).
+    /// Default number of resident answers (one [`SnippetExecution`], 128 B,
+    /// each).
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// Default number of lock-striped shards.
@@ -295,7 +305,7 @@ impl SweepCache {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Creates a cache bounded to `capacity` resident sweeps.
+    /// Creates a cache bounded to `capacity` resident answers.
     ///
     /// # Panics
     ///
@@ -309,7 +319,7 @@ impl SweepCache {
     /// relies on).
     ///
     /// The capacity bound is enforced **per shard** (`capacity / shards`,
-    /// rounded up), so the whole cache holds at most ≈ `capacity` sweeps —
+    /// rounded up), so the whole cache holds at most ≈ `capacity` answers —
     /// but a shard whose hash bucket runs hot can evict entries while the
     /// cache as a whole is below `capacity` (unlike the single-mutex LRU,
     /// which only evicted at the global bound).  Working sets near the
@@ -407,7 +417,7 @@ impl SweepCache {
         }
     }
 
-    /// Drops every cached sweep (statistics are kept).
+    /// Drops every cached answer (statistics are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock();
@@ -428,12 +438,12 @@ impl SweepCache {
         }
     }
 
-    /// Returns the cached sweep for `key`, or evaluates `compute` and caches
+    /// Returns the cached answer for `key`, or evaluates `compute` and caches
     /// its result, evicting the least-recently-used entry of the key's shard
     /// when full.
-    fn get_or_compute<F>(&self, key: SweepKey, compute: F) -> Arc<Vec<SnippetExecution>>
+    fn get_or_compute<F>(&self, key: SweepKey, compute: F) -> SnippetExecution
     where
-        F: FnOnce() -> Vec<SnippetExecution>,
+        F: FnOnce() -> SnippetExecution,
     {
         let shard_lock = self.shard_of(&key);
         {
@@ -444,16 +454,16 @@ impl SweepCache {
             if let Some(entry) = shard.entries.get_mut(&key) {
                 let old_tick = entry.0;
                 entry.0 = tick;
-                let sweep = Arc::clone(&entry.1);
+                let best = entry.1;
                 shard.order.remove(&old_tick);
                 shard.order.insert(tick, key);
                 shard.hits += 1;
-                return sweep;
+                return best;
             }
             shard.misses += 1;
         }
         // Evaluate outside the lock: a miss must not serialise other workers.
-        let sweep = Arc::new(compute());
+        let best = compute();
         let mut guard = shard_lock.lock();
         let shard = &mut *guard;
         shard.tick += 1;
@@ -468,7 +478,7 @@ impl SweepCache {
                 shard.order.insert(tick, key);
             }
             std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert((tick, Arc::clone(&sweep)));
+                vacant.insert((tick, best));
                 shard.order.insert(tick, key);
                 if shard.entries.len() > self.capacity_per_shard {
                     // Evict the least recently used entry (smallest tick, and
@@ -480,14 +490,14 @@ impl SweepCache {
                 }
             }
         }
-        sweep
+        best
     }
 
     /// Looks `key` up in its shared shard without computing on miss: the L1
     /// fill path.  A hit refreshes recency and counts as a shard hit; a miss
     /// counts as a shard miss (the caller computes locally and later
     /// [`SweepCache::publish`]es, which therefore does **not** count again).
-    fn probe(&self, key: &SweepKey) -> Option<Arc<Vec<SnippetExecution>>> {
+    fn probe(&self, key: &SweepKey) -> Option<SnippetExecution> {
         let mut guard = self.shard_of(key).lock();
         let shard = &mut *guard;
         shard.tick += 1;
@@ -495,30 +505,30 @@ impl SweepCache {
         if let Some(entry) = shard.entries.get_mut(key) {
             let old_tick = entry.0;
             entry.0 = tick;
-            let sweep = Arc::clone(&entry.1);
+            let best = entry.1;
             shard.order.remove(&old_tick);
             shard.order.insert(tick, *key);
             shard.hits += 1;
-            Some(sweep)
+            Some(best)
         } else {
             shard.misses += 1;
             None
         }
     }
 
-    /// Batch-inserts locally-computed sweeps, locking each touched shard once
+    /// Batch-inserts locally-computed answers, locking each touched shard once
     /// per batch.  Keys already resident (a racing worker published first)
     /// keep their resident value — keys are exact, so the values are
     /// bit-identical anyway — and only have their recency refreshed.
     fn publish(&self, batch: SweepBatch) {
         let mut groups: HashMap<usize, SweepBatch> = HashMap::new();
-        for (key, sweep) in batch {
-            groups.entry(self.shard_index(&key)).or_default().push((key, sweep));
+        for (key, best) in batch {
+            groups.entry(self.shard_index(&key)).or_default().push((key, best));
         }
         for (index, group) in groups {
             let mut guard = self.shards[index].lock();
             let shard = &mut *guard;
-            for (key, sweep) in group {
+            for (key, best) in group {
                 shard.tick += 1;
                 let tick = shard.tick;
                 match shard.entries.entry(key) {
@@ -529,7 +539,7 @@ impl SweepCache {
                         shard.order.insert(tick, key);
                     }
                     std::collections::hash_map::Entry::Vacant(vacant) => {
-                        vacant.insert((tick, sweep));
+                        vacant.insert((tick, best));
                         shard.order.insert(tick, key);
                         if shard.entries.len() > self.capacity_per_shard {
                             if let Some((_, oldest_key)) = shard.order.pop_first() {
@@ -550,13 +560,13 @@ impl Default for SweepCache {
     }
 }
 
-/// A [`SocSimulator`] wrapped with batched, memoised full-configuration sweeps.
+/// A [`SocSimulator`] wrapped with memoised Oracle answers.
 ///
 /// The engine owns the (mutable, thermally evolving) simulator of one serving
-/// lane; the cache behind it may be private or shared across lanes.  All
-/// evaluation goes through [`SweepEngine::sweep`], so any snippet the process
-/// has already swept at the same thermal state is answered from memory with
-/// results bit-identical to fresh evaluation.
+/// lane; the cache behind it may be private or shared across lanes.  Every
+/// Oracle question goes through [`SweepEngine::best`], so any snippet the
+/// process has already answered under the same objective at the same thermal
+/// state is answered from memory, bit-identically to a fresh search.
 #[derive(Debug)]
 pub struct SweepEngine {
     sim: SocSimulator,
@@ -568,10 +578,10 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// Default capacity of the per-worker warm tier (sweeps).
+    /// Default capacity of the per-worker warm tier (answers).
     pub const DEFAULT_L1_CAPACITY: usize = 512;
 
-    /// Default number of locally-computed sweeps buffered before a batch is
+    /// Default number of locally-computed answers buffered before a batch is
     /// published back to the shared shards.
     pub const DEFAULT_L1_PUBLISH_EVERY: usize = 32;
 
@@ -586,10 +596,10 @@ impl SweepEngine {
         Self { sim: SocSimulator::new(platform), cache, platform_id, l1: None }
     }
 
-    /// Attaches a private L1 warm tier: `capacity` resident sweeps served with
-    /// zero lock acquisitions, and locally-computed results published back to
+    /// Attaches a private L1 warm tier: `capacity` resident answers served with
+    /// zero lock acquisitions, and locally-computed answers published back to
     /// the shared shards every `publish_every` misses (plus whenever
-    /// [`SweepEngine::flush_l1`] runs).  Results stay bit-identical to the
+    /// [`SweepEngine::flush_l1`] runs).  Answers stay bit-identical to the
     /// shared path — keys are the same exact bit patterns in every tier.
     ///
     /// # Panics
@@ -605,7 +615,7 @@ impl SweepEngine {
         self.l1.as_ref().map(|cell| cell.borrow().stats())
     }
 
-    /// Publishes any locally-computed sweeps still buffered in the private
+    /// Publishes any locally-computed answers still buffered in the private
     /// tier back to the shared shards, so later runs (and other workers)
     /// deduplicate against everything this engine computed.  The driver calls
     /// this when a worker drains; no-op without an L1 or with an empty buffer.
@@ -626,11 +636,6 @@ impl SweepEngine {
         &self.sim
     }
 
-    /// The platform being served.
-    pub fn platform(&self) -> &SocPlatform {
-        self.sim.platform()
-    }
-
     /// The cache backing this engine.
     pub fn cache(&self) -> &Arc<SweepCache> {
         &self.cache
@@ -641,71 +646,57 @@ impl SweepEngine {
         self.sim.reset();
     }
 
-    /// Evaluates the snippet at **every** platform configuration (in
-    /// [`SocPlatform::configs`] order), served from the cache when possible.
+    /// The best configuration for the snippet under `objective` at the
+    /// simulator's current thermal state, with its execution, served from the
+    /// cache when possible; nothing is committed.  A miss computes exactly
+    /// [`OracleSearch::best_config`].
     ///
     /// With an attached L1 ([`SweepEngine::with_warm_l1`]) the lookup is
     /// tiered: private map (zero locks) → shared shard (one lock, fills the
-    /// L1) → local evaluation (no lock held while computing; the result is
+    /// L1) → local search (no lock held while computing; the answer is
     /// buffered and batch-published).  All tiers answer bit-identically.
-    pub fn sweep(&self, profile: &SnippetProfile) -> Arc<Vec<SnippetExecution>> {
-        let key = SweepKey::new(self.platform_id, profile, &self.sim);
+    pub fn best(
+        &self,
+        objective: OracleObjective,
+        profile: &SnippetProfile,
+    ) -> (DvfsConfig, SnippetExecution) {
+        let best = self.lookup(objective, profile);
+        (best.config, best)
+    }
+
+    /// The winning execution behind [`SweepEngine::best`].
+    fn lookup(&self, objective: OracleObjective, profile: &SnippetProfile) -> SnippetExecution {
+        let key = SweepKey::new(self.platform_id, objective, profile, &self.sim);
+        let search = || OracleSearch::new(objective).best_config(&self.sim, profile).1;
         let Some(cell) = &self.l1 else {
-            let sim = &self.sim;
-            return self.cache.get_or_compute(key, || sim.evaluate_all_configs(profile));
+            return self.cache.get_or_compute(key, search);
         };
-        if let Some(sweep) = cell.borrow_mut().get(&key) {
-            return sweep;
+        if let Some(best) = cell.borrow_mut().get(&key) {
+            return best;
         }
-        if let Some(sweep) = self.cache.probe(&key) {
+        if let Some(best) = self.cache.probe(&key) {
             let mut l1 = cell.borrow_mut();
             l1.shared_hits += 1;
-            l1.insert(key, Arc::clone(&sweep));
-            return sweep;
+            l1.insert(key, best);
+            return best;
         }
-        // Shared miss (counted by the probe): evaluate with no lock held.
-        let sweep = Arc::new(self.sim.evaluate_all_configs(profile));
+        // Shared miss (counted by the probe): search with no lock held.
+        let best = search();
         let mut l1 = cell.borrow_mut();
         l1.misses += 1;
-        l1.insert(key, Arc::clone(&sweep));
-        l1.pending.push((key, Arc::clone(&sweep)));
+        l1.insert(key, best);
+        l1.pending.push((key, best));
         if l1.pending.len() >= l1.publish_every {
             let batch = std::mem::take(&mut l1.pending);
             l1.publishes += 1;
             drop(l1);
             self.cache.publish(batch);
         }
-        sweep
-    }
-
-    /// Sweeps the snippet and returns the best configuration under `objective`
-    /// together with its execution, without committing anything.
-    pub fn best(
-        &self,
-        objective: OracleObjective,
-        profile: &SnippetProfile,
-    ) -> (DvfsConfig, SnippetExecution) {
-        let sweep = self.sweep(profile);
-        let best = OracleSearch::new(objective).best_index(&sweep);
-        (sweep[best].config, sweep[best])
-    }
-
-    /// Executes the snippet at `config`: serves the evaluation from the sweep
-    /// cache and commits it (energy, time, thermal state) to the simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid for the platform.
-    pub fn execute(&mut self, profile: &SnippetProfile, config: DvfsConfig) -> SnippetExecution {
-        let index = self.platform().config_index(config);
-        let sweep = self.sweep(profile);
-        let execution = sweep[index];
-        self.sim.commit_snippet(&execution);
-        execution
+        best
     }
 
     /// Oracle execution of a snippet sequence through the cache; equivalent to
-    /// [`OracleRun::execute`] on a fresh simulator but with every sweep
+    /// [`OracleRun::execute`] on a fresh simulator but with every answer
     /// memoised, so re-running the same sequence (the common case when many
     /// experiments normalise against the same Oracle) is almost free.
     pub fn oracle_run(
@@ -755,6 +746,8 @@ impl SweepEngine {
 mod tests {
     use super::*;
 
+    const ENERGY: OracleObjective = OracleObjective::Energy;
+
     fn profiles() -> Vec<SnippetProfile> {
         vec![
             SnippetProfile::compute_bound(100_000_000),
@@ -763,41 +756,62 @@ mod tests {
         ]
     }
 
+    /// An uncached Oracle search on a fresh simulator.
+    fn fresh_best(
+        platform: &SocPlatform,
+        objective: OracleObjective,
+        profile: &SnippetProfile,
+    ) -> (DvfsConfig, SnippetExecution) {
+        OracleSearch::new(objective).best_config(&SocSimulator::new(platform.clone()), profile)
+    }
+
+    fn assert_bit_identical(a: (DvfsConfig, SnippetExecution), b: (DvfsConfig, SnippetExecution)) {
+        assert_eq!(a, b);
+        assert_eq!(a.1.energy_j.to_bits(), b.1.energy_j.to_bits());
+        assert_eq!(a.1.time_s.to_bits(), b.1.time_s.to_bits());
+    }
+
     #[test]
-    fn cached_sweeps_are_bit_identical_to_uncached_evaluation() {
+    fn cached_answers_are_bit_identical_to_uncached_search() {
         let platform = SocPlatform::small();
         let engine = SweepEngine::new(platform.clone());
-        let sim = SocSimulator::new(platform.clone());
         for profile in &profiles() {
             for _ in 0..2 {
-                let sweep = engine.sweep(profile);
-                for (execution, config) in sweep.iter().zip(platform.configs()) {
-                    let fresh = sim.evaluate_snippet(profile, config);
-                    assert_eq!(*execution, fresh);
-                    assert_eq!(execution.energy_j.to_bits(), fresh.energy_j.to_bits());
-                    assert_eq!(execution.time_s.to_bits(), fresh.time_s.to_bits());
-                }
+                let answer = engine.best(ENERGY, profile);
+                assert_bit_identical(answer, fresh_best(&platform, ENERGY, profile));
             }
         }
         let stats = engine.cache().stats();
         assert_eq!(stats.misses, 3, "one miss per distinct profile");
-        assert_eq!(stats.hits, 3, "one hit per repeated sweep");
+        assert_eq!(stats.hits, 3, "one hit per repeated question");
         assert!(stats.hit_rate() > 0.49);
+    }
+
+    #[test]
+    fn objective_is_part_of_the_key() {
+        let platform = SocPlatform::small();
+        let engine = SweepEngine::new(platform.clone());
+        let profile = SnippetProfile::memory_bound(100_000_000);
+        for objective in [ENERGY, OracleObjective::EnergyDelayProduct] {
+            let answer = engine.best(objective, &profile);
+            assert_bit_identical(answer, fresh_best(&platform, objective, &profile));
+        }
+        let stats = engine.cache().stats();
+        assert_eq!((stats.misses, stats.hits), (2, 0), "each objective asks its own question");
     }
 
     #[test]
     fn thermal_state_is_part_of_the_key() {
         let platform = SocPlatform::small();
-        let mut engine = SweepEngine::new(platform.clone());
+        let mut engine = SweepEngine::new(platform);
         let profile = SnippetProfile::compute_bound(100_000_000);
-        let cold = engine.sweep(&profile);
-        // Heat the chip; the same snippet must now be re-evaluated, not served
-        // from the cold-state entry.
-        for _ in 0..20 {
-            engine.execute(&profile, platform.max_config());
-        }
-        let hot = engine.sweep(&profile);
-        assert!(hot[0].energy_j != cold[0].energy_j, "leakage must reflect the hotter die");
+        let cold = engine.best(ENERGY, &profile);
+        // Heat the chip; the same snippet must now be searched again, not
+        // served from the cold-state entry.
+        engine.oracle_run(&vec![profile.clone(); 20], ENERGY);
+        let hot = engine.best(ENERGY, &profile);
+        assert!(hot.1.energy_j != cold.1.energy_j, "leakage must reflect the hotter die");
+        assert_bit_identical(hot, OracleSearch::new(ENERGY).best_config(engine.sim(), &profile));
         assert!(engine.cache().stats().misses >= 2);
     }
 
@@ -806,12 +820,12 @@ mod tests {
         let platform = SocPlatform::small();
         let seq = profiles();
         let mut reference_sim = SocSimulator::new(platform.clone());
-        let reference = OracleRun::execute(&mut reference_sim, &seq, OracleObjective::Energy);
+        let reference = OracleRun::execute(&mut reference_sim, &seq, ENERGY);
 
         let mut engine = SweepEngine::new(platform.clone());
-        let first = engine.oracle_run(&seq, OracleObjective::Energy);
+        let first = engine.oracle_run(&seq, ENERGY);
         engine.reset();
-        let second = engine.oracle_run(&seq, OracleObjective::Energy);
+        let second = engine.oracle_run(&seq, ENERGY);
 
         assert_eq!(first, reference);
         assert_eq!(second, reference, "cache-served rerun must be bit-identical");
@@ -824,13 +838,9 @@ mod tests {
         let platform = SocPlatform::small();
         let seq = profiles();
         let mut reference_sim = SocSimulator::new(platform.clone());
-        let reference = soclearn_oracle::collect_demonstrations(
-            &mut reference_sim,
-            &seq,
-            OracleObjective::Energy,
-        );
+        let reference = soclearn_oracle::collect_demonstrations(&mut reference_sim, &seq, ENERGY);
         let mut engine = SweepEngine::new(platform);
-        let via_engine = engine.collect_demonstrations(&seq, OracleObjective::Energy);
+        let via_engine = engine.collect_demonstrations(&seq, ENERGY);
         assert_eq!(via_engine, reference);
     }
 
@@ -842,7 +852,7 @@ mod tests {
         let cache = Arc::new(SweepCache::with_shards(2, 1));
         let engine = SweepEngine::with_cache(platform, Arc::clone(&cache));
         for instructions in [1_000_000u64, 2_000_000, 3_000_000, 4_000_000] {
-            let _ = engine.sweep(&SnippetProfile::compute_bound(instructions));
+            let _ = engine.best(ENERGY, &SnippetProfile::compute_bound(instructions));
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
@@ -857,9 +867,9 @@ mod tests {
         let single = SweepEngine::with_cache(platform, Arc::new(SweepCache::with_shards(4096, 1)));
         for instructions in [10_000_000u64, 20_000_000, 30_000_000, 10_000_000] {
             let profile = SnippetProfile::compute_bound(instructions);
-            let a = sharded.sweep(&profile);
-            let b = single.sweep(&profile);
-            assert_eq!(*a, *b, "shard placement must not change results");
+            let a = sharded.best(ENERGY, &profile);
+            let b = single.best(ENERGY, &profile);
+            assert_bit_identical(a, b);
         }
         assert_eq!(sharded.cache().shard_count(), SweepCache::DEFAULT_SHARDS);
         let (a, b) = (sharded.cache().stats(), single.cache().stats());
@@ -881,7 +891,7 @@ mod tests {
                 scope.spawn(move || {
                     let engine = SweepEngine::with_cache(platform, cache);
                     for profile in profiles {
-                        let _ = engine.sweep(profile);
+                        let _ = engine.best(ENERGY, profile);
                     }
                 });
             }
@@ -898,16 +908,12 @@ mod tests {
         let shared = SweepEngine::new(platform.clone());
         let warm = SweepEngine::new(platform).with_warm_l1(64, 4);
         for profile in profiles().iter().cycle().take(9) {
-            let a = shared.sweep(profile);
-            let b = warm.sweep(profile);
-            assert_eq!(*a, *b, "L1 tier must not change results");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.energy_j.to_bits(), y.energy_j.to_bits());
-                assert_eq!(x.time_s.to_bits(), y.time_s.to_bits());
-            }
+            let a = shared.best(ENERGY, profile);
+            let b = warm.best(ENERGY, profile);
+            assert_bit_identical(a, b);
         }
         let stats = warm.l1_stats().expect("L1 attached");
-        assert_eq!(stats.misses, 3, "one evaluation per distinct profile");
+        assert_eq!(stats.misses, 3, "one search per distinct profile");
         assert_eq!(stats.hits, 6, "repeats served lock-free from the L1");
         assert_eq!(stats.shared_hits, 0, "nothing was resident in the shared tier first");
         assert!(stats.warm_hit_rate() > 0.6);
@@ -921,21 +927,21 @@ mod tests {
             SweepEngine::with_cache(platform.clone(), Arc::clone(&cache)).with_warm_l1(64, 2);
         let seq = profiles();
         for profile in &seq {
-            let _ = writer.sweep(profile);
+            let _ = writer.best(ENERGY, profile);
         }
         // publish_every = 2: the first batch went out mid-run, the third
-        // result is still buffered until the flush.
+        // answer is still buffered until the flush.
         assert_eq!(cache.stats().entries, 2);
         writer.flush_l1();
         assert_eq!(cache.stats().entries, 3, "flush publishes the remainder");
         assert_eq!(writer.l1_stats().unwrap().publishes, 2);
 
         // A second worker on the same shared cache is warmed by the first
-        // worker's published results: shared hits, no evaluations.
+        // worker's published answers: shared hits, no searches.
         let reader = SweepEngine::with_cache(platform, Arc::clone(&cache)).with_warm_l1(64, 2);
         for profile in &seq {
-            let _ = reader.sweep(profile);
-            let _ = reader.sweep(profile);
+            let _ = reader.best(ENERGY, profile);
+            let _ = reader.best(ENERGY, profile);
         }
         let stats = reader.l1_stats().unwrap();
         assert_eq!(stats.misses, 0, "everything was published by the writer");
@@ -948,7 +954,7 @@ mod tests {
         let platform = SocPlatform::small();
         let engine = SweepEngine::new(platform).with_warm_l1(2, 64);
         for instructions in [1_000_000u64, 2_000_000, 3_000_000, 4_000_000] {
-            let _ = engine.sweep(&SnippetProfile::compute_bound(instructions));
+            let _ = engine.best(ENERGY, &SnippetProfile::compute_bound(instructions));
         }
         let stats = engine.l1_stats().unwrap();
         assert_eq!(stats.entries, 2);
@@ -959,12 +965,14 @@ mod tests {
     #[test]
     fn distinct_platforms_do_not_share_entries() {
         let cache = Arc::new(SweepCache::new());
-        let small = SweepEngine::with_cache(SocPlatform::small(), Arc::clone(&cache));
-        let full = SweepEngine::with_cache(SocPlatform::odroid_xu3(), Arc::clone(&cache));
+        let (small, odroid) = (SocPlatform::small(), SocPlatform::odroid_xu3());
+        let on_small = SweepEngine::with_cache(small.clone(), Arc::clone(&cache));
+        let on_odroid = SweepEngine::with_cache(odroid.clone(), Arc::clone(&cache));
         let profile = SnippetProfile::compute_bound(100_000_000);
-        let a = small.sweep(&profile);
-        let b = full.sweep(&profile);
+        let a = on_small.best(ENERGY, &profile);
+        let b = on_odroid.best(ENERGY, &profile);
         assert_eq!(cache.stats().misses, 2);
-        assert_ne!(a.len(), b.len());
+        assert_bit_identical(a, fresh_best(&small, ENERGY, &profile));
+        assert_bit_identical(b, fresh_best(&odroid, ENERGY, &profile));
     }
 }

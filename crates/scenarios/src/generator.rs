@@ -456,6 +456,13 @@ impl GraphicsSpec {
 
 /// Parameterised NoC monitoring sessions: a mesh, candidate traffic patterns
 /// and per-window offered-rate ranges.
+///
+/// A recorded trace replays only meshes of at most
+/// [`MAX_REPLAY_MESH_NODES`](crate::trace::MAX_REPLAY_MESH_NODES) nodes
+/// (32 × 32) and windows of at most
+/// [`MAX_REPLAY_WINDOW_CYCLES`](crate::trace::MAX_REPLAY_WINDOW_CYCLES)
+/// cycles (10⁶); [`Trace::from_jsonl`](crate::Trace::from_jsonl) rejects a
+/// decision past either cap.  [`MeshSpec::monitoring`] uses 4 × 4 and 2,000.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeshSpec {
     /// Family name (scenario names are `"{name}-{index}"`).

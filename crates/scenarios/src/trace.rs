@@ -56,6 +56,16 @@ pub const TRACE_VERSION: u32 = 3;
 /// v2 lack decision kinds and are implicitly CPU-only).
 pub const OLDEST_READABLE_TRACE_VERSION: u32 = 1;
 
+/// Most mesh nodes a NoC decision line may name: [`replay`] simulates every
+/// node of the window's mesh, so [`Trace::from_jsonl`] rejects a larger one.
+/// Together with [`MAX_REPLAY_WINDOW_CYCLES`] this bounds one line's replay
+/// at about 10⁹ node-cycles.
+pub const MAX_REPLAY_MESH_NODES: usize = 32 * 32;
+
+/// Most cycles a NoC decision line's window may simulate; see
+/// [`MAX_REPLAY_MESH_NODES`].
+pub const MAX_REPLAY_WINDOW_CYCLES: u64 = 1_000_000;
+
 /// One recorded scenario: a named decision stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioTrace {
@@ -253,10 +263,11 @@ impl Trace {
     /// Declared scenario and decision counts are untrusted: no allocation is
     /// sized beyond the lines the input has left, and a count the input
     /// cannot back is a truncated-trace [`TraceError::Format`].  A NoC window
-    /// [`replay`] could not simulate (a zero or unallocatable mesh, zero
-    /// cycles, a rate outside `(0, 1]`), a GPU frame deadline that is not
-    /// finite and positive, and a thread or slice count past `u32::MAX` are
-    /// [`TraceError::Format`]s too.
+    /// [`replay`] could not simulate, or not in bounded time (an empty mesh
+    /// or one past [`MAX_REPLAY_MESH_NODES`], zero cycles or more than
+    /// [`MAX_REPLAY_WINDOW_CYCLES`], a rate outside `(0, 1]`), a GPU frame
+    /// deadline that is not finite and positive, and a thread or slice count
+    /// past `u32::MAX` are [`TraceError::Format`]s too.
     pub fn from_jsonl(input: &str) -> Result<Self, TraceError> {
         let mut lines = TraceLines::new(input);
         let (line_no, header) = lines
@@ -568,11 +579,10 @@ fn parse_noc_decision(value: &JsonValue, line: usize) -> Result<NocDecisionRecor
     if width == 0 || height == 0 {
         return Err(format_err(line, "mesh dimensions must be positive"));
     }
-    // Replay allocates one u64 per directed link (four per node); a mesh
-    // whose link table cannot exist is an error here, not a panic there.
-    let link_bytes = width.checked_mul(height).and_then(|nodes| nodes.checked_mul(4 * 8));
-    if !link_bytes.is_some_and(|bytes| bytes <= isize::MAX as usize) {
-        return Err(format_err(line, "mesh too large to simulate"));
+    // Replay allocates link tables per node and simulates every cycle; a
+    // window past the caps is an error here, not an unbounded replay there.
+    if !width.checked_mul(height).is_some_and(|nodes| nodes <= MAX_REPLAY_MESH_NODES) {
+        return Err(format_err(line, "mesh too large to replay"));
     }
     let pattern = value
         .get("pattern")
@@ -582,6 +592,9 @@ fn parse_noc_decision(value: &JsonValue, line: usize) -> Result<NocDecisionRecor
     let cycles = field_u64(value, "cycles", line)?;
     if cycles == 0 {
         return Err(format_err(line, "noc window must simulate at least one cycle"));
+    }
+    if cycles > MAX_REPLAY_WINDOW_CYCLES {
+        return Err(format_err(line, "noc window too long to replay"));
     }
     let injection_rate = field_f64_bits(value, "rate", line)?;
     if !(injection_rate > 0.0 && injection_rate <= 1.0) {
@@ -1140,6 +1153,22 @@ mod tests {
         assert_rejected("noc", "mesh", "[4294967296,4294967296]", "too large");
         // Representable link count, but no Vec can hold its link table.
         assert_rejected("noc", "mesh", "[1073741824,1073741824]", "too large");
+    }
+
+    #[test]
+    fn noc_mesh_past_the_node_cap_is_a_format_error() {
+        // Representable, and its link tables fit in memory, but not in bounded time.
+        assert_rejected("noc", "mesh", "[32768,32768]", "too large");
+        assert_rejected("noc", "mesh", "[33,32]", "too large");
+        assert!(Trace::from_jsonl(&edit_first("noc", "mesh", "[32,32]").1).is_ok());
+    }
+
+    #[test]
+    fn noc_window_past_the_cycle_cap_is_a_format_error() {
+        assert_rejected("noc", "cycles", &(MAX_REPLAY_WINDOW_CYCLES + 1).to_string(), "too long");
+        assert_rejected("noc", "cycles", &u64::MAX.to_string(), "too long");
+        let at_cap = edit_first("noc", "cycles", &MAX_REPLAY_WINDOW_CYCLES.to_string()).1;
+        assert!(Trace::from_jsonl(&at_cap).is_ok());
     }
 
     #[test]

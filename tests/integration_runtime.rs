@@ -1,7 +1,7 @@
 //! Integration tests of the `soclearn-runtime` serving subsystem: cached
-//! sweeps must be bit-identical to per-call evaluation, the artifact store
-//! must be deterministic across threads, and the scenario driver's telemetry
-//! must be sane under a real multi-worker load.
+//! Oracle answers must be bit-identical to per-call evaluation, the artifact
+//! store must be deterministic across threads, and the scenario driver's
+//! telemetry must be sane under a real multi-worker load.
 
 use std::sync::Arc;
 
@@ -19,25 +19,41 @@ fn sweep_engine_matches_per_call_evaluation_bit_for_bit() {
         SnippetProfile::memory_bound(100_000_000),
         SnippetProfile::compute_bound(100_000_000), // repeat → served from cache
     ];
-    for profile in &profiles {
-        let sweep = engine.sweep(profile);
-        for (execution, config) in sweep.iter().zip(platform.configs()) {
-            let fresh = reference.evaluate_snippet(profile, config);
+    let objectives = [
+        OracleObjective::Energy,
+        OracleObjective::EnergyDelayProduct,
+        OracleObjective::PerformancePerWatt,
+    ];
+    for objective in objectives {
+        let before = engine.cache().stats();
+        for profile in &profiles {
+            let (config, execution) = engine.best(objective, profile);
+            // The answer is the argmin over one evaluate_snippet call per
+            // configuration.
+            let per_call: Vec<_> = platform
+                .configs()
+                .into_iter()
+                .map(|config| reference.evaluate_snippet(profile, config))
+                .collect();
+            let fresh = per_call[OracleSearch::new(objective).best_index(&per_call)];
+            assert_eq!(config, fresh.config);
             assert_eq!(execution.energy_j.to_bits(), fresh.energy_j.to_bits());
             assert_eq!(execution.time_s.to_bits(), fresh.time_s.to_bits());
             assert_eq!(execution.counters, fresh.counters);
         }
+        let after = engine.cache().stats();
+        assert_eq!(after.misses - before.misses, 2, "{objective:?}: two distinct profiles");
+        assert_eq!(after.hits - before.hits, 1, "{objective:?}: the repeated profile must hit");
     }
-    let stats = engine.cache().stats();
-    assert_eq!(stats.misses, 2, "two distinct profiles");
-    assert_eq!(stats.hits, 1, "the repeated profile must be a hit");
 
     // Oracle runs through the engine equal the reference implementation.
-    let mut oracle_sim = SocSimulator::new(platform.clone());
-    let reference_run = OracleRun::execute(&mut oracle_sim, &profiles, OracleObjective::Energy);
-    engine.reset();
-    let engine_run = engine.oracle_run(&profiles, OracleObjective::Energy);
-    assert_eq!(engine_run, reference_run);
+    for objective in objectives {
+        let mut oracle_sim = SocSimulator::new(platform.clone());
+        let reference_run = OracleRun::execute(&mut oracle_sim, &profiles, objective);
+        engine.reset();
+        let engine_run = engine.oracle_run(&profiles, objective);
+        assert_eq!(engine_run, reference_run);
+    }
 }
 
 #[test]

@@ -241,15 +241,20 @@ proptest! {
     /// The per-worker L1 warm tier is bit-transparent: for any interleaving of
     /// L1 fills, shared-shard fills, batched publishes and explicit flushes —
     /// across two L1 engines racing on one shared cache, at any tiny
-    /// capacity/publish cadence — every sweep is bit-identical to the plain
-    /// shared-shard path and to a fresh simulator evaluation.
+    /// capacity/publish cadence, under any objective — every answer is
+    /// bit-identical to the plain shared-shard path and to a fresh search.
     #[test]
     fn worker_l1_sweeps_are_bit_transparent_under_any_interleaving(
         profiles in proptest::collection::vec(snippet_strategy(), 1..4),
-        ops in proptest::collection::vec((0usize..8, 0u8..3), 1..24),
+        ops in proptest::collection::vec((0usize..8, 0usize..3, 0u8..3), 1..24),
         capacity in 1usize..6,
         publish_every in 1usize..5,
     ) {
+        let objectives = [
+            OracleObjective::Energy,
+            OracleObjective::EnergyDelayProduct,
+            OracleObjective::PerformancePerWatt,
+        ];
         let platform = SocPlatform::small();
         let sim = SocSimulator::new(platform.clone());
         let shared = std::sync::Arc::new(SweepCache::new());
@@ -258,24 +263,16 @@ proptest! {
             .with_warm_l1(capacity, publish_every);
         let peer = SweepEngine::with_cache(platform, std::sync::Arc::clone(&shared))
             .with_warm_l1(capacity, publish_every);
-        for (pick, action) in ops {
+        for (pick, objective, action) in ops {
             let profile = &profiles[pick % profiles.len()];
-            let expected = plain.sweep(profile);
-            let via_warm = warm.sweep(profile);
-            let via_peer = peer.sweep(profile);
-            prop_assert!(expected.len() == via_warm.len() && expected.len() == via_peer.len());
-            for (e, (w, p)) in expected.iter().zip(via_warm.iter().zip(via_peer.iter())) {
-                prop_assert!(e.energy_j.to_bits() == w.energy_j.to_bits());
-                prop_assert!(e.time_s.to_bits() == w.time_s.to_bits());
-                prop_assert!(e.energy_j.to_bits() == p.energy_j.to_bits());
-                prop_assert!(e.time_s.to_bits() == p.time_s.to_bits());
-            }
-            // Ground truth: the uncached simulator answers identically too.
-            let fresh = sim.evaluate_all_configs(profile);
-            prop_assert!(fresh.len() == via_warm.len());
-            for (f, w) in fresh.iter().zip(via_warm.iter()) {
-                prop_assert!(f.energy_j.to_bits() == w.energy_j.to_bits());
-                prop_assert!(f.time_s.to_bits() == w.time_s.to_bits());
+            let objective = objectives[objective];
+            let expected = plain.best(objective, profile);
+            // Ground truth: the uncached search answers identically too.
+            let fresh = OracleSearch::new(objective).best_config(&sim, profile);
+            for answer in [warm.best(objective, profile), peer.best(objective, profile), fresh] {
+                prop_assert!(answer == expected);
+                prop_assert!(answer.1.energy_j.to_bits() == expected.1.energy_j.to_bits());
+                prop_assert!(answer.1.time_s.to_bits() == expected.1.time_s.to_bits());
             }
             match action {
                 1 => warm.flush_l1(),
