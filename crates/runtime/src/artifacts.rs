@@ -16,7 +16,14 @@
 //!   [`SweepCache`];
 //! * [`TrainingArtifacts::online_policy`] hands out online-IL policies whose
 //!   power/performance models were pretrained **once** and cloned per policy,
-//!   bit-identical to per-policy pretraining.
+//!   bit-identical to per-policy pretraining;
+//! * [`ArtifactStore::noc_model`] memoises the learned NoC latency models
+//!   keyed by *(mesh, traffic pattern, training-rate bits, training cycles)*.
+//!   SVR-NoC is trained offline and queried at run time, so every NoC
+//!   session with the same training setup shares one model, trained once
+//!   with [`EXPERIMENT_SEED`].  The heterogeneous generator draws three
+//!   such setups (a 4×4 mesh under uniform, hotspot and transpose traffic),
+//!   so a fleet of any size trains three models.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,15 +32,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 use soclearn_imitation::{
     pretrain_candidate_models, OfflineIlPolicy, OnlineIlConfig, OnlineIlPolicy, PolicyModelKind,
 };
+use soclearn_noc_sim::{MeshConfig, SvrLatencyModel, TrafficPattern};
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_oracle::{OracleObjective, OracleRun};
 use soclearn_soc_sim::{SocPlatform, SocSimulator};
 use soclearn_workloads::{ApplicationSequence, BenchmarkSuite, SnippetProfile, SuiteKind};
 
 use crate::scale::ExperimentScale;
+use crate::substrate::NocSessionSpec;
 use crate::sweep::{profile_bits, SweepCache, SweepEngine};
 
-/// Deterministic seed used by every experiment for workload generation.
+/// Deterministic seed used by every experiment for workload generation, and
+/// by [`ArtifactStore::noc_model`] to train the design-time NoC models.
 pub const EXPERIMENT_SEED: u64 = 2020;
 
 /// Builds a benchmark suite and truncates every benchmark to the scale's snippet
@@ -233,8 +243,21 @@ type ArtifactKey = (String, ExperimentScale);
 /// One build slot: concurrent requesters block on the `OnceLock` of their key.
 type ArtifactCell = Arc<OnceLock<Arc<TrainingArtifacts>>>;
 
+/// Learned NoC model key: everything the SVR training reads from a session,
+/// with the training rates as exact bit patterns.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct NocModelKey {
+    mesh: MeshConfig,
+    pattern: TrafficPattern,
+    train_rates: Vec<u64>,
+    train_cycles: u64,
+}
+/// One training slot, shared like an [`ArtifactCell`].
+type NocModelCell = Arc<OnceLock<Arc<SvrLatencyModel>>>;
+
 /// Process-wide store of [`TrainingArtifacts`], keyed by *(platform
-/// fingerprint, scale)*.
+/// fingerprint, scale)*, and of the learned NoC latency models
+/// ([`ArtifactStore::noc_model`]).
 ///
 /// Each key owns a `OnceLock`: the first caller builds, concurrent callers for
 /// the same key block until that build finishes and then share the same `Arc`.
@@ -243,12 +266,19 @@ type ArtifactCell = Arc<OnceLock<Arc<TrainingArtifacts>>>;
 pub struct ArtifactStore {
     cells: Mutex<HashMap<ArtifactKey, ArtifactCell>>,
     builds: AtomicUsize,
+    noc_models: Mutex<HashMap<NocModelKey, NocModelCell>>,
+    noc_trainings: AtomicUsize,
 }
 
 impl ArtifactStore {
     /// Creates an empty store (tests; production code uses [`ArtifactStore::global`]).
     pub fn new() -> Self {
-        Self { cells: Mutex::new(HashMap::new()), builds: AtomicUsize::new(0) }
+        Self {
+            cells: Mutex::new(HashMap::new()),
+            builds: AtomicUsize::new(0),
+            noc_models: Mutex::new(HashMap::new()),
+            noc_trainings: AtomicUsize::new(0),
+        }
     }
 
     /// The process-wide store.
@@ -285,12 +315,47 @@ impl ArtifactStore {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct keys the store has seen.
+    /// The design-time learned latency model for a NoC session's mesh,
+    /// traffic pattern, training rates and training cycles, trained once per
+    /// store with [`EXPERIMENT_SEED`] however many sessions and threads ask.
+    /// The session's own `seed` and query windows do not select the model.
+    pub fn noc_model(&self, session: &NocSessionSpec) -> Arc<SvrLatencyModel> {
+        let key = NocModelKey {
+            mesh: session.mesh,
+            pattern: session.pattern,
+            train_rates: session.train_rates.iter().map(|rate| rate.to_bits()).collect(),
+            train_cycles: session.train_cycles,
+        };
+        let cell = Arc::clone(
+            self.noc_models
+                .lock()
+                .expect("artifact store lock")
+                .entry(key)
+                .or_insert_with(|| Arc::new(OnceLock::new())),
+        );
+        Arc::clone(cell.get_or_init(|| {
+            self.noc_trainings.fetch_add(1, Ordering::Relaxed);
+            Arc::new(SvrLatencyModel::train(
+                session.mesh,
+                session.pattern,
+                &session.train_rates,
+                session.train_cycles,
+                EXPERIMENT_SEED,
+            ))
+        }))
+    }
+
+    /// Number of learned NoC models the store has actually trained.
+    pub fn noc_models_trained(&self) -> usize {
+        self.noc_trainings.load(Ordering::Relaxed)
+    }
+
+    /// Number of distinct [`TrainingArtifacts`] keys the store has seen.
     pub fn len(&self) -> usize {
         self.cells.lock().expect("artifact store lock").len()
     }
 
-    /// Whether the store has seen no keys yet.
+    /// Whether the store has seen no [`TrainingArtifacts`] keys yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -28,7 +28,6 @@
 //! are computed against discrete-event time and become deterministic
 //! functions of the scenario stream.
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -74,22 +73,13 @@ impl ScenarioSpec {
         Self::new(name, sequence.snippets().iter().map(|s| s.profile.clone()).collect())
     }
 
-    /// The CPU snippet stream across all CPU segments, in execution order.
-    /// Borrows when the scenario is a single CPU segment (the common case).
-    pub fn cpu_profiles(&self) -> Cow<'_, [SnippetProfile]> {
-        match self.segments.as_slice() {
-            [SubstrateWork::Cpu(profiles)] => Cow::Borrowed(profiles),
-            segments => Cow::Owned(
-                segments
-                    .iter()
-                    .filter_map(|segment| match segment {
-                        SubstrateWork::Cpu(profiles) => Some(profiles.iter().cloned()),
-                        _ => None,
-                    })
-                    .flatten()
-                    .collect(),
-            ),
-        }
+    /// The CPU snippet stream across all CPU segments, in execution order,
+    /// borrowed from the segments.
+    fn cpu_snippets(&self) -> impl Iterator<Item = &SnippetProfile> {
+        self.segments.iter().flat_map(|segment| match segment {
+            SubstrateWork::Cpu(profiles) => profiles.as_slice(),
+            _ => &[],
+        })
     }
 
     /// Total number of decisions serving this scenario will produce.
@@ -318,6 +308,10 @@ pub struct DriverTelemetry {
     /// reference.  (The Oracle sweeps DVFS configurations, so only CPU
     /// decisions are scored.)
     pub oracle_agreement: Option<f64>,
+    /// NoC monitoring windows whose measured average latency exceeded their
+    /// session's `latency_budget_cycles`: how often the NoC latency model
+    /// let through a rate that broke the budget.
+    pub noc_budget_violations: usize,
     /// Shared sweep cache statistics over this run: hits, misses and
     /// evictions are the difference across the run (a shared cache's
     /// lifetime counters also count artifact pretraining and earlier runs),
@@ -576,11 +570,13 @@ impl ScenarioDriver {
         let mut workers = Vec::with_capacity(worker_slots.len());
         let mut records = Vec::new();
         let mut l1 = SweepL1Stats::default();
+        let mut noc_budget_violations = 0;
         for slot in worker_slots {
             latency.merge(&slot.latency);
             sojourn.merge(&slot.sojourn);
             queue_delay.merge(&slot.queue_delay);
             l1.merge(&slot.l1);
+            noc_budget_violations += slot.noc_budget_violations;
             workers.push(slot.telemetry);
             records.extend(slot.records);
         }
@@ -620,6 +616,7 @@ impl ScenarioDriver {
                     matches as f64 / cpu_decisions as f64
                 }
             }),
+            noc_budget_violations,
             cache: SweepCacheStats {
                 hits: cache_after.hits - cache_before.hits,
                 misses: cache_after.misses - cache_before.misses,
@@ -652,6 +649,8 @@ impl ScenarioDriver {
             reg.counter("driver_decisions_total", &[("substrate", lane.kind.label())])
                 .add(lane.decisions as u64);
         }
+        reg.counter("driver_noc_budget_violations_total", &[])
+            .add(telemetry.noc_budget_violations as u64);
         for worker in &telemetry.workers {
             reg.counter("driver_worker_decisions_total", &[("worker", &worker.worker.to_string())])
                 .add(worker.decisions as u64);
@@ -703,6 +702,7 @@ impl ScenarioDriver {
             records: Vec::new(),
             max_completion_ns: 0,
             l1: SweepL1Stats::default(),
+            noc_budget_violations: 0,
         };
         let mut oracle_engine = self.oracle_reference.map(|_| {
             SweepEngine::with_cache(self.platform.clone(), Arc::clone(&self.cache)).with_warm_l1(
@@ -785,7 +785,7 @@ impl ScenarioDriver {
         let oracle_decisions = match (&mut *oracle_engine, self.oracle_reference) {
             (Some(engine), Some(objective)) => {
                 engine.reset();
-                Some(engine.oracle_run(&scenario.cpu_profiles(), objective).decisions)
+                Some(engine.oracle_decisions(scenario.cpu_snippets(), objective))
             }
             _ => None,
         };
@@ -880,6 +880,9 @@ impl ScenarioDriver {
                             Some(started_ns) => self.clock.now_ns().saturating_sub(started_ns),
                             None => 0,
                         });
+                        if decision.measured_latency_cycles > session.latency_budget_cycles {
+                            slot.noc_budget_violations += 1;
+                        }
                         self.account_decision(slot, service_ns, &decision);
                         if let Some(decisions) = &mut decisions {
                             decisions.push(SubstrateRecord::Noc(decision));
@@ -973,11 +976,14 @@ struct WorkerSlot {
     /// Final counters of this worker's private L1 warm tier (all-zero when
     /// the run had no Oracle-reference engine).
     l1: SweepL1Stats,
+    /// NoC windows this worker served over their latency budget.
+    noc_budget_violations: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::{FrameDemand, GpuSessionSpec};
     use soclearn_governors::OndemandGovernor;
     use soclearn_oracle::OraclePolicy;
 
@@ -1066,14 +1072,54 @@ mod tests {
         let driver =
             ScenarioDriver::new(platform.clone(), 4).with_oracle_reference(OracleObjective::Energy);
         let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, spec| {
+            let SubstrateWork::Cpu(profiles) = &spec.segments[0] else {
+                unreachable!("pure-CPU scenarios");
+            };
             let mut engine = SweepEngine::new(platform.clone());
-            let run = engine.oracle_run(&spec.cpu_profiles(), OracleObjective::Energy);
+            let run = engine.oracle_run(profiles, OracleObjective::Energy);
             SubstratePolicies::cpu_only(Box::new(OraclePolicy::from_run(
                 &run,
                 platform.min_config(),
             )))
         });
         assert_eq!(telemetry.oracle_agreement, Some(1.0));
+    }
+
+    #[test]
+    fn oracle_decisions_match_the_oracle_run() {
+        let platform = SocPlatform::small();
+        let cpu = scenarios(1).remove(0);
+        let mixed = ScenarioSpec::with_segments(
+            "mixed",
+            vec![
+                SubstrateWork::Cpu(vec![
+                    SnippetProfile::compute_bound(80_000_000),
+                    SnippetProfile::memory_bound(60_000_000),
+                ]),
+                SubstrateWork::Gpu(GpuSessionSpec::new(
+                    vec![FrameDemand::new(2.0e9, 0.9, 3.0e7)],
+                    30.0,
+                )),
+                SubstrateWork::Cpu(vec![SnippetProfile::compute_bound(40_000_000)]),
+            ],
+        );
+        for spec in [&cpu, &mixed] {
+            let profiles: Vec<SnippetProfile> = spec.cpu_snippets().cloned().collect();
+            let mut full = SweepEngine::new(platform.clone());
+            let mut lean = SweepEngine::new(platform.clone());
+            let run = full.oracle_run(&profiles, OracleObjective::Energy);
+            let decisions = lean.oracle_decisions(spec.cpu_snippets(), OracleObjective::Energy);
+            assert_eq!(decisions, run.decisions, "{}", spec.name);
+            assert_eq!(lean.cache().stats(), full.cache().stats(), "{}", spec.name);
+            assert_eq!(
+                lean.sim().big_temperature_c().to_bits(),
+                full.sim().big_temperature_c().to_bits()
+            );
+            assert_eq!(
+                lean.sim().little_temperature_c().to_bits(),
+                full.sim().little_temperature_c().to_bits()
+            );
+        }
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! multi-rate NMPC controller (sensitivity models pretrained per scenario, so
 //! serving stays a pure function of the scenario stream), and [`NocServing`]
 //! answers NoC monitoring windows with either the closed-form analytical
-//! latency model or the learned SVR model trained on the segment's own
-//! seeded simulations.  Both adapters are deterministic: a scenario's
+//! latency model or the learned SVR model, trained once at design time per
+//! mesh, traffic pattern and training setup ([`ArtifactStore::noc_model`])
+//! and only queried at run time.  Both adapters are deterministic: a scenario's
 //! decisions depend only on its spec, never on worker interleaving.
+
+use std::sync::Arc;
 
 use soclearn_gpu_sim::{FrameResult, GpuSimulator};
 pub use soclearn_gpu_sim::{GpuConfig, GpuController, GpuPlatform, UtilizationGovernor};
@@ -29,6 +32,7 @@ use soclearn_soc_sim::DvfsPolicy;
 pub use soclearn_workloads::graphics::FrameDemand;
 use soclearn_workloads::SnippetProfile;
 
+use crate::artifacts::ArtifactStore;
 use crate::driver::DecisionRecord;
 
 /// Which hardware substrate a decision managed.
@@ -120,9 +124,13 @@ pub struct NocSessionSpec {
     /// Base seed of the segment; each decision derives its own simulator seed
     /// from it, so decisions replay independently.
     pub seed: u64,
-    /// Injection rates simulated to train the learned latency model.
+    /// Injection rates simulated to train the learned latency model.  With
+    /// `mesh`, `pattern` and `train_cycles` they select the design-time model
+    /// ([`ArtifactStore::noc_model`]); sessions that agree on all four share
+    /// one model.
     pub train_rates: Vec<f64>,
-    /// Simulated cycles per training rate.
+    /// Simulated cycles per training rate (part of the model's key, like
+    /// `train_rates`).
     pub train_cycles: u64,
     /// Offered injection rates, one monitoring window (= one decision) each.
     pub query_rates: Vec<f64>,
@@ -386,8 +394,10 @@ pub enum NocServing {
     /// Closed-form M/D/1 analytical latency model — the per-substrate
     /// governor baseline.
     Analytical,
-    /// Learned SVR latency model, trained on the segment's own seeded
-    /// simulations at the spec's training rates.
+    /// Learned SVR latency model, trained once at design time per mesh,
+    /// traffic pattern, training rates and training cycles
+    /// ([`ArtifactStore::noc_model`]) and shared by every segment with that
+    /// setup.
     Learned,
 }
 
@@ -521,25 +531,19 @@ impl GpuAdapter {
 /// The latency model answering one NoC segment's monitoring windows.
 pub(crate) enum NocModel {
     Analytical(AnalyticalLatencyModel),
-    Learned(SvrLatencyModel),
+    Learned(Arc<SvrLatencyModel>),
 }
 
 impl NocModel {
-    /// Builds the segment's model; learned serving trains the SVR on the
-    /// segment's own seeded simulations.
+    /// Builds the segment's model; learned serving takes the design-time SVR
+    /// for the segment's training setup from the process-wide store.
     pub(crate) fn build(serving: &NocServing, spec: &NocSessionSpec) -> Self {
         spec.validate();
         match serving {
             NocServing::Analytical => {
                 NocModel::Analytical(AnalyticalLatencyModel::new(spec.mesh, spec.pattern))
             }
-            NocServing::Learned => NocModel::Learned(SvrLatencyModel::train(
-                spec.mesh,
-                spec.pattern,
-                &spec.train_rates,
-                spec.train_cycles,
-                spec.seed,
-            )),
+            NocServing::Learned => NocModel::Learned(ArtifactStore::global().noc_model(spec)),
         }
     }
 
@@ -688,6 +692,29 @@ mod tests {
         assert_eq!(latency.to_bits(), a.measured_latency_cycles.to_bits());
         assert_eq!(delivered, a.packets_delivered);
         assert_eq!(energy.to_bits(), a.energy_j.to_bits());
+
+        // A session that differs only in its seed shares the design-time
+        // model, so the throttler decides identically at the same offered
+        // rate; the window itself still simulates from its own seed.
+        let other_spec = noc_spec(10);
+        let other = NocModel::build(&NocServing::Learned, &other_spec);
+        let (NocModel::Learned(shared), NocModel::Learned(theirs)) = (&model, &other) else {
+            panic!("learned serving must build the learned model");
+        };
+        assert!(Arc::ptr_eq(shared, theirs), "the session seed must not select the model");
+        let c = other.serve_window(&other_spec, 0, 0.16, 5);
+        assert_eq!(c.predicted_latency_cycles.to_bits(), a.predicted_latency_cycles.to_bits());
+        assert_eq!(c.injection_rate.to_bits(), a.injection_rate.to_bits());
+        assert_eq!((a.seed, c.seed), (noc_decision_seed(9, 0), noc_decision_seed(10, 0)));
+        let (latency, delivered, energy) = replay_noc_window(&c);
+        assert_eq!(latency.to_bits(), c.measured_latency_cycles.to_bits());
+        assert_eq!(delivered, c.packets_delivered);
+        assert_eq!(energy.to_bits(), c.energy_j.to_bits());
+        assert_ne!(
+            c.measured_latency_cycles.to_bits(),
+            a.measured_latency_cycles.to_bits(),
+            "windows of different sessions must simulate different traffic"
+        );
     }
 
     #[test]

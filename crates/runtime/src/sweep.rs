@@ -717,6 +717,26 @@ impl SweepEngine {
         OracleRun { objective, decisions, executions, total_energy_j, total_time_s }
     }
 
+    /// The Oracle's configuration per snippet, in order: the `decisions` of
+    /// [`SweepEngine::oracle_run`] over the same profiles, with the same
+    /// lookups and thermal commits, but no executions or totals kept.  Takes
+    /// any borrowed snippet stream, so a mixed scenario's CPU segments feed
+    /// it in place.
+    pub fn oracle_decisions<'a>(
+        &mut self,
+        profiles: impl IntoIterator<Item = &'a SnippetProfile>,
+        objective: OracleObjective,
+    ) -> Vec<DvfsConfig> {
+        profiles
+            .into_iter()
+            .map(|profile| {
+                let (best, execution) = self.best(objective, profile);
+                self.sim.commit_snippet(&execution);
+                best
+            })
+            .collect()
+    }
+
     /// Demonstration collection through the cache; equivalent to
     /// [`soclearn_oracle::collect_demonstrations`] on a fresh simulator.
     pub fn collect_demonstrations(

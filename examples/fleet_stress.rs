@@ -49,8 +49,10 @@
 //! seven-family mix — CPU DVFS scenarios, GPU eNMPC rendering sessions and
 //! learned-NoC latency windows, interleaved inside single scenarios — served
 //! by the full learned bundle (online-IL + eNMPC + SVR) against per-substrate
-//! governor baselines (utilisation-governed GPU, analytical NoC).  The
-//! recorded trace is then format v3 and still replays bit-identically.
+//! governor baselines (utilisation-governed GPU, analytical NoC).  Its
+//! per-substrate table counts, for both, the NoC windows whose measured
+//! latency broke the session's budget.  The recorded trace is then format v3
+//! and still replays bit-identically.
 //!
 //! Observability: `--metrics-out PATH` writes the run's metrics registry as a
 //! JSON snapshot, `--prom-out PATH` writes (and lints) the Prometheus text
@@ -317,7 +319,12 @@ fn main() {
 
     if substrates_all {
         // Cross-substrate energy accounting: the learned bundle's lanes next
-        // to the governor-baseline fleet over the identical stream.
+        // to the governor-baseline fleet over the identical stream, with the
+        // NoC windows each fleet served over their latency budget.
+        let over_budget = |report: &FleetReport, kind: DecisionKind| match kind {
+            DecisionKind::Noc => report.telemetry.noc_budget_violations.to_string(),
+            DecisionKind::Cpu | DecisionKind::Gpu => "-".to_owned(),
+        };
         let lane_rows: Vec<Vec<String>> = il
             .telemetry
             .substrates
@@ -330,6 +337,8 @@ fn main() {
                     si(lane.energy_j, "J"),
                     si(base.energy_j, "J"),
                     si(lane.time_s, "s"),
+                    over_budget(&il, lane.kind),
+                    over_budget(&ondemand, lane.kind),
                 ]
             })
             .collect();
@@ -337,7 +346,15 @@ fn main() {
             "{}",
             render_table(
                 "Per-substrate serving (learned bundle vs governor baselines)",
-                &["Substrate", "Decisions", "Learned energy", "Governor energy", "Sim time"],
+                &[
+                    "Substrate",
+                    "Decisions",
+                    "Learned energy",
+                    "Governor energy",
+                    "Sim time",
+                    "Learned over budget",
+                    "Governor over budget",
+                ],
                 &lane_rows
             )
         );

@@ -7,9 +7,14 @@
 //! * produce bit-identical records, per-family energy splits and serialised
 //!   v3 traces at any worker count (scheduling must never leak into results),
 //! * record traces that replay bit-identically without the learned models,
-//! * and report per-substrate governor baselines next to the learned bundle.
+//! * report per-substrate governor baselines next to the learned bundle,
+//! * and serve every NoC session from a design-time model trained once per
+//!   mesh, traffic pattern and training setup.
+
+use std::sync::Arc;
 
 use soclearn_core::prelude::*;
+use soclearn_runtime::EXPERIMENT_SEED;
 
 const SEED: u64 = 77;
 const SNIPPETS: usize = 8;
@@ -147,4 +152,65 @@ fn mixed_fleet_reports_per_substrate_governor_baselines() {
             assert!(delta.ratio() > 0.0);
         }
     }
+    // The driver's violation counter is a recount of the recorded NoC windows
+    // against the generator's 30-cycle budget.
+    let over_budget = learned
+        .records
+        .iter()
+        .flat_map(|r| r.decisions.iter().filter_map(SubstrateRecord::as_noc))
+        .filter(|w| w.measured_latency_cycles > 30.0)
+        .count();
+    assert_eq!(learned.telemetry.noc_budget_violations, over_budget);
+}
+
+fn noc_session(pattern: TrafficPattern, seed: u64) -> NocSessionSpec {
+    NocSessionSpec {
+        mesh: MeshConfig::new(4, 4),
+        pattern,
+        seed,
+        train_rates: vec![0.02, 0.05, 0.09, 0.14],
+        train_cycles: 4_000,
+        query_rates: vec![0.1],
+        query_cycles: 2_000,
+        latency_budget_cycles: 30.0,
+    }
+}
+
+#[test]
+fn the_store_trains_noc_models_at_design_time() {
+    let store = ArtifactStore::new();
+    let uniform = store.noc_model(&noc_session(TrafficPattern::Uniform, 1));
+    let reseeded = store.noc_model(&noc_session(TrafficPattern::Uniform, 2));
+    assert!(Arc::ptr_eq(&uniform, &reseeded), "the session seed must not select the model");
+    let reference = SvrLatencyModel::train(
+        MeshConfig::new(4, 4),
+        TrafficPattern::Uniform,
+        &[0.02, 0.05, 0.09, 0.14],
+        4_000,
+        EXPERIMENT_SEED,
+    );
+    assert_eq!(*uniform, reference);
+    let hotspot = store.noc_model(&noc_session(TrafficPattern::Hotspot, 1));
+    assert_ne!(*hotspot, *uniform, "each traffic pattern trains its own model");
+    assert_eq!(store.noc_models_trained(), 2);
+    assert_eq!(store.builds(), 0, "NoC models are not training artifacts");
+}
+
+#[test]
+fn a_fleet_trains_one_noc_model_per_design_time_setup() {
+    // The heterogeneous generator draws every NoC session on one 4x4 mesh
+    // with one training setup, under three traffic patterns: however many
+    // sessions a fleet serves, the store trains three models.
+    let store = ArtifactStore::new();
+    let mut sessions = 0;
+    for scenario in ScenarioGenerator::heterogeneous(1, 12).scenarios(490) {
+        for segment in &scenario.segments {
+            if let SubstrateWork::Noc(session) = segment {
+                let _ = store.noc_model(session);
+                sessions += 1;
+            }
+        }
+    }
+    assert!(sessions > 100, "only {sessions} NoC sessions drawn");
+    assert_eq!(store.noc_models_trained(), 3);
 }
