@@ -16,6 +16,13 @@ use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocP
 
 use crate::features::{policy_features, POLICY_FEATURE_DIM};
 
+/// Hidden units of each policy network.
+pub const POLICY_HIDDEN_UNITS: usize = 24;
+
+/// A policy network: one hidden layer over the policy features, one class
+/// per frequency level of its cluster.
+pub type PolicyNetwork = Mlp<POLICY_FEATURE_DIM, POLICY_HIDDEN_UNITS>;
+
 /// Which supervised model backs the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyModelKind {
@@ -30,7 +37,7 @@ pub enum PolicyModelKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum KnobModel {
     Tree(DecisionTreeClassifier),
-    Mlp(Mlp),
+    Mlp(Box<PolicyNetwork>),
 }
 
 impl KnobModel {
@@ -102,19 +109,13 @@ impl OfflineIlPolicy {
                 )
             }
             PolicyModelKind::Mlp => {
-                let mut little = MlpBuilder::new(POLICY_FEATURE_DIM, little_classes)
-                    .hidden_layers(&[24])
-                    .learning_rate(0.02)
-                    .seed(17)
-                    .build();
-                let mut big = MlpBuilder::new(POLICY_FEATURE_DIM, big_classes)
-                    .hidden_layers(&[24])
-                    .learning_rate(0.02)
-                    .seed(23)
-                    .build();
+                let mut little: PolicyNetwork =
+                    MlpBuilder::new(little_classes).learning_rate(0.02).seed(17).build();
+                let mut big: PolicyNetwork =
+                    MlpBuilder::new(big_classes).learning_rate(0.02).seed(23).build();
                 little.fit(&xs, &little_labels);
                 big.fit(&xs, &big_labels);
-                (KnobModel::Mlp(little), KnobModel::Mlp(big))
+                (KnobModel::Mlp(Box::new(little)), KnobModel::Mlp(Box::new(big)))
             }
         };
         Self {
@@ -136,7 +137,8 @@ impl OfflineIlPolicy {
 
     /// Predicts a configuration from a raw (unscaled) policy feature vector.
     pub fn predict_from_features(&self, platform: &SocPlatform, features: &[f64]) -> DvfsConfig {
-        let x = self.scaler.transform(features);
+        let mut x = [0.0; POLICY_FEATURE_DIM];
+        self.scaler.transform_into(features, &mut x);
         let little =
             self.little_model.predict(&x).min(platform.level_count(ClusterKind::Little) - 1);
         let big = self.big_model.predict(&x).min(platform.level_count(ClusterKind::Big) - 1);
@@ -150,9 +152,9 @@ impl OfflineIlPolicy {
     ///
     /// Panics if the policy is tree-backed; only MLP policies can be updated by
     /// back-propagation online.
-    pub fn into_mlp_parts(self) -> (StandardScaler, Mlp, Mlp) {
+    pub fn into_mlp_parts(self) -> (StandardScaler, PolicyNetwork, PolicyNetwork) {
         match (self.little_model, self.big_model) {
-            (KnobModel::Mlp(little), KnobModel::Mlp(big)) => (self.scaler, little, big),
+            (KnobModel::Mlp(little), KnobModel::Mlp(big)) => (self.scaler, *little, *big),
             _ => panic!("only MLP-backed policies can be adapted online"),
         }
     }

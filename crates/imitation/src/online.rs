@@ -18,15 +18,19 @@
 //! storage, which the [`OnlineIlStats::buffer_bytes`] accounting reproduces.
 
 use serde::{Deserialize, Serialize};
-use soclearn_online_learning::mlp::Mlp;
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::stats::RlsStats;
 use soclearn_online_learning::traits::{Classifier, OnlineRegressor};
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 
-use crate::features::{policy_features, CandidateFeatureBasis, CANDIDATE_FEATURE_DIM};
-use crate::offline::OfflineIlPolicy;
+use crate::features::{
+    policy_features, CandidateFeatureBasis, CANDIDATE_FEATURE_DIM, POLICY_FEATURE_DIM,
+};
+use crate::offline::{OfflineIlPolicy, PolicyNetwork};
+
+/// One aggregated state: the scaled policy features of a decision.
+type StateRow = [f64; POLICY_FEATURE_DIM];
 
 /// Tunable parameters of the online-IL methodology: the two the paper
 /// studies.  The model warm-up, the retraining epochs and the models'
@@ -127,11 +131,11 @@ pub fn pretrain_candidate_models(
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineIlPolicy {
     scaler: StandardScaler,
-    little_mlp: Mlp,
-    big_mlp: Mlp,
+    little_mlp: PolicyNetwork,
+    big_mlp: PolicyNetwork,
     power_model: RecursiveLeastSquares,
     time_model: RecursiveLeastSquares,
-    buffer: Vec<(Vec<f64>, DvfsConfig)>,
+    buffer: Vec<(StateRow, DvfsConfig)>,
     config: OnlineIlConfig,
     stats: OnlineIlStats,
     last_time_s: Option<f64>,
@@ -245,7 +249,8 @@ impl OnlineIlPolicy {
     /// denominator of the tiered store's bytes/user gauge.
     pub fn model_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
-        let scaler = (2 * self.scaler.dim() + 1) * f;
+        // The scaler: count, mean, M2 and the cached standard deviation.
+        let scaler = (3 * self.scaler.dim() + 1) * f;
         let mlps = (self.little_mlp.param_count() + self.big_mlp.param_count()) * f;
         // Each RLS model: the `d × d` covariance plus the weight vector.
         let models =
@@ -292,7 +297,7 @@ impl OnlineIlPolicy {
     }
 
     /// Policy-network prediction from an already-scaled feature vector.
-    fn prediction_from_scaled(&self, platform: &SocPlatform, x: &[f64]) -> DvfsConfig {
+    fn prediction_from_scaled(&self, platform: &SocPlatform, x: &StateRow) -> DvfsConfig {
         let little = self
             .little_mlp
             .predict_class(x)
@@ -306,13 +311,13 @@ impl OnlineIlPolicy {
     /// counted and dropped: back-propagating it would turn a whole input
     /// column of the first layer NaN, after which ReLU zeroes every hidden
     /// unit and the network proposes one configuration whatever its input.
-    fn aggregate(&mut self, scaled: Vec<f64>, label: DvfsConfig) {
+    fn aggregate(&mut self, scaled: StateRow, label: DvfsConfig) {
         if !scaled.iter().all(|v| v.is_finite()) {
             self.stats.skipped_aggregations += 1;
             return;
         }
         self.stats.buffer_bytes +=
-            scaled.len() * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<usize>();
+            std::mem::size_of::<StateRow>() + 2 * std::mem::size_of::<usize>();
         self.buffer.push((scaled, label));
         if self.buffer.len() >= self.config.buffer_capacity {
             self.retrain_from_buffer();
@@ -323,9 +328,9 @@ impl OnlineIlPolicy {
     /// training the LITTLE one over every epoch and then the big one equals
     /// interleaving them sample by sample.
     fn retrain_from_buffer(&mut self) {
-        let little = self.buffer.iter().map(|(x, label)| (x.as_slice(), label.little_idx));
+        let little = self.buffer.iter().map(|(x, label)| (x, label.little_idx));
         self.little_mlp.train_classification_epochs(little, UPDATE_EPOCHS);
-        let big = self.buffer.iter().map(|(x, label)| (x.as_slice(), label.big_idx));
+        let big = self.buffer.iter().map(|(x, label)| (x, label.big_idx));
         self.big_mlp.train_classification_epochs(big, UPDATE_EPOCHS);
         self.buffer.clear();
         self.stats.policy_updates += 1;
@@ -378,7 +383,8 @@ impl DvfsPolicy for OnlineIlPolicy {
         // 2. Policy proposal.  The scaled features are computed once and
         //    reused for the aggregation push in step 4.
         let features = policy_features(platform, counters, current);
-        let scaled = self.scaler.transform(&features);
+        let mut scaled = [0.0; POLICY_FEATURE_DIM];
+        self.scaler.transform_into(&features, &mut scaled);
         let proposal = self.prediction_from_scaled(platform, &scaled);
 
         // 3. Runtime Oracle approximation over the local candidate neighbourhood.
@@ -424,7 +430,6 @@ impl DvfsPolicy for OnlineIlPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::POLICY_FEATURE_DIM;
     use crate::offline::PolicyModelKind;
     use soclearn_oracle::{collect_demonstrations, OracleObjective, OracleRun};
     use soclearn_soc_sim::{SnippetCounters, SocSimulator};
@@ -460,6 +465,48 @@ mod tests {
         let mut online = OnlineIlPolicy::from_offline(shared.offline.clone(), config);
         online.install_pretrained_models(shared.power.clone(), shared.time.clone());
         online
+    }
+
+    /// Serves the first 48 unseen snippets on the Odroid-XU3, whose 5- and
+    /// 8-level clusters are the serving network shapes, with a buffer of 6,
+    /// so the networks retrain eight times.  The offline policy and the
+    /// candidate models come from two MiBench applications.  The constants
+    /// were recorded with the layer-generic network this one replaced: any
+    /// change to the networks' arithmetic, the DAgger rows or the scaler
+    /// moves at least one of them.
+    #[test]
+    fn odroid_decision_stream_is_pinned() {
+        let platform = SocPlatform::odroid_xu3();
+        let suite = BenchmarkSuite::generate(SuiteKind::MiBench, 21);
+        let seq = ApplicationSequence::from_benchmarks(suite.benchmarks().iter().take(2));
+        let profiles: Vec<_> = seq.snippets().iter().map(|s| s.profile.clone()).collect();
+        let mut sim = SocSimulator::new(platform.clone());
+        let demos = collect_demonstrations(&mut sim, &profiles, OracleObjective::Energy);
+        let offline = OfflineIlPolicy::train(&platform, &demos, PolicyModelKind::Mlp);
+        let mut online = OnlineIlPolicy::from_offline(
+            offline,
+            OnlineIlConfig { buffer_capacity: 6, ..OnlineIlConfig::default() },
+        );
+        online.pretrain_models(&SocSimulator::new(platform.clone()), &profiles);
+
+        let served: Vec<_> = unseen_profiles().into_iter().take(48).collect();
+        let (energy, decisions) = run_policy(&platform, &mut online, &served);
+        let fnv = |h: u64, word: u64| (h ^ word).wrapping_mul(0x0100_0000_01b3);
+        let levels = decisions.iter().flat_map(|d| [d.little_idx as u64, d.big_idx as u64]);
+        let decision_hash = levels.fold(0xcbf2_9ce4_8422_2325, fnv);
+        // The bits of both networks' raw outputs on one probe pin their
+        // final weights, not only the decisions they led to.
+        let probe: [f64; POLICY_FEATURE_DIM] = std::array::from_fn(|i| i as f64 * 0.3 - 1.2);
+        let mut weight_hash = 0xcbf2_9ce4_8422_2325;
+        for net in [&online.little_mlp, &online.big_mlp] {
+            weight_hash = net.forward(&probe).iter().map(|v| v.to_bits()).fold(weight_hash, fnv);
+        }
+        let stats = online.stats();
+        assert_eq!(stats.policy_updates, 8);
+        assert_eq!(stats.agreements, 10);
+        assert_eq!(decision_hash, 0x58d6_abf7_8f45_36ab);
+        assert_eq!(energy.to_bits(), 0x4030_6a27_ff06_537d, "{energy}");
+        assert_eq!(weight_hash, 0x38c9_666f_6e5c_2ad0, "{weight_hash:#018x}");
     }
 
     /// Oracle run over [`unseen_profiles`], computed once per test binary.

@@ -2,26 +2,27 @@
 //!
 //! The online-IL policy of the paper (Section IV-A3) is "represented as a
 //! neural network and ... updated using the back-propagation algorithm".  The
-//! networks involved are tiny — a handful of hidden units over at most a dozen
-//! counter features — so a straightforward dense implementation with
+//! networks involved are tiny — a couple of dozen hidden units over at most a
+//! dozen counter features — so a straightforward dense implementation with
 //! stochastic gradient descent is faithful to the original and fast enough to
 //! be called once per snippet.
 //!
-//! The network is a classifier (softmax output, cross-entropy loss); the
-//! policy crates use it to pick discrete frequency levels.
+//! The network is a classifier (softmax output, cross-entropy loss) with one
+//! hidden layer; the policy crates use it to pick discrete frequency levels.
 //!
 //! # Layout
 //!
-//! Every weight lives in one row-major buffer, layer after layer: weight
-//! `(o, i)` of a layer with `n` inputs sits at `offset + o * n + i`.  The
-//! biases are concatenated the same way.  A forward pass writes each layer's
-//! outputs into a buffer laid out like the biases, so a layer's input is the
-//! block just before its own, and back-propagation keeps its deltas in a
-//! second buffer of that layout.  Both buffers form a per-thread workspace:
-//! a training batch ([`Mlp::train_classification_epochs`]) borrows it once,
-//! and inference ([`Classifier::predict_class`]) never touches the heap.
-//! The workspace cannot live in the network, because one shared network
-//! serves predictions on many threads at once.
+//! The input and hidden widths are compile-time constants, `Mlp<IN, HIDDEN>`,
+//! and the class count is set when the network is built.  Hidden unit `h`
+//! owns the weight row `[f64; IN]` at `hidden[h]`, class `o` the row
+//! `[f64; HIDDEN]` at `output[o]`, and each layer keeps its biases beside its
+//! rows.  A forward pass holds the hidden activations, and back-propagation
+//! the hidden deltas, in `[f64; HIDDEN]` arrays on the stack, so every loop
+//! over inputs or hidden units runs to a compile-time bound and unrolls.
+//! Only the class scores have a run-time length: a training batch
+//! ([`Mlp::train_classification_epochs`]) keeps them in one vector, and
+//! inference ([`Classifier::predict_class`]) keeps a running argmax instead,
+//! so it never touches the heap.
 //!
 //! # Bit-identity contract
 //!
@@ -31,17 +32,18 @@
 //! against.  That holds because the floating-point operations run in the
 //! same order:
 //!
-//! - initial weights are drawn outputs outer, inputs inner;
-//! - each output's pre-activation is
-//!   `b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>()`.  The
-//!   standard library's float `Sum` folds from `-0.0`, so a hand-rolled loop
-//!   starting at `0.0` would flip the sign of all-zero sums;
-//! - back-propagated deltas accumulate output by output from `0.0`, and the
-//!   delta below the input layer, which nothing reads, is not computed;
-//! - nothing is reassociated for SIMD and nothing is fused into FMA.
-
-use std::cell::RefCell;
-use std::ops::Range;
+//! - initial weights are drawn from one ChaCha8 stream, the hidden rows
+//!   first, outputs outer and inputs inner;
+//! - each unit's pre-activation is `b + Σ w·x`, the sum folded in input order
+//!   from `-0.0`, which is what the standard library's float `Sum` does.  A
+//!   fold from `0.0` would flip the sign of all-zero sums.  Both layers
+//!   compute four rows per pass, each with its own accumulator, which
+//!   changes no row's order;
+//! - the hidden deltas accumulate output by output from `0.0`, each class's
+//!   row read before that class's update; the delta below the input layer,
+//!   which nothing reads, is not computed;
+//! - each weight steps as `w -= lr · (δ·x + l2·w)`, evaluated as written:
+//!   nothing is reassociated for SIMD and nothing is fused into FMA.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -52,6 +54,10 @@ use crate::traits::Classifier;
 
 #[cfg(test)]
 mod reference;
+
+/// Rows of a layer whose pre-activations one pass of [`affine`] accumulates
+/// side by side.
+const ROW_BLOCK: usize = 4;
 
 /// Hidden-layer activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,9 +97,7 @@ impl Activation {
 /// Builder for [`Mlp`] networks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MlpBuilder {
-    input_dim: usize,
-    hidden: Vec<usize>,
-    output_dim: usize,
+    classes: usize,
     activation: Activation,
     learning_rate: f64,
     l2: f64,
@@ -101,29 +105,16 @@ pub struct MlpBuilder {
 }
 
 impl MlpBuilder {
-    /// Starts a builder for a network with the given input and output widths.
+    /// Starts a builder for a classifier over `classes` classes.  The input
+    /// and hidden widths are the type parameters of the [`Mlp`] that
+    /// [`MlpBuilder::build`] returns.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
-    pub fn new(input_dim: usize, output_dim: usize) -> Self {
-        assert!(input_dim > 0 && output_dim > 0, "network dimensions must be positive");
-        Self {
-            input_dim,
-            hidden: vec![16],
-            output_dim,
-            activation: Activation::Relu,
-            learning_rate: 0.01,
-            l2: 1e-5,
-            seed: 7,
-        }
-    }
-
-    /// Sets the hidden-layer widths (may be empty for a linear model).
-    pub fn hidden_layers(mut self, hidden: &[usize]) -> Self {
-        assert!(hidden.iter().all(|&h| h > 0), "hidden layer widths must be positive");
-        self.hidden = hidden.to_vec();
-        self
+    /// Panics if `classes` is zero.
+    pub fn new(classes: usize) -> Self {
+        assert!(classes > 0, "network dimensions must be positive");
+        Self { classes, activation: Activation::Relu, learning_rate: 0.01, l2: 1e-5, seed: 7 }
     }
 
     /// Sets the hidden activation function.
@@ -156,26 +147,23 @@ impl MlpBuilder {
         self
     }
 
-    /// Builds the network.
-    pub fn build(self) -> Mlp {
+    /// Builds a network with `IN` inputs and `HIDDEN` hidden units.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either width is zero.
+    pub fn build<const IN: usize, const HIDDEN: usize>(self) -> Mlp<IN, HIDDEN> {
+        assert!(IN > 0 && HIDDEN > 0, "network dimensions must be positive");
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mut sizes = vec![self.input_dim];
-        sizes.extend_from_slice(&self.hidden);
-        sizes.push(self.output_dim);
-        let mut layers = Vec::with_capacity(sizes.len() - 1);
-        let mut weights = Vec::new();
-        let mut bias_offset = 0;
-        for pair in sizes.windows(2) {
-            let (inputs, outputs) = (pair[0], pair[1]);
-            layers.push(LayerShape { inputs, outputs, weight_offset: weights.len(), bias_offset });
-            let scale = (2.0 / (inputs + outputs) as f64).sqrt();
-            weights.extend((0..inputs * outputs).map(|_| rng.gen_range(-scale..scale)));
-            bias_offset += outputs;
-        }
+        let mut hidden = [[0.0; IN]; HIDDEN];
+        draw_rows(&mut rng, &mut hidden, HIDDEN);
+        let mut output = vec![[0.0; HIDDEN]; self.classes];
+        draw_rows(&mut rng, &mut output, self.classes);
         Mlp {
-            layers,
-            weights,
-            biases: vec![0.0; bias_offset],
+            hidden,
+            hidden_biases: [0.0; HIDDEN],
+            output,
+            output_biases: vec![0.0; self.classes],
             activation: self.activation,
             learning_rate: self.learning_rate,
             l2: self.l2,
@@ -184,86 +172,86 @@ impl MlpBuilder {
     }
 }
 
-/// Where one dense layer's parameters sit in the network's flat buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct LayerShape {
-    inputs: usize,
-    outputs: usize,
-    /// Start of the layer's `outputs × inputs` row-major weight block.
-    weight_offset: usize,
-    /// Start of the layer's bias block, which is also where its outputs and
-    /// deltas sit in the workspace.
-    bias_offset: usize,
-}
-
-impl LayerShape {
-    fn weights(&self) -> Range<usize> {
-        self.weight_offset..self.weight_offset + self.inputs * self.outputs
-    }
-
-    fn biases(&self) -> Range<usize> {
-        self.bias_offset..self.bias_offset + self.outputs
-    }
-
-    /// Where the previous layer's outputs, this layer's input, sit in the
-    /// workspace (meaningless for the first layer, whose input is the sample).
-    fn previous(&self) -> Range<usize> {
-        self.bias_offset - self.inputs..self.bias_offset
-    }
-}
-
-/// A dense feed-forward network trained with stochastic gradient descent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mlp {
-    layers: Vec<LayerShape>,
-    /// Every layer's weights, row-major, layer after layer.
-    weights: Vec<f64>,
-    /// Every layer's biases, layer after layer.
-    biases: Vec<f64>,
+/// A one-hidden-layer classifier with `IN` inputs and `HIDDEN` hidden units,
+/// trained with stochastic gradient descent.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mlp<const IN: usize, const HIDDEN: usize> {
+    /// `hidden[h][i]` maps input `i` to hidden unit `h`.
+    hidden: [[f64; IN]; HIDDEN],
+    hidden_biases: [f64; HIDDEN],
+    /// `output[o][h]` maps hidden unit `h` to class `o`.
+    output: Vec<[f64; HIDDEN]>,
+    output_biases: Vec<f64>,
     activation: Activation,
     learning_rate: f64,
     l2: f64,
     updates: usize,
 }
 
-/// Per-layer outputs and deltas of one forward/backward pass, both laid out
-/// like the network's biases.  Sized for the largest network the thread has
-/// used.
-struct Workspace {
-    activations: Vec<f64>,
-    deltas: Vec<f64>,
+/// Draws a layer's initial weights row by row, uniform in `±√(2 / (N +
+/// outputs))` (Glorot).
+fn draw_rows<const N: usize>(rng: &mut ChaCha8Rng, rows: &mut [[f64; N]], outputs: usize) {
+    let scale = (2.0 / (N + outputs) as f64).sqrt();
+    for w in rows.iter_mut().flatten() {
+        *w = rng.gen_range(-scale..scale);
+    }
 }
 
-thread_local! {
-    static WORKSPACE: RefCell<Workspace> =
-        const { RefCell::new(Workspace { activations: Vec::new(), deltas: Vec::new() }) };
+/// `Σ w·x` folded in input order from `-0.0`, as the float `Sum` does.
+#[inline(always)]
+fn dot<const N: usize>(w: &[f64; N], x: &[f64; N]) -> f64 {
+    w.iter().zip(x).fold(-0.0, |acc, (w, x)| acc + w * x)
 }
 
-/// Runs `f` on this thread's workspace, grown to at least `len` entries.
-fn with_workspace<R>(len: usize, f: impl FnOnce(&mut Workspace) -> R) -> R {
-    WORKSPACE.with(|cell| {
-        let mut ws = cell.borrow_mut();
-        if ws.activations.len() < len {
-            ws.activations.resize(len, 0.0);
-            ws.deltas.resize(len, 0.0);
+/// `b + Σ w·x` for every row and its bias, [`ROW_BLOCK`] rows per pass with
+/// one accumulator each, handed to `visit` in row order.
+#[inline(always)]
+fn affine<const N: usize>(
+    rows: &[[f64; N]],
+    biases: &[f64],
+    x: &[f64; N],
+    mut visit: impl FnMut(usize, f64),
+) {
+    let blocks = rows.chunks_exact(ROW_BLOCK).zip(biases.chunks_exact(ROW_BLOCK));
+    for (block, (rows, biases)) in blocks.enumerate() {
+        let mut acc = [-0.0; ROW_BLOCK];
+        for (i, x) in x.iter().enumerate() {
+            for (a, row) in acc.iter_mut().zip(rows) {
+                *a += row[i] * x;
+            }
         }
-        f(&mut ws)
-    })
+        for (k, (a, b)) in acc.into_iter().zip(biases).enumerate() {
+            visit(block * ROW_BLOCK + k, b + a);
+        }
+    }
+    let full = rows.len() - rows.len() % ROW_BLOCK;
+    for (r, (row, b)) in rows.iter().zip(biases).enumerate().skip(full) {
+        visit(r, b + dot(row, x));
+    }
 }
 
-impl Mlp {
-    /// Number of inputs the network expects.
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].inputs
+/// One SGD step on a weight row: `w -= lr · (delta · x + l2 · w)`.
+#[inline(always)]
+fn descend<const N: usize>(row: &mut [f64; N], delta: f64, input: &[f64; N], lr: f64, l2: f64) {
+    for (w, x) in row.iter_mut().zip(input) {
+        let grad = delta * x + l2 * *w;
+        *w -= lr * grad;
     }
+}
 
-    /// Number of outputs the network produces.
+/// `x` as an `N`-wide row.
+///
+/// # Panics
+///
+/// Panics if `x` does not have `N` entries.
+fn as_row<const N: usize>(x: &[f64]) -> &[f64; N] {
+    x.try_into().expect("input dimension mismatch")
+}
+
+impl<const IN: usize, const HIDDEN: usize> Mlp<IN, HIDDEN> {
+    /// Number of classes the network scores.
     pub fn output_dim(&self) -> usize {
-        self.output_layer().outputs
-    }
-
-    fn output_layer(&self) -> LayerShape {
-        self.layers[self.layers.len() - 1]
+        self.output.len()
     }
 
     /// Number of gradient updates applied so far.
@@ -274,127 +262,99 @@ impl Mlp {
     /// Total number of trainable parameters (weights and biases), for
     /// model-footprint accounting.
     pub fn param_count(&self) -> usize {
-        self.weights.len() + self.biases.len()
+        HIDDEN * (IN + 1) + self.output_dim() * (HIDDEN + 1)
     }
 
-    /// Raw network outputs (pre-softmax for classification use).
-    ///
-    /// # Panics
-    ///
-    /// Panics on input dimension mismatch.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        self.with_outputs(x, <[f64]>::to_vec)
+    /// Raw network outputs (pre-softmax class scores).
+    pub fn forward(&self, x: &[f64; IN]) -> Vec<f64> {
+        let mut scores = Vec::with_capacity(self.output_dim());
+        self.each_score(&self.hidden_layer(x), |_, v| scores.push(v));
+        scores
     }
 
     /// Softmax of the network outputs, usable as class probabilities.
-    pub fn probabilities(&self, x: &[f64]) -> Vec<f64> {
+    pub fn probabilities(&self, x: &[f64; IN]) -> Vec<f64> {
         let mut probs = self.forward(x);
         softmax_in_place(&mut probs);
         probs
     }
 
-    /// Runs a forward pass on this thread's workspace and hands `f` the raw
-    /// outputs.
-    fn with_outputs<R>(&self, x: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
-        with_workspace(self.biases.len(), |ws| {
-            self.forward_into(x, &mut ws.activations);
-            f(&ws.activations[self.output_layer().biases()])
-        })
+    /// The hidden layer's activations for `x`.
+    fn hidden_layer(&self, x: &[f64; IN]) -> [f64; HIDDEN] {
+        let mut out = [0.0; HIDDEN];
+        affine(&self.hidden, &self.hidden_biases, x, |h, v| out[h] = self.activation.apply(v));
+        out
     }
 
-    /// Writes every layer's (post-activation) outputs into `activations`;
-    /// the last layer's block holds the raw network outputs.
-    fn forward_into(&self, x: &[f64], activations: &mut [f64]) {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let last = self.layers.len() - 1;
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (before, rest) = activations.split_at_mut(layer.bias_offset);
-            let input = if l == 0 { x } else { &before[layer.previous()] };
-            let rows = self.weights[layer.weights()].chunks_exact(layer.inputs);
-            for ((z, row), b) in rest.iter_mut().zip(rows).zip(&self.biases[layer.biases()]) {
-                let v = b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>();
-                *z = if l == last { v } else { self.activation.apply(v) };
-            }
-        }
+    /// Hands `visit` each class's raw score from the hidden activations, in
+    /// class order.
+    #[inline(always)]
+    fn each_score(&self, hidden: &[f64; HIDDEN], visit: impl FnMut(usize, f64)) {
+        affine(&self.output, &self.output_biases, hidden, visit);
     }
 
-    /// One SGD step of softmax cross-entropy toward the class `label`; returns the
-    /// cross-entropy loss before the update.
+    /// One SGD step of softmax cross-entropy toward the class `label`; returns
+    /// the cross-entropy loss before the update.
     ///
     /// # Panics
     ///
-    /// Panics if `label >= output_dim` or on input dimension mismatch.
-    pub fn train_classification(&mut self, x: &[f64], label: usize) -> f64 {
-        with_workspace(self.biases.len(), |ws| self.classification_step(ws, x, label))
+    /// Panics if `label >= output_dim`.
+    pub fn train_classification(&mut self, x: &[f64; IN], label: usize) -> f64 {
+        self.classification_step(x, label, &mut vec![0.0; self.output_dim()])
     }
 
     /// `epochs` passes of [`Mlp::train_classification`] over the
-    /// `(x, label)` samples, in order, on one workspace.  The updates equal,
-    /// bit for bit, calling `train_classification` on each sample in turn.
+    /// `(x, label)` samples, in order, sharing one class-score buffer.  The
+    /// updates equal, bit for bit, calling `train_classification` on each
+    /// sample in turn.
     ///
     /// # Panics
     ///
-    /// Panics on a label `>= output_dim` or an input dimension mismatch.
+    /// Panics on a label `>= output_dim`.
     pub fn train_classification_epochs<'a, I>(&mut self, samples: I, epochs: usize)
     where
-        I: IntoIterator<Item = (&'a [f64], usize)> + Clone,
+        I: IntoIterator<Item = (&'a [f64; IN], usize)> + Clone,
     {
-        with_workspace(self.biases.len(), |ws| {
-            for _ in 0..epochs {
-                for (x, label) in samples.clone() {
-                    let _ = self.classification_step(ws, x, label);
-                }
+        let mut delta = vec![0.0; self.output_dim()];
+        for _ in 0..epochs {
+            for (x, label) in samples.clone() {
+                let _ = self.classification_step(x, label, &mut delta);
             }
-        })
+        }
     }
 
-    fn classification_step(&mut self, ws: &mut Workspace, x: &[f64], label: usize) -> f64 {
+    /// The SGD step behind [`Mlp::train_classification`]; `delta` has one
+    /// entry per class.
+    fn classification_step(&mut self, x: &[f64; IN], label: usize, delta: &mut [f64]) -> f64 {
         assert!(label < self.output_dim(), "label out of range");
-        self.forward_into(x, &mut ws.activations);
-        let out = self.output_layer().biases();
-        let delta = &mut ws.deltas[out.clone()];
-        delta.copy_from_slice(&ws.activations[out]);
+        let hidden = self.hidden_layer(x);
+        self.each_score(&hidden, |o, v| delta[o] = v);
         softmax_in_place(delta);
         let loss = -(delta[label].max(1e-12)).ln();
         delta[label] -= 1.0;
-        self.backpropagate(x, ws);
-        loss
-    }
 
-    /// Backpropagates the output-layer error signal (dL/dz for the last
-    /// layer's pre-activation, in the last block of `ws.deltas`) of the
-    /// forward pass of `x` in `ws.activations`, and applies one SGD update.
-    fn backpropagate(&mut self, x: &[f64], ws: &mut Workspace) {
-        let lr = self.learning_rate;
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let (below, rest) = ws.deltas.split_at_mut(layer.bias_offset);
-            let delta = &rest[..layer.outputs];
-            let input = if l == 0 { x } else { &ws.activations[layer.previous()] };
-            let weights = &mut self.weights[layer.weights()];
-            if l > 0 {
-                // Propagate through this layer's weights before updating them,
-                // then through the activation of the layer below.
-                let next = &mut below[layer.previous()];
-                next.fill(0.0);
-                for (row, d) in weights.chunks_exact(layer.inputs).zip(delta) {
-                    for (nd, w) in next.iter_mut().zip(row) {
-                        *nd += w * d;
-                    }
-                }
-                for (nd, out) in next.iter_mut().zip(input) {
-                    *nd *= self.activation.derivative_from_output(*out);
-                }
+        // Propagate through each class's weights before updating them, then
+        // through the hidden activation.
+        let (lr, l2) = (self.learning_rate, self.l2);
+        let mut hidden_delta = [0.0; HIDDEN];
+        let output = self.output.iter_mut().zip(&mut self.output_biases);
+        for ((row, b), d) in output.zip(&*delta) {
+            for (nd, w) in hidden_delta.iter_mut().zip(&*row) {
+                *nd += w * d;
             }
-            let rows = weights.chunks_exact_mut(layer.inputs);
-            for ((row, d), b) in rows.zip(delta).zip(&mut self.biases[layer.biases()]) {
-                for (w, inp) in row.iter_mut().zip(input) {
-                    let grad = d * inp + self.l2 * *w;
-                    *w -= lr * grad;
-                }
-                *b -= lr * d;
-            }
+            descend(row, *d, &hidden, lr, l2);
+            *b -= lr * d;
+        }
+        for (nd, out) in hidden_delta.iter_mut().zip(&hidden) {
+            *nd *= self.activation.derivative_from_output(*out);
+        }
+        let rows = self.hidden.iter_mut().zip(&mut self.hidden_biases);
+        for ((row, b), d) in rows.zip(&hidden_delta) {
+            descend(row, *d, x, lr, l2);
+            *b -= lr * d;
         }
         self.updates += 1;
+        loss
     }
 }
 
@@ -409,21 +369,63 @@ fn softmax_in_place(values: &mut [f64]) {
     }
 }
 
-impl Classifier for Mlp {
+/// The shim `Serialize` derive rejects generic types, so the network writes
+/// its JSON object by hand, one field per parameter block.
+impl<const IN: usize, const HIDDEN: usize> Serialize for Mlp<IN, HIDDEN> {
+    fn serialize_json(&self, out: &mut String) {
+        let fields: [(&str, &dyn Serialize); 8] = [
+            ("hidden", &self.hidden),
+            ("hidden_biases", &self.hidden_biases),
+            ("output", &self.output),
+            ("output_biases", &self.output_biases),
+            ("activation", &self.activation),
+            ("learning_rate", &self.learning_rate),
+            ("l2", &self.l2),
+            ("updates", &self.updates),
+        ];
+        out.push('{');
+        for (i, (name, value)) in fields.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            name.serialize_json(out);
+            out.push(':');
+            value.serialize_json(out);
+        }
+        out.push('}');
+    }
+}
+
+/// A marker, as `Deserialize` is in the shim: nothing deserializes a network.
+impl<'de, const IN: usize, const HIDDEN: usize> Deserialize<'de> for Mlp<IN, HIDDEN> {}
+
+impl<const IN: usize, const HIDDEN: usize> Classifier for Mlp<IN, HIDDEN> {
+    /// # Panics
+    ///
+    /// Panics on a count mismatch, an empty dataset, a row that is not `IN`
+    /// wide or a label `>= output_dim`.
     fn fit(&mut self, xs: &[Vec<f64>], labels: &[usize]) {
         assert_eq!(xs.len(), labels.len(), "sample/label count mismatch");
         assert!(!xs.is_empty(), "cannot fit on an empty dataset");
         const EPOCHS: usize = 30;
-        let samples = xs.iter().map(Vec::as_slice).zip(labels.iter().copied());
-        self.train_classification_epochs(samples, EPOCHS);
+        let rows: Vec<&[f64; IN]> = xs.iter().map(|x| as_row(x)).collect();
+        self.train_classification_epochs(rows.iter().copied().zip(labels.iter().copied()), EPOCHS);
     }
 
+    /// The first class with the highest score, kept as a running argmax over
+    /// the scores as they are computed.
     fn predict_class(&self, x: &[f64]) -> usize {
-        self.with_outputs(x, argmax)
+        let mut best = (0, f64::NAN);
+        self.each_score(&self.hidden_layer(as_row(x)), |o, v| {
+            if o == 0 || v > best.1 {
+                best = (o, v);
+            }
+        });
+        best.0
     }
 
     fn scores(&self, x: &[f64]) -> Vec<f64> {
-        self.probabilities(x)
+        self.probabilities(as_row(x))
     }
 
     fn class_count(&self) -> usize {
@@ -448,15 +450,14 @@ mod tests {
 
     #[test]
     fn learns_xor_classification() {
-        let xs = [vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
+        let xs = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]];
         let labels = [0usize, 1, 1, 0];
         // XOR training can land in a bad basin for an unlucky initialisation; the
         // test requires that at least one of a few fixed seeds learns it exactly,
         // which is how the policy crates use the network (they pick a fixed seed
         // that works and keep it).
         let learned = (0..6u64).any(|seed| {
-            let mut net = MlpBuilder::new(2, 2)
-                .hidden_layers(&[12])
+            let mut net: Mlp<2, 12> = MlpBuilder::new(2)
                 .activation(Activation::Tanh)
                 .learning_rate(0.05)
                 .l2(0.0)
@@ -487,8 +488,7 @@ mod tests {
             xs.push(vec![1.0 + offset, -1.0 - offset]);
             labels.push(2usize);
         }
-        let mut net =
-            MlpBuilder::new(2, 3).hidden_layers(&[12]).learning_rate(0.05).seed(5).build();
+        let mut net: Mlp<2, 12> = MlpBuilder::new(3).learning_rate(0.05).seed(5).build();
         net.fit(&xs, &labels);
         let correct = xs.iter().zip(&labels).filter(|(x, &l)| net.predict_class(x) == l).count();
         assert!(correct as f64 / xs.len() as f64 > 0.95, "accuracy {}/{}", correct, xs.len());
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn cross_entropy_decreases_during_training() {
-        let mut net = MlpBuilder::new(1, 2).hidden_layers(&[4]).learning_rate(0.1).seed(9).build();
+        let mut net: Mlp<1, 4> = MlpBuilder::new(2).learning_rate(0.1).seed(9).build();
         let first = net.train_classification(&[1.0], 1);
         let mut last = first;
         for _ in 0..200 {
@@ -509,12 +509,8 @@ mod tests {
     #[test]
     fn training_activations_differ_but_all_learn_sign_task() {
         for act in [Activation::Relu, Activation::Sigmoid, Activation::Tanh] {
-            let mut net = MlpBuilder::new(1, 2)
-                .hidden_layers(&[6])
-                .activation(act)
-                .learning_rate(0.1)
-                .seed(11)
-                .build();
+            let mut net: Mlp<1, 6> =
+                MlpBuilder::new(2).activation(act).learning_rate(0.1).seed(11).build();
             for _ in 0..500 {
                 net.train_classification(&[1.0], 1);
                 net.train_classification(&[-1.0], 0);
@@ -535,15 +531,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "label out of range")]
     fn rejects_bad_label() {
-        let mut net = MlpBuilder::new(1, 2).build();
+        let mut net: Mlp<1, 4> = MlpBuilder::new(2).build();
         net.train_classification(&[0.0], 5);
     }
 
     #[test]
     #[should_panic(expected = "input dimension mismatch")]
     fn rejects_bad_input_width() {
-        let net = MlpBuilder::new(3, 2).build();
-        let _ = net.forward(&[0.0]);
+        let net: Mlp<3, 4> = MlpBuilder::new(2).build();
+        let _ = net.predict_class(&[0.0]);
+    }
+
+    #[test]
+    fn serializes_every_parameter_block() {
+        let net: Mlp<2, 1> = MlpBuilder::new(2).seed(3).build();
+        let mut json = String::new();
+        net.serialize_json(&mut json);
+        let w = |v: f64| v.to_string();
+        let expected = format!(
+            "{{\"hidden\":[[{},{}]],\"hidden_biases\":[0],\"output\":[[{}],[{}]],\
+             \"output_biases\":[0,0],\"activation\":\"Relu\",\"learning_rate\":0.01,\
+             \"l2\":0.00001,\"updates\":0}}",
+            w(net.hidden[0][0]),
+            w(net.hidden[0][1]),
+            w(net.output[0][0]),
+            w(net.output[1][0]),
+        );
+        assert_eq!(json, expected);
     }
 }
 
@@ -551,10 +565,18 @@ mod tests {
 mod gradcheck_tests {
     use super::*;
 
+    /// Weight `(o, i)` of the hidden layer (layer 0) or the output layer.
+    fn weight(net: &mut Mlp<2, 3>, layer: usize, o: usize, i: usize) -> &mut f64 {
+        if layer == 0 {
+            &mut net.hidden[o][i]
+        } else {
+            &mut net.output[o][i]
+        }
+    }
+
     #[test]
     fn numerical_gradient_check() {
-        let net = MlpBuilder::new(2, 2)
-            .hidden_layers(&[3])
+        let net: Mlp<2, 3> = MlpBuilder::new(2)
             .activation(Activation::Tanh)
             .learning_rate(1.0)
             .l2(0.0)
@@ -562,27 +584,24 @@ mod gradcheck_tests {
             .build();
         let x = [0.7, -0.4];
         let label = 1usize;
-        let loss_of = |n: &Mlp| -> f64 {
+        let loss_of = |n: &Mlp<2, 3>| -> f64 {
             let p = n.probabilities(&x);
             -(p[label].max(1e-12)).ln()
         };
+        // analytic: apply one update with lr=1 and measure weight change = -grad
+        let mut updated = net.clone();
+        updated.train_classification(&x, label);
         // numerical gradient for a hidden-layer weight and an output-layer weight
         for (li, o, i) in [(0usize, 1usize, 0usize), (1usize, 0usize, 2usize)] {
-            let layer = net.layers[li];
-            let w = layer.weight_offset + o * layer.inputs + i;
             let eps = 1e-6;
             let mut plus = net.clone();
-            plus.weights[w] += eps;
+            *weight(&mut plus, li, o, i) += eps;
             let mut minus = net.clone();
-            minus.weights[w] -= eps;
+            *weight(&mut minus, li, o, i) -= eps;
             let num_grad = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
-            // analytic: apply one update with lr=1 and measure weight change = -grad
-            let mut updated = net.clone();
-            updated.train_classification(&x, label);
-            let ana_grad = net.weights[w] - updated.weights[w];
+            let ana_grad = *weight(&mut net.clone(), li, o, i) - *weight(&mut updated, li, o, i);
             println!("layer {li} w[{o}][{i}]: numerical {num_grad:.6} analytic {ana_grad:.6}");
             assert!((num_grad - ana_grad).abs() < 1e-4, "layer {li}: {num_grad} vs {ana_grad}");
         }
-        let _ = net;
     }
 }

@@ -1,8 +1,9 @@
 //! Test-only reference for [`super::Mlp`]: the `Vec<Vec<f64>>` network with a
-//! fresh heap vector per layer, delta and softmax that the flat layout
-//! replaced.  Its arithmetic is the specification the flat network must match
-//! bit for bit; the property tests below compare the two on random shapes,
-//! activations and data.
+//! fresh heap vector per layer, delta and softmax that the fixed-width layout
+//! replaced.  Its arithmetic is the specification the fixed-width network must
+//! match bit for bit; the property tests below compare the two on the serving
+//! shape and on a small shape per activation, with random class counts, SGD
+//! parameters, seeds and data.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -154,55 +155,123 @@ mod tests {
     use super::*;
     use crate::traits::Classifier;
 
-    /// A random network: `(sizes, activation, learning rate, l2, seed)`.
-    type NetSpec = (Vec<usize>, Activation, f64, f64, u64);
+    /// A random network: `(classes, activation, learning rate, l2, seed)`.
+    type NetSpec = (usize, Activation, f64, f64, u64);
 
-    /// 0–2 hidden layers, every width in 1–32, each activation, and SGD
-    /// parameters from the ranges the policy crates use.
+    /// 1–12 classes, each activation and SGD parameters from the ranges the
+    /// policy crates use.  A third of the cases take the serving class counts
+    /// (5 and 8) and a half the serving seeds (17 and 23).
     fn net_spec() -> impl Strategy<Value = NetSpec> {
-        (vec(1usize..=32, 2..=4), 0usize..3, 0.005f64..0.2, 0.0f64..1e-3, 0u64..1_000_000).prop_map(
-            |(sizes, act, lr, l2, seed)| {
+        let classes = (0usize..3, 1usize..=12);
+        let seed = (0u64..4, 0u64..1_000_000);
+        (classes, 0usize..3, 0.005f64..0.2, 0.0f64..1e-3, seed).prop_map(
+            |((pick, classes), act, lr, l2, (pick_seed, seed))| {
+                let classes = [5, 8, classes][pick];
                 let act = [Activation::Relu, Activation::Sigmoid, Activation::Tanh][act];
-                (sizes, act, lr, l2, seed)
+                let seed = [17, 23, seed, seed][pick_seed as usize];
+                (classes, act, lr, l2, seed)
             },
         )
     }
 
-    /// Samples drawn from `pool`, cut to the network's input width.
-    fn samples(pool: &[f64], width: usize, count: usize) -> Vec<Vec<f64>> {
-        pool.chunks_exact(32).take(count).map(|row| row[..width].to_vec()).collect()
+    /// Runs a shape-generic check on the serving shape (10 inputs, 24 hidden
+    /// units) and on the small shape kept for the case's activation.
+    macro_rules! on_every_shape {
+        ($check:ident($spec:expr $(, $arg:expr)*)) => {{
+            let spec: &NetSpec = $spec;
+            $check::<10, 24>(spec $(, $arg)*)?;
+            match spec.1 {
+                Activation::Relu => $check::<3, 5>(spec $(, $arg)*)?,
+                Activation::Sigmoid => $check::<1, 7>(spec $(, $arg)*)?,
+                Activation::Tanh => $check::<6, 2>(spec $(, $arg)*)?,
+            }
+        }};
     }
 
-    fn build(spec: &NetSpec) -> (Mlp, ReferenceMlp) {
-        let (sizes, act, lr, l2, seed) = spec;
-        let (inputs, outputs) = (sizes[0], sizes[sizes.len() - 1]);
-        let flat = MlpBuilder::new(inputs, outputs)
-            .hidden_layers(&sizes[1..sizes.len() - 1])
-            .activation(*act)
-            .learning_rate(*lr)
-            .l2(*l2)
-            .seed(*seed)
-            .build();
-        (flat, ReferenceMlp::new(sizes, *act, *lr, *l2, *seed))
+    /// Samples drawn from `pool`, cut to the network's input width.
+    fn samples<const IN: usize>(pool: &[f64], count: usize) -> Vec<[f64; IN]> {
+        pool.chunks_exact(32)
+            .take(count)
+            .map(|row| std::array::from_fn(|i| row[i]))
+            .collect()
+    }
+
+    fn build<const IN: usize, const HIDDEN: usize>(
+        spec: &NetSpec,
+    ) -> (Mlp<IN, HIDDEN>, ReferenceMlp) {
+        let &(classes, act, lr, l2, seed) = spec;
+        let net = MlpBuilder::new(classes).activation(act).learning_rate(lr).l2(l2).seed(seed);
+        (net.build(), ReferenceMlp::new(&[IN, HIDDEN, classes], act, lr, l2, seed))
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    fn flat_parameters(net: &Mlp) -> Vec<f64> {
-        net.weights.iter().chain(&net.biases).copied().collect()
+    fn flat_parameters<const IN: usize, const HIDDEN: usize>(net: &Mlp<IN, HIDDEN>) -> Vec<f64> {
+        let weights = net.hidden.iter().flatten().chain(net.output.iter().flatten());
+        weights.chain(&net.hidden_biases).chain(&net.output_biases).copied().collect()
     }
 
     /// Parameters, raw outputs, probabilities and predicted classes of both
     /// networks agree bit for bit on every probe input.
-    fn same_network(flat: &Mlp, reference: &ReferenceMlp, probes: &[Vec<f64>]) -> bool {
+    fn same_network<const IN: usize, const HIDDEN: usize>(
+        flat: &Mlp<IN, HIDDEN>,
+        reference: &ReferenceMlp,
+        probes: &[[f64; IN]],
+    ) -> bool {
         bits(&flat_parameters(flat)) == bits(&reference.parameters())
             && probes.iter().all(|x| {
                 bits(&flat.forward(x)) == bits(&reference.forward(x))
                     && bits(&flat.probabilities(x)) == bits(&reference.probabilities(x))
                     && flat.predict_class(x) == reference.predict_class(x)
             })
+    }
+
+    fn per_sample_matches<const IN: usize, const HIDDEN: usize>(
+        spec: &NetSpec,
+        pool: &[f64],
+        labels: &[usize],
+        count: usize,
+    ) -> Result<(), TestCaseError> {
+        let (mut flat, mut reference) = build::<IN, HIDDEN>(spec);
+        let xs = samples::<IN>(pool, count);
+        let classes = flat.output_dim();
+        prop_assert!(same_network(&flat, &reference, &xs), "{IN}x{HIDDEN}: fresh nets differ");
+        for _ in 0..3 {
+            for (x, label) in xs.iter().zip(labels) {
+                let flat_loss = flat.train_classification(x, label % classes);
+                let reference_loss = reference.train_classification(x, label % classes);
+                prop_assert_eq!(flat_loss.to_bits(), reference_loss.to_bits(), "{IN}x{HIDDEN}");
+            }
+        }
+        prop_assert!(
+            same_network(&flat, &reference, &xs),
+            "{IN}x{HIDDEN}: diverged after per-sample training"
+        );
+        Ok(())
+    }
+
+    fn batch_matches<const IN: usize, const HIDDEN: usize>(
+        spec: &NetSpec,
+        pool: &[f64],
+        labels: &[usize],
+        count: usize,
+        epochs: usize,
+    ) -> Result<(), TestCaseError> {
+        let (mut flat, mut reference) = build::<IN, HIDDEN>(spec);
+        let xs = samples::<IN>(pool, count);
+        let classes = flat.output_dim();
+        let labels: Vec<usize> = labels[..count].iter().map(|l| l % classes).collect();
+        flat.train_classification_epochs(xs.iter().zip(labels.iter().copied()), epochs);
+        for _ in 0..epochs {
+            for (x, &label) in xs.iter().zip(&labels) {
+                let _ = reference.train_classification(x, label);
+            }
+        }
+        prop_assert_eq!(flat.updates(), epochs * count, "{IN}x{HIDDEN}");
+        prop_assert!(same_network(&flat, &reference, &xs), "{IN}x{HIDDEN}: batch path diverged");
+        Ok(())
     }
 
     proptest! {
@@ -215,18 +284,7 @@ mod tests {
             labels in vec(0usize..64, 12),
             count in 1usize..=12,
         ) {
-            let (mut flat, mut reference) = build(&spec);
-            let xs = samples(&pool, spec.0[0], count);
-            let classes = flat.output_dim();
-            prop_assert!(same_network(&flat, &reference, &xs), "freshly built nets differ");
-            for _ in 0..3 {
-                for (x, label) in xs.iter().zip(&labels) {
-                    let flat_loss = flat.train_classification(x, label % classes);
-                    let reference_loss = reference.train_classification(x, label % classes);
-                    prop_assert_eq!(flat_loss.to_bits(), reference_loss.to_bits());
-                }
-            }
-            prop_assert!(same_network(&flat, &reference, &xs), "diverged after per-sample training");
+            on_every_shape!(per_sample_matches(&spec, &pool, &labels, count));
         }
 
         #[test]
@@ -237,28 +295,14 @@ mod tests {
             count in 1usize..=12,
             epochs in 0usize..=6,
         ) {
-            let (mut flat, mut reference) = build(&spec);
-            let xs = samples(&pool, spec.0[0], count);
-            let classes = flat.output_dim();
-            let labels: Vec<usize> = labels[..count].iter().map(|l| l % classes).collect();
-            flat.train_classification_epochs(
-                xs.iter().map(Vec::as_slice).zip(labels.iter().copied()),
-                epochs,
-            );
-            for _ in 0..epochs {
-                for (x, &label) in xs.iter().zip(&labels) {
-                    let _ = reference.train_classification(x, label);
-                }
-            }
-            prop_assert_eq!(flat.updates(), epochs * count);
-            prop_assert!(same_network(&flat, &reference, &xs), "batch path diverged");
+            on_every_shape!(batch_matches(&spec, &pool, &labels, count, epochs));
         }
     }
 
     #[test]
     fn classifier_fit_matches_reference_epochs() {
-        let spec = (vec![3, 5, 4], Activation::Relu, 0.05, 1e-5, 3);
-        let (mut flat, mut reference) = build(&spec);
+        let spec = (4, Activation::Relu, 0.05, 1e-5, 3);
+        let (mut flat, mut reference) = build::<3, 5>(&spec);
         let xs: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![i as f64 * 0.1, (i % 3) as f64, -(i as f64).sin()])
             .collect();
@@ -269,6 +313,7 @@ mod tests {
                 let _ = reference.train_classification(x, label);
             }
         }
-        assert!(same_network(&flat, &reference, &xs));
+        let probes: Vec<[f64; 3]> = xs.iter().map(|x| [x[0], x[1], x[2]]).collect();
+        assert!(same_network(&flat, &reference, &probes));
     }
 }

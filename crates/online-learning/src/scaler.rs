@@ -14,6 +14,9 @@ pub struct StandardScaler {
     count: f64,
     mean: Vec<f64>,
     m2: Vec<f64>,
+    /// Per-feature standard deviation, refreshed by every observation so
+    /// that transforming takes no square root.
+    std: Vec<f64>,
 }
 
 impl StandardScaler {
@@ -24,7 +27,7 @@ impl StandardScaler {
     /// Panics if `dim` is zero.
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "feature dimension must be positive");
-        Self { count: 0.0, mean: vec![0.0; dim], m2: vec![0.0; dim] }
+        Self { count: 0.0, mean: vec![0.0; dim], m2: vec![0.0; dim], std: vec![1.0; dim] }
     }
 
     /// Creates and fits a scaler from a batch of samples.
@@ -64,6 +67,19 @@ impl StandardScaler {
             self.mean[i] += delta / self.count;
             self.m2[i] += delta * (xi - self.mean[i]);
         }
+        let count = self.count;
+        for (std, &m2) in self.std.iter_mut().zip(&self.m2) {
+            *std = if count < 2.0 {
+                1.0
+            } else {
+                let var = m2 / (count - 1.0);
+                if var < 1e-18 {
+                    1.0
+                } else {
+                    var.sqrt()
+                }
+            };
+        }
     }
 
     /// Per-feature mean.
@@ -73,22 +89,8 @@ impl StandardScaler {
 
     /// Per-feature standard deviation (1.0 for features with no variance yet,
     /// so that transforming is always well defined).
-    pub fn std(&self) -> Vec<f64> {
-        self.m2
-            .iter()
-            .map(|&m2| {
-                if self.count < 2.0 {
-                    1.0
-                } else {
-                    let var = m2 / (self.count - 1.0);
-                    if var < 1e-18 {
-                        1.0
-                    } else {
-                        var.sqrt()
-                    }
-                }
-            })
-            .collect()
+    pub fn std(&self) -> &[f64] {
+        &self.std
     }
 
     /// Standardises a feature vector.
@@ -97,16 +99,31 @@ impl StandardScaler {
     ///
     /// Panics on dimension mismatch.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.dim(), "feature dimension mismatch");
-        let std = self.std();
-        x.iter().enumerate().map(|(i, &v)| (v - self.mean[i]) / std[i]).collect()
+        let mut z = vec![0.0; self.dim()];
+        self.transform_into(x, &mut z);
+        z
+    }
+
+    /// Standardises `x` into `z`, which may be a fixed-width row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice is not [`StandardScaler::dim`] wide.
+    pub fn transform_into(&self, x: &[f64], z: &mut [f64]) {
+        assert!(x.len() == self.dim() && z.len() == self.dim(), "feature dimension mismatch");
+        for (((z, v), mean), std) in z.iter_mut().zip(x).zip(&self.mean).zip(&self.std) {
+            *z = (v - mean) / std;
+        }
     }
 
     /// Inverse of [`StandardScaler::transform`].
     pub fn inverse_transform(&self, z: &[f64]) -> Vec<f64> {
         assert_eq!(z.len(), self.dim(), "feature dimension mismatch");
-        let std = self.std();
-        z.iter().enumerate().map(|(i, &v)| v * std[i] + self.mean[i]).collect()
+        z.iter()
+            .zip(&self.std)
+            .zip(&self.mean)
+            .map(|((v, std), mean)| v * std + mean)
+            .collect()
     }
 }
 
