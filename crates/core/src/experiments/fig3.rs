@@ -23,10 +23,11 @@ pub struct ConvergenceSeries {
     pub policy: String,
     /// Cumulative execution time after each snippet, seconds.
     pub time_s: Vec<f64>,
-    /// Windowed accuracy (fraction of recent decisions whose big-cluster frequency
-    /// matches the Oracle) after each snippet.
+    /// Windowed accuracy (fraction of the last [`ACCURACY_WINDOW`] decisions
+    /// whose big-cluster frequency matches the Oracle) after each snippet.
     pub accuracy: Vec<f64>,
-    /// Time at which the windowed accuracy first reaches 90%, if ever.
+    /// Time at which the accuracy over a full window first reaches 90%, if
+    /// ever.
     pub time_to_90_percent_s: Option<f64>,
 }
 
@@ -40,6 +41,9 @@ pub struct Fig3Result {
     /// Total execution time of the Oracle over the sequence, seconds.
     pub sequence_time_s: f64,
 }
+
+/// Decisions in the sliding window [`ConvergenceSeries::accuracy`] averages.
+pub const ACCURACY_WINDOW: usize = 10;
 
 fn windowed_accuracy(matches: &[bool], window: usize) -> Vec<f64> {
     (0..matches.len())
@@ -59,8 +63,14 @@ fn series_for(
 ) -> ConvergenceSeries {
     let matches: Vec<bool> =
         decisions.iter().zip(oracle).map(|(d, o)| d.big_idx == o.big_idx).collect();
-    let accuracy = windowed_accuracy(&matches, 10);
-    let time_to_90_percent_s = accuracy.iter().position(|&a| a >= 0.9).map(|i| time_s[i]);
+    let accuracy = windowed_accuracy(&matches, ACCURACY_WINDOW);
+    // Before the window fills, one lucky first decision reads as 100%.
+    let time_to_90_percent_s = accuracy
+        .iter()
+        .enumerate()
+        .skip(ACCURACY_WINDOW - 1)
+        .find(|&(_, &a)| a >= 0.9)
+        .map(|(i, _)| time_s[i]);
     ConvergenceSeries { policy: name.to_owned(), time_s, accuracy, time_to_90_percent_s }
 }
 
@@ -126,6 +136,23 @@ mod tests {
         );
         assert_eq!(result.online_il.time_s.len(), result.online_il.accuracy.len());
         assert!(result.sequence_time_s > 0.0);
+    }
+
+    #[test]
+    fn time_to_90_percent_counts_only_full_windows() {
+        use soclearn_soc_sim::DvfsConfig;
+        // Three matches, seven misses, then fifteen matches: the partial
+        // windows at the start read 100%, the first full one 30%, and the
+        // window ending at decision 18 is the first full one at 90%.
+        let oracle = vec![DvfsConfig::new(0, 3); 25];
+        let decisions: Vec<DvfsConfig> = (0..25)
+            .map(|i| if (3..10).contains(&i) { DvfsConfig::new(0, 1) } else { oracle[i] })
+            .collect();
+        let time_s: Vec<f64> = (1..=25).map(|i| f64::from(i) * 0.5).collect();
+        let series = series_for("probe", &decisions, &oracle, time_s.clone());
+        assert_eq!(series.accuracy[0], 1.0);
+        assert_eq!(series.accuracy[ACCURACY_WINDOW - 1], 0.3);
+        assert_eq!(series.time_to_90_percent_s, Some(time_s[18]));
     }
 
     #[test]

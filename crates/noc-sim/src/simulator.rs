@@ -15,9 +15,15 @@
 //! (`y` outer, `x` inner); destination draws follow an injection only; and a
 //! simulator keeps its generator across runs, so consecutive runs (as in
 //! [`crate::SvrLatencyModel::train`]'s rates) continue one stream.
+//!
+//! The injection draw is `gen_bool(rate)`'s comparison in integers.
+//! `gen_bool` takes one `next_u64` word `x` (two keystream words) and tests
+//! `(x >> 11) as f64 * 2^-53 < rate`; the simulator tests
+//! `(x >> 11) < ceil(rate * 2^53)` on the same word.  For a rate in (0, 1]
+//! both sides are exact, so the two decide alike on every word.
 
-use rand::Rng;
 use rand::SeedableRng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -91,6 +97,19 @@ pub struct NocStats {
     pub avg_hops: f64,
     /// Average utilization of the busiest link, in `[0, 1]`.
     pub max_link_utilization: f64,
+}
+
+/// The integer form of `gen_bool(rate)`'s threshold: see [`injects`].
+/// Scaling by 2^53 and rounding up are exact for a rate in (0, 1].
+fn injection_threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Whether the `next_u64` word `x` injects a packet.  `gen_bool` tests
+/// `m * 2^-53 < rate` for the integer `m = x >> 11`, which holds exactly when
+/// `m < ceil(rate * 2^53)`.
+fn injects(x: u64, inject_below: u64) -> bool {
+    (x >> 11) < inject_below
 }
 
 /// The mesh NoC simulator.
@@ -174,11 +193,12 @@ impl NocSimulator {
         // Warm-up fraction: packets injected in the first 20% are simulated but not
         // counted, so queues reach steady state before measurement.
         let warmup = cycles / 5;
+        let inject_below = injection_threshold(injection_rate);
 
         for cycle in 0..cycles {
             for y in 0..height {
                 for x in 0..width {
-                    if !self.rng.gen_bool(injection_rate) {
+                    if !injects(self.rng.next_u64(), inject_below) {
                         continue;
                     }
                     let dst = self.destination(x, y);
@@ -252,6 +272,196 @@ impl NocSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bits of all six fields, so runs compare exactly.
+    pub(super) fn bits(stats: &NocStats) -> [u64; 6] {
+        [
+            stats.injection_rate.to_bits(),
+            stats.packets_delivered as u64,
+            stats.avg_latency_cycles.to_bits(),
+            stats.p95_latency_cycles.to_bits(),
+            stats.avg_hops.to_bits(),
+            stats.max_link_utilization.to_bits(),
+        ]
+    }
+
+    /// One monitoring window per traffic pattern and rate on the serving
+    /// shape (4 x 4 mesh, 2,000 cycles, a fresh simulator per window),
+    /// recorded from the single-block generator and the float injection
+    /// draw.
+    const PINNED_WINDOWS: [(TrafficPattern, [[u64; 6]; 3]); 3] = [
+        (
+            TrafficPattern::Uniform,
+            [
+                [
+                    0x3fa9_9999_9999_999a,
+                    1222,
+                    0x402f_35a1_4f30_2eed,
+                    0x403d_0000_0000_0000,
+                    0x4005_66a6_c192_39d2,
+                    0x3fcc_ed91_6872_b021,
+                ],
+                [
+                    0x3fc0_a3d7_0a3d_70a4,
+                    3166,
+                    0x4035_2f24_102b_fcc4,
+                    0x4042_0000_0000_0000,
+                    0x4005_8b3d_4a8d_577d,
+                    0x3fe2_4dd2_f1a9_fbe7,
+                ],
+                [
+                    0x3fd2_8f5c_28f5_c28f,
+                    7035,
+                    0x4070_f4a4_eac8_f156,
+                    0x407e_7000_0000_0000,
+                    0x4005_5714_7cbe_3e84,
+                    0x3ff0_0000_0000_0000,
+                ],
+            ],
+        ),
+        (
+            TrafficPattern::Hotspot,
+            [
+                [
+                    0x3fa9_9999_9999_999a,
+                    1221,
+                    0x4030_dfeb_df4a_d9a2,
+                    0x4040_0000_0000_0000,
+                    0x4005_bd53_a7f0_e778,
+                    0x3fe2_7ef9_db22_d0e5,
+                ],
+                [
+                    0x3fc0_a3d7_0a3d_70a4,
+                    3151,
+                    0x4062_d37a_6f4d_e9bd,
+                    0x408a_9000_0000_0000,
+                    0x4005_e870_7117_7ac2,
+                    0x3ff0_0000_0000_0000,
+                ],
+                [
+                    0x3fd2_8f5c_28f5_c28f,
+                    6948,
+                    0x408a_b7fe_d22a_269d,
+                    0x40ae_6c00_0000_0000,
+                    0x4006_2ccd_be44_ade9,
+                    0x3ff0_0000_0000_0000,
+                ],
+            ],
+        ),
+        (
+            TrafficPattern::Transpose,
+            [
+                [
+                    0x3fa9_9999_9999_999a,
+                    972,
+                    0x4033_e781_948b_0fcd,
+                    0x4040_8000_0000_0000,
+                    0x400a_a23d_1a56_6307,
+                    0x3fe4_5a1c_ac08_3127,
+                ],
+                [
+                    0x3fc0_a3d7_0a3d_70a4,
+                    2514,
+                    0x4078_8872_0ca0_7bd3,
+                    0x4091_9000_0000_0000,
+                    0x400a_971d_87d7_44a2,
+                    0x3ff0_0000_0000_0000,
+                ],
+                [
+                    0x3fd2_8f5c_28f5_c28f,
+                    5544,
+                    0x409f_2f67_109f_959c,
+                    0x40b1_ae00_0000_0000,
+                    0x400a_918c_017a_4630,
+                    0x3ff0_0000_0000_0000,
+                ],
+            ],
+        ),
+    ];
+
+    #[test]
+    fn monitoring_windows_are_pinned() {
+        let mesh = MeshConfig::new(4, 4);
+        for (pattern, expected) in PINNED_WINDOWS {
+            for (rate, expected) in [0.05, 0.13, 0.29].into_iter().zip(expected) {
+                let stats = NocSimulator::new(mesh, pattern, 0xC0FFEE).run(rate, 2_000);
+                assert_eq!(bits(&stats), expected, "{pattern:?} at rate {rate}");
+            }
+        }
+    }
+
+    /// Two runs that continue one generator, as `SvrLatencyModel::train`
+    /// makes them, recorded like [`PINNED_WINDOWS`].
+    #[test]
+    fn training_run_sequence_is_pinned() {
+        let expected = [
+            [
+                0x3f94_7ae1_47ae_147b,
+                973,
+                0x402e_ca97_0586_7230,
+                0x403c_0000_0000_0000,
+                0x4006_5b08_aeb3_6fd2,
+                0x3fd1_0624_dd2f_1aa0,
+            ],
+            [
+                0x3fc1_eb85_1eb8_51ec,
+                6838,
+                0x407a_e74a_8056_41be,
+                0x40a3_a200_0000_0000,
+                0x4006_6e11_38ae_4f85,
+                0x3ff0_0000_0000_0000,
+            ],
+        ];
+        let mut sim = NocSimulator::new(MeshConfig::new(4, 4), TrafficPattern::Hotspot, 42);
+        for (rate, expected) in [0.02, 0.14].into_iter().zip(expected) {
+            assert_eq!(bits(&sim.run(rate, 4_000)), expected, "rate {rate}");
+        }
+    }
+
+    /// A generator that returns one fixed `next_u64` word.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("gen_bool draws one u64")
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn injection_threshold_decides_as_gen_bool() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let mut rates = Vec::new();
+        let multiples = [1, 3, 1000, (1 << 52) + 1, (1 << 53) - 1].map(|k: u64| k as f64 * unit);
+        for rate in [1.0, 0.5, 0.13].into_iter().chain(multiples) {
+            let rate_bits = rate.to_bits();
+            rates.extend([f64::from_bits(rate_bits - 1), rate, f64::from_bits(rate_bits + 1)]);
+        }
+        let mut words = ChaCha8Rng::seed_from_u64(11);
+        for rate in rates.into_iter().filter(|&rate| rate > 0.0 && rate <= 1.0) {
+            let threshold = injection_threshold(rate);
+            // The last drawn value that injects, the first that does not (if
+            // any: at rate 1 every word injects), each with the low bits the
+            // shift drops cleared and set, then random words.
+            let mut cases: Vec<u64> = [threshold - 1, threshold]
+                .into_iter()
+                .filter(|&m| m < 1 << 53)
+                .flat_map(|m| [m << 11, (m << 11) | 0x7ff])
+                .collect();
+            cases.extend((0..64).map(|_| words.next_u64()));
+            for x in cases {
+                assert_eq!(
+                    injects(x, threshold),
+                    Word(x).gen_bool(rate),
+                    "rate {rate:e} ({:#x}), word {x:#x}",
+                    rate.to_bits()
+                );
+            }
+        }
+    }
 
     #[test]
     fn latency_grows_with_injection_rate() {

@@ -148,6 +148,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::simulator::tests::bits;
 
     const PATTERNS: [TrafficPattern; 3] =
         [TrafficPattern::Uniform, TrafficPattern::Hotspot, TrafficPattern::Transpose];
@@ -160,17 +161,6 @@ mod tests {
             2 => (1.0 - unit) * 0.3,
             _ => 1.0 - unit,
         })
-    }
-
-    fn bits(stats: &NocStats) -> [u64; 6] {
-        [
-            stats.injection_rate.to_bits(),
-            stats.packets_delivered as u64,
-            stats.avg_latency_cycles.to_bits(),
-            stats.p95_latency_cycles.to_bits(),
-            stats.avg_hops.to_bits(),
-            stats.max_link_utilization.to_bits(),
-        ]
     }
 
     proptest! {

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use soclearn_gpu_sim::{FrameResult, GpuSimulator};
 pub use soclearn_gpu_sim::{GpuConfig, GpuController, GpuPlatform, UtilizationGovernor};
 use soclearn_nmpc::{GpuSensitivityModel, MultiRateNmpcController, NmpcSettings};
-use soclearn_noc_sim::{AnalyticalLatencyModel, NocSimulator, SvrLatencyModel};
+use soclearn_noc_sim::{AnalyticalLatencyModel, NocSimulator, NocStats, SvrLatencyModel};
 pub use soclearn_noc_sim::{MeshConfig, TrafficPattern};
 use soclearn_soc_sim::DvfsPolicy;
 pub use soclearn_workloads::graphics::FrameDemand;
@@ -577,10 +577,8 @@ impl NocModel {
         }
         let analytical = AnalyticalLatencyModel::new(spec.mesh, spec.pattern);
         let seed = noc_decision_seed(spec.seed, window as u64);
-        let stats =
-            NocSimulator::new(spec.mesh, spec.pattern, seed).run(admitted, spec.query_cycles);
-        let energy_j = stats.packets_delivered as f64
-            * (stats.avg_hops * NOC_ENERGY_PER_HOP_J + NOC_ENERGY_PER_PACKET_J);
+        let (stats, energy_j) =
+            simulate_noc_window(spec.mesh, spec.pattern, seed, admitted, spec.query_cycles);
         NocDecisionRecord {
             index: ordinal,
             mesh: spec.mesh,
@@ -657,11 +655,29 @@ impl Default for GpuReplayer {
 /// must reproduce the measured latency, delivery count and energy bit for
 /// bit.
 pub fn replay_noc_window(record: &NocDecisionRecord) -> (f64, usize, f64) {
-    let stats = NocSimulator::new(record.mesh, record.pattern, record.seed)
-        .run(record.injection_rate, record.cycles);
+    let (stats, energy_j) = simulate_noc_window(
+        record.mesh,
+        record.pattern,
+        record.seed,
+        record.injection_rate,
+        record.cycles,
+    );
+    (stats.avg_latency_cycles, stats.packets_delivered, energy_j)
+}
+
+/// Simulates one NoC window on a fresh simulator and prices its delivered
+/// packets: the one path serving and replay share, so they cannot drift.
+fn simulate_noc_window(
+    mesh: MeshConfig,
+    pattern: TrafficPattern,
+    seed: u64,
+    rate: f64,
+    cycles: u64,
+) -> (NocStats, f64) {
+    let stats = NocSimulator::new(mesh, pattern, seed).run(rate, cycles);
     let energy_j = stats.packets_delivered as f64
         * (stats.avg_hops * NOC_ENERGY_PER_HOP_J + NOC_ENERGY_PER_PACKET_J);
-    (stats.avg_latency_cycles, stats.packets_delivered, energy_j)
+    (stats, energy_j)
 }
 
 #[cfg(test)]
