@@ -7,7 +7,7 @@
 //! frequency, then is updated with the measurement.  The paper reports less
 //! than 5% prediction error across the frequency changes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_gpu_sim::{GpuConfig, GpuPlatform, GpuSimulator};
 use soclearn_online_learning::metrics::mape;
 use soclearn_online_learning::rls::AdaptiveForgettingRls;
@@ -18,7 +18,7 @@ use super::helpers::EXPERIMENT_SEED;
 use super::ExperimentScale;
 
 /// The reproduced Figure 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig2Result {
     /// Measured frame time per frame, milliseconds.
     pub measured_ms: Vec<f64>,

@@ -6,9 +6,9 @@
 //! paper shows online-IL reaching ≈100% accuracy within ~6 s (about 4% of the
 //! sequence) while RL fails to converge within the whole 150 s run.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_imitation::OnlineIlConfig;
-use soclearn_rl::{QTableAgent, RlConfig};
+use soclearn_rl::QTableAgent;
 use soclearn_soc_sim::SocPlatform;
 use soclearn_workloads::SuiteKind;
 
@@ -17,7 +17,7 @@ use super::ExperimentScale;
 use crate::harness::run_policy;
 
 /// Accuracy-over-time series of one policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConvergenceSeries {
     /// Policy name.
     pub policy: String,
@@ -32,7 +32,7 @@ pub struct ConvergenceSeries {
 }
 
 /// The reproduced Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig3Result {
     /// Online-IL convergence series.
     pub online_il: ConvergenceSeries,
@@ -91,7 +91,7 @@ pub fn convergence_comparison(scale: ExperimentScale) -> Fig3Result {
         artifacts.online_policy(OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 });
     let il_report = run_policy(&platform, &mut online_il, &sequence);
 
-    let mut rl = QTableAgent::new(&platform, RlConfig::default());
+    let mut rl = QTableAgent::new(&platform);
     let rl_report = run_policy(&platform, &mut rl, &sequence);
 
     Fig3Result {

@@ -6,8 +6,8 @@
 //! both policies adapting continuously.  The paper reports online-IL staying
 //! at ≈1.0× the Oracle everywhere while RL reaches up to 1.4×.
 
-use serde::{Deserialize, Serialize};
-use soclearn_rl::{QTableAgent, RlConfig};
+use serde::Serialize;
+use soclearn_rl::QTableAgent;
 use soclearn_soc_sim::{DvfsPolicy, SocPlatform};
 use soclearn_workloads::SuiteKind;
 
@@ -17,7 +17,7 @@ use crate::harness::run_policy;
 use soclearn_imitation::OnlineIlConfig;
 
 /// One bar group of Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig4Row {
     /// Application name.
     pub benchmark: String,
@@ -30,7 +30,7 @@ pub struct Fig4Row {
 }
 
 /// The reproduced Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig4Result {
     /// Per-application rows (Mi-Bench first, then Cortex and PARSEC).
     pub rows: Vec<Fig4Row>,
@@ -74,7 +74,7 @@ pub fn energy_comparison(scale: ExperimentScale) -> Fig4Result {
     let mut online_il: Box<dyn DvfsPolicy> = Box::new(
         artifacts.online_policy(OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 }),
     );
-    let mut rl: Box<dyn DvfsPolicy> = Box::new(QTableAgent::new(&platform, RlConfig::default()));
+    let mut rl: Box<dyn DvfsPolicy> = Box::new(QTableAgent::new(&platform));
 
     let mut rows = Vec::new();
     for suite_kind in SuiteKind::ALL {

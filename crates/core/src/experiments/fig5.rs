@@ -7,7 +7,7 @@
 //! (average ≈25%), PKG and PKG+DRAM savings of ≈15%, and ≈0.4% performance
 //! overhead.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_gpu_sim::{GpuPlatform, GpuSimulator, UtilizationGovernor};
 use soclearn_nmpc::{ExplicitNmpcController, GpuSensitivityModel, NmpcSettings};
 use soclearn_workloads::GraphicsWorkload;
@@ -16,7 +16,7 @@ use super::helpers::EXPERIMENT_SEED;
 use super::ExperimentScale;
 
 /// Savings of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig5Row {
     /// Workload name.
     pub workload: String,
@@ -32,7 +32,7 @@ pub struct Fig5Row {
 }
 
 /// The reproduced Figure 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig5Result {
     /// Per-workload rows.
     pub rows: Vec<Fig5Row>,

@@ -29,7 +29,9 @@ pub mod table2;
 /// [`soclearn_runtime`] because it is part of every artifact-store key.
 pub use soclearn_runtime::ExperimentScale;
 
-pub use ablations::{buffer_ablation, overhead_ablation, BufferAblationRow, OverheadRow};
+pub use ablations::{
+    buffer_ablation, overhead_ablation, BufferAblationRow, OverheadRow, OVERHEAD_PASSES,
+};
 pub use fig2::{frame_time_prediction, Fig2Result};
 pub use fig3::{convergence_comparison, Fig3Result};
 pub use fig4::{energy_comparison, Fig4Result, Fig4Row};

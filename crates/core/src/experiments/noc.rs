@@ -7,7 +7,7 @@
 //! (which uses the analytical estimate as a feature) tracks the simulator at
 //! least as well as the closed-form model alone.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_noc_sim::{
     AnalyticalLatencyModel, MeshConfig, NocSimulator, SvrLatencyModel, TrafficPattern,
 };
@@ -15,7 +15,7 @@ use soclearn_noc_sim::{
 use super::ExperimentScale;
 
 /// One measurement point of the NoC study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NocModelRow {
     /// Mesh side length (meshes are square).
     pub mesh: usize,
@@ -30,7 +30,7 @@ pub struct NocModelRow {
 }
 
 /// The full NoC model-comparison result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NocModelsResult {
     /// All measurement points.
     pub rows: Vec<NocModelRow>,

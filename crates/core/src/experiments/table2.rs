@@ -6,7 +6,7 @@
 //! 1.47–1.86 on PARSEC; the reproduction should show the same ordering
 //! (training suite ≈ Oracle, unseen suites progressively worse).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_soc_sim::SocPlatform;
 use soclearn_workloads::SuiteKind;
 
@@ -15,7 +15,7 @@ use super::ExperimentScale;
 use crate::harness::run_policy;
 
 /// One row of the reproduced Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table2Row {
     /// Suite the application belongs to.
     pub suite: String,
@@ -26,7 +26,7 @@ pub struct Table2Row {
 }
 
 /// The reproduced Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table2Result {
     /// Per-application rows in suite order.
     pub rows: Vec<Table2Row>,

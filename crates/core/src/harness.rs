@@ -6,14 +6,14 @@
 //! policy.  [`run_policy`] implements that loop once so the Oracle, governors,
 //! IL policies and RL agents are all measured under identical conditions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_soc_sim::{
     DvfsConfig, DvfsPolicy, PolicyDecision, SnippetCounters, SocPlatform, SocSimulator,
 };
 use soclearn_workloads::ApplicationSequence;
 
 /// Outcome of one snippet under the harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SnippetRecord {
     /// Index of the snippet in the sequence.
     pub index: usize,
@@ -28,7 +28,7 @@ pub struct SnippetRecord {
 }
 
 /// Aggregated result of running one policy over a sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HarnessReport {
     /// Name of the policy that produced the run.
     pub policy: String,

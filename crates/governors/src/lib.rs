@@ -24,37 +24,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 
 /// Linux-style *ondemand* governor: jump to maximum frequency when utilization
 /// exceeds the up-threshold, step down one level when it falls below the
 /// down-threshold.  Each cluster is controlled independently.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OndemandGovernor {
-    up_threshold: f64,
-    down_threshold: f64,
     current: DvfsConfig,
 }
 
 impl OndemandGovernor {
+    /// Utilization above which a cluster jumps to its maximum frequency.
+    const UP_THRESHOLD: f64 = 0.85;
+    /// Utilization below which a cluster steps down one level.
+    const DOWN_THRESHOLD: f64 = 0.40;
+
     /// Creates the governor with 85% / 40% thresholds, starting at
     /// the platform's lowest configuration.
     pub fn new(platform: &SocPlatform) -> Self {
-        Self::with_thresholds(platform, 0.85, 0.40)
-    }
-
-    /// Creates the governor with custom thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < down < up <= 1`.
-    pub fn with_thresholds(platform: &SocPlatform, up_threshold: f64, down_threshold: f64) -> Self {
-        assert!(
-            down_threshold > 0.0 && down_threshold < up_threshold && up_threshold <= 1.0,
-            "require 0 < down < up <= 1"
-        );
-        Self { up_threshold, down_threshold, current: platform.min_config() }
+        Self { current: platform.min_config() }
     }
 }
 
@@ -71,14 +61,14 @@ impl DvfsPolicy for OndemandGovernor {
         let little_util = decision.counters.little_cluster_utilization;
         let big_util = decision.counters.big_cluster_utilization;
 
-        if big_util > self.up_threshold {
+        if big_util > Self::UP_THRESHOLD {
             next.big_idx = max_big;
-        } else if big_util < self.down_threshold && next.big_idx > 0 {
+        } else if big_util < Self::DOWN_THRESHOLD && next.big_idx > 0 {
             next.big_idx -= 1;
         }
-        if little_util > self.up_threshold {
+        if little_util > Self::UP_THRESHOLD {
             next.little_idx = max_little;
-        } else if little_util < self.down_threshold && next.little_idx > 0 {
+        } else if little_util < Self::DOWN_THRESHOLD && next.little_idx > 0 {
             next.little_idx -= 1;
         }
         self.current = next;
@@ -88,7 +78,7 @@ impl DvfsPolicy for OndemandGovernor {
 
 /// Android-style *interactive* governor: ramps up aggressively (two levels at a
 /// time) on load, and decays slowly (one level after several quiet snippets).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InteractiveGovernor {
     up_threshold: f64,
     down_threshold: f64,
@@ -144,7 +134,7 @@ impl DvfsPolicy for InteractiveGovernor {
 }
 
 /// *performance* governor: always the maximum configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct PerformanceGovernor;
 
 impl DvfsPolicy for PerformanceGovernor {
@@ -158,7 +148,7 @@ impl DvfsPolicy for PerformanceGovernor {
 }
 
 /// *powersave* governor: always the minimum configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct PowersaveGovernor;
 
 impl DvfsPolicy for PowersaveGovernor {
@@ -269,12 +259,5 @@ mod tests {
             e_ondemand < e_performance,
             "ondemand ({e_ondemand} J) should beat performance ({e_performance} J) on memory-bound work"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "require 0 < down < up <= 1")]
-    fn ondemand_rejects_bad_thresholds() {
-        let platform = SocPlatform::odroid_xu3();
-        let _ = OndemandGovernor::with_thresholds(&platform, 0.3, 0.5);
     }
 }

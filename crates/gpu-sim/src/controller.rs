@@ -7,7 +7,7 @@
 //! behaviour of production GPU governors).  That baseline lives here, next to
 //! the [`GpuController`] trait that the NMPC crate implements.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::platform::{GpuConfig, GpuPlatform};
 use crate::simulator::FrameResult;
@@ -33,33 +33,21 @@ pub trait GpuController {
 
 /// Baseline governor: all slices always powered, DVFS driven by utilization
 /// thresholds exactly like an interactive/ondemand CPU governor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UtilizationGovernor {
-    /// Raise frequency when utilization exceeds this threshold.
-    up_threshold: f64,
-    /// Lower frequency when utilization falls below this threshold.
-    down_threshold: f64,
     current_freq_idx: usize,
 }
 
 impl UtilizationGovernor {
+    /// Raise frequency when utilization exceeds this threshold.
+    const UP_THRESHOLD: f64 = 0.90;
+    /// Lower frequency when utilization falls below this threshold.
+    const DOWN_THRESHOLD: f64 = 0.40;
+
     /// Creates the governor with the conventional 90% / 40% thresholds used by
     /// production drivers (biased toward responsiveness over energy).
     pub fn new() -> Self {
-        Self::with_thresholds(0.90, 0.40)
-    }
-
-    /// Creates the governor with custom thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < down < up <= 1`.
-    pub fn with_thresholds(up_threshold: f64, down_threshold: f64) -> Self {
-        assert!(
-            down_threshold > 0.0 && down_threshold < up_threshold && up_threshold <= 1.0,
-            "require 0 < down < up <= 1"
-        );
-        Self { up_threshold, down_threshold, current_freq_idx: 0 }
+        Self { current_freq_idx: 0 }
     }
 }
 
@@ -89,11 +77,11 @@ impl GpuController for UtilizationGovernor {
             }
             Some(prev) => {
                 let util = prev.counters.utilization;
-                if (prev.missed_deadline || util > self.up_threshold)
+                if (prev.missed_deadline || util > Self::UP_THRESHOLD)
                     && self.current_freq_idx < max_idx
                 {
                     self.current_freq_idx += 1;
-                } else if util < self.down_threshold && self.current_freq_idx > 0 {
+                } else if util < Self::DOWN_THRESHOLD && self.current_freq_idx > 0 {
                     self.current_freq_idx -= 1;
                 }
             }
@@ -105,7 +93,7 @@ impl GpuController for UtilizationGovernor {
 /// Reference controller that always runs every slice at maximum frequency.
 ///
 /// Used in tests and as the performance upper bound in experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct MaxPerformanceController;
 
 impl GpuController for MaxPerformanceController {
@@ -167,11 +155,5 @@ mod tests {
         let platform = GpuPlatform::gen9_like();
         let c = boxed.decide(&platform, None, 0, 1.0 / 30.0);
         assert!(platform.is_valid(c));
-    }
-
-    #[test]
-    #[should_panic(expected = "require 0 < down < up <= 1")]
-    fn rejects_bad_thresholds() {
-        let _ = UtilizationGovernor::with_thresholds(0.5, 0.9);
     }
 }

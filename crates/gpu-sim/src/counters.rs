@@ -4,10 +4,10 @@
 //! IV-B) take a small subset of the available counters as input; these are the
 //! equivalents exposed by the simulator after every frame.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters observed while rendering one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct GpuFrameCounters {
     /// GPU cycles spent doing useful work (across all active slices).
     pub busy_cycles: f64,

@@ -1,11 +1,11 @@
 //! GPU platform description and configuration space.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_power_thermal::power::{ClusterPowerParams, VoltageFrequencyCurve};
 
 /// One point in the GPU's control space: how many slices are powered and which
 /// DVFS level the domain runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct GpuConfig {
     /// Number of powered (non-gated) slices, `1..=max_slices`.
     pub active_slices: u32,
@@ -27,7 +27,7 @@ impl std::fmt::Display for GpuConfig {
 }
 
 /// Static description of the simulated integrated GPU and its package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuPlatform {
     freqs_hz: Vec<f64>,
     max_slices: u32,

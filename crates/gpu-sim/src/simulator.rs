@@ -1,6 +1,6 @@
 //! Frame-level GPU simulation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_workloads::graphics::{FrameDemand, GraphicsWorkload};
 
 use crate::controller::GpuController;
@@ -11,7 +11,7 @@ use crate::platform::{GpuConfig, GpuPlatform};
 const MEMORY_EXPOSURE: f64 = 0.5;
 
 /// Outcome of rendering a single frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FrameResult {
     /// Configuration the frame rendered at.
     pub config: GpuConfig,
@@ -42,7 +42,7 @@ impl FrameResult {
 }
 
 /// Aggregate statistics of running a whole workload under one controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadRun {
     /// Name of the controller that produced the run.
     pub controller: String,
@@ -83,7 +83,7 @@ impl WorkloadRun {
 }
 
 /// Frame-based integrated-GPU simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSimulator {
     platform: GpuPlatform,
     last_config: Option<GpuConfig>,

@@ -6,11 +6,11 @@
 //! time.  Decision-tree and neural-network variants are provided, mirroring
 //! the models used by the paper's references \[18\] and \[13\].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_online_learning::mlp::{Mlp, MlpBuilder};
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::traits::Classifier;
-use soclearn_online_learning::tree::{DecisionTreeClassifier, TreeConfig};
+use soclearn_online_learning::tree::DecisionTreeClassifier;
 use soclearn_oracle::Demonstration;
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 
@@ -24,7 +24,7 @@ pub const POLICY_HIDDEN_UNITS: usize = 24;
 pub type PolicyNetwork = Mlp<POLICY_FEATURE_DIM, POLICY_HIDDEN_UNITS>;
 
 /// Which supervised model backs the policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PolicyModelKind {
     /// CART decision trees (cheap, piecewise-constant, used by the offline IL
     /// literature).
@@ -34,7 +34,7 @@ pub enum PolicyModelKind {
     Mlp,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 enum KnobModel {
     Tree(DecisionTreeClassifier),
     Mlp(Box<PolicyNetwork>),
@@ -50,7 +50,7 @@ impl KnobModel {
 }
 
 /// Offline IL policy: one classifier per DVFS knob.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OfflineIlPolicy {
     kind: PolicyModelKind,
     scaler: StandardScaler,
@@ -92,21 +92,10 @@ impl OfflineIlPolicy {
         let big_classes = platform.level_count(ClusterKind::Big);
         let (little_model, big_model) = match kind {
             PolicyModelKind::Tree => {
-                let config = TreeConfig { max_depth: 10, min_samples_split: 3 };
-                (
-                    KnobModel::Tree(DecisionTreeClassifier::fitted(
-                        &xs,
-                        &little_labels,
-                        little_classes,
-                        config,
-                    )),
-                    KnobModel::Tree(DecisionTreeClassifier::fitted(
-                        &xs,
-                        &big_labels,
-                        big_classes,
-                        config,
-                    )),
-                )
+                let fit = |labels: &[usize], classes| {
+                    KnobModel::Tree(DecisionTreeClassifier::fitted(&xs, labels, classes))
+                };
+                (fit(&little_labels, little_classes), fit(&big_labels, big_classes))
             }
             PolicyModelKind::Mlp => {
                 let mut little: PolicyNetwork =

@@ -17,7 +17,7 @@
 //! reports that ~100 entries give close to 100% accuracy at under 20 KB of
 //! storage, which the [`OnlineIlStats::buffer_bytes`] accounting reproduces.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::stats::RlsStats;
@@ -35,7 +35,7 @@ type StateRow = [f64; POLICY_FEATURE_DIM];
 /// Tunable parameters of the online-IL methodology: the two the paper
 /// studies.  The model warm-up, the retraining epochs and the models'
 /// forgetting factor are fixed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OnlineIlConfig {
     /// Number of (state, label) pairs aggregated before the policy is re-trained.
     pub buffer_capacity: usize,
@@ -60,7 +60,7 @@ const UPDATE_EPOCHS: usize = 8;
 const FORGETTING_FACTOR: f64 = 0.97;
 
 /// Runtime statistics of an online-IL policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct OnlineIlStats {
     /// Total number of decisions taken.
     pub decisions: usize,
@@ -128,7 +128,7 @@ pub fn pretrain_candidate_models(
 }
 
 /// The model-guided online imitation-learning policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OnlineIlPolicy {
     scaler: StandardScaler,
     little_mlp: PolicyNetwork,
@@ -144,7 +144,7 @@ pub struct OnlineIlPolicy {
     /// `(x, y)` observation into `(power, time)` [`RlsStats`], so a fleet can
     /// later merge per-user deltas back into a shared base exactly (the
     /// runtime models themselves run with forgetting and are not mergeable).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     delta_stats: Option<(RlsStats, RlsStats)>,
     name: String,
 }

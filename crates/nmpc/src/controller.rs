@@ -1,12 +1,12 @@
 //! Multi-rate NMPC controller.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_gpu_sim::{FrameResult, GpuConfig, GpuController, GpuPlatform};
 
 use crate::sensitivity::GpuSensitivityModel;
 
 /// Tunable parameters of the multi-rate controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NmpcSettings {
     /// Slow-rate period: the slice/DVFS plan is recomputed every this many frames.
     pub slow_period_frames: usize,
@@ -33,7 +33,7 @@ impl Default for NmpcSettings {
 
 /// The multi-rate NMPC controller: slow-rate constrained optimisation over the
 /// sensitivity models plus a fast-rate DVFS correction loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MultiRateNmpcController {
     model: GpuSensitivityModel,
     settings: NmpcSettings,

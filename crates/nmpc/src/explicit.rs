@@ -7,7 +7,7 @@
 //! controller evaluates the regressors — a handful of multiply-accumulates —
 //! plus the same fast-rate DVFS correction as the full controller.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_gpu_sim::{FrameResult, GpuConfig, GpuController, GpuPlatform};
 use soclearn_online_learning::linear::RidgeRegression;
 use soclearn_online_learning::traits::Regressor;
@@ -16,7 +16,7 @@ use crate::controller::{MultiRateNmpcController, NmpcSettings};
 use crate::sensitivity::GpuSensitivityModel;
 
 /// Explicit (regression-approximated) NMPC controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExplicitNmpcController {
     freq_regressor: RidgeRegression,
     slice_regressor: RidgeRegression,

@@ -7,7 +7,7 @@
 //! hand-crafted features (Section III-B of the paper), bootstrapped offline
 //! and refreshed after every frame.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_gpu_sim::{GpuConfig, GpuPlatform, GpuSimulator};
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::traits::OnlineRegressor;
@@ -19,7 +19,7 @@ pub const TIME_FEATURE_DIM: usize = 4;
 pub const POWER_FEATURE_DIM: usize = 4;
 
 /// RLS sensitivity models for frame time and GPU power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSensitivityModel {
     time_model: RecursiveLeastSquares,
     power_model: RecursiveLeastSquares,

@@ -8,12 +8,12 @@
 //! hard to generalise across configurations — exactly the gap the learned
 //! model fills.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::simulator::{MeshConfig, TrafficPattern};
 
 /// Closed-form latency estimator for a mesh NoC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AnalyticalLatencyModel {
     mesh: MeshConfig,
     pattern: TrafficPattern,

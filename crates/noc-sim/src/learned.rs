@@ -8,7 +8,7 @@
 //! deterministic equivalent of support vector regression provided by
 //! [`soclearn_online_learning`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_online_learning::kernel::KernelRidgeRegression;
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::traits::Regressor;
@@ -17,7 +17,7 @@ use crate::analytical::AnalyticalLatencyModel;
 use crate::simulator::{MeshConfig, NocSimulator, TrafficPattern};
 
 /// SVR-style latency model trained against simulator measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SvrLatencyModel {
     mesh: MeshConfig,
     pattern: TrafficPattern,

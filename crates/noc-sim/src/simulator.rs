@@ -25,13 +25,13 @@
 use rand::SeedableRng;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 #[cfg(test)]
 mod reference;
 
 /// Mesh dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct MeshConfig {
     /// Number of columns.
     pub width: usize,
@@ -71,7 +71,7 @@ impl MeshConfig {
 }
 
 /// Synthetic traffic patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TrafficPattern {
     /// Every node sends to a uniformly random destination.
     Uniform,
@@ -83,7 +83,7 @@ pub enum TrafficPattern {
 }
 
 /// Aggregate statistics of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NocStats {
     /// Offered injection rate, packets per node per cycle.
     pub injection_rate: f64,

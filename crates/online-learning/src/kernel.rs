@@ -7,13 +7,13 @@
 //! the implementation dependency free and deterministic; the NoC experiments
 //! use it as the drop-in equivalent of the paper's SVR model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::linalg;
 use crate::traits::Regressor;
 
 /// RBF-kernel ridge regression ("SVR-style" nonlinear regressor).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelRidgeRegression {
     gamma: f64,
     lambda: f64,

@@ -47,7 +47,7 @@ pub mod tree;
 
 pub use kernel::KernelRidgeRegression;
 pub use linear::RidgeRegression;
-pub use mlp::{Activation, Mlp, MlpBuilder};
+pub use mlp::{Mlp, MlpBuilder};
 pub use rls::{AdaptiveForgettingRls, RecursiveLeastSquares};
 pub use scaler::StandardScaler;
 pub use stats::RlsStats;

@@ -5,13 +5,13 @@
 //! power/performance models from design-time profiling data and to fit the
 //! explicit-NMPC control surface.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::linalg;
 use crate::traits::Regressor;
 
 /// Linear model fit by ridge-regularised least squares (with intercept).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RidgeRegression {
     weights: Vec<f64>,
     intercept: f64,

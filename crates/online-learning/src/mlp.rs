@@ -8,7 +8,8 @@
 //! be called once per snippet.
 //!
 //! The network is a classifier (softmax output, cross-entropy loss) with one
-//! hidden layer; the policy crates use it to pick discrete frequency levels.
+//! hidden layer of rectified linear units, trained with a fixed L2 weight
+//! decay of 1e-5; the policy crates use it to pick discrete frequency levels.
 //!
 //! # Layout
 //!
@@ -42,13 +43,13 @@
 //! - the hidden deltas accumulate output by output from `0.0`, each class's
 //!   row read before that class's update; the delta below the input layer,
 //!   which nothing reads, is not computed;
-//! - each weight steps as `w -= lr · (δ·x + l2·w)`, evaluated as written:
+//! - each weight steps as `w -= lr · (δ·x + L2·w)`, evaluated as written:
 //!   nothing is reassociated for SIMD and nothing is fused into FMA.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::traits::Classifier;
 
@@ -59,48 +60,44 @@ mod reference;
 /// side by side.
 const ROW_BLOCK: usize = 4;
 
-/// Hidden-layer activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Activation {
-    /// Rectified linear unit.
-    Relu,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
+/// L2 weight-decay strength of every SGD step.
+const L2: f64 = 1e-5;
+
+/// The hidden layer's activation, a rectified linear unit.
+#[inline(always)]
+fn relu(v: f64) -> f64 {
+    v.max(0.0)
 }
 
-impl Activation {
-    fn apply(&self, v: f64) -> f64 {
-        match self {
-            Activation::Relu => v.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-            Activation::Tanh => v.tanh(),
-        }
+/// The ReLU's derivative, from its output.
+#[inline(always)]
+fn relu_derivative_from_output(out: f64) -> f64 {
+    if out > 0.0 {
+        1.0
+    } else {
+        0.0
     }
+}
 
-    fn derivative_from_output(&self, out: f64) -> f64 {
-        match self {
-            Activation::Relu => {
-                if out > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Sigmoid => out * (1.0 - out),
-            Activation::Tanh => 1.0 - out * out,
-        }
+/// Multiplies each back-propagated delta by the ReLU's derivative at its
+/// unit's output.
+///
+/// Kept out of line on purpose.  Inlined, this loop changed how the compiler
+/// built the rest of the SGD step, which then held about twice the scalar
+/// multiplies and moves, and a policy-network retrain (`Mlp<10, 24>`, 15
+/// samples, 8 epochs) took about 1.23 times as long as with this call.
+#[inline(never)]
+fn relu_backward<const N: usize>(deltas: &mut [f64; N], outputs: &[f64; N]) {
+    for (d, out) in deltas.iter_mut().zip(outputs) {
+        *d *= relu_derivative_from_output(*out);
     }
 }
 
 /// Builder for [`Mlp`] networks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MlpBuilder {
     classes: usize,
-    activation: Activation,
     learning_rate: f64,
-    l2: f64,
     seed: u64,
 }
 
@@ -114,13 +111,7 @@ impl MlpBuilder {
     /// Panics if `classes` is zero.
     pub fn new(classes: usize) -> Self {
         assert!(classes > 0, "network dimensions must be positive");
-        Self { classes, activation: Activation::Relu, learning_rate: 0.01, l2: 1e-5, seed: 7 }
-    }
-
-    /// Sets the hidden activation function.
-    pub fn activation(mut self, activation: Activation) -> Self {
-        self.activation = activation;
-        self
+        Self { classes, learning_rate: 0.01, seed: 7 }
     }
 
     /// Sets the SGD learning rate.
@@ -131,13 +122,6 @@ impl MlpBuilder {
     pub fn learning_rate(mut self, rate: f64) -> Self {
         assert!(rate > 0.0, "learning rate must be positive");
         self.learning_rate = rate;
-        self
-    }
-
-    /// Sets the L2 weight-decay strength.
-    pub fn l2(mut self, l2: f64) -> Self {
-        assert!(l2 >= 0.0, "weight decay must be non-negative");
-        self.l2 = l2;
         self
     }
 
@@ -164,9 +148,7 @@ impl MlpBuilder {
             hidden_biases: [0.0; HIDDEN],
             output,
             output_biases: vec![0.0; self.classes],
-            activation: self.activation,
             learning_rate: self.learning_rate,
-            l2: self.l2,
             updates: 0,
         }
     }
@@ -182,9 +164,7 @@ pub struct Mlp<const IN: usize, const HIDDEN: usize> {
     /// `output[o][h]` maps hidden unit `h` to class `o`.
     output: Vec<[f64; HIDDEN]>,
     output_biases: Vec<f64>,
-    activation: Activation,
     learning_rate: f64,
-    l2: f64,
     updates: usize,
 }
 
@@ -230,11 +210,11 @@ fn affine<const N: usize>(
     }
 }
 
-/// One SGD step on a weight row: `w -= lr · (delta · x + l2 · w)`.
+/// One SGD step on a weight row: `w -= lr · (delta · x + L2 · w)`.
 #[inline(always)]
-fn descend<const N: usize>(row: &mut [f64; N], delta: f64, input: &[f64; N], lr: f64, l2: f64) {
+fn descend<const N: usize>(row: &mut [f64; N], delta: f64, input: &[f64; N], lr: f64) {
     for (w, x) in row.iter_mut().zip(input) {
-        let grad = delta * x + l2 * *w;
+        let grad = delta * x + L2 * *w;
         *w -= lr * grad;
     }
 }
@@ -282,7 +262,7 @@ impl<const IN: usize, const HIDDEN: usize> Mlp<IN, HIDDEN> {
     /// The hidden layer's activations for `x`.
     fn hidden_layer(&self, x: &[f64; IN]) -> [f64; HIDDEN] {
         let mut out = [0.0; HIDDEN];
-        affine(&self.hidden, &self.hidden_biases, x, |h, v| out[h] = self.activation.apply(v));
+        affine(&self.hidden, &self.hidden_biases, x, |h, v| out[h] = relu(v));
         out
     }
 
@@ -335,22 +315,20 @@ impl<const IN: usize, const HIDDEN: usize> Mlp<IN, HIDDEN> {
 
         // Propagate through each class's weights before updating them, then
         // through the hidden activation.
-        let (lr, l2) = (self.learning_rate, self.l2);
+        let lr = self.learning_rate;
         let mut hidden_delta = [0.0; HIDDEN];
         let output = self.output.iter_mut().zip(&mut self.output_biases);
         for ((row, b), d) in output.zip(&*delta) {
             for (nd, w) in hidden_delta.iter_mut().zip(&*row) {
                 *nd += w * d;
             }
-            descend(row, *d, &hidden, lr, l2);
+            descend(row, *d, &hidden, lr);
             *b -= lr * d;
         }
-        for (nd, out) in hidden_delta.iter_mut().zip(&hidden) {
-            *nd *= self.activation.derivative_from_output(*out);
-        }
+        relu_backward(&mut hidden_delta, &hidden);
         let rows = self.hidden.iter_mut().zip(&mut self.hidden_biases);
         for ((row, b), d) in rows.zip(&hidden_delta) {
-            descend(row, *d, x, lr, l2);
+            descend(row, *d, x, lr);
             *b -= lr * d;
         }
         self.updates += 1;
@@ -373,14 +351,12 @@ fn softmax_in_place(values: &mut [f64]) {
 /// its JSON object by hand, one field per parameter block.
 impl<const IN: usize, const HIDDEN: usize> Serialize for Mlp<IN, HIDDEN> {
     fn serialize_json(&self, out: &mut String) {
-        let fields: [(&str, &dyn Serialize); 8] = [
+        let fields: [(&str, &dyn Serialize); 6] = [
             ("hidden", &self.hidden),
             ("hidden_biases", &self.hidden_biases),
             ("output", &self.output),
             ("output_biases", &self.output_biases),
-            ("activation", &self.activation),
             ("learning_rate", &self.learning_rate),
-            ("l2", &self.l2),
             ("updates", &self.updates),
         ];
         out.push('{');
@@ -395,9 +371,6 @@ impl<const IN: usize, const HIDDEN: usize> Serialize for Mlp<IN, HIDDEN> {
         out.push('}');
     }
 }
-
-/// A marker, as `Deserialize` is in the shim: nothing deserializes a network.
-impl<'de, const IN: usize, const HIDDEN: usize> Deserialize<'de> for Mlp<IN, HIDDEN> {}
 
 impl<const IN: usize, const HIDDEN: usize> Classifier for Mlp<IN, HIDDEN> {
     /// # Panics
@@ -457,12 +430,7 @@ mod tests {
         // which is how the policy crates use the network (they pick a fixed seed
         // that works and keep it).
         let learned = (0..6u64).any(|seed| {
-            let mut net: Mlp<2, 12> = MlpBuilder::new(2)
-                .activation(Activation::Tanh)
-                .learning_rate(0.05)
-                .l2(0.0)
-                .seed(seed)
-                .build();
+            let mut net: Mlp<2, 12> = MlpBuilder::new(2).learning_rate(0.05).seed(seed).build();
             for _ in 0..4000 {
                 for (x, &l) in xs.iter().zip(&labels) {
                     net.train_classification(x, l);
@@ -507,17 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn training_activations_differ_but_all_learn_sign_task() {
-        for act in [Activation::Relu, Activation::Sigmoid, Activation::Tanh] {
-            let mut net: Mlp<1, 6> =
-                MlpBuilder::new(2).activation(act).learning_rate(0.1).seed(11).build();
-            for _ in 0..500 {
-                net.train_classification(&[1.0], 1);
-                net.train_classification(&[-1.0], 0);
-            }
-            assert_eq!(net.predict_class(&[2.0]), 1, "{act:?}");
-            assert_eq!(net.predict_class(&[-2.0]), 0, "{act:?}");
+    fn relu_network_learns_sign_task() {
+        let mut net: Mlp<1, 6> = MlpBuilder::new(2).learning_rate(0.1).seed(11).build();
+        for _ in 0..500 {
+            net.train_classification(&[1.0], 1);
+            net.train_classification(&[-1.0], 0);
         }
+        assert_eq!(net.predict_class(&[2.0]), 1);
+        assert_eq!(net.predict_class(&[-2.0]), 0);
     }
 
     #[test]
@@ -550,8 +515,7 @@ mod tests {
         let w = |v: f64| v.to_string();
         let expected = format!(
             "{{\"hidden\":[[{},{}]],\"hidden_biases\":[0],\"output\":[[{}],[{}]],\
-             \"output_biases\":[0,0],\"activation\":\"Relu\",\"learning_rate\":0.01,\
-             \"l2\":0.00001,\"updates\":0}}",
+             \"output_biases\":[0,0],\"learning_rate\":0.01,\"updates\":0}}",
             w(net.hidden[0][0]),
             w(net.hidden[0][1]),
             w(net.output[0][0]),
@@ -576,32 +540,33 @@ mod gradcheck_tests {
 
     #[test]
     fn numerical_gradient_check() {
-        let net: Mlp<2, 3> = MlpBuilder::new(2)
-            .activation(Activation::Tanh)
-            .learning_rate(1.0)
-            .l2(0.0)
-            .seed(13)
-            .build();
+        let net: Mlp<2, 3> = MlpBuilder::new(2).learning_rate(1.0).seed(13).build();
         let x = [0.7, -0.4];
         let label = 1usize;
         let loss_of = |n: &Mlp<2, 3>| -> f64 {
             let p = n.probabilities(&x);
             -(p[label].max(1e-12)).ln()
         };
-        // analytic: apply one update with lr=1 and measure weight change = -grad
+        // analytic: apply one update with lr=1; the weight change is the loss
+        // gradient plus the weight decay `L2 · w`
         let mut updated = net.clone();
         updated.train_classification(&x, label);
-        // numerical gradient for a hidden-layer weight and an output-layer weight
-        for (li, o, i) in [(0usize, 1usize, 0usize), (1usize, 0usize, 2usize)] {
-            let eps = 1e-6;
-            let mut plus = net.clone();
-            *weight(&mut plus, li, o, i) += eps;
-            let mut minus = net.clone();
-            *weight(&mut minus, li, o, i) -= eps;
-            let num_grad = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
-            let ana_grad = *weight(&mut net.clone(), li, o, i) - *weight(&mut updated, li, o, i);
-            println!("layer {li} w[{o}][{i}]: numerical {num_grad:.6} analytic {ana_grad:.6}");
-            assert!((num_grad - ana_grad).abs() < 1e-4, "layer {li}: {num_grad} vs {ana_grad}");
+        let mut live = 0;
+        for (li, rows, cols) in [(0usize, 3usize, 2usize), (1, 2, 3)] {
+            for (o, i) in (0..rows).flat_map(|o| (0..cols).map(move |i| (o, i))) {
+                let eps = 1e-6;
+                let mut plus = net.clone();
+                *weight(&mut plus, li, o, i) += eps;
+                let mut minus = net.clone();
+                *weight(&mut minus, li, o, i) -= eps;
+                let num_grad = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
+                let before = *weight(&mut net.clone(), li, o, i);
+                let ana_grad = before - *weight(&mut updated, li, o, i) - L2 * before;
+                println!("layer {li} w[{o}][{i}]: numerical {num_grad:.6} analytic {ana_grad:.6}");
+                assert!((num_grad - ana_grad).abs() < 1e-4, "layer {li}: {num_grad} vs {ana_grad}");
+                live += usize::from(li == 0 && num_grad != 0.0);
+            }
         }
+        assert!(live > 0, "every hidden unit is inactive at x: the check would be vacuous");
     }
 }

@@ -2,14 +2,14 @@
 //! fresh heap vector per layer, delta and softmax that the fixed-width layout
 //! replaced.  Its arithmetic is the specification the fixed-width network must
 //! match bit for bit; the property tests below compare the two on the serving
-//! shape and on a small shape per activation, with random class counts, SGD
-//! parameters, seeds and data.
+//! shape and on one of three small shapes, with random class counts, learning
+//! rates, seeds and data.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use super::Activation;
+use super::{relu, relu_derivative_from_output, L2};
 
 #[derive(Debug, Clone)]
 struct Layer {
@@ -41,23 +41,15 @@ impl Layer {
 #[derive(Debug, Clone)]
 pub(super) struct ReferenceMlp {
     layers: Vec<Layer>,
-    activation: Activation,
     learning_rate: f64,
-    l2: f64,
     output_dim: usize,
 }
 
 impl ReferenceMlp {
-    pub(super) fn new(
-        sizes: &[usize],
-        activation: Activation,
-        learning_rate: f64,
-        l2: f64,
-        seed: u64,
-    ) -> Self {
+    pub(super) fn new(sizes: &[usize], learning_rate: f64, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let layers = sizes.windows(2).map(|w| Layer::new(w[0], w[1], &mut rng)).collect();
-        Self { layers, activation, learning_rate, l2, output_dim: sizes[sizes.len() - 1] }
+        Self { layers, learning_rate, output_dim: sizes[sizes.len() - 1] }
     }
 
     /// Every weight (row-major, layer after layer) followed by every bias.
@@ -89,7 +81,7 @@ impl ReferenceMlp {
             let is_last = idx + 1 == self.layers.len();
             if !is_last {
                 for v in &mut z {
-                    *v = self.activation.apply(*v);
+                    *v = relu(*v);
                 }
             }
             outputs.push(z);
@@ -124,13 +116,13 @@ impl ReferenceMlp {
             }
             if layer_idx > 0 {
                 for (nd, out) in next_delta.iter_mut().zip(&trace[layer_idx]) {
-                    *nd *= self.activation.derivative_from_output(*out);
+                    *nd *= relu_derivative_from_output(*out);
                 }
             }
             let layer = &mut self.layers[layer_idx];
             for (o, d) in delta.iter().enumerate() {
                 for (i, &inp) in input.iter().enumerate() {
-                    let grad = d * inp + self.l2 * layer.weights[o][i];
+                    let grad = d * inp + L2 * layer.weights[o][i];
                     layer.weights[o][i] -= lr * grad;
                 }
                 layer.biases[o] -= lr * d;
@@ -155,35 +147,34 @@ mod tests {
     use super::*;
     use crate::traits::Classifier;
 
-    /// A random network: `(classes, activation, learning rate, l2, seed)`.
-    type NetSpec = (usize, Activation, f64, f64, u64);
+    /// A random network: `(classes, small shape, learning rate, seed)`.
+    type NetSpec = (usize, usize, f64, u64);
 
-    /// 1–12 classes, each activation and SGD parameters from the ranges the
-    /// policy crates use.  A third of the cases take the serving class counts
-    /// (5 and 8) and a half the serving seeds (17 and 23).
+    /// 1–12 classes, one of the small shapes, and learning rates from the
+    /// range the policy crates use.  A third of the cases take the serving
+    /// class counts (5 and 8) and a half the serving seeds (17 and 23).
     fn net_spec() -> impl Strategy<Value = NetSpec> {
         let classes = (0usize..3, 1usize..=12);
         let seed = (0u64..4, 0u64..1_000_000);
-        (classes, 0usize..3, 0.005f64..0.2, 0.0f64..1e-3, seed).prop_map(
-            |((pick, classes), act, lr, l2, (pick_seed, seed))| {
+        (classes, 0usize..3, 0.005f64..0.2, seed).prop_map(
+            |((pick, classes), shape, lr, (pick_seed, seed))| {
                 let classes = [5, 8, classes][pick];
-                let act = [Activation::Relu, Activation::Sigmoid, Activation::Tanh][act];
                 let seed = [17, 23, seed, seed][pick_seed as usize];
-                (classes, act, lr, l2, seed)
+                (classes, shape, lr, seed)
             },
         )
     }
 
     /// Runs a shape-generic check on the serving shape (10 inputs, 24 hidden
-    /// units) and on the small shape kept for the case's activation.
+    /// units) and on the case's small shape.
     macro_rules! on_every_shape {
         ($check:ident($spec:expr $(, $arg:expr)*)) => {{
             let spec: &NetSpec = $spec;
             $check::<10, 24>(spec $(, $arg)*)?;
             match spec.1 {
-                Activation::Relu => $check::<3, 5>(spec $(, $arg)*)?,
-                Activation::Sigmoid => $check::<1, 7>(spec $(, $arg)*)?,
-                Activation::Tanh => $check::<6, 2>(spec $(, $arg)*)?,
+                0 => $check::<3, 5>(spec $(, $arg)*)?,
+                1 => $check::<1, 7>(spec $(, $arg)*)?,
+                _ => $check::<6, 2>(spec $(, $arg)*)?,
             }
         }};
     }
@@ -199,9 +190,9 @@ mod tests {
     fn build<const IN: usize, const HIDDEN: usize>(
         spec: &NetSpec,
     ) -> (Mlp<IN, HIDDEN>, ReferenceMlp) {
-        let &(classes, act, lr, l2, seed) = spec;
-        let net = MlpBuilder::new(classes).activation(act).learning_rate(lr).l2(l2).seed(seed);
-        (net.build(), ReferenceMlp::new(&[IN, HIDDEN, classes], act, lr, l2, seed))
+        let &(classes, _, lr, seed) = spec;
+        let net = MlpBuilder::new(classes).learning_rate(lr).seed(seed);
+        (net.build(), ReferenceMlp::new(&[IN, HIDDEN, classes], lr, seed))
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -301,7 +292,7 @@ mod tests {
 
     #[test]
     fn classifier_fit_matches_reference_epochs() {
-        let spec = (4, Activation::Relu, 0.05, 1e-5, 3);
+        let spec = (4, 0, 0.05, 3);
         let (mut flat, mut reference) = build::<3, 5>(&spec);
         let xs: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![i as f64 * 0.1, (i % 3) as f64, -(i as f64).sin()])

@@ -6,10 +6,10 @@
 //! inputs.  [`StandardScaler`] supports both batch fitting and incremental
 //! (online) updates so it can run inside the adaptive models.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Online/batch standard scaler (per-feature z-score normalisation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StandardScaler {
     count: f64,
     mean: Vec<f64>,

@@ -17,7 +17,7 @@
 //! forgetting estimator afterwards; [`RlsStats::from_estimator`] is exact
 //! only for `λ = 1` histories and documents that contract.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::linalg::solve;
 use crate::rls::RecursiveLeastSquares;
@@ -25,7 +25,7 @@ use crate::traits::OnlineRegressor;
 
 /// Normal-equation sufficient statistics of a least-squares fit:
 /// `a = Σ xxᵀ`, `b = Σ x·y`, `n` samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RlsStats {
     /// Scatter matrix `Σ xxᵀ` (row-major, flat `dim × dim`, kept symmetric).
     /// Flat storage keeps a statistic at two heap allocations: recorders are

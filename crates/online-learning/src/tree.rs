@@ -6,11 +6,11 @@
 //! depth- and leaf-size-limited to keep the memory footprint firmware
 //! friendly.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::traits::Classifier;
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 enum Node {
     Leaf {
         /// Per-class training counts.
@@ -46,20 +46,10 @@ impl Node {
     }
 }
 
-/// Hyper-parameters of the tree learner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TreeConfig {
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum number of samples required to attempt a split.
-    pub min_samples_split: usize,
-}
-
-impl Default for TreeConfig {
-    fn default() -> Self {
-        Self { max_depth: 8, min_samples_split: 4 }
-    }
-}
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 10;
+/// Minimum number of samples required to attempt a split.
+const MIN_SAMPLES_SPLIT: usize = 3;
 
 /// Candidate split thresholds for a feature: midpoints between consecutive
 /// distinct sorted values.
@@ -69,10 +59,10 @@ fn candidate_thresholds(values: &mut Vec<f64>) -> Vec<f64> {
     values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
 }
 
-/// Depth-limited CART classification tree with Gini-impurity splits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// CART classification tree with Gini-impurity splits, at most 10 levels
+/// deep, splitting only nodes of at least 3 samples.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTreeClassifier {
-    config: TreeConfig,
     classes: usize,
     root: Option<Node>,
 }
@@ -83,14 +73,14 @@ impl DecisionTreeClassifier {
     /// # Panics
     ///
     /// Panics if `classes` is zero.
-    pub fn new(classes: usize, config: TreeConfig) -> Self {
+    pub fn new(classes: usize) -> Self {
         assert!(classes > 0, "need at least one class");
-        Self { config, classes, root: None }
+        Self { classes, root: None }
     }
 
     /// Creates and fits in one call.
-    pub fn fitted(xs: &[Vec<f64>], labels: &[usize], classes: usize, config: TreeConfig) -> Self {
-        let mut tree = Self::new(classes, config);
+    pub fn fitted(xs: &[Vec<f64>], labels: &[usize], classes: usize) -> Self {
+        let mut tree = Self::new(classes);
         tree.fit(xs, labels);
         tree
     }
@@ -122,10 +112,7 @@ impl DecisionTreeClassifier {
     fn build(&self, xs: &[Vec<f64>], labels: &[usize], indices: &[usize], depth: usize) -> Node {
         let counts = self.class_counts(labels, indices);
         let node_gini = Self::gini(&counts);
-        if depth >= self.config.max_depth
-            || indices.len() < self.config.min_samples_split
-            || node_gini < 1e-12
-        {
+        if depth >= MAX_DEPTH || indices.len() < MIN_SAMPLES_SPLIT || node_gini < 1e-12 {
             return Node::Leaf { value: counts };
         }
         let dims = xs[0].len();
@@ -219,7 +206,7 @@ mod tests {
                 });
             }
         }
-        let tree = DecisionTreeClassifier::fitted(&xs, &labels, 4, TreeConfig::default());
+        let tree = DecisionTreeClassifier::fitted(&xs, &labels, 4);
         let correct = xs.iter().zip(&labels).filter(|(x, &l)| tree.predict_class(x) == l).count();
         assert!(correct as f64 / xs.len() as f64 > 0.98);
         assert_eq!(tree.class_count(), 4);
@@ -230,7 +217,7 @@ mod tests {
     fn pure_node_becomes_leaf() {
         let xs = vec![vec![1.0], vec![2.0], vec![3.0]];
         let labels = vec![1usize, 1, 1];
-        let tree = DecisionTreeClassifier::fitted(&xs, &labels, 3, TreeConfig::default());
+        let tree = DecisionTreeClassifier::fitted(&xs, &labels, 3);
         assert_eq!(tree.leaf_count(), 1);
         assert_eq!(tree.predict_class(&[100.0]), 1);
     }
@@ -239,12 +226,7 @@ mod tests {
     fn scores_reflect_training_distribution() {
         let xs = vec![vec![0.0], vec![0.1], vec![0.2], vec![1.0]];
         let labels = vec![0usize, 0, 0, 1];
-        let tree = DecisionTreeClassifier::fitted(
-            &xs,
-            &labels,
-            2,
-            TreeConfig { max_depth: 1, min_samples_split: 2 },
-        );
+        let tree = DecisionTreeClassifier::fitted(&xs, &labels, 2);
         let scores = tree.scores(&[0.05]);
         assert_eq!(scores.len(), 2);
         assert!(scores[0] > scores[1]);
@@ -253,7 +235,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "label out of range")]
     fn classifier_rejects_out_of_range_labels() {
-        let mut tree = DecisionTreeClassifier::new(2, TreeConfig::default());
+        let mut tree = DecisionTreeClassifier::new(2);
         tree.fit(&[vec![0.0]], &[5]);
     }
 }

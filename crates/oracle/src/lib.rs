@@ -35,14 +35,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_soc_sim::{
     DvfsConfig, DvfsPolicy, PolicyDecision, SnippetExecution, SocPlatform, SocSimulator,
 };
 use soclearn_workloads::SnippetProfile;
 
 /// Objective the Oracle optimises when ranking configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum OracleObjective {
     /// Minimise energy per snippet (the paper's primary objective).
     Energy,
@@ -64,7 +64,7 @@ impl OracleObjective {
 }
 
 /// Exhaustive per-snippet configuration search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OracleSearch {
     objective: OracleObjective,
 }
@@ -120,29 +120,10 @@ impl OracleSearch {
         let best = self.best_index(&executions);
         (executions[best].config, executions[best])
     }
-
-    /// Like [`OracleSearch::best_config`] but restricted to a candidate list, which
-    /// is how the online-IL runtime approximates the Oracle in a local
-    /// neighbourhood of the current configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty.
-    pub fn best_among(
-        &self,
-        sim: &SocSimulator,
-        profile: &SnippetProfile,
-        candidates: &[DvfsConfig],
-    ) -> (DvfsConfig, SnippetExecution) {
-        assert!(!candidates.is_empty(), "candidate list must not be empty");
-        let executions = sim.evaluate_configs(profile, candidates);
-        let best = self.best_index(&executions);
-        (executions[best].config, executions[best])
-    }
 }
 
 /// Result of executing a snippet sequence under the Oracle policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OracleRun {
     /// Objective the Oracle optimised.
     pub objective: OracleObjective,
@@ -182,7 +163,7 @@ impl OracleRun {
 
 /// One imitation-learning demonstration: the state observed after a snippet and
 /// the Oracle-optimal configuration for the following snippet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Demonstration {
     /// Normalised counter features observed while the previous snippet executed.
     pub features: Vec<f64>,
@@ -226,7 +207,7 @@ pub fn collect_demonstrations(
 ///
 /// Used by the experiment harness to run "the Oracle" through the same
 /// interface as every learned policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OraclePolicy {
     decisions: Vec<DvfsConfig>,
     fallback: DvfsConfig,
@@ -305,16 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn best_among_respects_candidate_restriction() {
-        let sim = small_sim();
-        let profile = SnippetProfile::compute_bound(100_000_000);
-        let search = OracleSearch::new(OracleObjective::Energy);
-        let candidates = vec![DvfsConfig::new(0, 0), DvfsConfig::new(0, 1)];
-        let (best, _) = search.best_among(&sim, &profile, &candidates);
-        assert!(candidates.contains(&best));
-    }
-
-    #[test]
     fn demonstrations_align_states_and_actions() {
         let mut sim = small_sim();
         let suite = BenchmarkSuite::generate(SuiteKind::Cortex, 3);
@@ -357,16 +328,5 @@ mod tests {
         let compute = search.best_config(&sim, &SnippetProfile::compute_bound(100_000_000)).0;
         let memory = search.best_config(&sim, &SnippetProfile::memory_bound(100_000_000)).0;
         assert!(memory.big_idx < compute.big_idx);
-    }
-
-    #[test]
-    #[should_panic(expected = "candidate list must not be empty")]
-    fn best_among_rejects_empty_candidates() {
-        let sim = small_sim();
-        let _ = OracleSearch::new(OracleObjective::Energy).best_among(
-            &sim,
-            &SnippetProfile::compute_bound(1000),
-            &[],
-        );
     }
 }

@@ -13,13 +13,13 @@
 //! by fixed-point iteration, and classifies its stability through the spectral
 //! radius of the numerically estimated Jacobian of the map at the fixed point.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::linalg;
 use crate::thermal::RcThermalModel;
 
 /// Errors returned by the fixed-point analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FixedPointError {
     /// The iteration diverged above the configured temperature ceiling, meaning a
     /// thermal runaway: no safe fixed point exists for this workload.
@@ -62,7 +62,7 @@ impl std::fmt::Display for FixedPointError {
 impl std::error::Error for FixedPointError {}
 
 /// Result of a successful fixed-point analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FixedPointAnalysis {
     /// Fixed-point temperature of every thermal node, °C.
     pub temperatures_c: Vec<f64>,

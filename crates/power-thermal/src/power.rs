@@ -12,14 +12,14 @@
 //! where `V` follows the platform's voltage–frequency curve, `u` is the
 //! cluster utilization in `[0, 1]` and `T` is the cluster temperature in °C.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Voltage–frequency operating curve of a voltage domain.
 ///
 /// Voltage rises linearly from `v_min` at (near) zero frequency to
 /// `v_min + v_range` at `f_max`, which is a good first-order fit of published
 /// Exynos 5422 and Intel Gen-9 DVFS tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VoltageFrequencyCurve {
     v_min: f64,
     v_range: f64,
@@ -66,7 +66,7 @@ impl VoltageFrequencyCurve {
 }
 
 /// Decomposition of a power estimate into its dynamic and leakage parts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct PowerBreakdown {
     /// Switching (dynamic) power in watts.
     pub dynamic_w: f64,
@@ -82,7 +82,7 @@ impl PowerBreakdown {
 }
 
 /// Calibration constants of one cluster's power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ClusterPowerParams {
     /// Effective switched capacitance in farads (per core at full utilization).
     pub c_eff: f64,

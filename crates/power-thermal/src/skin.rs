@@ -9,12 +9,12 @@
 //! pairs, and greedy forward sensor selection that maximises estimation
 //! accuracy under a sensor-count budget.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::linalg;
 
 /// Linear (ridge-regression) estimator of skin temperature from internal sensors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SkinTemperatureEstimator {
     weights: Vec<f64>,
     bias: f64,
@@ -101,7 +101,7 @@ impl SkinTemperatureEstimator {
 }
 
 /// Result of greedy forward sensor selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SensorSelection {
     /// Chosen sensor indices, in the order they were added.
     pub sensors: Vec<usize>,

@@ -13,12 +13,12 @@
 //! The same model supports temperature prediction, steady-state (thermal fixed
 //! point) computation and sustainable power-budget queries.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::linalg;
 
 /// Identification of a thermal node in the network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThermalNode {
     /// Human-readable node name (e.g. `"big"`, `"gpu"`, `"skin"`).
     pub name: String,
@@ -42,7 +42,7 @@ impl ThermalNode {
 }
 
 /// Discrete-time lumped RC thermal model of the SoC and device skin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RcThermalModel {
     nodes: Vec<ThermalNode>,
     /// Conductance between node pairs, `g[i][j]` in W/°C (symmetric, zero diagonal).

@@ -17,26 +17,11 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use soclearn_online_learning::mlp::argmax;
 use soclearn_soc_sim::{DvfsConfig, DvfsPolicy, PolicyDecision, SnippetCounters, SocPlatform};
 
 /// Number of bins used when discretising utilization and memory intensity.
 const STATE_BINS: usize = 4;
-
-/// Parameters of the RL agent: its exploration seed.  The learning rate,
-/// discount and exploration schedule are fixed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RlConfig {
-    /// RNG seed for exploration.
-    pub seed: u64,
-}
-
-impl Default for RlConfig {
-    fn default() -> Self {
-        Self { seed: 11 }
-    }
-}
 
 /// Q-learning rate α.
 const LEARNING_RATE: f64 = 0.10;
@@ -48,6 +33,8 @@ const EPSILON_START: f64 = 0.6;
 const EPSILON_END: f64 = 0.05;
 /// Multiplicative ε decay applied after every decision.
 const EPSILON_DECAY: f64 = 0.995;
+/// Seed of the exploration RNG.
+const EXPLORATION_SEED: u64 = 11;
 
 /// Discretises the counter state into a small index usable by the Q-table.
 fn discretise_state(
@@ -92,11 +79,11 @@ pub struct QTableAgent {
 
 impl QTableAgent {
     /// Creates an agent for the given platform.
-    pub fn new(platform: &SocPlatform, config: RlConfig) -> Self {
+    pub fn new(platform: &SocPlatform) -> Self {
         Self {
             q: vec![vec![0.0; platform.config_count()]; state_count(platform)],
             epsilon: EPSILON_START,
-            rng: ChaCha8Rng::seed_from_u64(config.seed),
+            rng: ChaCha8Rng::seed_from_u64(EXPLORATION_SEED),
             last_state: None,
             last_action: None,
             pending_reward: None,
@@ -190,7 +177,7 @@ mod tests {
     #[test]
     fn qtable_agent_explores_then_exploits() {
         let platform = SocPlatform::small();
-        let mut agent = QTableAgent::new(&platform, RlConfig::default());
+        let mut agent = QTableAgent::new(&platform);
         let initial_epsilon = agent.epsilon();
         let _ = run_agent(&platform, &mut agent, 150);
         assert!(agent.epsilon() < initial_epsilon);
@@ -201,7 +188,7 @@ mod tests {
     #[test]
     fn qtable_learning_reduces_energy_over_time() {
         let platform = SocPlatform::small();
-        let mut agent = QTableAgent::new(&platform, RlConfig::default());
+        let mut agent = QTableAgent::new(&platform);
         let early = run_agent(&platform, &mut agent, 120);
         let late = run_agent(&platform, &mut agent, 120);
         assert!(
@@ -225,7 +212,7 @@ mod tests {
             soclearn_oracle::OracleObjective::Energy,
         );
 
-        let mut agent = QTableAgent::new(&platform, RlConfig::default());
+        let mut agent = QTableAgent::new(&platform);
         let mut sim = SocSimulator::new(platform.clone());
         let mut counters = SnippetCounters::default();
         let mut config = platform.max_config();

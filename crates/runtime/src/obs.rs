@@ -33,7 +33,7 @@ impl Default for Observability {
 }
 
 impl Observability {
-    /// A fresh plane with the default span-ring capacity. The span ring's
+    /// A fresh plane with an empty span ring. The span ring's
     /// own lock is contention-observed in the registry from birth (the
     /// `span_ring` site), so the flight recorder can never become an
     /// invisible serialization point.

@@ -1,12 +1,12 @@
 //! Experiment scaling knobs shared by tests, examples and the serving runtime.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How much work an experiment should do.
 ///
 /// The scale is part of every [`crate::ArtifactStore`] key: artifacts built at
 /// `Quick` scale are never served to a `Full`-scale experiment and vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ExperimentScale {
     /// Reduced workload sizes; suitable for unit/integration tests.
     Quick,

@@ -5,10 +5,10 @@
 //! policies at run time.  The struct below mirrors that table exactly and adds
 //! the conversions (normalised feature vectors) that the learning crates use.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The counter values collected during one snippet (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct SnippetCounters {
     /// Instructions retired during the snippet.
     pub instructions_retired: f64,

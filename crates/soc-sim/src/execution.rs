@@ -1,6 +1,6 @@
 //! Snippet execution model: time, energy, counters and thermal state.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_power_thermal::thermal::RcThermalModel;
 use soclearn_workloads::SnippetProfile;
 
@@ -19,7 +19,7 @@ const MEMORY_STALL_EXPOSURE: f64 = 1.0;
 const LITTLE_CPI_FACTOR: f64 = 1.7;
 
 /// Outcome of executing (or evaluating) one snippet at one DVFS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SnippetExecution {
     /// Configuration the snippet ran at.
     pub config: DvfsConfig,
@@ -56,8 +56,8 @@ impl SnippetExecution {
 
 /// Configuration-independent quantities of one snippet at the current thermal
 /// state, hoisted out of the per-configuration evaluation so that a full-sweep
-/// evaluation ([`SocSimulator::evaluate_configs`]) computes them once instead
-/// of once per configuration.
+/// evaluation ([`SocSimulator::evaluate_all_configs`]) computes them once
+/// instead of once per configuration.
 ///
 /// Every field is produced by exactly the floating-point expression the
 /// monolithic evaluation used, so batched and per-call results are
@@ -106,7 +106,7 @@ struct SnippetInvariants {
 /// The simulator is deterministic: executing the same snippet sequence at the
 /// same configurations always produces identical results, which keeps every
 /// experiment in the repository reproducible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SocSimulator {
     platform: SocPlatform,
     thermal: RcThermalModel,
@@ -298,32 +298,21 @@ impl SocSimulator {
         self.evaluate_with(&inv, config)
     }
 
-    /// Evaluates the snippet at every configuration in `configs` in one batched
-    /// call, hoisting all configuration-independent work (CPI decomposition,
-    /// Amdahl speedup, DRAM traffic, thermal-node lookups, counter totals) out
-    /// of the inner loop.  Results are bit-identical to calling
-    /// [`SocSimulator::evaluate_snippet`] once per configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any configuration is invalid for the platform.
-    pub fn evaluate_configs(
-        &self,
-        profile: &SnippetProfile,
-        configs: &[DvfsConfig],
-    ) -> Vec<SnippetExecution> {
-        for &config in configs {
-            assert!(self.platform.is_valid(config), "invalid DVFS configuration {config}");
-        }
-        let inv = self.snippet_invariants(profile);
-        configs.iter().map(|&config| self.evaluate_with(&inv, config)).collect()
-    }
-
     /// Batched evaluation of the snippet over the platform's **entire**
     /// configuration space, in [`SocPlatform::configs`] order.  This is the
     /// full-sweep primitive behind Oracle search and the runtime sweep engine.
+    ///
+    /// All configuration-independent work (CPI decomposition, Amdahl speedup,
+    /// DRAM traffic, thermal-node lookups, counter totals) is hoisted out of
+    /// the inner loop.  Results are bit-identical to calling
+    /// [`SocSimulator::evaluate_snippet`] once per configuration.
     pub fn evaluate_all_configs(&self, profile: &SnippetProfile) -> Vec<SnippetExecution> {
-        self.evaluate_configs(profile, &self.platform.configs())
+        let inv = self.snippet_invariants(profile);
+        self.platform
+            .configs()
+            .into_iter()
+            .map(|config| self.evaluate_with(&inv, config))
+            .collect()
     }
 
     /// Per-cluster power of an evaluated snippet, used to drive the thermal model.
@@ -539,7 +528,7 @@ mod tests {
         }
         let configs = s.platform().configs();
         for snippet in &snippets {
-            let batched = s.evaluate_configs(snippet, &configs);
+            let batched = s.evaluate_all_configs(snippet);
             assert_eq!(batched.len(), configs.len());
             for (&config, batch) in configs.iter().zip(&batched) {
                 let single = s.evaluate_snippet(snippet, config);
@@ -547,7 +536,6 @@ mod tests {
                 assert_eq!(single.time_s.to_bits(), batch.time_s.to_bits());
                 assert_eq!(single.energy_j.to_bits(), batch.energy_j.to_bits());
             }
-            assert_eq!(batched, s.evaluate_all_configs(snippet));
         }
     }
 

@@ -1,10 +1,10 @@
 //! Platform description: clusters, DVFS tables and the configuration space.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use soclearn_power_thermal::power::{ClusterPowerParams, VoltageFrequencyCurve};
 
 /// The two CPU cluster types of a big.LITTLE SoC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ClusterKind {
     /// Low-power in-order cluster (Cortex-A7 class).
     Little,
@@ -20,7 +20,7 @@ impl ClusterKind {
 /// One point in the per-cluster DVFS configuration space.
 ///
 /// The indices refer to the frequency tables of the [`SocPlatform`] in use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct DvfsConfig {
     /// Index into the LITTLE cluster frequency table.
     pub little_idx: usize,
@@ -42,7 +42,7 @@ impl std::fmt::Display for DvfsConfig {
 }
 
 /// Static description of the simulated heterogeneous platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SocPlatform {
     little_freqs_hz: Vec<f64>,
     big_freqs_hz: Vec<f64>,

@@ -7,7 +7,7 @@
 //! at.  Keeping the trait here (in the simulator crate) lets every policy
 //! crate depend on it without depending on each other.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::counters::SnippetCounters;
 use crate::platform::{DvfsConfig, SocPlatform};
@@ -52,7 +52,7 @@ impl<'a> PolicyDecision<'a> {
 
 /// A trivial policy that always returns the same configuration; useful as a
 /// baseline ("userspace governor") and in tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FixedConfigPolicy {
     config: DvfsConfig,
     name: String,

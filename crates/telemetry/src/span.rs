@@ -2,8 +2,8 @@
 //!
 //! A [`Span`] is a named interval with nanosecond timestamps derived from
 //! schedule-relative queue stamps or arrival offsets, never read off a
-//! clock. The [`SpanRecorder`] keeps the most recent `capacity` spans in a
-//! ring — overflow evicts the oldest span and increments a drop counter,
+//! clock. The [`SpanRecorder`] keeps the most recent [`SPAN_CAPACITY`] spans
+//! in a ring — overflow evicts the oldest span and increments a drop counter,
 //! never blocks and never grows.
 //!
 //! **Determinism contract:** every span's content is a pure function of the
@@ -21,9 +21,9 @@ use crate::contention::ObservedMutex;
 use crate::export::escape_json;
 use crate::registry::TelemetryRegistry;
 
-/// Default ring capacity: comfortably above the span count of the CI fleet
+/// Ring capacity: comfortably above the span count of the CI fleet
 /// workloads (a few thousand) while bounding a runaway recorder to ~10 MB.
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+pub const SPAN_CAPACITY: usize = 65_536;
 
 /// One traced interval. `track` maps to the chrome://tracing thread id.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,29 +68,21 @@ struct Ring {
     dropped: u64,
 }
 
-/// Bounded flight recorder of [`Span`]s. Shareable across workers (interior
-/// mutex, contention-observed under the `span_ring` site); recording is O(1)
-/// and never blocks on I/O.
+/// Bounded flight recorder of at most [`SPAN_CAPACITY`] [`Span`]s (oldest
+/// evicted first). Shareable across workers (interior mutex,
+/// contention-observed under the `span_ring` site); recording is O(1) and
+/// never blocks on I/O.
 pub struct SpanRecorder {
     ring: ObservedMutex<Ring>,
-    capacity: usize,
 }
 
 impl Default for SpanRecorder {
     fn default() -> Self {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
+        Self { ring: ObservedMutex::new("span_ring", Ring { spans: VecDeque::new(), dropped: 0 }) }
     }
 }
 
 impl SpanRecorder {
-    /// A recorder holding at most `capacity` spans (oldest evicted first).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            ring: ObservedMutex::new("span_ring", Ring { spans: VecDeque::new(), dropped: 0 }),
-            capacity: capacity.max(1),
-        }
-    }
-
     /// Observe the ring lock's contention in `registry` (the `span_ring`
     /// site) and keep `spans_dropped_total` published there — ring overflow
     /// shows up in the JSON/Prometheus exports, not only via
@@ -116,7 +108,7 @@ impl SpanRecorder {
     /// Record one span, evicting the oldest if the ring is full.
     pub fn record(&self, span: Span) {
         let mut ring = self.ring.lock();
-        if ring.spans.len() == self.capacity {
+        if ring.spans.len() == SPAN_CAPACITY {
             ring.spans.pop_front();
             ring.dropped += 1;
         }
@@ -195,7 +187,7 @@ impl std::fmt::Debug for SpanRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanRecorder")
             .field("len", &self.len())
-            .field("capacity", &self.capacity)
+            .field("capacity", &SPAN_CAPACITY)
             .field("dropped", &self.dropped())
             .finish()
     }
@@ -213,14 +205,15 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let rec = SpanRecorder::with_capacity(2);
-        rec.record(Span::new("a", "t", 0, 0, 1));
-        rec.record(Span::new("b", "t", 0, 10, 1));
-        rec.record(Span::new("c", "t", 0, 20, 1));
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 1);
-        let names: Vec<String> = rec.sorted_spans().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, ["b", "c"]);
+        let rec = SpanRecorder::default();
+        for i in 0..SPAN_CAPACITY as u64 + 2 {
+            rec.record(Span::new("s", "t", 0, i, 1));
+        }
+        assert_eq!(rec.len(), SPAN_CAPACITY);
+        assert_eq!(rec.dropped(), 2);
+        let starts: Vec<u64> = rec.sorted_spans().into_iter().map(|s| s.start_ns).collect();
+        assert_eq!(starts[..2], [2, 3], "the two oldest spans are evicted");
+        assert_eq!(starts.last(), Some(&(SPAN_CAPACITY as u64 + 1)));
     }
 
     #[test]

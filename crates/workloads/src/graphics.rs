@@ -12,10 +12,10 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// GPU work demanded by a single frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FrameDemand {
     /// Total GPU cycles of work in the frame (across all execution units, at
     /// perfect parallel efficiency).
@@ -46,7 +46,7 @@ impl FrameDemand {
 pub type FrameTrace = Vec<FrameDemand>;
 
 /// A named frame-based graphics workload with an FPS target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GraphicsWorkload {
     name: String,
     fps_target: f64,

@@ -6,13 +6,13 @@
 //! snippet stream together with per-snippet provenance, so that experiments
 //! can report accuracy/energy both over time and per application.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::snippet::SnippetProfile;
 use crate::suites::{Benchmark, SuiteKind};
 
 /// A snippet in a sequence, annotated with which application it came from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SequencedSnippet {
     /// Index of the snippet within the whole sequence.
     pub index: usize,
@@ -25,7 +25,7 @@ pub struct SequencedSnippet {
 }
 
 /// An ordered concatenation of benchmarks executed back to back.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ApplicationSequence {
     snippets: Vec<SequencedSnippet>,
     benchmarks: Vec<String>,

@@ -7,13 +7,13 @@
 //! SoC simulator turns a profile plus a DVFS configuration into execution
 //! time, energy and the Table I performance counters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Coarse phase classification of a snippet.
 ///
 /// Real applications alternate between compute-dominated and memory-dominated
 /// phases; governors and learned policies exploit exactly this structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SnippetPhase {
     /// Arithmetic/logic dominated, scales well with core frequency.
     Compute,
@@ -35,7 +35,7 @@ impl SnippetPhase {
 ///
 /// All rates are expressed per executed instruction so that they can be
 /// combined with the fixed snippet instruction count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SnippetProfile {
     /// Number of instructions in the snippet.
     pub instructions: u64,

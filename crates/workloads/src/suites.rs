@@ -18,13 +18,13 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::snippet::{SnippetPhase, SnippetProfile};
 use crate::SNIPPET_INSTRUCTIONS;
 
 /// Which benchmark suite a benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SuiteKind {
     /// Embedded kernels used for offline training (Mi-Bench-like).
     MiBench,
@@ -55,7 +55,7 @@ impl std::fmt::Display for SuiteKind {
 }
 
 /// One application: a named sequence of snippets belonging to a suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Benchmark {
     name: String,
     suite: SuiteKind,
@@ -101,7 +101,7 @@ impl Benchmark {
 }
 
 /// A generated benchmark suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BenchmarkSuite {
     kind: SuiteKind,
     benchmarks: Vec<Benchmark>,

@@ -35,7 +35,7 @@ fn every_policy_family_runs_through_the_same_harness() {
         Box::new(InteractiveGovernor::new()),
         Box::new(offline),
         Box::new(online),
-        Box::new(QTableAgent::new(&platform, RlConfig::default())),
+        Box::new(QTableAgent::new(&platform)),
     ];
 
     let mut names = Vec::new();

@@ -118,7 +118,7 @@ fn rl_agents_learn_something_but_remain_worse_than_online_il() {
     online.pretrain_models(&SocSimulator::new(platform.clone()), &train);
 
     let il = run_policy(&platform, &mut online, &seq);
-    let mut qtable = QTableAgent::new(&platform, RlConfig::default());
+    let mut qtable = QTableAgent::new(&platform);
     let rl = run_policy(&platform, &mut qtable, &seq);
 
     let il_ratio = il.total_energy_j / oracle.total_energy_j;

@@ -1,9 +1,9 @@
 //! Integration tests of service-time queueing in the virtual clock: Little's
 //! law consistency of the queue bookkeeping, utilisation tracking offered
 //! load from underload through saturation, bit-identical queueing telemetry
-//! at any worker count, and the trace layer — the committed v1 and v2 golden
-//! fixtures still replaying bit-identically next to the queue-stamp round
-//! trip.
+//! at any worker count, and the trace layer — the committed v1, v2 and v3
+//! golden fixtures still replaying bit-identically next to the queue-stamp
+//! round trip.
 
 use std::time::Duration;
 
@@ -318,6 +318,34 @@ fn golden_v2_trace_still_replays_bit_identically() {
         reparsed.scenarios[0].queue, trace.scenarios[0].queue,
         "queue stamps survive the upgrade bit-for-bit"
     );
+}
+
+/// The committed v3 golden trace — a six-user mixed fleet
+/// (`fleet_stress --substrates all --virtual-clock --users 6`) with CPU, GPU
+/// and NoC decision lines — parses, replays bit-identically on the
+/// Odroid-XU3 platform it was recorded on, and re-encodes to the committed
+/// bytes.
+#[test]
+fn golden_v3_trace_replays_and_reencodes_byte_for_byte() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/trace_v3.jsonl");
+    let jsonl = std::fs::read_to_string(path).expect("committed golden fixture exists");
+    assert!(jsonl.starts_with("{\"format\":\"soclearn-trace\",\"version\":3"));
+    let trace = Trace::from_jsonl(&jsonl).expect("v3 golden trace parses");
+    assert_eq!(trace.scenarios.len(), 6);
+    let decisions = trace.scenarios.iter().flat_map(|s| &s.decisions);
+    for kind in DecisionKind::ALL {
+        assert!(decisions.clone().any(|d| d.kind() == kind), "the fixture has {kind:?} lines");
+    }
+    let platform = SocPlatform::odroid_xu3();
+    for scenario in &trace.scenarios {
+        let report = replay(scenario, &platform);
+        assert!(
+            report.bit_identical,
+            "golden v3 replay of {} diverged at {:?}",
+            scenario.name, report.first_divergence
+        );
+    }
+    assert_eq!(trace.to_jsonl(), jsonl, "re-encoding reproduces the committed bytes");
 }
 
 /// v2 round trip over a queueing fleet: encode → decode → replay, with the

@@ -7,6 +7,7 @@ use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::traits::OnlineRegressor;
 use soclearn_power_thermal::RcThermalModel;
+use soclearn_scenarios::TraceError;
 use soclearn_soc_sim::ClusterKind;
 use soclearn_workloads::SnippetPhase;
 
@@ -300,5 +301,71 @@ proptest! {
         prop_assert!(r.package_energy_j >= r.gpu_energy_j);
         prop_assert!(r.period_s >= r.frame_time_s - 1e-12);
         prop_assert!(r.counters.utilization <= 1.0 + 1e-12);
+    }
+}
+
+/// The committed golden traces (`tests/fixtures/trace_v{1,2,3}.jsonl`), each
+/// with its decoded form and the platform it was recorded on.
+fn golden_traces() -> &'static [(String, Trace, SocPlatform); 3] {
+    static GOLDEN: std::sync::OnceLock<[(String, Trace, SocPlatform); 3]> =
+        std::sync::OnceLock::new();
+    GOLDEN.get_or_init(|| {
+        let load = |version: u32, platform: SocPlatform| {
+            let path = format!(
+                "{}/../../tests/fixtures/trace_v{version}.jsonl",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let text = std::fs::read_to_string(path).expect("committed golden fixture exists");
+            let trace = Trace::from_jsonl(&text).expect("golden fixture parses");
+            (text, trace, platform)
+        };
+        [
+            load(1, SocPlatform::small()),
+            load(2, SocPlatform::small()),
+            load(3, SocPlatform::odroid_xu3()),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A golden trace cut short or with one byte replaced decodes to a trace
+    /// or to a `TraceError` naming a line of the input, never a panic; every
+    /// scenario the edit changed replays, divergence and all, without a panic.
+    /// Half the replacements are digits, which mostly keep the line valid JSON
+    /// and so reach the replay; the others are any byte, read back through a
+    /// lossy UTF-8 decode.
+    #[test]
+    fn edited_golden_traces_decode_and_replay_without_panics(
+        fixture in 0usize..3,
+        truncate in 0u8..2,
+        position in 0.0f64..1.0,
+        replacement in 0usize..512,
+    ) {
+        let (text, golden, platform) = &golden_traces()[fixture];
+        let mut bytes = text.as_bytes().to_vec();
+        let at = ((position * bytes.len() as f64) as usize).min(bytes.len() - 1);
+        if truncate == 1 {
+            bytes.truncate(at);
+        } else if let Ok(byte) = u8::try_from(replacement) {
+            bytes[at] = byte;
+        } else {
+            bytes[at] = b'0' + (replacement % 10) as u8;
+        }
+        let input = String::from_utf8_lossy(&bytes);
+        match Trace::from_jsonl(&input) {
+            Ok(trace) => {
+                for (i, scenario) in trace.scenarios.iter().enumerate() {
+                    if golden.scenarios.get(i) != Some(scenario) {
+                        let report = replay(scenario, platform);
+                        prop_assert_eq!(report.decisions, scenario.decisions.len());
+                    }
+                }
+            }
+            Err(TraceError::Json { line, .. } | TraceError::Format { line, .. }) => {
+                prop_assert!(line <= input.lines().count() + 1, "line {} is past the input", line);
+            }
+        }
     }
 }
