@@ -31,9 +31,7 @@ use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocP
 /// exceeds the up-threshold, step down one level when it falls below the
 /// down-threshold.  Each cluster is controlled independently.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct OndemandGovernor {
-    current: DvfsConfig,
-}
+pub struct OndemandGovernor;
 
 impl OndemandGovernor {
     /// Utilization above which a cluster jumps to its maximum frequency.
@@ -41,10 +39,10 @@ impl OndemandGovernor {
     /// Utilization below which a cluster steps down one level.
     const DOWN_THRESHOLD: f64 = 0.40;
 
-    /// Creates the governor with 85% / 40% thresholds, starting at
-    /// the platform's lowest configuration.
-    pub fn new(platform: &SocPlatform) -> Self {
-        Self { current: platform.min_config() }
+    /// Creates the governor with 85% / 40% thresholds.  It keeps no state:
+    /// each decision starts from the configuration the snippet ran at.
+    pub fn new(_platform: &SocPlatform) -> Self {
+        Self
     }
 }
 
@@ -71,7 +69,6 @@ impl DvfsPolicy for OndemandGovernor {
         } else if little_util < Self::DOWN_THRESHOLD && next.little_idx > 0 {
             next.little_idx -= 1;
         }
-        self.current = next;
         next
     }
 }

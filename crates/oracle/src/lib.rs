@@ -41,6 +41,9 @@ use soclearn_soc_sim::{
 };
 use soclearn_workloads::SnippetProfile;
 
+#[cfg(test)]
+mod reference;
+
 /// Objective the Oracle optimises when ranking configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum OracleObjective {
@@ -80,45 +83,34 @@ impl OracleSearch {
         self.objective
     }
 
-    /// Index of the best execution in `executions` under this objective,
-    /// breaking ties in favour of the earliest entry (matching the historical
-    /// first-best-wins sweep order).
-    ///
-    /// This is the ranking half of the Oracle search, split out so that batched
-    /// sweep results — e.g. cached ones from a runtime sweep engine — can be
-    /// ranked without re-evaluating the simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `executions` is empty.
-    pub fn best_index(&self, executions: &[SnippetExecution]) -> usize {
-        assert!(!executions.is_empty(), "execution list must not be empty");
-        let mut best = 0;
-        let mut best_score = self.objective.score(&executions[0]);
-        for (i, execution) in executions.iter().enumerate().skip(1) {
-            let score = self.objective.score(execution);
-            if score < best_score {
-                best = i;
-                best_score = score;
-            }
-        }
-        best
-    }
-
     /// Evaluates every configuration of the platform for this snippet and returns
     /// the best one together with its (hypothetical) execution result.
     ///
-    /// The sweep uses the simulator's batched
-    /// [`SocSimulator::evaluate_all_configs`] primitive, which hoists all
-    /// configuration-independent work out of the inner loop.
+    /// The sweep streams the executions of
+    /// [`SocSimulator::for_each_config`] through a running argmin in
+    /// [`SocPlatform::configs`] order: a later configuration replaces the
+    /// best only with a strictly lower score, so ties go to the earliest
+    /// (the first-best-wins rule every Oracle in this repository uses), and
+    /// no execution but the best is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the platform has no configuration.
     pub fn best_config(
         &self,
         sim: &SocSimulator,
         profile: &SnippetProfile,
     ) -> (DvfsConfig, SnippetExecution) {
-        let executions = sim.evaluate_all_configs(profile);
-        let best = self.best_index(&executions);
-        (executions[best].config, executions[best])
+        let mut best: Option<(f64, SnippetExecution)> = None;
+        sim.for_each_config(profile, |execution| {
+            let score = self.objective.score(&execution);
+            let improves = best.as_ref().map_or(true, |(best_score, _)| score < *best_score);
+            if improves {
+                best = Some((score, execution));
+            }
+        });
+        let (_, best) = best.expect("a platform has at least one configuration");
+        (best.config, best)
     }
 }
 

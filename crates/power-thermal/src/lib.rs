@@ -38,6 +38,6 @@ pub mod skin;
 pub mod thermal;
 
 pub use fixed_point::{FixedPointAnalysis, FixedPointError};
-pub use power::{ClusterPowerParams, PowerBreakdown, VoltageFrequencyCurve};
+pub use power::{ClusterPowerParams, OperatingPoint, PowerBreakdown, VoltageFrequencyCurve};
 pub use skin::{SensorSelection, SkinTemperatureEstimator};
 pub use thermal::{RcThermalModel, ThermalNode};

@@ -126,12 +126,26 @@ impl ClusterPowerParams {
         u: f64,
         temp_c: f64,
     ) -> PowerBreakdown {
-        let u = u.clamp(0.0, 1.0);
+        self.operating_point(curve, f, temp_c).breakdown(u)
+    }
+
+    /// The utilization-independent part of [`ClusterPowerParams::power`] at
+    /// frequency `f` and temperature `temp_c`, for callers that price many
+    /// utilizations at one operating point.
+    pub fn operating_point(
+        &self,
+        curve: &VoltageFrequencyCurve,
+        f: f64,
+        temp_c: f64,
+    ) -> OperatingPoint {
         let v = curve.voltage(f);
         let cores = self.cores as f64;
-        let dynamic = self.c_eff * v * v * f * u * cores + self.uncore_w;
-        let leakage = cores * (self.leak_v * v + self.leak_vt * v * temp_c.max(0.0));
-        PowerBreakdown { dynamic_w: dynamic, leakage_w: leakage }
+        OperatingPoint {
+            switching_w: self.c_eff * v * v * f,
+            cores,
+            uncore_w: self.uncore_w,
+            leakage_w: cores * (self.leak_v * v + self.leak_vt * v * temp_c.max(0.0)),
+        }
     }
 
     /// Energy in joules for running at the given operating point for `duration_s` seconds.
@@ -144,6 +158,38 @@ impl ClusterPowerParams {
         duration_s: f64,
     ) -> f64 {
         self.power(curve, f, u, temp_c) * duration_s.max(0.0)
+    }
+}
+
+/// One cluster's power at a fixed frequency and temperature, as a function
+/// of utilization alone ([`ClusterPowerParams::operating_point`]).
+///
+/// `switching_w` is the left-associative prefix `c_eff · V · V · f` of the
+/// dynamic-power product, so [`OperatingPoint::power`] multiplies the same
+/// operands in the same order as a full evaluation and returns the
+/// same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OperatingPoint {
+    /// `c_eff · V · V · f`, watts at full utilization of one core.
+    switching_w: f64,
+    /// Cores in the cluster.
+    cores: f64,
+    /// Uncore/idle power of the cluster, watts.
+    uncore_w: f64,
+    /// Leakage power of the whole cluster, watts.
+    leakage_w: f64,
+}
+
+impl OperatingPoint {
+    /// Total cluster power at utilization `u` (clamped to `[0, 1]`).
+    pub fn power(&self, u: f64) -> f64 {
+        self.breakdown(u).total_w()
+    }
+
+    fn breakdown(&self, u: f64) -> PowerBreakdown {
+        let u = u.clamp(0.0, 1.0);
+        let dynamic = self.switching_w * u * self.cores + self.uncore_w;
+        PowerBreakdown { dynamic_w: dynamic, leakage_w: self.leakage_w }
     }
 }
 

@@ -10,12 +10,21 @@
 //! T[k+1] = A·T[k] + B·P[k] + (I - A)·T_amb
 //! ```
 //!
+//! `A`, the diagonal of `B` and the ambient inflow `g_amb·T_amb` are constants
+//! of the network, so [`RcThermalModel::new`] computes them once and a step
+//! only evaluates the recurrence, in place, with no allocation.  Each entry is
+//! the expression the per-step construction used, so the trajectory keeps
+//! its bits.
+//!
 //! The same model supports temperature prediction, steady-state (thermal fixed
 //! point) computation and sustainable power-budget queries.
 
 use serde::Serialize;
 
 use crate::linalg;
+
+#[cfg(test)]
+mod reference;
 
 /// Identification of a thermal node in the network.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -42,7 +51,11 @@ impl ThermalNode {
 }
 
 /// Discrete-time lumped RC thermal model of the SoC and device skin.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Equality and serialization cover the network and its temperatures; the
+/// step coefficients derived from the network and the step's spare buffer
+/// are left out.
+#[derive(Debug, Clone)]
 pub struct RcThermalModel {
     nodes: Vec<ThermalNode>,
     /// Conductance between node pairs, `g[i][j]` in W/°C (symmetric, zero diagonal).
@@ -50,6 +63,40 @@ pub struct RcThermalModel {
     ambient_c: f64,
     step_s: f64,
     temperatures: Vec<f64>,
+    /// `A`, row-major (`n × n`).
+    state: Vec<f64>,
+    /// The diagonal of `B`: `step_s / C_i`.
+    input: Vec<f64>,
+    /// Each node's conductance to ambient times the ambient temperature, W.
+    ambient_inflow: Vec<f64>,
+    /// Where a step writes the next temperatures before swapping them in.
+    next: Vec<f64>,
+}
+
+impl PartialEq for RcThermalModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes
+            && self.coupling == other.coupling
+            && self.ambient_c == other.ambient_c
+            && self.step_s == other.step_s
+            && self.temperatures == other.temperatures
+    }
+}
+
+impl Serialize for RcThermalModel {
+    fn serialize_json(&self, out: &mut String) {
+        out.push_str("{\"nodes\":");
+        self.nodes.serialize_json(out);
+        out.push_str(",\"coupling\":");
+        self.coupling.serialize_json(out);
+        out.push_str(",\"ambient_c\":");
+        self.ambient_c.serialize_json(out);
+        out.push_str(",\"step_s\":");
+        self.step_s.serialize_json(out);
+        out.push_str(",\"temperatures\":");
+        self.temperatures.serialize_json(out);
+        out.push('}');
+    }
 }
 
 impl RcThermalModel {
@@ -70,8 +117,22 @@ impl RcThermalModel {
         assert!(step_s > 0.0, "time step must be positive");
         assert_eq!(coupling.len(), n, "coupling matrix must be square");
         assert!(coupling.iter().all(|r| r.len() == n), "coupling matrix must be square");
-        let temperatures = vec![ambient_c; n];
-        Self { nodes, coupling, ambient_c, step_s, temperatures }
+        let mut model = Self {
+            nodes,
+            coupling,
+            ambient_c,
+            step_s,
+            temperatures: vec![ambient_c; n],
+            state: Vec::new(),
+            input: Vec::new(),
+            ambient_inflow: Vec::new(),
+            next: vec![ambient_c; n],
+        };
+        model.state = model.state_matrix().concat();
+        model.input = model.nodes.iter().map(|node| step_s / node.capacitance).collect();
+        model.ambient_inflow =
+            model.nodes.iter().map(|node| node.conductance_to_ambient * ambient_c).collect();
+        model
     }
 
     /// A four-node model (big, LITTLE, GPU, skin) calibrated to produce the
@@ -163,29 +224,25 @@ impl RcThermalModel {
 
     /// Advances the thermal state by one step under the given per-node power (W).
     ///
-    /// Returns the new temperature vector.
+    /// Returns the new temperatures, `A·T + B·(P + g_amb·T_amb)` row by row.
+    /// Coupled terms already reference the other nodes' temperatures, and
+    /// `A`'s diagonal subtracts the full conductance sum, so the only pull
+    /// toward ambient left to add is the ambient conductance's inflow.
     ///
     /// # Panics
     ///
     /// Panics if `power_w.len()` does not match the number of nodes.
-    pub fn step(&mut self, power_w: &[f64]) -> Vec<f64> {
-        assert_eq!(power_w.len(), self.node_count(), "one power entry per node required");
-        let a = self.state_matrix();
+    pub fn step(&mut self, power_w: &[f64]) -> &[f64] {
         let n = self.node_count();
-        let mut next = vec![0.0; n];
-        for i in 0..n {
-            let mut t: f64 =
-                a[i].iter().zip(&self.temperatures).map(|(aij, temp)| aij * temp).sum();
-            let total_g: f64 = self.nodes[i].conductance_to_ambient;
-            t += self.step_s / self.nodes[i].capacitance * (power_w[i] + total_g * self.ambient_c);
-            // Coupled terms already reference the other nodes' temperatures; what is
-            // left is pulling the "lost" self-coupling toward ambient only through the
-            // ambient conductance, which the formulation above already handles because
-            // a[i][i] subtracted the full conductance sum.
-            next[i] = t;
+        assert_eq!(power_w.len(), n, "one power entry per node required");
+        let rows = self.state.chunks_exact(n);
+        let inputs = self.input.iter().zip(&self.ambient_inflow).zip(power_w);
+        for ((next, row), ((b, inflow), p)) in self.next.iter_mut().zip(rows).zip(inputs) {
+            let t: f64 = row.iter().zip(&self.temperatures).map(|(aij, temp)| aij * temp).sum();
+            *next = t + b * (p + inflow);
         }
-        self.temperatures = next.clone();
-        next
+        std::mem::swap(&mut self.temperatures, &mut self.next);
+        &self.temperatures
     }
 
     /// Simulates `steps` steps under constant power and returns the trajectory of
@@ -203,11 +260,10 @@ impl RcThermalModel {
     /// without mutating the model state.
     pub fn predict(&self, power_w: &[f64], horizon: usize) -> Vec<f64> {
         let mut clone = self.clone();
-        let mut last = clone.temperatures().to_vec();
         for _ in 0..horizon {
-            last = clone.step(power_w);
+            clone.step(power_w);
         }
-        last
+        clone.temperatures
     }
 
     /// Steady-state temperatures under constant per-node power, i.e. the thermal

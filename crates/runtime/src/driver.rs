@@ -704,6 +704,10 @@ impl ScenarioDriver {
             l1: SweepL1Stats::default(),
             noc_budget_violations: 0,
         };
+        // One CPU simulator per worker, reset for each scenario: a reset
+        // simulator equals a fresh one, and building one costs more than
+        // resetting it.
+        let mut sim = SocSimulator::new(self.platform.clone());
         let mut oracle_engine = self.oracle_reference.map(|_| {
             SweepEngine::with_cache(self.platform.clone(), Arc::clone(&self.cache)).with_warm_l1(
                 SweepEngine::DEFAULT_L1_CAPACITY,
@@ -728,6 +732,7 @@ impl ScenarioDriver {
                     make_policies,
                     record,
                     &mut slot,
+                    &mut sim,
                     &mut oracle_engine,
                     &mut service_ns,
                 );
@@ -760,6 +765,7 @@ impl ScenarioDriver {
         make_policies: &F,
         record: bool,
         slot: &mut WorkerSlot,
+        sim: &mut SocSimulator,
         oracle_engine: &mut Option<SweepEngine>,
         service_ns: &mut u64,
     ) where
@@ -790,9 +796,10 @@ impl ScenarioDriver {
             _ => None,
         };
 
-        // One CPU simulator per scenario: thermal state carries across CPU
-        // segments, exactly as it did when scenarios were one snippet stream.
-        let mut sim = SocSimulator::new(self.platform.clone());
+        // The CPU simulator starts each scenario fresh; its thermal state
+        // carries across CPU segments, exactly as it did when scenarios were
+        // one snippet stream.
+        sim.reset();
         // One GPU adapter per scenario, created at the first GPU segment:
         // DVFS/slice transition state and the controller's workload estimate
         // carry across that scenario's GPU segments.

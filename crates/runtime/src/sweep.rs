@@ -6,20 +6,38 @@
 //! evaluating the snippet at all 40 configurations.  This module provides the
 //! serving-grade primitive:
 //!
-//! * [`SweepEngine`] answers it with one batched sweep
-//!   ([`OracleSearch::best_config`] over
-//!   [`soclearn_soc_sim::SocSimulator::evaluate_all_configs`]), and
+//! * [`SweepEngine`] answers it with one sweep ([`OracleSearch::best_config`],
+//!   a running argmin over the per-level tables of
+//!   [`soclearn_soc_sim::SocSimulator::for_each_config`]), and
 //! * [`SweepCache`] memoises the answer — the winning [`SnippetExecution`],
 //!   128 B inline — behind an LRU keyed by the objective, the snippet's exact
 //!   feature bits, the thermal state and the platform, so repeated snippets
 //!   (many users running the same applications, experiments re-normalising
-//!   against the same Oracle runs) cost one lock acquisition instead of a
-//!   40-configuration model evaluation.
+//!   against the same Oracle runs) are answered from memory.
+//!
+//! Since the search runs on per-level tables, a hit is no cheaper than the
+//! search.  On one thread of a 2-core x86-64 host (release build, the
+//! driver's engine configuration, thermal commits subtracted, medians of
+//! four runs), one Energy question on the ODROID-XU3 platform cost
+//! 0.62–0.66 µs when the shared shards held its answer (a 3,554-answer
+//! working set), 0.58–0.64 µs as an uncached [`OracleSearch::best_config`]
+//! and 1.30–1.36 µs as a cold miss: the search plus the cache's own
+//! bookkeeping (L1 and shard probes, LRU inserts, evictions, batch
+//! publication).
 //!
 //! Cached answers are **bit-identical** to an uncached search: the key is the
 //! exact bit pattern of every profile field plus both cluster temperatures,
 //! so a hit can only occur for a search that would have produced the very
 //! same floats.
+//!
+//! A key is hashed once, when it is built, with the fixed-key
+//! `DefaultHasher::new()`; the shard and every map that holds the key reuse
+//! that hash.  A fixed key is safe here: even keys that all collide cost at
+//! most a longer probe in one shard of 256 entries or one L1 of 512, because
+//! those capacity bounds cap every map.  A per-process random key (what
+//! `HashMap` uses by default) would instead put a key in a different shard in
+//! every process, so per-shard counts and evictions would differ between two
+//! runs of the same seed.
 //!
 //! The cache is **lock-striped**: entries live in [`SweepCache::DEFAULT_SHARDS`]
 //! independently-mutexed segments selected by the key's hash, so concurrent
@@ -37,8 +55,9 @@
 //! the shared-path reference.
 
 use std::cell::RefCell;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use soclearn_telemetry::ObservedMutex;
@@ -50,9 +69,10 @@ use soclearn_workloads::{SnippetPhase, SnippetProfile};
 /// Number of packed key words describing one snippet profile.
 const PROFILE_KEY_WORDS: usize = 9;
 
-/// Exact identity of one Oracle question.
+/// The fields that identify one Oracle question, in the order they are
+/// hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SweepKey {
+struct SweepQuestion {
     /// Registry id of the platform the sweep ran on.
     platform_id: u32,
     /// Objective the answer optimises.
@@ -61,6 +81,18 @@ struct SweepKey {
     profile: [u64; PROFILE_KEY_WORDS],
     /// Bit patterns of the big and LITTLE cluster temperatures.
     temps: [u64; 2],
+}
+
+/// Exact identity of one Oracle question, with its hash computed once.
+///
+/// The hash picks the key's shard and, through [`KeyHasher`], its bucket in
+/// every map that holds it, so a lookup hashes the ~100-byte question once
+/// however many maps it touches.
+#[derive(Debug, Clone, Copy)]
+struct SweepKey {
+    /// `DefaultHasher::new()` over `question`.
+    hash: u64,
+    question: SweepQuestion,
 }
 
 impl SweepKey {
@@ -72,14 +104,57 @@ impl SweepKey {
         profile: &SnippetProfile,
         sim: &SocSimulator,
     ) -> Self {
-        Self {
+        let question = SweepQuestion {
             platform_id,
             objective,
             profile: profile_bits(profile),
             temps: [sim.big_temperature_c().to_bits(), sim.little_temperature_c().to_bits()],
-        }
+        };
+        let mut hasher = DefaultHasher::new();
+        question.hash(&mut hasher);
+        Self { hash: hasher.finish(), question }
     }
 }
+
+impl PartialEq for SweepKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.question == other.question
+    }
+}
+
+impl Eq for SweepKey {}
+
+impl Hash for SweepKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The [`Hasher`] of the maps keyed by [`SweepKey`]: it returns the key's
+/// stored hash rotated by half a word.  The shard was chosen by the hash's
+/// low bits (`hash % shards`), which are therefore equal for every key in
+/// one shard; the map's buckets come from the low bits of what this returns
+/// and its control tags from the top seven, so the rotation hands both to
+/// bits the shard choice left free.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("a SweepKey hashes as its stored u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+/// A map keyed by [`SweepKey`]s, bucketed by their stored hashes.
+type KeyMap<V> = HashMap<SweepKey, V, BuildHasherDefault<KeyHasher>>;
 
 fn phase_code(phase: SnippetPhase) -> u64 {
     match phase {
@@ -180,7 +255,7 @@ type SweepBatch = Vec<(SweepKey, SnippetExecution)>;
 /// map plus a buffer of locally-computed answers awaiting batch publication.
 #[derive(Debug)]
 struct SweepL1 {
-    entries: HashMap<SweepKey, (u64, SnippetExecution)>,
+    entries: KeyMap<(u64, SnippetExecution)>,
     /// Recency index, same scheme as [`SweepShard::order`].
     order: BTreeMap<u64, SweepKey>,
     tick: u64,
@@ -200,7 +275,7 @@ impl SweepL1 {
         assert!(capacity > 0, "L1 capacity must be positive");
         assert!(publish_every > 0, "L1 publish interval must be positive");
         Self {
-            entries: HashMap::with_capacity(capacity),
+            entries: KeyMap::with_capacity_and_hasher(capacity, Default::default()),
             order: BTreeMap::new(),
             tick: 0,
             capacity,
@@ -266,7 +341,7 @@ impl SweepL1 {
 #[derive(Debug, Default)]
 struct SweepShard {
     /// Oracle answers plus the logical timestamp of their last use.
-    entries: HashMap<SweepKey, (u64, SnippetExecution)>,
+    entries: KeyMap<(u64, SnippetExecution)>,
     /// Recency index: last-use tick → key.  Ticks are unique (allocated under
     /// the shard lock), so the first entry is always the least recently used
     /// and eviction is `O(log n)` instead of a full map scan.
@@ -360,9 +435,7 @@ impl SweepCache {
 
     /// Index of the shard responsible for `key`.
     fn shard_index(&self, key: &SweepKey) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
+        (key.hash as usize) % self.shards.len()
     }
 
     /// The shard responsible for `key`.

@@ -1,6 +1,28 @@
 //! Snippet execution model: time, energy, counters and thermal state.
+//!
+//! # One kernel, per-level tables
+//!
+//! Most of a snippet's evaluation depends on one cluster's DVFS level alone:
+//! the big cluster's CPI, busy time, the LITTLE background cycles it implies,
+//! the stalled share of its cycles and its power at the snippet's
+//! temperature; the LITTLE cluster's frequency and power.  The simulator
+//! computes those once per level (`BigLevel`, `LittleLevel`) and combines
+//! a pair of them per configuration, so a 40-configuration sweep does 8 + 5
+//! level evaluations and 40 combinations instead of 40 full evaluations.
+//! [`SocSimulator::evaluate_snippet`], [`SocSimulator::evaluate_all_configs`]
+//! and [`SocSimulator::for_each_config`] (the Oracle's sweep) share that one
+//! kernel.
+//!
+//! The tables are bit-identical to evaluating each configuration in
+//! full: every hoisted value is the expression the per-configuration
+//! evaluation computed, with the same operands in the same order (power is
+//! split at the left-associative prefix `c_eff · V · V · f`, see
+//! [`OperatingPoint`]), and no operation is reassociated, fused or
+//! approximated.  A test-only copy of the per-configuration evaluation
+//! checks every field bit on random profiles and thermal states.
 
 use serde::Serialize;
+use soclearn_power_thermal::power::OperatingPoint;
 use soclearn_power_thermal::thermal::RcThermalModel;
 use soclearn_workloads::SnippetProfile;
 
@@ -55,13 +77,7 @@ impl SnippetExecution {
 }
 
 /// Configuration-independent quantities of one snippet at the current thermal
-/// state, hoisted out of the per-configuration evaluation so that a full-sweep
-/// evaluation ([`SocSimulator::evaluate_all_configs`]) computes them once
-/// instead of once per configuration.
-///
-/// Every field is produced by exactly the floating-point expression the
-/// monolithic evaluation used, so batched and per-call results are
-/// bit-identical.
+/// state, computed once per evaluation or sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct SnippetInvariants {
     /// `base_cpi + l2_stall_cpi` (the first two CPI terms, already summed).
@@ -69,14 +85,12 @@ struct SnippetInvariants {
     /// Branch misprediction CPI term.
     branch_cpi: f64,
     /// DRAM stall CPI per Hz of big-cluster frequency; multiplied by `f_big`
-    /// and the exposure factor per configuration.
+    /// and the exposure factor per big level.
     dram_stall_coeff: f64,
     /// Application instruction count as f64.
     app_instructions: f64,
     /// OS/background instructions executed on the LITTLE cluster.
     os_instructions: f64,
-    /// Threads scheduled on the big cluster.
-    threads_on_big: u32,
     /// `threads_on_big / cores`, the big-cluster switching-capacity fraction.
     thread_frac: f64,
     /// `1 / cores`, the LITTLE-cluster single-thread capacity fraction.
@@ -99,6 +113,32 @@ struct SnippetInvariants {
     l2_cache_misses: f64,
     /// Total data-memory accesses.
     data_memory_accesses: f64,
+}
+
+/// What one snippet does at one big-cluster level, whatever the LITTLE level.
+#[derive(Debug, Clone, Copy)]
+struct BigLevel {
+    /// Big-cluster cycles of the application.
+    cycles: f64,
+    /// Big-cluster busy time, seconds.
+    busy_s: f64,
+    /// LITTLE-cluster cycles of the background work (its CPI follows the
+    /// big cluster's).
+    cycles_little: f64,
+    /// `1 - dram_stall_cpi / cpi`: the share of busy cycles not stalled on
+    /// DRAM.
+    unstalled: f64,
+    /// Big-cluster power at this level and the snippet's temperature.
+    power: OperatingPoint,
+}
+
+/// What one snippet does at one LITTLE-cluster level.
+#[derive(Debug, Clone, Copy)]
+struct LittleLevel {
+    /// LITTLE-cluster frequency, Hz.
+    f: f64,
+    /// LITTLE-cluster power at this level and the snippet's temperature.
+    power: OperatingPoint,
 }
 
 /// Analytical simulator of a big.LITTLE SoC executing snippet workloads.
@@ -166,9 +206,8 @@ impl SocSimulator {
     }
 
     /// Computes every configuration-independent quantity of the snippet at the
-    /// current thermal state.  Kept in exact operation-order correspondence
-    /// with [`SocSimulator::evaluate_with`] so that per-call and batched
-    /// evaluation produce bit-identical results.
+    /// current thermal state.
+    #[inline]
     fn snippet_invariants(&self, profile: &SnippetProfile) -> SnippetInvariants {
         let cores = self.platform.cores_per_cluster() as f64;
 
@@ -192,7 +231,6 @@ impl SocSimulator {
             dram_stall_coeff: ext_mpki / 1000.0 * (self.platform.dram_latency_ns() * 1e-9),
             app_instructions,
             os_instructions,
-            threads_on_big,
             thread_frac: threads_on_big as f64 / cores,
             little_frac: 1.0 / cores,
             speedup,
@@ -208,51 +246,69 @@ impl SocSimulator {
         }
     }
 
-    /// Evaluates one configuration given precomputed snippet invariants.
-    fn evaluate_with(&self, inv: &SnippetInvariants, config: DvfsConfig) -> SnippetExecution {
-        let f_big = self.platform.frequency(ClusterKind::Big, config);
-        let f_little = self.platform.frequency(ClusterKind::Little, config);
-
+    /// The snippet at big-cluster level `big_idx`.
+    #[inline]
+    fn big_level(&self, inv: &SnippetInvariants, big_idx: usize) -> BigLevel {
+        let f_big = self.platform.frequencies(ClusterKind::Big)[big_idx];
         // External misses cost a fixed latency in *time*; expressed in cycles the
         // stall grows with frequency, which is what makes memory-bound snippets
         // insensitive to DVFS.
         let dram_stall_cpi = inv.dram_stall_coeff * f_big * MEMORY_STALL_EXPOSURE;
         let cpi_big = inv.base_plus_l2_cpi + dram_stall_cpi + inv.branch_cpi;
-
-        let cycles_big = inv.app_instructions * cpi_big;
-        let busy_big_s = cycles_big / f_big / inv.speedup;
-
+        let cycles = inv.app_instructions * cpi_big;
         // --- LITTLE-cluster background work -----------------------------------------
         let cpi_little = cpi_big.min(4.0) * LITTLE_CPI_FACTOR;
-        let cycles_little = inv.os_instructions * cpi_little;
-        let busy_little_s = cycles_little / f_little;
+        BigLevel {
+            cycles,
+            busy_s: cycles / f_big / inv.speedup,
+            cycles_little: inv.os_instructions * cpi_little,
+            unstalled: 1.0 - dram_stall_cpi / cpi_big,
+            power: self.platform.power_params(ClusterKind::Big).operating_point(
+                self.platform.vf_curve(ClusterKind::Big),
+                f_big,
+                inv.temp_big,
+            ),
+        }
+    }
+
+    /// The snippet at LITTLE-cluster level `little_idx`.
+    #[inline]
+    fn little_level(&self, inv: &SnippetInvariants, little_idx: usize) -> LittleLevel {
+        let f = self.platform.frequencies(ClusterKind::Little)[little_idx];
+        LittleLevel {
+            f,
+            power: self.platform.power_params(ClusterKind::Little).operating_point(
+                self.platform.vf_curve(ClusterKind::Little),
+                f,
+                inv.temp_little,
+            ),
+        }
+    }
+
+    /// Combines one big and one LITTLE level into the execution at `config`.
+    #[inline]
+    fn execution(
+        &self,
+        inv: &SnippetInvariants,
+        big: &BigLevel,
+        little: &LittleLevel,
+        config: DvfsConfig,
+    ) -> SnippetExecution {
+        let busy_little_s = big.cycles_little / little.f;
 
         // The application determines the wall time; background work overlaps it.
-        let time_s = busy_big_s.max(busy_little_s).max(1e-9);
+        let time_s = big.busy_s.max(busy_little_s).max(1e-9);
 
         // --- Utilizations ------------------------------------------------------------
         // Power sees the fraction of the *whole cluster's* switching capacity in use;
         // the reported counter follows what OS governors act on: the busy fraction of
         // the active cores, discounting cycles stalled on DRAM.
-        let power_util_big = inv.thread_frac * (busy_big_s / time_s).min(1.0);
-        let power_util_little = inv.little_frac * (busy_little_s / time_s).min(1.0);
-        let dram_stall_fraction = dram_stall_cpi / cpi_big;
-        let big_util = (busy_big_s / time_s).min(1.0) * (1.0 - dram_stall_fraction);
+        let big_busy = (big.busy_s / time_s).min(1.0);
         let little_util = (busy_little_s / time_s).min(1.0);
 
         // --- Power and energy ---------------------------------------------------------
-        let p_big = self.platform.power_params(ClusterKind::Big).power(
-            self.platform.vf_curve(ClusterKind::Big),
-            f_big,
-            power_util_big,
-            inv.temp_big,
-        );
-        let p_little = self.platform.power_params(ClusterKind::Little).power(
-            self.platform.vf_curve(ClusterKind::Little),
-            f_little,
-            power_util_little,
-            inv.temp_little,
-        );
+        let p_big = big.power.power(inv.thread_frac * big_busy);
+        let p_little = little.power.power(inv.little_frac * little_util);
         let p_background = self.platform.background_power_w() + inv.dram_energy_j / time_s;
         let avg_power_w = p_big + p_little + p_background;
         let energy_j = avg_power_w * time_s;
@@ -260,13 +316,13 @@ impl SocSimulator {
         // --- Counters ------------------------------------------------------------------
         let counters = SnippetCounters {
             instructions_retired: inv.instructions_retired,
-            cpu_cycles_total: cycles_big + cycles_little,
+            cpu_cycles_total: big.cycles + big.cycles_little,
             branch_mispredictions_per_core: inv.branch_mispredictions_per_core,
             l2_cache_misses: inv.l2_cache_misses,
             data_memory_accesses: inv.data_memory_accesses,
             external_memory_requests: inv.external_requests,
             little_cluster_utilization: little_util,
-            big_cluster_utilization: big_util,
+            big_cluster_utilization: big_busy * big.unstalled,
             total_chip_power_w: avg_power_w,
         };
 
@@ -295,24 +351,41 @@ impl SocSimulator {
     ) -> SnippetExecution {
         assert!(self.platform.is_valid(config), "invalid DVFS configuration {config}");
         let inv = self.snippet_invariants(profile);
-        self.evaluate_with(&inv, config)
+        let big = self.big_level(&inv, config.big_idx);
+        let little = self.little_level(&inv, config.little_idx);
+        self.execution(&inv, &big, &little, config)
     }
 
-    /// Batched evaluation of the snippet over the platform's **entire**
-    /// configuration space, in [`SocPlatform::configs`] order.  This is the
-    /// full-sweep primitive behind Oracle search and the runtime sweep engine.
-    ///
-    /// All configuration-independent work (CPI decomposition, Amdahl speedup,
-    /// DRAM traffic, thermal-node lookups, counter totals) is hoisted out of
-    /// the inner loop.  Results are bit-identical to calling
-    /// [`SocSimulator::evaluate_snippet`] once per configuration.
-    pub fn evaluate_all_configs(&self, profile: &SnippetProfile) -> Vec<SnippetExecution> {
+    /// Evaluates the snippet at every configuration of the platform, in
+    /// [`SocPlatform::configs`] order, and hands each execution to `visit`;
+    /// nothing is committed.  This is the Oracle's sweep: it builds the
+    /// per-level tables once and keeps no execution it is not given.  Each
+    /// execution is bit-identical to [`SocSimulator::evaluate_snippet`] at its
+    /// configuration.
+    pub fn for_each_config(
+        &self,
+        profile: &SnippetProfile,
+        mut visit: impl FnMut(SnippetExecution),
+    ) {
         let inv = self.snippet_invariants(profile);
-        self.platform
-            .configs()
-            .into_iter()
-            .map(|config| self.evaluate_with(&inv, config))
-            .collect()
+        let big_levels: Vec<BigLevel> = (0..self.platform.level_count(ClusterKind::Big))
+            .map(|big_idx| self.big_level(&inv, big_idx))
+            .collect();
+        for little_idx in 0..self.platform.level_count(ClusterKind::Little) {
+            let little = self.little_level(&inv, little_idx);
+            for (big_idx, big) in big_levels.iter().enumerate() {
+                visit(self.execution(&inv, big, &little, DvfsConfig::new(little_idx, big_idx)));
+            }
+        }
+    }
+
+    /// The snippet at every configuration of the platform, in
+    /// [`SocPlatform::configs`] order ([`SocSimulator::for_each_config`],
+    /// collected).
+    pub fn evaluate_all_configs(&self, profile: &SnippetProfile) -> Vec<SnippetExecution> {
+        let mut executions = Vec::with_capacity(self.platform.config_count());
+        self.for_each_config(profile, |execution| executions.push(execution));
+        executions
     }
 
     /// Per-cluster power of an evaluated snippet, used to drive the thermal model.
@@ -446,6 +519,36 @@ mod tests {
         assert_eq!(s.snippets_executed(), 0);
         assert_eq!(s.total_energy_j(), 0.0);
         assert!((s.big_temperature_c() - t0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_reset_simulator_equals_a_fresh_one() {
+        for platform in [SocPlatform::odroid_xu3(), SocPlatform::small()] {
+            let fresh = SocSimulator::new(platform.clone());
+            let mut served = fresh.clone();
+            for (i, config) in platform.configs().into_iter().enumerate() {
+                let snippet = if i % 2 == 0 {
+                    SnippetProfile::compute_bound(100_000_000)
+                } else {
+                    SnippetProfile::memory_bound(60_000_000)
+                };
+                served.execute_snippet(&snippet, config);
+            }
+            assert_ne!(served, fresh, "serving must change the simulator");
+            served.reset();
+            assert_eq!(served, fresh);
+            let snippet = SnippetProfile::compute_bound(100_000_000);
+            for config in platform.configs() {
+                let (a, b) = (served.execute_snippet(&snippet, config), {
+                    let mut twin = fresh.clone();
+                    for earlier in platform.configs().into_iter().take_while(|c| *c != config) {
+                        twin.execute_snippet(&snippet, earlier);
+                    }
+                    twin.execute_snippet(&snippet, config)
+                });
+                assert_eq!(a, b, "a reset simulator must serve like a fresh one at {config}");
+            }
+        }
     }
 
     #[test]

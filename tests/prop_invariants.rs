@@ -369,3 +369,95 @@ proptest! {
         }
     }
 }
+
+/// Pieces of JSON and of the trace format: drawn at random and concatenated,
+/// they make strings that get past the first byte of the parser, into
+/// objects, escapes and numbers at their limits, and past a trace's header
+/// line into its scenario and decision lines.
+const JSON_TOKENS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    " ",
+    "\n",
+    "\"",
+    "\\",
+    "\\n",
+    "\\u00e9",
+    "\\ud800",
+    "\"x\"",
+    "0",
+    "7",
+    "-",
+    ".",
+    "e",
+    "2.5",
+    "-0",
+    "1e308",
+    "-1e400",
+    "18446744073709551616",
+    "true",
+    "false",
+    "null",
+    "nul",
+    "\"format\"",
+    "\"soclearn-trace\"",
+    "\"version\"",
+    "\"scenarios\"",
+    "\"scenario\"",
+    "\"decisions\"",
+    "\"index\"",
+    "\"name\"",
+    "\"policy\"",
+    "\"queue\"",
+    "\"i\"",
+    "\"kind\"",
+    "\"cpu\"",
+    "\"gpu\"",
+    "\"noc\"",
+    "\"profile\"",
+    "{\"format\":\"soclearn-trace\",\"version\":3,\"scenarios\":1}\n",
+    "{\"scenario\":{\"index\":0,\"name\":\"u\",\"policy\":\"p\",\"decisions\":1}}\n",
+];
+
+/// `input` decodes to a JSON value and to a trace, or to their typed errors
+/// pointing inside the input; reaching the end of this function means
+/// neither decoder panicked.
+fn decodes_or_fails_typed(input: &str) -> Result<(), TestCaseError> {
+    if let Err(error) = soclearn_scenarios::json::parse(input) {
+        prop_assert!(error.offset <= input.len(), "offset {} is past the input", error.offset);
+    }
+    match Trace::from_jsonl(input) {
+        Ok(trace) => prop_assert!(trace.scenarios.len() <= input.lines().count()),
+        Err(TraceError::Json { line, .. } | TraceError::Format { line, .. }) => {
+            prop_assert!(line <= input.lines().count() + 1, "line {} is past the input", line);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Random bytes, read through a lossy UTF-8 decode, never panic the JSON
+    /// parser or the trace decoder.
+    #[test]
+    fn random_bytes_decode_or_fail_with_typed_errors(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        decodes_or_fails_typed(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Random strings over JSON's and the trace format's own alphabet never
+    /// panic the JSON parser or the trace decoder.
+    #[test]
+    fn random_json_strings_decode_or_fail_with_typed_errors(
+        tokens in proptest::collection::vec(0usize..JSON_TOKENS.len(), 0..160),
+    ) {
+        let input: String = tokens.iter().map(|&token| JSON_TOKENS[token]).collect();
+        decodes_or_fails_typed(&input)?;
+    }
+}
