@@ -18,11 +18,12 @@ use std::time::Instant;
 use serde::Serialize;
 use soclearn_governors::OndemandGovernor;
 use soclearn_imitation::OnlineIlConfig;
+use soclearn_oracle::{OracleObjective, OracleRun};
 use soclearn_rl::QTableAgent;
+use soclearn_runtime::{profiles_of, scaled_suite, sequence_of, shared_artifacts};
 use soclearn_soc_sim::{DvfsPolicy, PolicyDecision, SnippetCounters, SocPlatform, SocSimulator};
 use soclearn_workloads::SuiteKind;
 
-use super::helpers::{experiment_artifacts, profiles_of, scaled_suite, sequence_of};
 use super::ExperimentScale;
 use crate::harness::run_policy;
 
@@ -42,12 +43,13 @@ pub struct BufferAblationRow {
 /// Regenerates the aggregation-buffer ablation (A1).
 pub fn buffer_ablation(scale: ExperimentScale, capacities: &[usize]) -> Vec<BufferAblationRow> {
     let platform = SocPlatform::odroid_xu3();
-    let artifacts = experiment_artifacts(&platform, scale);
+    let artifacts = shared_artifacts(&platform, scale);
     let mut benchmarks = scaled_suite(SuiteKind::Cortex, scale);
     benchmarks.extend(scaled_suite(SuiteKind::Parsec, scale));
     let profiles = profiles_of(&benchmarks);
     let sequence = sequence_of(&benchmarks, SuiteKind::Cortex);
-    let oracle = artifacts.oracle_run(&profiles);
+    let mut oracle_sim = SocSimulator::new(platform.clone());
+    let oracle = OracleRun::execute(&mut oracle_sim, &profiles, OracleObjective::Energy);
 
     capacities
         .iter()
@@ -92,7 +94,7 @@ pub struct OverheadRow {
 /// Regenerates the controller-overhead ablation (A2).
 pub fn overhead_ablation(scale: ExperimentScale) -> Vec<OverheadRow> {
     let platform = SocPlatform::odroid_xu3();
-    let artifacts = experiment_artifacts(&platform, scale);
+    let artifacts = shared_artifacts(&platform, scale);
     let benchmarks = scaled_suite(SuiteKind::Cortex, scale);
     let profiles = profiles_of(&benchmarks);
 

@@ -12,9 +12,9 @@ use soclearn_gpu_sim::{GpuConfig, GpuPlatform, GpuSimulator};
 use soclearn_online_learning::metrics::mape;
 use soclearn_online_learning::rls::AdaptiveForgettingRls;
 use soclearn_online_learning::traits::OnlineRegressor;
+use soclearn_runtime::EXPERIMENT_SEED;
 use soclearn_workloads::GraphicsWorkload;
 
-use super::helpers::EXPERIMENT_SEED;
 use super::ExperimentScale;
 
 /// The reproduced Figure 2.

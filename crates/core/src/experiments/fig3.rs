@@ -8,11 +8,12 @@
 
 use serde::Serialize;
 use soclearn_imitation::OnlineIlConfig;
+use soclearn_oracle::{OracleObjective, OracleRun};
 use soclearn_rl::QTableAgent;
-use soclearn_soc_sim::SocPlatform;
+use soclearn_runtime::{profiles_of, scaled_suite, sequence_of, shared_artifacts};
+use soclearn_soc_sim::{SocPlatform, SocSimulator};
 use soclearn_workloads::SuiteKind;
 
-use super::helpers::{experiment_artifacts, profiles_of, scaled_suite, sequence_of};
 use super::ExperimentScale;
 use crate::harness::run_policy;
 
@@ -77,7 +78,7 @@ fn series_for(
 /// Regenerates Figure 3.
 pub fn convergence_comparison(scale: ExperimentScale) -> Fig3Result {
     let platform = SocPlatform::odroid_xu3();
-    let artifacts = experiment_artifacts(&platform, scale);
+    let artifacts = shared_artifacts(&platform, scale);
 
     // The adaptation sequence: Cortex followed by PARSEC applications.
     let mut benchmarks = scaled_suite(SuiteKind::Cortex, scale);
@@ -85,7 +86,8 @@ pub fn convergence_comparison(scale: ExperimentScale) -> Fig3Result {
     let profiles = profiles_of(&benchmarks);
     let sequence = sequence_of(&benchmarks, SuiteKind::Cortex);
 
-    let oracle = artifacts.oracle_run(&profiles);
+    let mut oracle_sim = SocSimulator::new(platform.clone());
+    let oracle = OracleRun::execute(&mut oracle_sim, &profiles, OracleObjective::Energy);
 
     let mut online_il =
         artifacts.online_policy(OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 });

@@ -7,14 +7,15 @@
 //! at ≈1.0× the Oracle everywhere while RL reaches up to 1.4×.
 
 use serde::Serialize;
+use soclearn_imitation::OnlineIlConfig;
+use soclearn_oracle::{OracleObjective, OracleRun};
 use soclearn_rl::QTableAgent;
-use soclearn_soc_sim::{DvfsPolicy, SocPlatform};
+use soclearn_runtime::{scaled_suite, sequence_of, shared_artifacts};
+use soclearn_soc_sim::{DvfsPolicy, SocPlatform, SocSimulator};
 use soclearn_workloads::SuiteKind;
 
-use super::helpers::{experiment_artifacts, scaled_suite, sequence_of};
 use super::ExperimentScale;
 use crate::harness::run_policy;
-use soclearn_imitation::OnlineIlConfig;
 
 /// One bar group of Figure 4.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -69,7 +70,7 @@ impl Fig4Result {
 /// Regenerates Figure 4.
 pub fn energy_comparison(scale: ExperimentScale) -> Fig4Result {
     let platform = SocPlatform::odroid_xu3();
-    let artifacts = experiment_artifacts(&platform, scale);
+    let artifacts = shared_artifacts(&platform, scale);
 
     let mut online_il: Box<dyn DvfsPolicy> = Box::new(
         artifacts.online_policy(OnlineIlConfig { buffer_capacity: 15, neighbourhood_radius: 2 }),
@@ -86,7 +87,8 @@ pub fn energy_comparison(scale: ExperimentScale) -> Fig4Result {
             // the paper's continuous run.
             let il_report = run_policy(&platform, online_il.as_mut(), &sequence);
             let rl_report = run_policy(&platform, rl.as_mut(), &sequence);
-            let oracle = artifacts.oracle_run(snippets);
+            let mut oracle_sim = SocSimulator::new(platform.clone());
+            let oracle = OracleRun::execute(&mut oracle_sim, snippets, OracleObjective::Energy);
             rows.push(Fig4Row {
                 benchmark: name.clone(),
                 offline_group: suite_kind == SuiteKind::MiBench,

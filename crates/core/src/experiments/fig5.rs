@@ -10,9 +10,9 @@
 use serde::Serialize;
 use soclearn_gpu_sim::{GpuPlatform, GpuSimulator, UtilizationGovernor};
 use soclearn_nmpc::{ExplicitNmpcController, GpuSensitivityModel, NmpcSettings};
+use soclearn_runtime::EXPERIMENT_SEED;
 use soclearn_workloads::GraphicsWorkload;
 
-use super::helpers::EXPERIMENT_SEED;
 use super::ExperimentScale;
 
 /// Savings of one workload.

@@ -21,7 +21,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
-pub mod helpers;
 pub mod noc;
 pub mod table2;
 

@@ -7,10 +7,11 @@
 //! (training suite ≈ Oracle, unseen suites progressively worse).
 
 use serde::Serialize;
-use soclearn_soc_sim::SocPlatform;
+use soclearn_oracle::{OracleObjective, OracleRun};
+use soclearn_runtime::{scaled_suite, sequence_of, shared_artifacts};
+use soclearn_soc_sim::{SocPlatform, SocSimulator};
 use soclearn_workloads::SuiteKind;
 
-use super::helpers::{experiment_artifacts, scaled_suite, sequence_of};
 use super::ExperimentScale;
 use crate::harness::run_policy;
 
@@ -72,7 +73,7 @@ impl Table2Result {
 /// Regenerates Table II.
 pub fn offline_il_generalization(scale: ExperimentScale) -> Table2Result {
     let platform = SocPlatform::odroid_xu3();
-    let artifacts = experiment_artifacts(&platform, scale);
+    let artifacts = shared_artifacts(&platform, scale);
 
     let mut rows = Vec::new();
     for suite_kind in SuiteKind::ALL {
@@ -83,7 +84,8 @@ pub fn offline_il_generalization(scale: ExperimentScale) -> Table2Result {
             let sequence = sequence_of(&single, suite_kind);
             let mut policy = artifacts.tree_policy.clone();
             let report = run_policy(&platform, &mut policy, &sequence);
-            let oracle = artifacts.oracle_run(snippets);
+            let mut oracle_sim = SocSimulator::new(platform.clone());
+            let oracle = OracleRun::execute(&mut oracle_sim, snippets, OracleObjective::Energy);
             rows.push(Table2Row {
                 suite: suite_kind.name().to_owned(),
                 benchmark: name.clone(),

@@ -16,7 +16,7 @@
 //! * [`Demonstration`] / [`collect_demonstrations`] — the (state, optimal
 //!   action) pairs used to train imitation-learning policies,
 //! * [`OraclePolicy`] — a [`DvfsPolicy`] wrapper replaying precomputed Oracle
-//!   decisions inside the shared policy-evaluation harness.
+//!   decisions through the policy interface.
 //!
 //! # Example
 //!
@@ -195,10 +195,10 @@ pub fn collect_demonstrations(
     demonstrations
 }
 
-/// A [`DvfsPolicy`] that replays precomputed Oracle decisions by snippet index.
-///
-/// Used by the experiment harness to run "the Oracle" through the same
-/// interface as every learned policy.
+/// A [`DvfsPolicy`] that replays precomputed Oracle decisions by snippet index,
+/// so "the Oracle" runs through the same interface as every learned policy.
+/// The experiments normalise against [`OracleRun`] totals instead; the serving
+/// driver's tests replay it to check that the Oracle agrees with itself.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OraclePolicy {
     decisions: Vec<DvfsConfig>,

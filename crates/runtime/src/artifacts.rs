@@ -3,17 +3,12 @@
 //! Every experiment in the seed repository re-ran the full design-time
 //! pipeline — Oracle demonstration collection over the training suite,
 //! offline policy training, online-model bootstrapping — once per experiment
-//! function, and then re-ran the Oracle over the same evaluation sequences to
-//! normalise its numbers.  The [`ArtifactStore`] makes all of that
-//! once-per-process:
+//! function.  The [`ArtifactStore`] makes that pipeline once-per-process:
 //!
 //! * [`ArtifactStore::get_or_build`] memoises whole [`TrainingArtifacts`]
 //!   keyed by *(platform fingerprint, [`ExperimentScale`])* behind a
 //!   `OnceLock`-per-key, so concurrent callers block on a single build instead
 //!   of racing duplicate ones;
-//! * [`TrainingArtifacts::oracle_run`] memoises Oracle runs per exact profile
-//!   sequence, with the per-snippet Oracle answers shared through one
-//!   [`SweepCache`];
 //! * [`TrainingArtifacts::online_policy`] hands out online-IL policies whose
 //!   power/performance models were pretrained **once** and cloned per policy,
 //!   bit-identical to per-policy pretraining;
@@ -24,6 +19,10 @@
 //!   with [`EXPERIMENT_SEED`].  The heterogeneous generator draws three
 //!   such setups (a 4×4 mesh under uniform, hotspot and transpose traffic),
 //!   so a fleet of any size trains three models.
+//!
+//! The Oracle runs the experiments normalise against are not stored: each
+//! experiment runs [`soclearn_oracle::OracleRun::execute`] on a fresh
+//! simulator, and no claim example asks for the same run twice.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,13 +33,12 @@ use soclearn_imitation::{
 };
 use soclearn_noc_sim::{MeshConfig, SvrLatencyModel, TrafficPattern};
 use soclearn_online_learning::rls::RecursiveLeastSquares;
-use soclearn_oracle::{OracleObjective, OracleRun};
+use soclearn_oracle::{collect_demonstrations, OracleObjective};
 use soclearn_soc_sim::{SocPlatform, SocSimulator};
 use soclearn_workloads::{ApplicationSequence, BenchmarkSuite, SnippetProfile, SuiteKind};
 
 use crate::scale::ExperimentScale;
 use crate::substrate::NocSessionSpec;
-use crate::sweep::{profile_bits, SweepCache, SweepEngine};
 
 /// Deterministic seed used by every experiment for workload generation, and
 /// by [`ArtifactStore::noc_model`] to train the design-time NoC models.
@@ -78,20 +76,9 @@ pub fn sequence_of(
     seq
 }
 
-/// Exact identity of a profile sequence, the Oracle-run memo key.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct ProfilesKey(Vec<[u64; 9]>);
-
-impl ProfilesKey {
-    fn of(profiles: &[SnippetProfile]) -> Self {
-        Self(profiles.iter().map(profile_bits).collect())
-    }
-}
-
-/// Design-time artefacts shared by the IL experiments: Oracle demonstrations
-/// from the Mi-Bench-like training suite, the trained offline policies, the
-/// pretrained online candidate models, and the caches that keep re-derived
-/// quantities (Oracle runs, per-snippet Oracle answers) once-per-process.
+/// Design-time artefacts shared by the IL experiments: the Mi-Bench-like
+/// training profiles, the offline policies trained on their Oracle
+/// demonstrations and the pretrained online candidate models.
 pub struct TrainingArtifacts {
     /// The platform everything is trained for.
     pub platform: SocPlatform,
@@ -105,17 +92,6 @@ pub struct TrainingArtifacts {
     /// every policy handed out by [`TrainingArtifacts::online_policy`].
     pretrained_power: RecursiveLeastSquares,
     pretrained_time: RecursiveLeastSquares,
-    /// Sweep memo shared by every engine derived from these artifacts.
-    sweep_cache: Arc<SweepCache>,
-    /// Memoised Oracle runs keyed by exact profile sequence.
-    oracle_runs: Mutex<HashMap<ProfilesKey, Arc<OracleRun>>>,
-    /// Scale the artifacts were built at (telemetry label).
-    scale: ExperimentScale,
-    /// Wall-clock seconds the design-time build took.
-    build_wall_s: f64,
-    /// Oracle-run memo effectiveness counters.
-    oracle_memo_hits: AtomicUsize,
-    oracle_memo_misses: AtomicUsize,
 }
 
 impl TrainingArtifacts {
@@ -126,12 +102,13 @@ impl TrainingArtifacts {
     /// [`shared_artifacts`]) over calling this directly: the store makes the
     /// build once-per-process.
     pub fn build(platform: SocPlatform, scale: ExperimentScale) -> Self {
-        let build_started = std::time::Instant::now();
         let training = scaled_suite(SuiteKind::MiBench, scale);
         let training_profiles = profiles_of(&training);
-        let sweep_cache = Arc::new(SweepCache::new());
-        let mut engine = SweepEngine::with_cache(platform.clone(), Arc::clone(&sweep_cache));
-        let demos = engine.collect_demonstrations(&training_profiles, OracleObjective::Energy);
+        let demos = collect_demonstrations(
+            &mut SocSimulator::new(platform.clone()),
+            &training_profiles,
+            OracleObjective::Energy,
+        );
         let tree_policy = OfflineIlPolicy::train(&platform, &demos, PolicyModelKind::Tree);
         let mlp_policy = OfflineIlPolicy::train(&platform, &demos, PolicyModelKind::Mlp);
         // Bootstrapping over a subset keeps construction fast without hurting
@@ -146,42 +123,7 @@ impl TrainingArtifacts {
             mlp_policy,
             pretrained_power,
             pretrained_time,
-            sweep_cache,
-            oracle_runs: Mutex::new(HashMap::new()),
-            scale,
-            build_wall_s: build_started.elapsed().as_secs_f64(),
-            oracle_memo_hits: AtomicUsize::new(0),
-            oracle_memo_misses: AtomicUsize::new(0),
         }
-    }
-
-    /// Wall-clock seconds the design-time build took.
-    pub fn build_seconds(&self) -> f64 {
-        self.build_wall_s
-    }
-
-    /// The scale the artifacts were built at.
-    pub fn scale(&self) -> ExperimentScale {
-        self.scale
-    }
-
-    /// Publishes build/memo telemetry into an observability registry: the
-    /// design-time build duration, Oracle-memo effectiveness and the shared
-    /// sweep cache's per-shard statistics, labelled by scale.
-    pub fn publish_stats(&self, registry: &soclearn_telemetry::TelemetryRegistry) {
-        let scale = self.scale.label();
-        let labels: [(&str, &str); 1] = [("scale", scale)];
-        registry.gauge("artifact_build_seconds", &labels).set(self.build_wall_s);
-        registry
-            .gauge("artifact_oracle_memo_hits", &labels)
-            .set(self.oracle_memo_hits.load(Ordering::Relaxed) as f64);
-        registry
-            .gauge("artifact_oracle_memo_misses", &labels)
-            .set(self.oracle_memo_misses.load(Ordering::Relaxed) as f64);
-        registry
-            .gauge("artifact_oracle_runs_cached", &labels)
-            .set(self.oracle_runs_cached() as f64);
-        self.sweep_cache.publish_stats(registry);
     }
 
     /// Builds the online-IL policy: the offline MLP policy plus clones of the
@@ -202,39 +144,6 @@ impl TrainingArtifacts {
     /// with an exact, associative merge.
     pub fn pretrained_models(&self) -> (&RecursiveLeastSquares, &RecursiveLeastSquares) {
         (&self.pretrained_power, &self.pretrained_time)
-    }
-
-    /// A fresh sweep engine (ambient thermal state) sharing this artifact set's
-    /// sweep cache.
-    pub fn sweep_engine(&self) -> SweepEngine {
-        SweepEngine::with_cache(self.platform.clone(), Arc::clone(&self.sweep_cache))
-    }
-
-    /// The sweep cache shared by every engine derived from these artifacts.
-    pub fn sweep_cache(&self) -> &Arc<SweepCache> {
-        &self.sweep_cache
-    }
-
-    /// Runs the Oracle over a profile sequence, memoised per exact sequence:
-    /// the second request for the same profiles returns the stored run, and
-    /// even the first request shares per-snippet Oracle answers with every
-    /// other Oracle run through the sweep cache.
-    pub fn oracle_run(&self, profiles: &[SnippetProfile]) -> Arc<OracleRun> {
-        let key = ProfilesKey::of(profiles);
-        if let Some(run) = self.oracle_runs.lock().expect("oracle memo lock").get(&key) {
-            self.oracle_memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(run);
-        }
-        self.oracle_memo_misses.fetch_add(1, Ordering::Relaxed);
-        let mut engine = self.sweep_engine();
-        let run = Arc::new(engine.oracle_run(profiles, OracleObjective::Energy));
-        let mut memo = self.oracle_runs.lock().expect("oracle memo lock");
-        Arc::clone(memo.entry(key).or_insert(run))
-    }
-
-    /// Number of memoised Oracle runs.
-    pub fn oracle_runs_cached(&self) -> usize {
-        self.oracle_runs.lock().expect("oracle memo lock").len()
     }
 }
 
@@ -415,24 +324,6 @@ mod tests {
         let b = unshared.online_policy(OnlineIlConfig::default());
         assert_eq!(a, b);
         assert_eq!(a.name(), "online-il");
-    }
-
-    #[test]
-    fn oracle_runs_are_memoised_and_reference_equal() {
-        let store = ArtifactStore::new();
-        let platform = SocPlatform::small();
-        let artifacts = store.get_or_build(&platform, ExperimentScale::Quick);
-        let profiles: Vec<SnippetProfile> =
-            artifacts.training_profiles.iter().take(6).cloned().collect();
-        let first = artifacts.oracle_run(&profiles);
-        let second = artifacts.oracle_run(&profiles);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(artifacts.oracle_runs_cached(), 1);
-
-        // And the memoised run equals a reference computation.
-        let mut sim = SocSimulator::new(platform.clone());
-        let reference = OracleRun::execute(&mut sim, &profiles, OracleObjective::Energy);
-        assert_eq!(*first, reference);
     }
 
     #[test]

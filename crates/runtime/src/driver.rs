@@ -475,7 +475,7 @@ impl ScenarioDriver {
         self
     }
 
-    /// Shares an external sweep cache (e.g. one owned by an artifact store).
+    /// Shares an external sweep cache (e.g. one kept warm across runs).
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<SweepCache>) -> Self {
         self.cache = cache;

@@ -6,16 +6,17 @@
 //! many-scenario runtime system, in three layers:
 //!
 //! 1. [`ArtifactStore`] — a process-wide memoised store of design-time
-//!    [`TrainingArtifacts`] (Oracle demonstrations, offline policies,
-//!    pretrained online models) keyed by *(platform fingerprint,
-//!    [`ExperimentScale`])*, so the expensive design-time pipeline runs once
-//!    per process no matter how many experiments, tests or serving lanes ask.
+//!    [`TrainingArtifacts`] (training profiles, offline policies trained on
+//!    their Oracle demonstrations, pretrained online models) keyed by
+//!    *(platform fingerprint, [`ExperimentScale`])*, so the expensive
+//!    design-time pipeline runs once per process no matter how many
+//!    experiments, tests or serving lanes ask.
 //! 2. [`SweepEngine`] / [`SweepCache`] — the Oracle's per-snippet answer
 //!    (one batched full-configuration sweep, ranked by the objective) with an
 //!    LRU memo of that answer keyed by objective, exact snippet feature bits
 //!    and thermal state.  Cached answers are bit-identical to an uncached
-//!    Oracle search; Oracle runs, demonstration collection and the driver's
-//!    Oracle reference all route through it.
+//!    Oracle search.  The driver's Oracle reference routes through it; the
+//!    experiments and the design-time build ask `soclearn-oracle` directly.
 //! 3. [`ScenarioDriver`] — a multi-worker serving harness that executes many
 //!    independent application-sequence "users" concurrently and aggregates
 //!    serving telemetry: decision throughput, per-decision latency histogram,
@@ -36,7 +37,7 @@
 //! let platform = SocPlatform::small();
 //! let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
 //! let specs = [ScenarioSpec::new("user-0", artifacts.training_profiles.clone())];
-//! let driver = ScenarioDriver::new(platform, 2).with_cache(artifacts.sweep_cache().clone());
+//! let driver = ScenarioDriver::new(platform, 2);
 //! let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
 //!     SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig::default())))
 //! });

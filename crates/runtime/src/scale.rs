@@ -38,12 +38,4 @@ impl ExperimentScale {
             ExperimentScale::Full => 40_000,
         }
     }
-
-    /// Stable lowercase label used in telemetry and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExperimentScale::Quick => "quick",
-            ExperimentScale::Full => "full",
-        }
-    }
 }

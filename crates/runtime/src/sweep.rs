@@ -12,8 +12,9 @@
 //! * [`SweepCache`] memoises the answer — the winning [`SnippetExecution`],
 //!   128 B inline — behind an LRU keyed by the objective, the snippet's exact
 //!   feature bits, the thermal state and the platform, so repeated snippets
-//!   (many users running the same applications, experiments re-normalising
-//!   against the same Oracle runs) are answered from memory.
+//!   (many users running the same applications) are answered from memory.
+//!   The serving driver's Oracle reference is its only production caller;
+//!   experiments and the design-time build ask [`soclearn_oracle`] directly.
 //!
 //! Since the search runs on per-level tables, a hit is no cheaper than the
 //! search.  On one thread of a 2-core x86-64 host (release build, the
@@ -62,7 +63,7 @@ use std::sync::Arc;
 
 use soclearn_telemetry::ObservedMutex;
 
-use soclearn_oracle::{Demonstration, OracleObjective, OracleRun, OracleSearch};
+use soclearn_oracle::{OracleObjective, OracleRun, OracleSearch};
 use soclearn_soc_sim::{DvfsConfig, SnippetExecution, SocPlatform, SocSimulator};
 use soclearn_workloads::{SnippetPhase, SnippetProfile};
 
@@ -165,9 +166,9 @@ fn phase_code(phase: SnippetPhase) -> u64 {
     }
 }
 
-/// Exact bit-pattern identity of a snippet profile, used by the artifact
-/// store's Oracle-run memo and the sweep cache key.
-pub(crate) fn profile_bits(profile: &SnippetProfile) -> [u64; PROFILE_KEY_WORDS] {
+/// Exact bit-pattern identity of a snippet profile, the profile words of a
+/// sweep key.
+fn profile_bits(profile: &SnippetProfile) -> [u64; PROFILE_KEY_WORDS] {
     [
         profile.instructions,
         phase_code(profile.phase),
@@ -428,11 +429,6 @@ impl SweepCache {
         self.platforms.attach(registry);
     }
 
-    /// Number of lock-striped shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Index of the shard responsible for `key`.
     fn shard_index(&self, key: &SweepKey) -> usize {
         (key.hash as usize) % self.shards.len()
@@ -471,32 +467,6 @@ impl SweepCache {
                 }
             })
             .collect()
-    }
-
-    /// Publishes per-shard hit/miss/evict/entry metrics into an observability
-    /// registry (labels `shard="0".."15"`). Gauges, because cache statistics
-    /// are cumulative totals: re-publishing overwrites rather than
-    /// double-counts.
-    pub fn publish_stats(&self, registry: &soclearn_telemetry::TelemetryRegistry) {
-        for (index, stats) in self.shard_stats().iter().enumerate() {
-            let shard = index.to_string();
-            let labels: [(&str, &str); 1] = [("shard", &shard)];
-            registry.gauge("sweep_cache_shard_hits", &labels).set(stats.hits as f64);
-            registry.gauge("sweep_cache_shard_misses", &labels).set(stats.misses as f64);
-            registry
-                .gauge("sweep_cache_shard_evictions", &labels)
-                .set(stats.evictions as f64);
-            registry.gauge("sweep_cache_shard_entries", &labels).set(stats.entries as f64);
-        }
-    }
-
-    /// Drops every cached answer (statistics are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.entries.clear();
-            shard.order.clear();
-        }
     }
 
     /// Registers (or looks up) a platform and returns its stable id.
@@ -769,9 +739,7 @@ impl SweepEngine {
     }
 
     /// Oracle execution of a snippet sequence through the cache; equivalent to
-    /// [`OracleRun::execute`] on a fresh simulator but with every answer
-    /// memoised, so re-running the same sequence (the common case when many
-    /// experiments normalise against the same Oracle) is almost free.
+    /// [`OracleRun::execute`] on a simulator in the engine's thermal state.
     pub fn oracle_run(
         &mut self,
         profiles: &[SnippetProfile],
@@ -808,30 +776,6 @@ impl SweepEngine {
                 best
             })
             .collect()
-    }
-
-    /// Demonstration collection through the cache; equivalent to
-    /// [`soclearn_oracle::collect_demonstrations`] on a fresh simulator.
-    pub fn collect_demonstrations(
-        &mut self,
-        profiles: &[SnippetProfile],
-        objective: OracleObjective,
-    ) -> Vec<Demonstration> {
-        let mut demonstrations = Vec::new();
-        let mut previous: Option<SnippetExecution> = None;
-        for profile in profiles {
-            let (best, execution) = self.best(objective, profile);
-            if let Some(prev) = &previous {
-                demonstrations.push(Demonstration {
-                    features: prev.counters.normalized_features(),
-                    previous_config: prev.config,
-                    action: best,
-                });
-            }
-            self.sim.commit_snippet(&execution);
-            previous = Some(execution);
-        }
-        demonstrations
     }
 }
 
@@ -927,17 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn demonstrations_through_the_engine_match_the_reference() {
-        let platform = SocPlatform::small();
-        let seq = profiles();
-        let mut reference_sim = SocSimulator::new(platform.clone());
-        let reference = soclearn_oracle::collect_demonstrations(&mut reference_sim, &seq, ENERGY);
-        let mut engine = SweepEngine::new(platform);
-        let via_engine = engine.collect_demonstrations(&seq, ENERGY);
-        assert_eq!(via_engine, reference);
-    }
-
-    #[test]
     fn lru_eviction_respects_capacity() {
         let platform = SocPlatform::small();
         // One shard so the capacity bound is global and the eviction count is
@@ -964,7 +897,7 @@ mod tests {
             let b = single.best(ENERGY, &profile);
             assert_bit_identical(a, b);
         }
-        assert_eq!(sharded.cache().shard_count(), SweepCache::DEFAULT_SHARDS);
+        assert_eq!(sharded.cache().shard_stats().len(), SweepCache::DEFAULT_SHARDS);
         let (a, b) = (sharded.cache().stats(), single.cache().stats());
         assert_eq!((a.hits, a.misses), (b.hits, b.misses));
         assert_eq!(a.entries, 3);

@@ -40,6 +40,12 @@ const MEMORY_STALL_EXPOSURE: f64 = 1.0;
 /// CPI penalty multiplier of the in-order LITTLE cores relative to the big cores.
 const LITTLE_CPI_FACTOR: f64 = 1.7;
 
+/// Position of the big cluster's node in [`RcThermalModel::mobile_soc`].
+const BIG_NODE: usize = 0;
+
+/// Position of the LITTLE cluster's node in [`RcThermalModel::mobile_soc`].
+const LITTLE_NODE: usize = 1;
+
 /// Outcome of executing (or evaluating) one snippet at one DVFS configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SnippetExecution {
@@ -189,12 +195,12 @@ impl SocSimulator {
 
     /// Current big-cluster temperature in °C.
     pub fn big_temperature_c(&self) -> f64 {
-        self.thermal.temperatures()[self.thermal.node_index("big").expect("big node exists")]
+        self.thermal.temperatures()[BIG_NODE]
     }
 
     /// Current LITTLE-cluster temperature in °C.
     pub fn little_temperature_c(&self) -> f64 {
-        self.thermal.temperatures()[self.thermal.node_index("little").expect("little node exists")]
+        self.thermal.temperatures()[LITTLE_NODE]
     }
 
     /// Resets accumulated energy, time and the thermal state.
@@ -390,7 +396,10 @@ impl SocSimulator {
 
     /// Per-cluster power of an evaluated snippet, used to drive the thermal model.
     fn cluster_powers(&self, execution: &SnippetExecution) -> [f64; 4] {
-        [execution.big_cluster_power_w, execution.little_cluster_power_w, 0.0, 0.0]
+        let mut powers = [0.0; 4];
+        powers[BIG_NODE] = execution.big_cluster_power_w;
+        powers[LITTLE_NODE] = execution.little_cluster_power_w;
+        powers
     }
 
     /// Commits an execution that was evaluated **at the current thermal
@@ -519,6 +528,13 @@ mod tests {
         assert_eq!(s.snippets_executed(), 0);
         assert_eq!(s.total_energy_j(), 0.0);
         assert!((s.big_temperature_c() - t0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cluster_nodes_sit_at_their_named_positions() {
+        let model = RcThermalModel::mobile_soc(25.0);
+        assert_eq!(model.node_index("big"), Some(BIG_NODE));
+        assert_eq!(model.node_index("little"), Some(LITTLE_NODE));
     }
 
     #[test]

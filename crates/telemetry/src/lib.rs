@@ -20,7 +20,7 @@
 //!    bucket adds), so shards aggregated in any order produce bit-identical
 //!    results — the property that makes million-user fleet telemetry O(1)
 //!    per user.
-//! 3. [`TelemetryRegistry`] — a sharded, lock-cheap metrics registry of
+//! 3. [`TelemetryRegistry`] — a lock-cheap metrics registry of
 //!    [`Counter`]s, [`Gauge`]s, histograms and sketches.  Handles are `Arc`s
 //!    updated with atomics; the registry mutex is touched only at
 //!    registration and snapshot time.  [`MetricsSnapshot`] exports to a

@@ -1,12 +1,14 @@
-//! Sharded, lock-cheap metrics registry.
+//! Lock-cheap metrics registry.
 //!
 //! Hot paths hold an [`Arc`] handle to a [`Counter`], [`Gauge`],
 //! [`HistogramCell`] or [`SketchCell`] and update it directly — counters and
 //! gauges are single atomic ops, cells take an uncontended per-metric mutex.
-//! The registry's own shard mutexes are touched only at registration and
-//! snapshot time, so instrumenting a hot loop costs one atomic add per
-//! event. Snapshots are sorted by metric identity, so the export is
-//! deterministic regardless of registration or update interleaving.
+//! The registry's own mutex is touched only when a handle is looked up
+//! (at attach time, once per scenario for the driver's per-policy decision
+//! counter, and at run end) and at snapshot time, so instrumenting a hot
+//! loop costs one atomic add per event. Snapshots are sorted by metric
+//! identity, so the export is deterministic regardless of registration or
+//! update interleaving.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,10 +16,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::histogram::LatencyHistogram;
 use crate::sketch::QuantileSketch;
-
-/// Number of independent registry shards. Metric names hash across shards so
-/// concurrent registration from many workers rarely contends.
-const SHARDS: usize = 16;
 
 /// A metric's identity: name plus sorted `key=value` labels.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -170,100 +168,79 @@ enum Metric {
     Sketch(Arc<SketchCell>),
 }
 
-/// Sharded metrics registry. Cloneable handles come out of the `counter` /
-/// `gauge` / `histogram` / `sketch` accessors; re-registering the same
-/// `(name, labels)` returns the existing handle, so any layer can look up a
-/// metric without threading handles through APIs.
-#[derive(Debug)]
+/// Metrics registry. Cloneable handles come out of the `counter` / `gauge` /
+/// `histogram` / `sketch` accessors; re-registering the same `(name, labels)`
+/// returns the existing handle, so any layer can look up a metric without
+/// threading handles through APIs.
+#[derive(Debug, Default)]
 pub struct TelemetryRegistry {
-    shards: Vec<Mutex<HashMap<MetricId, Metric>>>,
-}
-
-impl Default for TelemetryRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    metrics: Mutex<HashMap<MetricId, Metric>>,
 }
 
 impl TelemetryRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        Self { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
+        Self::default()
     }
 
-    fn shard_of(&self, id: &MetricId) -> &Mutex<HashMap<MetricId, Metric>> {
-        // FNV-1a over the name only: label variants of one metric share a
-        // shard, which keeps snapshot grouping cheap and is collision-benign.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in id.name.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(hash as usize) % SHARDS]
+    /// The metric registered as `(name, labels)`, registering `make()` first
+    /// if there is none.
+    fn get_or_register(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Metric,
+    ) -> Metric {
+        let id = MetricId::new(name, labels);
+        let mut metrics = self.metrics.lock().expect("registry lock poisoned");
+        metrics.entry(id).or_insert_with(make).clone()
     }
 
     /// Get or register a counter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let id = MetricId::new(name, labels);
-        let mut shard = self.shard_of(&id).lock().expect("registry shard poisoned");
-        match shard.entry(id).or_insert_with(|| Metric::Counter(Arc::new(Counter::default()))) {
-            Metric::Counter(c) => Arc::clone(c),
+        match self.get_or_register(name, labels, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
             other => panic!("metric {name} already registered as {other:?}"),
         }
     }
 
     /// Get or register a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let id = MetricId::new(name, labels);
-        let mut shard = self.shard_of(&id).lock().expect("registry shard poisoned");
-        match shard.entry(id).or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default()))) {
-            Metric::Gauge(g) => Arc::clone(g),
+        match self.get_or_register(name, labels, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
             other => panic!("metric {name} already registered as {other:?}"),
         }
     }
 
     /// Get or register a latency histogram.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<HistogramCell> {
-        let id = MetricId::new(name, labels);
-        let mut shard = self.shard_of(&id).lock().expect("registry shard poisoned");
-        match shard
-            .entry(id)
-            .or_insert_with(|| Metric::Histogram(Arc::new(HistogramCell::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
+        match self.get_or_register(name, labels, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
             other => panic!("metric {name} already registered as {other:?}"),
         }
     }
 
     /// Get or register a quantile sketch.
     pub fn sketch(&self, name: &str, labels: &[(&str, &str)]) -> Arc<SketchCell> {
-        let id = MetricId::new(name, labels);
-        let mut shard = self.shard_of(&id).lock().expect("registry shard poisoned");
-        match shard
-            .entry(id)
-            .or_insert_with(|| Metric::Sketch(Arc::new(SketchCell::default())))
-        {
-            Metric::Sketch(s) => Arc::clone(s),
+        match self.get_or_register(name, labels, || Metric::Sketch(Arc::default())) {
+            Metric::Sketch(s) => s,
             other => panic!("metric {name} already registered as {other:?}"),
         }
     }
 
     /// Deterministic point-in-time snapshot: metrics sorted by
-    /// `(name, labels)` regardless of registration or shard order.
+    /// `(name, labels)` regardless of registration order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         let mut sketches = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("registry shard poisoned");
-            for (id, metric) in shard.iter() {
-                match metric {
-                    Metric::Counter(c) => counters.push((id.clone(), c.get())),
-                    Metric::Gauge(g) => gauges.push((id.clone(), g.get())),
-                    Metric::Histogram(h) => histograms.push((id.clone(), h.snapshot())),
-                    Metric::Sketch(s) => sketches.push((id.clone(), s.snapshot())),
-                }
+        for (id, metric) in self.metrics.lock().expect("registry lock poisoned").iter() {
+            match metric {
+                Metric::Counter(c) => counters.push((id.clone(), c.get())),
+                Metric::Gauge(g) => gauges.push((id.clone(), g.get())),
+                Metric::Histogram(h) => histograms.push((id.clone(), h.snapshot())),
+                Metric::Sketch(s) => sketches.push((id.clone(), s.snapshot())),
             }
         }
         counters.sort_by(|a, b| a.0.cmp(&b.0));

@@ -400,7 +400,6 @@ fn main() {
     // Observability exports: the shared registry as a JSON snapshot and/or a
     // linted Prometheus exposition, plus the virtual-time span flight
     // recorder as chrome://tracing JSON.
-    artifacts.publish_stats(&obs.registry);
     let snapshot = obs.snapshot();
     if let Some(path) = &metrics_out {
         std::fs::write(path, snapshot.to_json()).expect("metrics file writes");

@@ -96,8 +96,9 @@ fn artifact_store_is_deterministic_across_threads() {
 
 #[test]
 fn experiments_stay_deterministic_through_the_shared_store() {
-    // Two invocations share the process-wide store (the second reuses every
-    // artifact and memoised Oracle run) and must produce identical rows.
+    // Two invocations share the process-wide store (the second reuses the
+    // trained artifacts and runs its own Oracle) and must produce identical
+    // rows.
     let first = offline_il_generalization(ExperimentScale::Quick);
     let second = offline_il_generalization(ExperimentScale::Quick);
     assert_eq!(first, second);
@@ -124,9 +125,8 @@ fn scenario_driver_telemetry_is_sane_under_four_workers() {
         .collect();
     let expected_decisions: usize = scenarios.iter().map(|s| s.decision_count()).sum();
 
-    let driver = ScenarioDriver::new(platform.clone(), 4)
-        .with_cache(Arc::clone(artifacts.sweep_cache()))
-        .with_oracle_reference(OracleObjective::Energy);
+    let driver =
+        ScenarioDriver::new(platform.clone(), 4).with_oracle_reference(OracleObjective::Energy);
     let telemetry = driver.run_stream_mixed(&SliceSource::new(&scenarios), |_, _| {
         SubstratePolicies::cpu_only(Box::new(
             artifacts
