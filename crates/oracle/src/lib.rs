@@ -10,7 +10,8 @@
 //!
 //! This crate provides:
 //!
-//! * [`OracleSearch`] — the per-snippet exhaustive search primitive,
+//! * [`OracleSearch`] — the per-snippet exhaustive search primitive, and
+//!   [`OracleSearch::execute_each`], the Oracle over a snippet stream,
 //! * [`OracleRun`] — Oracle execution of a snippet sequence (the denominator
 //!   of every "normalised energy" number),
 //! * [`Demonstration`] / [`collect_demonstrations`] — the (state, optimal
@@ -112,6 +113,25 @@ impl OracleSearch {
         let (_, best) = best.expect("a platform has at least one configuration");
         (best.config, best)
     }
+
+    /// Runs the Oracle over a snippet stream: for each profile in order,
+    /// [`OracleSearch::best_config`] at `sim`'s current thermal state, then
+    /// [`SocSimulator::commit_snippet`] of the winner (so the thermal state
+    /// evolves as it would under the Oracle), then `visit` of the winning
+    /// execution.  [`OracleRun::execute`], [`collect_demonstrations`] and
+    /// the serving driver's Oracle reference share this loop.
+    pub fn execute_each<'a>(
+        &self,
+        sim: &mut SocSimulator,
+        profiles: impl IntoIterator<Item = &'a SnippetProfile>,
+        mut visit: impl FnMut(SnippetExecution),
+    ) {
+        for profile in profiles {
+            let (_, execution) = self.best_config(sim, profile);
+            sim.commit_snippet(&execution);
+            visit(execution);
+        }
+    }
 }
 
 /// Result of executing a snippet sequence under the Oracle policy.
@@ -138,15 +158,11 @@ impl OracleRun {
         profiles: &[SnippetProfile],
         objective: OracleObjective,
     ) -> Self {
-        let search = OracleSearch::new(objective);
-        let mut decisions = Vec::with_capacity(profiles.len());
         let mut executions = Vec::with_capacity(profiles.len());
-        for profile in profiles {
-            let (best, execution) = search.best_config(sim, profile);
-            sim.commit_snippet(&execution);
-            decisions.push(best);
+        OracleSearch::new(objective).execute_each(sim, profiles, |execution| {
             executions.push(execution);
-        }
+        });
+        let decisions = executions.iter().map(|e| e.config).collect();
         let total_energy_j = executions.iter().map(|e| e.energy_j).sum();
         let total_time_s = executions.iter().map(|e| e.time_s).sum();
         Self { objective, decisions, executions, total_energy_j, total_time_s }
@@ -177,21 +193,18 @@ pub fn collect_demonstrations(
     profiles: &[SnippetProfile],
     objective: OracleObjective,
 ) -> Vec<Demonstration> {
-    let search = OracleSearch::new(objective);
     let mut demonstrations = Vec::new();
     let mut previous: Option<SnippetExecution> = None;
-    for profile in profiles {
-        let (best, execution) = search.best_config(sim, profile);
+    OracleSearch::new(objective).execute_each(sim, profiles, |execution| {
         if let Some(prev) = &previous {
             demonstrations.push(Demonstration {
                 features: prev.counters.normalized_features(),
                 previous_config: prev.config,
-                action: best,
+                action: execution.config,
             });
         }
-        sim.commit_snippet(&execution);
         previous = Some(execution);
-    }
+    });
     demonstrations
 }
 
@@ -288,6 +301,20 @@ mod tests {
             .iter()
             .all(|d| d.features.len() == SnippetCounters::NORMALIZED_FEATURE_DIM));
         assert!(demos.iter().all(|d| SocPlatform::small().is_valid(d.action)));
+    }
+
+    #[test]
+    fn demonstrations_follow_the_oracle_run() {
+        let suite = BenchmarkSuite::generate(SuiteKind::Parsec, 4);
+        let profiles: Vec<_> = suite.benchmarks()[0].snippets().to_vec();
+        let run = OracleRun::execute(&mut small_sim(), &profiles, OracleObjective::Energy);
+        let demos = collect_demonstrations(&mut small_sim(), &profiles, OracleObjective::Energy);
+        assert_eq!(demos.len(), run.decisions.len() - 1);
+        for (i, demo) in demos.iter().enumerate() {
+            assert_eq!(demo.features, run.executions[i].counters.normalized_features());
+            assert_eq!(demo.previous_config, run.decisions[i]);
+            assert_eq!(demo.action, run.decisions[i + 1]);
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! `std::thread` workers drains a [`ScenarioSource`] concurrently.  The source
 //! may be a pre-materialised slice ([`SliceSource`]) or a streaming generator
 //! that manufactures users on demand, so fleet-scale workloads never need to
-//! be materialised up front.  All workers share one [`SweepCache`], so the
-//! Oracle reference runs that score policy-vs-oracle agreement deduplicate
-//! across users running the same applications.
+//! be materialised up front.  With an Oracle reference
+//! ([`ScenarioDriver::with_oracle_reference`]) each worker also runs the
+//! exhaustive Oracle over every scenario's CPU snippets on a second
+//! simulator of its own and scores each CPU decision against it.
 //!
 //! The driver has two entry points, both taking a per-scenario
 //! [`SubstratePolicies`] factory (wrap a lone CPU policy in
@@ -21,17 +22,16 @@
 //!
 //! The driver aggregates serving telemetry: decision throughput
 //! (decisions/second of clock time), a per-decision policy-latency histogram,
-//! total simulated energy/time, per-worker breakdowns and the shared cache's
-//! hit statistics over the run.  All timestamps read the driver's [`Clock`] —
-//! a real wall clock by default, or a shared virtual clock
-//! ([`ScenarioDriver::with_clock`]) under which the duration and throughput
-//! are computed against discrete-event time and become deterministic
-//! functions of the scenario stream.
+//! total simulated energy/time and per-worker breakdowns.  All timestamps
+//! read the driver's [`Clock`] — a real wall clock by default, or a shared
+//! virtual clock ([`ScenarioDriver::with_clock`]) under which the duration
+//! and throughput are computed against discrete-event time and become
+//! deterministic functions of the scenario stream.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use soclearn_oracle::OracleObjective;
+use soclearn_oracle::{OracleObjective, OracleSearch};
 use soclearn_soc_sim::{DvfsConfig, PolicyDecision, SnippetCounters, SocPlatform, SocSimulator};
 use soclearn_workloads::{ApplicationSequence, SnippetProfile};
 
@@ -43,7 +43,7 @@ use crate::substrate::{
     DecisionKind, GpuAdapter, NocModel, SubstrateDecision, SubstratePolicies, SubstrateRecord,
     SubstrateWork,
 };
-use crate::sweep::{SweepCache, SweepCacheStats, SweepEngine, SweepL1Stats};
+use crate::sweep::{SweepCache, SweepL1Stats};
 
 /// One independent user: a named sequence of substrate segments to serve end
 /// to end.  Pure-CPU scenarios (the original serving path) are a single
@@ -312,15 +312,9 @@ pub struct DriverTelemetry {
     /// session's `latency_budget_cycles`: how often the NoC latency model
     /// let through a rate that broke the budget.
     pub noc_budget_violations: usize,
-    /// Shared sweep cache statistics over this run: hits, misses and
-    /// evictions are the difference across the run (a shared cache's
-    /// lifetime counters also count artifact pretraining and earlier runs),
-    /// `entries` the answers resident at its end.  Runs that overlap on one
-    /// cache share the difference.
-    pub cache: SweepCacheStats,
-    /// Aggregated counters of the per-worker L1 warm tiers (zero-lock hit
-    /// path of the Oracle-reference engines); all-zero when the driver runs
-    /// without an Oracle reference.
+    /// Always all-zero: the Oracle reference asks the Oracle directly and
+    /// runs no sweep-cache tier.  The benchmark under `perfbench/` still
+    /// reads `l1.hits`; the field goes with the sweep cache.
     pub l1: SweepL1Stats,
     /// Per-substrate decision/energy/time breakdown, canonical order
     /// (cross-substrate energy accounting of a heterogeneous fleet).
@@ -338,6 +332,7 @@ pub struct DriverTelemetry {
 pub struct ScenarioDriver {
     platform: SocPlatform,
     workers: usize,
+    /// Never read or written while serving (see [`ScenarioDriver::cache`]).
     cache: Arc<SweepCache>,
     oracle_reference: Option<OracleObjective>,
     /// Time source for run duration and per-decision latency stamps.
@@ -466,23 +461,34 @@ impl ScenarioDriver {
         self
     }
 
-    /// Scores every decision against an Oracle run of the same scenario under
-    /// `objective` (answers shared through the driver's cache, so identical
-    /// scenarios across users are scored almost for free).
+    /// Scores every CPU decision against the Oracle of the same scenario
+    /// under `objective`.  Each worker keeps a second [`SocSimulator`] for
+    /// the reference, reset for each scenario as the serving one is, and runs
+    /// [`OracleSearch::execute_each`] over the scenario's CPU snippets on it:
+    /// the reference is [`soclearn_oracle::OracleRun::execute`]'s decisions
+    /// on a fresh simulator, bit for bit.  Nothing is memoised: the search
+    /// reads per-level tables, so a cached answer cost no less than the
+    /// search and a cold miss about twice it.
     #[must_use]
     pub fn with_oracle_reference(mut self, objective: OracleObjective) -> Self {
         self.oracle_reference = Some(objective);
         self
     }
 
-    /// Shares an external sweep cache (e.g. one kept warm across runs).
+    /// Replaces the driver's sweep cache.  Serving never reads or writes it:
+    /// the Oracle reference asks the Oracle directly, so a warm cache changes
+    /// no decision, figure or timing path.  The method stays because the
+    /// benchmark under `perfbench/` builds against it; it goes with the
+    /// sweep cache.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<SweepCache>) -> Self {
         self.cache = cache;
         self
     }
 
-    /// The shared sweep cache.
+    /// The driver's sweep cache.  Serving never reads or writes it, so its
+    /// statistics do not move during a run; kept, like
+    /// [`ScenarioDriver::with_cache`], for the benchmark.
     pub fn cache(&self) -> &Arc<SweepCache> {
         &self.cache
     }
@@ -530,16 +536,11 @@ impl ScenarioDriver {
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
         let started_ns = self.clock.now_ns();
-        let cache_before = self.cache.stats();
-        // With an observability plane attached, the run's shared locks — the
-        // sweep-cache shards and platform registry — are contention-observed
-        // so worker-scaling stalls show up as named lock sites in the
-        // registry.
-        if let Some(obs) = &self.obs {
-            self.cache.attach_contention(&obs.registry);
-            if let Some(store) = &self.personalization {
-                store.attach_contention(&obs.registry);
-            }
+        // With an observability plane attached, the personalization store's
+        // shared locks are contention-observed so worker-scaling stalls show
+        // up as named lock sites in the registry.
+        if let (Some(obs), Some(store)) = (&self.obs, &self.personalization) {
+            store.attach_contention(&obs.registry);
         }
         let mut worker_slots: Vec<WorkerSlot> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
@@ -569,13 +570,11 @@ impl ScenarioDriver {
         let mut queue_delay = QuantileSketch::new();
         let mut workers = Vec::with_capacity(worker_slots.len());
         let mut records = Vec::new();
-        let mut l1 = SweepL1Stats::default();
         let mut noc_budget_violations = 0;
         for slot in worker_slots {
             latency.merge(&slot.latency);
             sojourn.merge(&slot.sojourn);
             queue_delay.merge(&slot.queue_delay);
-            l1.merge(&slot.l1);
             noc_budget_violations += slot.noc_budget_violations;
             workers.push(slot.telemetry);
             records.extend(slot.records);
@@ -597,7 +596,6 @@ impl ScenarioDriver {
             store.finish_run();
             store.snapshot()
         });
-        let cache_after = self.cache.stats();
         let telemetry = DriverTelemetry {
             scenarios: workers.iter().map(|w| w.scenarios).sum(),
             decisions,
@@ -617,13 +615,7 @@ impl ScenarioDriver {
                 }
             }),
             noc_budget_violations,
-            cache: SweepCacheStats {
-                hits: cache_after.hits - cache_before.hits,
-                misses: cache_after.misses - cache_before.misses,
-                evictions: cache_after.evictions - cache_before.evictions,
-                entries: cache_after.entries,
-            },
-            l1,
+            l1: SweepL1Stats::default(),
             substrates,
             workers,
             model_store,
@@ -668,15 +660,6 @@ impl ScenarioDriver {
             reg.sketch("driver_sojourn_ns", &[]).merge(&telemetry.sojourn);
             reg.sketch("driver_queue_delay_ns", &[]).merge(&telemetry.queue_delay);
         }
-        reg.gauge("sweep_cache_hit_rate", &[]).set(telemetry.cache.hit_rate());
-        reg.gauge("sweep_cache_entries", &[]).set(telemetry.cache.entries as f64);
-        // Per-run quantities (each worker's L1 dies with its run), so
-        // counter adds accumulate correctly across runs.
-        reg.counter("driver_l1_hits_total", &[]).add(telemetry.l1.hits);
-        reg.counter("driver_l1_shared_hits_total", &[]).add(telemetry.l1.shared_hits);
-        reg.counter("driver_l1_misses_total", &[]).add(telemetry.l1.misses);
-        reg.counter("driver_l1_publishes_total", &[]).add(telemetry.l1.publishes);
-        reg.gauge("driver_l1_warm_hit_rate", &[]).set(telemetry.l1.warm_hit_rate());
     }
 
     /// Worker loop: claim scenarios until the source drains.
@@ -701,19 +684,15 @@ impl ScenarioDriver {
             queue_delay: QuantileSketch::new(),
             records: Vec::new(),
             max_completion_ns: 0,
-            l1: SweepL1Stats::default(),
             noc_budget_violations: 0,
         };
         // One CPU simulator per worker, reset for each scenario: a reset
         // simulator equals a fresh one, and building one costs more than
-        // resetting it.
+        // resetting it.  The Oracle reference keeps a second one, reset the
+        // same way.
         let mut sim = SocSimulator::new(self.platform.clone());
-        let mut oracle_engine = self.oracle_reference.map(|_| {
-            SweepEngine::with_cache(self.platform.clone(), Arc::clone(&self.cache)).with_warm_l1(
-                SweepEngine::DEFAULT_L1_CAPACITY,
-                SweepEngine::DEFAULT_L1_PUBLISH_EVERY,
-            )
-        });
+        let mut oracle_sim =
+            self.oracle_reference.map(|_| SocSimulator::new(self.platform.clone()));
 
         while let Some((index, scenario)) = source.next_scenario() {
             // In service-time mode later arrivals of the same user block on
@@ -733,7 +712,7 @@ impl ScenarioDriver {
                     record,
                     &mut slot,
                     &mut sim,
-                    &mut oracle_engine,
+                    &mut oracle_sim,
                     &mut service_ns,
                 );
             }));
@@ -742,14 +721,6 @@ impl ScenarioDriver {
                     source.scenario_served(index, service_ns);
                 }
                 std::panic::resume_unwind(panic);
-            }
-        }
-        if let Some(engine) = &oracle_engine {
-            // Push any still-buffered locally-computed answers to the shared
-            // shards so later runs on the same cache start warm.
-            engine.flush_l1();
-            if let Some(stats) = engine.l1_stats() {
-                slot.l1 = stats;
             }
         }
         slot
@@ -766,7 +737,7 @@ impl ScenarioDriver {
         record: bool,
         slot: &mut WorkerSlot,
         sim: &mut SocSimulator,
-        oracle_engine: &mut Option<SweepEngine>,
+        oracle_sim: &mut Option<SocSimulator>,
         service_ns: &mut u64,
     ) where
         S: ScenarioSource + ?Sized,
@@ -788,13 +759,10 @@ impl ScenarioDriver {
             name
         });
 
-        let oracle_decisions = match (&mut *oracle_engine, self.oracle_reference) {
-            (Some(engine), Some(objective)) => {
-                engine.reset();
-                Some(engine.oracle_decisions(scenario.cpu_snippets(), objective))
-            }
-            _ => None,
-        };
+        let oracle_decisions = self
+            .oracle_reference
+            .zip(oracle_sim.as_mut())
+            .map(|(objective, oracle_sim)| oracle_reference(objective, oracle_sim, scenario));
 
         // The CPU simulator starts each scenario fresh; its thermal state
         // carries across CPU segments, exactly as it did when scenarios were
@@ -970,6 +938,22 @@ impl ScenarioDriver {
     }
 }
 
+/// The Oracle's configuration for each CPU snippet of `scenario`, in order,
+/// from `sim` reset to a fresh simulator's state: the decisions of
+/// [`soclearn_oracle::OracleRun::execute`] over the same snippets.
+fn oracle_reference(
+    objective: OracleObjective,
+    sim: &mut SocSimulator,
+    scenario: &ScenarioSpec,
+) -> Vec<DvfsConfig> {
+    sim.reset();
+    let mut decisions = Vec::with_capacity(scenario.decision_count());
+    OracleSearch::new(objective).execute_each(sim, scenario.cpu_snippets(), |execution| {
+        decisions.push(execution.config);
+    });
+    decisions
+}
+
 /// Everything one worker brings back from its serve loop.
 struct WorkerSlot {
     telemetry: WorkerTelemetry,
@@ -980,9 +964,6 @@ struct WorkerSlot {
     /// Latest queueing-timeline completion stamp this worker observed; the
     /// run's `wall_seconds` is the maximum across workers.
     max_completion_ns: u64,
-    /// Final counters of this worker's private L1 warm tier (all-zero when
-    /// the run had no Oracle-reference engine).
-    l1: SweepL1Stats,
     /// NoC windows this worker served over their latency budget.
     noc_budget_violations: usize,
 }
@@ -992,7 +973,7 @@ mod tests {
     use super::*;
     use crate::substrate::{FrameDemand, GpuSessionSpec};
     use soclearn_governors::OndemandGovernor;
-    use soclearn_oracle::OraclePolicy;
+    use soclearn_oracle::{OraclePolicy, OracleRun};
 
     fn scenarios(n: usize) -> Vec<ScenarioSpec> {
         (0..n)
@@ -1030,49 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_users_share_oracle_sweeps_through_the_cache() {
-        let platform = SocPlatform::small();
-        let driver =
-            ScenarioDriver::new(platform.clone(), 2).with_oracle_reference(OracleObjective::Energy);
-        let specs = scenarios(6); // six identical users
-        let telemetry = driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
-            SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
-        });
-        let agreement = telemetry.oracle_agreement.expect("reference was requested");
-        assert!((0.0..=1.0).contains(&agreement));
-        // Six identical scenario oracle runs: the first misses per snippet,
-        // the rest hit — in the worker's private L1 warm tier (the default)
-        // or, across workers, in the shared shards.
-        let warm_hits = telemetry.l1.hits + telemetry.l1.shared_hits + telemetry.cache.hits;
-        assert!(warm_hits > 0, "identical users must share sweeps");
-        assert!(
-            telemetry.l1.hits + telemetry.l1.misses + telemetry.l1.shared_hits > 0,
-            "oracle sweeps must route through the per-worker L1 by default"
-        );
-    }
-
-    #[test]
-    fn cache_stats_count_only_the_run() {
-        let platform = SocPlatform::small();
-        let specs = scenarios(4);
-        let driver =
-            ScenarioDriver::new(platform.clone(), 1).with_oracle_reference(OracleObjective::Energy);
-        let serve = || {
-            driver.run_stream_mixed(&SliceSource::new(&specs), |_, _| {
-                SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
-            })
-        };
-        let first = serve();
-        assert!(first.cache.misses > 0, "a cold cache must miss");
-        // Identical users on the warm cache: every sweep hits, and the second
-        // run's counters cover only its own lookups.
-        let second = serve();
-        assert_eq!(second.cache.misses, 0, "the warm run reported the first run's misses");
-        assert_eq!(second.cache.hits, first.cache.hits + first.cache.misses);
-        assert_eq!(second.cache.entries, first.cache.entries);
-    }
-
-    #[test]
     fn oracle_replay_policy_scores_perfect_agreement() {
         let platform = SocPlatform::small();
         let specs = scenarios(3);
@@ -1082,8 +1020,8 @@ mod tests {
             let SubstrateWork::Cpu(profiles) = &spec.segments[0] else {
                 unreachable!("pure-CPU scenarios");
             };
-            let mut engine = SweepEngine::new(platform.clone());
-            let run = engine.oracle_run(profiles, OracleObjective::Energy);
+            let mut sim = SocSimulator::new(platform.clone());
+            let run = OracleRun::execute(&mut sim, profiles, OracleObjective::Energy);
             SubstratePolicies::cpu_only(Box::new(OraclePolicy::from_run(
                 &run,
                 platform.min_config(),
@@ -1093,9 +1031,8 @@ mod tests {
     }
 
     #[test]
-    fn oracle_decisions_match_the_oracle_run() {
+    fn oracle_reference_equals_the_oracle_run() {
         let platform = SocPlatform::small();
-        let cpu = scenarios(1).remove(0);
         let mixed = ScenarioSpec::with_segments(
             "mixed",
             vec![
@@ -1110,23 +1047,16 @@ mod tests {
                 SubstrateWork::Cpu(vec![SnippetProfile::compute_bound(40_000_000)]),
             ],
         );
-        for spec in [&cpu, &mixed] {
-            let profiles: Vec<SnippetProfile> = spec.cpu_snippets().cloned().collect();
-            let mut full = SweepEngine::new(platform.clone());
-            let mut lean = SweepEngine::new(platform.clone());
-            let run = full.oracle_run(&profiles, OracleObjective::Energy);
-            let decisions = lean.oracle_decisions(spec.cpu_snippets(), OracleObjective::Energy);
-            assert_eq!(decisions, run.decisions, "{}", spec.name);
-            assert_eq!(lean.cache().stats(), full.cache().stats(), "{}", spec.name);
-            assert_eq!(
-                lean.sim().big_temperature_c().to_bits(),
-                full.sim().big_temperature_c().to_bits()
-            );
-            assert_eq!(
-                lean.sim().little_temperature_c().to_bits(),
-                full.sim().little_temperature_c().to_bits()
-            );
-        }
+        let profiles: Vec<SnippetProfile> = mixed.cpu_snippets().cloned().collect();
+        let mut fresh = SocSimulator::new(platform.clone());
+        let run = OracleRun::execute(&mut fresh, &profiles, OracleObjective::Energy);
+        // A simulator that already served something: the reference resets it.
+        let mut sim = SocSimulator::new(platform.clone());
+        sim.execute_snippet(&SnippetProfile::compute_bound(90_000_000), platform.max_config());
+        let decisions = oracle_reference(OracleObjective::Energy, &mut sim, &mixed);
+        assert_eq!(decisions, run.decisions);
+        assert_eq!(sim.big_temperature_c().to_bits(), fresh.big_temperature_c().to_bits());
+        assert_eq!(sim.little_temperature_c().to_bits(), fresh.little_temperature_c().to_bits());
     }
 
     #[test]

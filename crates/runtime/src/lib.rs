@@ -1,4 +1,4 @@
-//! `soclearn-runtime` — batched, cached policy-serving runtime.
+//! `soclearn-runtime` — multi-user policy-serving runtime.
 //!
 //! The DAC 2020 paper positions online imitation learning as a *runtime*
 //! resource manager.  This crate provides the serving infrastructure that
@@ -11,16 +11,16 @@
 //!    *(platform fingerprint, [`ExperimentScale`])*, so the expensive
 //!    design-time pipeline runs once per process no matter how many
 //!    experiments, tests or serving lanes ask.
-//! 2. [`SweepEngine`] / [`SweepCache`] — the Oracle's per-snippet answer
-//!    (one batched full-configuration sweep, ranked by the objective) with an
-//!    LRU memo of that answer keyed by objective, exact snippet feature bits
-//!    and thermal state.  Cached answers are bit-identical to an uncached
-//!    Oracle search.  The driver's Oracle reference routes through it; the
-//!    experiments and the design-time build ask `soclearn-oracle` directly.
+//! 2. The Oracle reference — the per-snippet exhaustive search of
+//!    `soclearn-oracle`, which the driver, the experiments and the
+//!    design-time build all call directly.  [`SweepEngine`] / [`SweepCache`],
+//!    an LRU memo of its answers, serve none of them: the search reads
+//!    per-level tables and costs no more than a cache hit.  The benchmark
+//!    under `perfbench/` still builds against them.
 //! 3. [`ScenarioDriver`] — a multi-worker serving harness that executes many
 //!    independent application-sequence "users" concurrently and aggregates
 //!    serving telemetry: decision throughput, per-decision latency histogram,
-//!    energy, policy-vs-oracle agreement and cache statistics.  Every
+//!    energy and policy-vs-oracle agreement.  Every
 //!    timestamp reads a pluggable [`Clock`] — real wall time by default, or a
 //!    shared virtual discrete-event clock that lets arrival schedules
 //!    spanning simulated days collapse to milliseconds with deterministic

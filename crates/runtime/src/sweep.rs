@@ -1,26 +1,30 @@
-//! Memoised Oracle answers.
+//! Memoised Oracle answers, on no serving path.
 //!
 //! Every Oracle reference in this repository asks the same question — *"which
 //! supported DVFS configuration is best for this snippet under this
 //! objective, and what does the snippet do there?"* — and answering it means
-//! evaluating the snippet at all 40 configurations.  This module provides the
-//! serving-grade primitive:
+//! evaluating the snippet at all 40 configurations.  This module memoises
+//! the answer:
 //!
 //! * [`SweepEngine`] answers it with one sweep ([`OracleSearch::best_config`],
 //!   a running argmin over the per-level tables of
 //!   [`soclearn_soc_sim::SocSimulator::for_each_config`]), and
 //! * [`SweepCache`] memoises the answer — the winning [`SnippetExecution`],
 //!   128 B inline — behind an LRU keyed by the objective, the snippet's exact
-//!   feature bits, the thermal state and the platform, so repeated snippets
-//!   (many users running the same applications) are answered from memory.
-//!   The serving driver's Oracle reference is its only production caller;
-//!   experiments and the design-time build ask [`soclearn_oracle`] directly.
+//!   feature bits, the thermal state and the platform.
+//!
+//! Nothing that serves or reproduces a claim calls it: the serving driver's
+//! Oracle reference, the experiments and the design-time build all ask
+//! [`soclearn_oracle`] directly.  Its callers are the benchmark under
+//! `perfbench/` (its Oracle probes, its agreement scoring and the cache
+//! counters it reports) and tests; it goes once the benchmark stops reading
+//! it.
 //!
 //! Since the search runs on per-level tables, a hit is no cheaper than the
-//! search.  On one thread of a 2-core x86-64 host (release build, the
-//! driver's engine configuration, thermal commits subtracted, medians of
-//! four runs), one Energy question on the ODROID-XU3 platform cost
-//! 0.62–0.66 µs when the shared shards held its answer (a 3,554-answer
+//! search.  On one thread of a 2-core x86-64 host (release build, a shared
+//! cache behind the default warm L1, thermal commits subtracted, medians of
+//! four runs), one Energy question on the ODROID-XU3 platform
+//! cost 0.62–0.66 µs when the shared shards held its answer (a 3,554-answer
 //! working set), 0.58–0.64 µs as an uncached [`OracleSearch::best_config`]
 //! and 1.30–1.36 µs as a cold miss: the search plus the cache's own
 //! bookkeeping (L1 and shard probes, LRU inserts, evictions, batch
@@ -182,7 +186,8 @@ fn profile_bits(profile: &SnippetProfile) -> [u64; PROFILE_KEY_WORDS] {
     ]
 }
 
-/// Hit/miss counters of a [`SweepCache`].
+/// Hit/miss counters of a [`SweepCache`].  The serving driver never reads
+/// a sweep cache, so its counters move only under a [`SweepEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepCacheStats {
     /// Lookups answered from the cache.
@@ -195,21 +200,9 @@ pub struct SweepCacheStats {
     pub entries: usize,
 }
 
-impl SweepCacheStats {
-    /// Fraction of lookups answered from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Counters of one worker's private L1 warm tier
-/// ([`SweepEngine::with_warm_l1`]); aggregated across workers in the driver's
-/// run telemetry via [`SweepL1Stats::merge`].
+/// Counters of one engine's private L1 warm tier
+/// ([`SweepEngine::with_warm_l1`]).  The serving driver runs no L1, so its
+/// `DriverTelemetry::l1` is always all-zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepL1Stats {
     /// Lookups answered from the private tier with **zero** lock acquisitions.
@@ -225,28 +218,6 @@ pub struct SweepL1Stats {
     pub publishes: u64,
     /// Entries currently resident in the private tier.
     pub entries: usize,
-}
-
-impl SweepL1Stats {
-    /// Fraction of lookups answered without touching any lock.
-    pub fn warm_hit_rate(&self) -> f64 {
-        let total = self.hits + self.shared_hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Accumulates another worker's counters into this one.
-    pub fn merge(&mut self, other: &SweepL1Stats) {
-        self.hits += other.hits;
-        self.shared_hits += other.shared_hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.publishes += other.publishes;
-        self.entries += other.entries;
-    }
 }
 
 /// A batch of locally-computed answers headed for the shared shards.
@@ -355,11 +326,12 @@ struct SweepShard {
 
 /// Thread-safe LRU memo of Oracle answers (the best [`SnippetExecution`] per
 /// objective, snippet, thermal state and platform), shareable between many
-/// [`SweepEngine`]s (and therefore many worker threads) via `Arc`.
+/// [`SweepEngine`]s (and therefore many threads) via `Arc`.
 ///
 /// Internally the cache is split into lock-striped shards (the key's hash
-/// picks a mutexed segment), so workers serving different snippets contend on
-/// different locks and driver throughput scales with the worker count.
+/// picks a mutexed segment), so threads asking about different snippets
+/// contend on different locks.  The serving driver holds one only for the
+/// benchmark's `ScenarioDriver::with_cache`/`cache()` and never reads it.
 #[derive(Debug)]
 pub struct SweepCache {
     shards: Vec<ObservedMutex<SweepShard>>,
@@ -417,18 +389,6 @@ impl SweepCache {
         }
     }
 
-    /// Observe the cache's lock contention in `registry`: all shard mutexes
-    /// aggregate under the `sweep_cache_shard` site and the platform
-    /// registry under `sweep_cache_platforms`. The driver calls this when a
-    /// run starts with observability attached; un-instrumented runs pay one
-    /// relaxed atomic add per lock.
-    pub fn attach_contention(&self, registry: &soclearn_telemetry::TelemetryRegistry) {
-        for shard in &self.shards {
-            shard.attach(registry);
-        }
-        self.platforms.attach(registry);
-    }
-
     /// Index of the shard responsible for `key`.
     fn shard_index(&self, key: &SweepKey) -> usize {
         (key.hash as usize) % self.shards.len()
@@ -439,7 +399,8 @@ impl SweepCache {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Current hit/miss statistics, aggregated over all shards.
+    /// Current hit/miss statistics, aggregated over all shards.  A serving
+    /// driver's run never moves them: serving does not read the cache.
     pub fn stats(&self) -> SweepCacheStats {
         let mut stats = SweepCacheStats::default();
         for shard in &self.shards {
@@ -605,11 +566,12 @@ impl Default for SweepCache {
 
 /// A [`SocSimulator`] wrapped with memoised Oracle answers.
 ///
-/// The engine owns the (mutable, thermally evolving) simulator of one serving
-/// lane; the cache behind it may be private or shared across lanes.  Every
-/// Oracle question goes through [`SweepEngine::best`], so any snippet the
-/// process has already answered under the same objective at the same thermal
-/// state is answered from memory, bit-identically to a fresh search.
+/// The engine owns a (mutable, thermally evolving) simulator; the cache
+/// behind it may be private or shared across engines.  Every Oracle question
+/// goes through [`SweepEngine::best`], so any snippet already answered under
+/// the same objective at the same thermal state is answered from memory,
+/// bit-identically to a fresh search.  The serving driver runs no engine:
+/// its Oracle reference calls [`soclearn_oracle::OracleSearch::execute_each`].
 #[derive(Debug)]
 pub struct SweepEngine {
     sim: SocSimulator,
@@ -621,11 +583,13 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// Default capacity of the per-worker warm tier (answers).
+    /// Default capacity of the per-engine warm tier (answers), the one the
+    /// benchmark's Oracle probes run.
     pub const DEFAULT_L1_CAPACITY: usize = 512;
 
     /// Default number of locally-computed answers buffered before a batch is
-    /// published back to the shared shards.
+    /// published back to the shared shards, the one the benchmark's Oracle
+    /// probes run.
     pub const DEFAULT_L1_PUBLISH_EVERY: usize = 32;
 
     /// Creates an engine with a private cache.
@@ -644,6 +608,7 @@ impl SweepEngine {
     /// the shared shards every `publish_every` misses (plus whenever
     /// [`SweepEngine::flush_l1`] runs).  Answers stay bit-identical to the
     /// shared path — keys are the same exact bit patterns in every tier.
+    /// The serving driver attaches none; the benchmark's Oracle probes do.
     ///
     /// # Panics
     ///
@@ -660,8 +625,9 @@ impl SweepEngine {
 
     /// Publishes any locally-computed answers still buffered in the private
     /// tier back to the shared shards, so later runs (and other workers)
-    /// deduplicate against everything this engine computed.  The driver calls
-    /// this when a worker drains; no-op without an L1 or with an empty buffer.
+    /// deduplicate against everything this engine computed.  Call it when
+    /// the engine's work is done; no-op without an L1 or with an empty
+    /// buffer.
     pub fn flush_l1(&self) {
         let Some(cell) = &self.l1 else { return };
         let mut l1 = cell.borrow_mut();
@@ -740,6 +706,8 @@ impl SweepEngine {
 
     /// Oracle execution of a snippet sequence through the cache; equivalent to
     /// [`OracleRun::execute`] on a simulator in the engine's thermal state.
+    /// The benchmark's Oracle probes and agreement scoring call this; the
+    /// serving driver does not.
     pub fn oracle_run(
         &mut self,
         profiles: &[SnippetProfile],
@@ -756,26 +724,6 @@ impl SweepEngine {
         let total_energy_j = executions.iter().map(|e| e.energy_j).sum();
         let total_time_s = executions.iter().map(|e| e.time_s).sum();
         OracleRun { objective, decisions, executions, total_energy_j, total_time_s }
-    }
-
-    /// The Oracle's configuration per snippet, in order: the `decisions` of
-    /// [`SweepEngine::oracle_run`] over the same profiles, with the same
-    /// lookups and thermal commits, but no executions or totals kept.  Takes
-    /// any borrowed snippet stream, so a mixed scenario's CPU segments feed
-    /// it in place.
-    pub fn oracle_decisions<'a>(
-        &mut self,
-        profiles: impl IntoIterator<Item = &'a SnippetProfile>,
-        objective: OracleObjective,
-    ) -> Vec<DvfsConfig> {
-        profiles
-            .into_iter()
-            .map(|profile| {
-                let (best, execution) = self.best(objective, profile);
-                self.sim.commit_snippet(&execution);
-                best
-            })
-            .collect()
     }
 }
 
@@ -821,7 +769,6 @@ mod tests {
         let stats = engine.cache().stats();
         assert_eq!(stats.misses, 3, "one miss per distinct profile");
         assert_eq!(stats.hits, 3, "one hit per repeated question");
-        assert!(stats.hit_rate() > 0.49);
     }
 
     #[test]
@@ -942,7 +889,6 @@ mod tests {
         assert_eq!(stats.misses, 3, "one search per distinct profile");
         assert_eq!(stats.hits, 6, "repeats served lock-free from the L1");
         assert_eq!(stats.shared_hits, 0, "nothing was resident in the shared tier first");
-        assert!(stats.warm_hit_rate() > 0.6);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //! Until [`ObservedMutex::attach`] connects a lock to a registry, an
 //! acquisition costs **one relaxed atomic add** on top of the plain lock —
 //! no `Instant::now()`, no sketch update — so the wrapper can live
-//! permanently at the choke points (sweep-cache shards and platform
-//! registry, model store, queue model, span ring) without taxing
-//! un-instrumented runs.  Once attached, an **uncontended** acquisition
+//! permanently at the choke points (model store, queue model, span ring)
+//! without taxing un-instrumented runs.  Once attached, an **uncontended** acquisition
 //! costs two relaxed atomic adds (the acquisition counter and the wait
 //! sketch's deferred-zero channel,
 //! [`SketchCell::record_zero`](crate::registry::SketchCell::record_zero)) —
@@ -54,8 +53,8 @@ use std::time::Instant;
 use crate::registry::{Counter, SketchCell, TelemetryRegistry};
 
 /// Registry handles for one named lock site. Sites with the same name share
-/// handles (the registry's get-or-register semantics), so e.g. all sixteen
-/// sweep-cache shard locks aggregate under one `site="sweep_cache_shard"`.
+/// handles (the registry's get-or-register semantics), so every lock created
+/// under one name aggregates under one `site` label.
 #[derive(Debug, Clone)]
 struct SiteObserver {
     acquisitions: Arc<Counter>,
@@ -128,7 +127,7 @@ pub struct ObservedMutex<T> {
 
 impl<T> ObservedMutex<T> {
     /// Wrap `value` in a mutex observed under `site`
-    /// (e.g. `"sweep_cache_shard"`).
+    /// (e.g. `"model_store_base"`).
     pub fn new(site: &str, value: T) -> Self {
         Self { site: LockSite::new(site), inner: Mutex::new(value) }
     }
