@@ -11,7 +11,6 @@ use serde::Serialize;
 use soclearn_gpu_sim::{GpuConfig, GpuPlatform, GpuSimulator};
 use soclearn_online_learning::metrics::mape;
 use soclearn_online_learning::rls::AdaptiveForgettingRls;
-use soclearn_online_learning::traits::OnlineRegressor;
 use soclearn_runtime::EXPERIMENT_SEED;
 use soclearn_workloads::GraphicsWorkload;
 
@@ -35,9 +34,9 @@ fn features(
     work_estimate: f64,
     memory_estimate: f64,
     config: GpuConfig,
-) -> Vec<f64> {
+) -> [f64; 4] {
     let f_ghz = platform.frequency(config) / 1e9;
-    vec![work_estimate / 1e9 / f_ghz, memory_estimate / 1e8, 1.0 / f_ghz, 1.0]
+    [work_estimate / 1e9 / f_ghz, memory_estimate / 1e8, 1.0 / f_ghz, 1.0]
 }
 
 /// Regenerates Figure 2.
@@ -51,7 +50,7 @@ pub fn frame_time_prediction(scale: ExperimentScale) -> Fig2Result {
     // Frequency schedule: step through several operating points during the run,
     // like the measured trace in the paper.
     let schedule = [6usize, 3, 7, 4, 2, 5];
-    let mut model = AdaptiveForgettingRls::new(4, 0.90, 0.995);
+    let mut model = AdaptiveForgettingRls::new(0.90, 0.995);
 
     let mut measured_ms = Vec::with_capacity(frames);
     let mut predicted_ms = Vec::with_capacity(frames);

@@ -16,12 +16,25 @@ pub fn policy_features(
     platform: &SocPlatform,
     counters: &SnippetCounters,
     current: DvfsConfig,
-) -> Vec<f64> {
-    let mut f = counters.normalized_features();
+) -> [f64; POLICY_FEATURE_DIM] {
+    with_config_terms(platform, &counters.normalized_features(), current)
+}
+
+/// [`policy_features`] from already normalised counter features (an Oracle
+/// demonstration's state).
+pub(crate) fn with_config_terms(
+    platform: &SocPlatform,
+    normalized: &[f64; SnippetCounters::NORMALIZED_FEATURE_DIM],
+    current: DvfsConfig,
+) -> [f64; POLICY_FEATURE_DIM] {
     let little_levels = (platform.level_count(ClusterKind::Little) - 1).max(1) as f64;
     let big_levels = (platform.level_count(ClusterKind::Big) - 1).max(1) as f64;
-    f.push(current.little_idx as f64 / little_levels);
-    f.push(current.big_idx as f64 / big_levels);
+    let config_terms =
+        [current.little_idx as f64 / little_levels, current.big_idx as f64 / big_levels];
+    let mut f = [0.0; POLICY_FEATURE_DIM];
+    let (counter_terms, tail) = f.split_at_mut(normalized.len());
+    counter_terms.copy_from_slice(normalized);
+    tail.copy_from_slice(&config_terms);
     f
 }
 
@@ -41,7 +54,7 @@ pub fn candidate_features(
     counters: &SnippetCounters,
     observed: DvfsConfig,
     candidate: DvfsConfig,
-) -> Vec<f64> {
+) -> [f64; CANDIDATE_FEATURE_DIM] {
     CandidateFeatureBasis::new(platform, counters, observed).features(platform, candidate)
 }
 
@@ -84,10 +97,14 @@ impl CandidateFeatureBasis {
     }
 
     /// Instantiates the feature vector for one candidate configuration.
-    pub fn features(&self, platform: &SocPlatform, candidate: DvfsConfig) -> Vec<f64> {
+    pub fn features(
+        &self,
+        platform: &SocPlatform,
+        candidate: DvfsConfig,
+    ) -> [f64; CANDIDATE_FEATURE_DIM] {
         let f_little_ghz = platform.frequency(ClusterKind::Little, candidate) / 1e9;
         let f_big_ghz = platform.frequency(ClusterKind::Big, candidate) / 1e9;
-        vec![
+        [
             // Frequency-scaled compute term: cycles carried over from the observation,
             // executed at the candidate's big-cluster frequency.
             self.cpi / f_big_ghz,

@@ -26,4 +26,7 @@ pub mod online;
 
 pub use features::{candidate_features, policy_features, CandidateFeatureBasis};
 pub use offline::{OfflineIlPolicy, PolicyModelKind};
-pub use online::{pretrain_candidate_models, OnlineIlConfig, OnlineIlPolicy, OnlineIlStats};
+pub use online::{
+    pretrain_candidate_models, CandidateModel, CandidateStats, OnlineIlConfig, OnlineIlPolicy,
+    OnlineIlStats,
+};

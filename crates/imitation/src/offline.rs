@@ -14,7 +14,7 @@ use soclearn_online_learning::tree::DecisionTreeClassifier;
 use soclearn_oracle::Demonstration;
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 
-use crate::features::{policy_features, POLICY_FEATURE_DIM};
+use crate::features::{policy_features, with_config_terms, POLICY_FEATURE_DIM};
 
 /// Hidden units of each policy network.
 pub const POLICY_HIDDEN_UNITS: usize = 24;
@@ -73,14 +73,7 @@ impl OfflineIlPolicy {
         assert!(!demonstrations.is_empty(), "need at least one demonstration to train a policy");
         let raw: Vec<Vec<f64>> = demonstrations
             .iter()
-            .map(|d| {
-                let mut f = d.features.clone();
-                let little_levels = (platform.level_count(ClusterKind::Little) - 1).max(1) as f64;
-                let big_levels = (platform.level_count(ClusterKind::Big) - 1).max(1) as f64;
-                f.push(d.previous_config.little_idx as f64 / little_levels);
-                f.push(d.previous_config.big_idx as f64 / big_levels);
-                f
-            })
+            .map(|d| with_config_terms(platform, &d.features, d.previous_config).to_vec())
             .collect();
         let scaler = StandardScaler::fitted(&raw);
         let xs: Vec<Vec<f64>> = raw.iter().map(|f| scaler.transform(f)).collect();
@@ -183,7 +176,7 @@ mod tests {
         let correct = demonstrations
             .iter()
             .filter(|d| {
-                let mut f = d.features.clone();
+                let mut f = d.features.to_vec();
                 f.push(d.previous_config.little_idx as f64 / 2.0);
                 f.push(d.previous_config.big_idx as f64 / 3.0);
                 let predicted = policy.predict_from_features(&platform, &f);

@@ -21,7 +21,7 @@ use serde::Serialize;
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::stats::RlsStats;
-use soclearn_online_learning::traits::{Classifier, OnlineRegressor};
+use soclearn_online_learning::traits::Classifier;
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 
 use crate::features::{
@@ -31,6 +31,12 @@ use crate::offline::{OfflineIlPolicy, PolicyNetwork};
 
 /// One aggregated state: the scaled policy features of a decision.
 type StateRow = [f64; POLICY_FEATURE_DIM];
+
+/// An online power or time model over the candidate features.
+pub type CandidateModel = RecursiveLeastSquares<CANDIDATE_FEATURE_DIM>;
+
+/// Sufficient statistics of a [`CandidateModel`]'s observations.
+pub type CandidateStats = RlsStats<CANDIDATE_FEATURE_DIM>;
 
 /// Tunable parameters of the online-IL methodology: the two the paper
 /// studies.  The model warm-up, the retraining epochs and the models'
@@ -70,8 +76,9 @@ pub struct OnlineIlStats {
     pub policy_updates: usize,
     /// Approximate storage footprint of the aggregation buffer, in bytes.
     pub buffer_bytes: usize,
-    /// Online power or time model updates skipped because the observed
-    /// features or the target were not finite (each model counts once).
+    /// Online power or time model updates the models rejected because the
+    /// observed features or the target were not finite (each model counts
+    /// once).
     pub skipped_model_updates: usize,
     /// Decisions whose scaled policy features were not finite, so their
     /// (state, label) pair was kept out of the aggregation buffer.
@@ -106,9 +113,9 @@ impl OnlineIlStats {
 pub fn pretrain_candidate_models(
     sim: &soclearn_soc_sim::SocSimulator,
     profiles: &[soclearn_workloads::SnippetProfile],
-) -> (RecursiveLeastSquares, RecursiveLeastSquares) {
-    let mut power_model = RecursiveLeastSquares::new(CANDIDATE_FEATURE_DIM, 1.0);
-    let mut time_model = RecursiveLeastSquares::new(CANDIDATE_FEATURE_DIM, 1.0);
+) -> (CandidateModel, CandidateModel) {
+    let mut power_model = CandidateModel::new(1.0);
+    let mut time_model = CandidateModel::new(1.0);
     for profile in profiles {
         // Evaluate the profile once at every configuration, then train the models
         // on every (observation point, candidate) pair so they learn exactly the
@@ -128,13 +135,13 @@ pub fn pretrain_candidate_models(
 }
 
 /// The model-guided online imitation-learning policy.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, PartialEq, Serialize)]
 pub struct OnlineIlPolicy {
     scaler: StandardScaler,
     little_mlp: PolicyNetwork,
     big_mlp: PolicyNetwork,
-    power_model: RecursiveLeastSquares,
-    time_model: RecursiveLeastSquares,
+    power_model: CandidateModel,
+    time_model: CandidateModel,
     buffer: Vec<(StateRow, DvfsConfig)>,
     config: OnlineIlConfig,
     stats: OnlineIlStats,
@@ -145,8 +152,31 @@ pub struct OnlineIlPolicy {
     /// later merge per-user deltas back into a shared base exactly (the
     /// runtime models themselves run with forgetting and are not mergeable).
     #[serde(skip_serializing_if = "Option::is_none")]
-    delta_stats: Option<(RlsStats, RlsStats)>,
+    delta_stats: Option<(CandidateStats, CandidateStats)>,
     name: String,
+}
+
+/// A clone keeps the buffer's full capacity, so a copy (a fleet lease's
+/// first decision clones the shared prototype) aggregates without
+/// allocating until it retrains.
+impl Clone for OnlineIlPolicy {
+    fn clone(&self) -> Self {
+        let mut buffer = Vec::with_capacity(self.config.buffer_capacity);
+        buffer.extend_from_slice(&self.buffer);
+        Self {
+            scaler: self.scaler.clone(),
+            little_mlp: self.little_mlp.clone(),
+            big_mlp: self.big_mlp.clone(),
+            power_model: self.power_model.clone(),
+            time_model: self.time_model.clone(),
+            buffer,
+            config: self.config,
+            stats: self.stats,
+            last_time_s: self.last_time_s,
+            delta_stats: self.delta_stats.clone(),
+            name: self.name.clone(),
+        }
+    }
 }
 
 impl OnlineIlPolicy {
@@ -162,8 +192,8 @@ impl OnlineIlPolicy {
             scaler,
             little_mlp,
             big_mlp,
-            power_model: RecursiveLeastSquares::new(CANDIDATE_FEATURE_DIM, FORGETTING_FACTOR),
-            time_model: RecursiveLeastSquares::new(CANDIDATE_FEATURE_DIM, FORGETTING_FACTOR),
+            power_model: CandidateModel::new(FORGETTING_FACTOR),
+            time_model: CandidateModel::new(FORGETTING_FACTOR),
             buffer: Vec::with_capacity(config.buffer_capacity),
             config,
             stats: OnlineIlStats::default(),
@@ -188,18 +218,11 @@ impl OnlineIlPolicy {
     /// candidate models, switching them to the runtime forgetting factor.
     /// Lets a process-wide artifact store pretrain the models once and share
     /// clones across many policy instances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either model's feature dimension is not
-    /// [`CANDIDATE_FEATURE_DIM`].
     pub fn install_pretrained_models(
         &mut self,
-        power_model: RecursiveLeastSquares,
-        time_model: RecursiveLeastSquares,
+        power_model: CandidateModel,
+        time_model: CandidateModel,
     ) {
-        assert_eq!(power_model.input_dim(), CANDIDATE_FEATURE_DIM, "power model dimension");
-        assert_eq!(time_model.input_dim(), CANDIDATE_FEATURE_DIM, "time model dimension");
         self.power_model = power_model.with_lambda(FORGETTING_FACTOR);
         self.time_model = time_model.with_lambda(FORGETTING_FACTOR);
     }
@@ -210,14 +233,13 @@ impl OnlineIlPolicy {
     }
 
     /// Starts accumulating normal-equation sufficient statistics
-    /// (`Σxxᵀ`, `Σxy`, `n`) for every subsequent online model update, one
-    /// [`RlsStats`] pair for the (power, time) models.  The tiered model
+    /// (`Σxxᵀ`, `Σxy`, `n`) for every subsequent applied online model update,
+    /// one [`RlsStats`] pair for the (power, time) models.  The tiered model
     /// store enables this on per-user copies so their deltas can be
     /// fleet-merged back into the shared base exactly; recording costs one
     /// extra `O(d²)` accumulation per update and ~1.3 KB of state.
     pub fn enable_stats_recording(&mut self) {
-        self.delta_stats =
-            Some((RlsStats::zero(CANDIDATE_FEATURE_DIM), RlsStats::zero(CANDIDATE_FEATURE_DIM)));
+        self.delta_stats = Some((RlsStats::zero(), RlsStats::zero()));
     }
 
     /// Whether [`OnlineIlPolicy::enable_stats_recording`] is active.
@@ -228,18 +250,8 @@ impl OnlineIlPolicy {
     /// Takes the recorded (power, time) sufficient statistics, leaving fresh
     /// zeroed recorders in place (recording stays enabled).  Returns `None`
     /// when recording was never enabled.
-    pub fn take_recorded_stats(&mut self) -> Option<(RlsStats, RlsStats)> {
-        self.delta_stats
-            .replace((RlsStats::zero(CANDIDATE_FEATURE_DIM), RlsStats::zero(CANDIDATE_FEATURE_DIM)))
-    }
-
-    /// Takes the recorded statistics and turns recording off, without
-    /// allocating replacement recorders.  The end-of-life variant of
-    /// [`OnlineIlPolicy::take_recorded_stats`]: a lease being dropped
-    /// harvests its deltas exactly once, so the fresh zeroed pair would be
-    /// twenty-odd dead allocations per user at fleet scale.
-    pub fn finish_stats_recording(&mut self) -> Option<(RlsStats, RlsStats)> {
-        self.delta_stats.take()
+    pub fn take_recorded_stats(&mut self) -> Option<(CandidateStats, CandidateStats)> {
+        self.delta_stats.replace((RlsStats::zero(), RlsStats::zero()))
     }
 
     /// Approximate resident footprint of one policy instance in bytes: the
@@ -351,30 +363,22 @@ impl DvfsPolicy for OnlineIlPolicy {
         // 1. Update the online power/performance models with the snippet that just
         //    executed under `current`.  The time model regresses time per
         //    kilo-instruction so the fit is independent of snippet length.
-        //    A non-finite observation would poison a model for good, so it is
-        //    skipped and counted instead.
+        //    A model refuses (and the policy counts) a non-finite observation,
+        //    which would poison it for good; only applied updates are
+        //    recorded as deltas.
         if counters.instructions_retired > 0.0 {
             let observed = basis.features(platform, current);
-            let features_finite = observed.iter().all(|v| v.is_finite());
-            let mut usable = |y: &f64| {
-                let finite = features_finite && y.is_finite();
-                self.stats.skipped_model_updates += usize::from(!finite);
-                finite
-            };
-            let power_target = Some(counters.total_chip_power_w).filter(&mut usable);
-            let time_target =
-                self.last_time_s.take().map(|t| t / basis.kilo_instructions()).filter(usable);
-            if let Some(y) = power_target {
-                self.power_model.update(&observed, y);
-            }
-            if let Some(y) = time_target {
-                self.time_model.update(&observed, y);
-            }
+            let power = counters.total_chip_power_w;
+            let power_applied = self.power_model.update(&observed, power);
+            let time = self.last_time_s.take().map(|t| t / basis.kilo_instructions());
+            let time_applied = time.map(|y| self.time_model.update(&observed, y));
+            self.stats.skipped_model_updates +=
+                usize::from(!power_applied) + usize::from(time_applied == Some(false));
             if let Some((power_stats, time_stats)) = &mut self.delta_stats {
-                if let Some(y) = power_target {
-                    power_stats.observe(&observed, y);
+                if power_applied {
+                    power_stats.observe(&observed, power);
                 }
-                if let Some(y) = time_target {
+                if let (Some(y), Some(true)) = (time, time_applied) {
                     time_stats.observe(&observed, y);
                 }
             }
@@ -387,27 +391,30 @@ impl DvfsPolicy for OnlineIlPolicy {
         self.scaler.transform_into(&features, &mut scaled);
         let proposal = self.prediction_from_scaled(platform, &scaled);
 
-        // 3. Runtime Oracle approximation over the local candidate neighbourhood.
-        //    The feature basis is shared across candidates and each candidate is
-        //    scored exactly once.
+        // 3. Runtime Oracle approximation over the local candidate neighbourhood,
+        //    walked in place, then the proposal if the walk did not pass it.
+        //    The feature basis is shared across candidates and each candidate
+        //    is scored exactly once.
         let label = if counters.instructions_retired > 0.0
             && self.power_model.samples_seen() >= MODEL_WARMUP
             && self.time_model.samples_seen() >= MODEL_WARMUP
         {
-            let mut candidates = platform.neighbourhood(current, self.config.neighbourhood_radius);
-            if !candidates.contains(&proposal) {
-                candidates.push(proposal);
-            }
-            let mut best = proposal;
-            let mut best_energy = f64::INFINITY;
-            for &candidate in &candidates {
+            let mut best = (proposal, f64::INFINITY);
+            let mut score = |candidate| {
                 let energy = self.estimate_energy_with(platform, &basis, candidate);
-                if energy < best_energy {
-                    best = candidate;
-                    best_energy = energy;
+                if energy < best.1 {
+                    best = (candidate, energy);
                 }
+            };
+            let mut proposal_scored = false;
+            for candidate in platform.neighbourhood(current, self.config.neighbourhood_radius) {
+                proposal_scored |= candidate == proposal;
+                score(candidate);
             }
-            best
+            if !proposal_scored {
+                score(proposal);
+            }
+            best.0
         } else {
             proposal
         };
@@ -440,8 +447,8 @@ mod tests {
     /// and the batch-pretrained candidate models, built once per test binary.
     struct SharedTraining {
         offline: OfflineIlPolicy,
-        power: RecursiveLeastSquares,
-        time: RecursiveLeastSquares,
+        power: CandidateModel,
+        time: CandidateModel,
     }
 
     fn shared_training(platform: &SocPlatform) -> &'static SharedTraining {

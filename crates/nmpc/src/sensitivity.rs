@@ -5,12 +5,12 @@
 //! react to the control knobs (frequency, active slices) for the currently
 //! observed workload.  The models are recursive-least-squares estimators over
 //! hand-crafted features (Section III-B of the paper), bootstrapped offline
-//! and refreshed after every frame.
+//! and refreshed after every frame.  A frame whose telemetry is not finite is
+//! refused and counted by the models, not learned from.
 
 use serde::Serialize;
 use soclearn_gpu_sim::{GpuConfig, GpuPlatform, GpuSimulator};
 use soclearn_online_learning::rls::RecursiveLeastSquares;
-use soclearn_online_learning::traits::OnlineRegressor;
 use soclearn_workloads::graphics::FrameDemand;
 
 /// Number of features of the frame-time model.
@@ -21,16 +21,16 @@ pub const POWER_FEATURE_DIM: usize = 4;
 /// RLS sensitivity models for frame time and GPU power.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSensitivityModel {
-    time_model: RecursiveLeastSquares,
-    power_model: RecursiveLeastSquares,
+    time_model: RecursiveLeastSquares<TIME_FEATURE_DIM>,
+    power_model: RecursiveLeastSquares<POWER_FEATURE_DIM>,
 }
 
 impl GpuSensitivityModel {
     /// Creates untrained models with the given forgetting factor.
     pub fn new(forgetting_factor: f64) -> Self {
         Self {
-            time_model: RecursiveLeastSquares::new(TIME_FEATURE_DIM, forgetting_factor),
-            power_model: RecursiveLeastSquares::new(POWER_FEATURE_DIM, forgetting_factor),
+            time_model: RecursiveLeastSquares::new(forgetting_factor),
+            power_model: RecursiveLeastSquares::new(forgetting_factor),
         }
     }
 
@@ -43,10 +43,10 @@ impl GpuSensitivityModel {
         work_cycles: f64,
         memory_accesses: f64,
         config: GpuConfig,
-    ) -> Vec<f64> {
+    ) -> [f64; TIME_FEATURE_DIM] {
         let f_ghz = platform.frequency(config) / 1e9;
         let slices = config.active_slices as f64;
-        vec![
+        [
             work_cycles / 1e9 / (slices * f_ghz),
             work_cycles / 1e9 / f_ghz,
             memory_accesses / 1e8,
@@ -55,10 +55,14 @@ impl GpuSensitivityModel {
     }
 
     /// Feature vector of the power model for a configuration and busy fraction.
-    pub fn power_features(platform: &GpuPlatform, config: GpuConfig, utilization: f64) -> Vec<f64> {
+    pub fn power_features(
+        platform: &GpuPlatform,
+        config: GpuConfig,
+        utilization: f64,
+    ) -> [f64; POWER_FEATURE_DIM] {
         let f_ghz = platform.frequency(config) / 1e9;
         let slices = config.active_slices as f64;
-        vec![slices * f_ghz * f_ghz * f_ghz * utilization.max(0.05), slices, f_ghz, 1.0]
+        [slices * f_ghz * f_ghz * f_ghz * utilization.max(0.05), slices, f_ghz, 1.0]
     }
 
     /// Number of observations absorbed by the frame-time model.
@@ -66,7 +70,14 @@ impl GpuSensitivityModel {
         self.time_model.samples_seen()
     }
 
-    /// Updates both models from an executed frame.
+    /// Observations the two models refused because a feature or the target
+    /// was not finite.
+    pub fn rejected_updates(&self) -> usize {
+        self.time_model.rejected_updates() + self.power_model.rejected_updates()
+    }
+
+    /// Updates both models from an executed frame; each model refuses a
+    /// non-finite observation on its own.
     // The argument list mirrors the raw per-frame telemetry tuple; bundling it
     // into a struct would just move the same seven fields one level down.
     #[allow(clippy::too_many_arguments)]
@@ -218,6 +229,30 @@ mod tests {
         let low = model.predict_gpu_power_w(&platform, GpuConfig::new(2, 1), 0.9);
         let high = model.predict_gpu_power_w(&platform, GpuConfig::new(2, 7), 0.9);
         assert!(high > low);
+    }
+
+    /// A NaN frame time and an infinite power reading leave both models'
+    /// predictions bit for bit where they were; the next finite frame is
+    /// learned as usual.
+    #[test]
+    fn non_finite_frame_telemetry_is_refused() {
+        let (mut model, sim, workload) = pretrained();
+        let platform = sim.platform().clone();
+        let demand = &workload.frames()[3];
+        let config = GpuConfig::new(2, 4);
+        let (work, memory) = (demand.work_cycles, demand.memory_accesses);
+        let predictions = |m: &GpuSensitivityModel| {
+            let time = m.predict_frame_time_s(&platform, work, memory, config);
+            (time.to_bits(), m.predict_gpu_power_w(&platform, config, 0.8).to_bits())
+        };
+        let before = model.clone();
+        model.observe(&platform, work, memory, config, f64::NAN, 0.8, f64::INFINITY);
+        assert_eq!(model.rejected_updates(), 2);
+        assert_eq!(model.samples_seen(), before.samples_seen());
+        assert_eq!(predictions(&model), predictions(&before));
+        model.observe(&platform, work, memory, config, 0.01, 0.8, 1.5);
+        assert_eq!(model.samples_seen(), before.samples_seen() + 1);
+        assert_eq!(model.rejected_updates(), 2);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //!
 //! ```
 //! use soclearn_online_learning::rls::RecursiveLeastSquares;
-//! use soclearn_online_learning::traits::OnlineRegressor;
 //!
-//! let mut rls = RecursiveLeastSquares::new(2, 0.98);
+//! let mut rls = RecursiveLeastSquares::<2>::new(0.98);
 //! for i in 0..200 {
 //!     let x = [i as f64 / 100.0, 1.0];
 //!     let y = 3.0 * x[0] + 0.5;
@@ -33,6 +32,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use serde::Serialize;
 
 pub mod kernel;
 pub mod linalg;
@@ -51,5 +52,20 @@ pub use mlp::{Mlp, MlpBuilder};
 pub use rls::{AdaptiveForgettingRls, RecursiveLeastSquares};
 pub use scaler::StandardScaler;
 pub use stats::RlsStats;
-pub use traits::{Classifier, OnlineRegressor, Regressor};
+pub use traits::{Classifier, Regressor};
 pub use tree::DecisionTreeClassifier;
+
+/// Writes `fields` as one JSON object: the shim `Serialize` derive rejects
+/// generic types, so the compile-time-sized models write their fields by hand.
+pub(crate) fn serialize_fields(fields: &[(&str, &dyn Serialize)], out: &mut String) {
+    out.push('{');
+    for (i, (name, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        name.serialize_json(out);
+        out.push(':');
+        value.serialize_json(out);
+    }
+    out.push('}');
+}

@@ -51,6 +51,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
+use crate::serialize_fields;
 use crate::traits::Classifier;
 
 #[cfg(test)]
@@ -347,28 +348,20 @@ fn softmax_in_place(values: &mut [f64]) {
     }
 }
 
-/// The shim `Serialize` derive rejects generic types, so the network writes
-/// its JSON object by hand, one field per parameter block.
+/// The network writes its JSON object one field per parameter block.
 impl<const IN: usize, const HIDDEN: usize> Serialize for Mlp<IN, HIDDEN> {
     fn serialize_json(&self, out: &mut String) {
-        let fields: [(&str, &dyn Serialize); 6] = [
-            ("hidden", &self.hidden),
-            ("hidden_biases", &self.hidden_biases),
-            ("output", &self.output),
-            ("output_biases", &self.output_biases),
-            ("learning_rate", &self.learning_rate),
-            ("updates", &self.updates),
-        ];
-        out.push('{');
-        for (i, (name, value)) in fields.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            name.serialize_json(out);
-            out.push(':');
-            value.serialize_json(out);
-        }
-        out.push('}');
+        serialize_fields(
+            &[
+                ("hidden", &self.hidden),
+                ("hidden_biases", &self.hidden_biases),
+                ("output", &self.output),
+                ("output_biases", &self.output_biases),
+                ("learning_rate", &self.learning_rate),
+                ("updates", &self.updates),
+            ],
+            out,
+        );
     }
 }
 

@@ -21,37 +21,29 @@ use serde::Serialize;
 
 use crate::linalg::solve;
 use crate::rls::RecursiveLeastSquares;
-use crate::traits::OnlineRegressor;
+use crate::serialize_fields;
 
-/// Normal-equation sufficient statistics of a least-squares fit:
-/// `a = Σ xxᵀ`, `b = Σ x·y`, `n` samples.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RlsStats {
-    /// Scatter matrix `Σ xxᵀ` (row-major, flat `dim × dim`, kept symmetric).
-    /// Flat storage keeps a statistic at two heap allocations: recorders are
-    /// created per user lease at fleet scale, where a nested `dim + 1`-vector
-    /// matrix shows up in the serving profile.
-    a: Vec<f64>,
+/// Normal-equation sufficient statistics of a least-squares fit over `D`
+/// features: `a = Σ xxᵀ`, `b = Σ x·y`, `n` samples.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RlsStats<const D: usize> {
+    /// Scatter matrix `Σ xxᵀ`, kept symmetric.
+    pub(crate) a: [[f64; D]; D],
     /// Cross moment `Σ x·y`.
-    b: Vec<f64>,
+    pub(crate) b: [f64; D],
     /// Number of observations accumulated.
-    n: u64,
+    pub(crate) n: u64,
 }
 
-impl RlsStats {
-    /// Empty statistics for `dim` features.
+impl<const D: usize> RlsStats<D> {
+    /// Empty statistics.
     ///
     /// # Panics
     ///
-    /// Panics if `dim` is zero.
-    pub fn zero(dim: usize) -> Self {
-        assert!(dim > 0, "feature dimension must be positive");
-        Self { a: vec![0.0; dim * dim], b: vec![0.0; dim], n: 0 }
-    }
-
-    /// Feature dimension.
-    pub fn dim(&self) -> usize {
-        self.b.len()
+    /// Panics if `D` is zero.
+    pub fn zero() -> Self {
+        assert!(D > 0, "feature dimension must be positive");
+        Self { a: [[0.0; D]; D], b: [0.0; D], n: 0 }
     }
 
     /// Number of observations accumulated.
@@ -65,13 +57,8 @@ impl RlsStats {
     }
 
     /// Accumulates one observation: `a += xxᵀ`, `b += x·y`, `n += 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong dimension.
-    pub fn observe(&mut self, x: &[f64], y: f64) {
-        assert_eq!(x.len(), self.dim(), "feature dimension mismatch");
-        for (row, &xi) in self.a.chunks_exact_mut(x.len()).zip(x) {
+    pub fn observe(&mut self, x: &[f64; D], y: f64) {
+        for (row, &xi) in self.a.iter_mut().zip(x) {
             for (entry, &xj) in row.iter_mut().zip(x) {
                 *entry += xi * xj;
             }
@@ -87,14 +74,11 @@ impl RlsStats {
     /// per-user statistics are partitioned and in whatever order they are
     /// folded, the sums (and therefore the refit) describe the concatenated
     /// data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn merge(&mut self, other: &RlsStats) {
-        assert_eq!(self.dim(), other.dim(), "merge requires equal feature dimensions");
-        for (entry, &value) in self.a.iter_mut().zip(&other.a) {
-            *entry += value;
+    pub fn merge(&mut self, other: &RlsStats<D>) {
+        for (row, other_row) in self.a.iter_mut().zip(&other.a) {
+            for (entry, &value) in row.iter_mut().zip(other_row) {
+                *entry += value;
+            }
         }
         for (bi, &value) in self.b.iter_mut().zip(&other.b) {
             *bi += value;
@@ -115,30 +99,20 @@ impl RlsStats {
     /// Panics if `lambda` is outside `(0, 1]` or the statistics are not
     /// finite (the ridge prior makes `A₀ + A` positive definite for any
     /// finite data, so the solve cannot otherwise fail).
-    pub fn refit(&self, lambda: f64) -> RecursiveLeastSquares {
-        let dim = self.dim();
-        let prior = 1.0 / RecursiveLeastSquares::INITIAL_COVARIANCE_SCALE;
-        let mut regularised: Vec<Vec<f64>> =
-            self.a.chunks_exact(dim).map(|row| row.to_vec()).collect();
+    pub fn refit(&self, lambda: f64) -> RecursiveLeastSquares<D> {
+        let prior = 1.0 / RecursiveLeastSquares::<D>::INITIAL_COVARIANCE_SCALE;
+        let mut regularised = self.a;
         for (i, row) in regularised.iter_mut().enumerate() {
             row[i] += prior;
         }
+        let regularised = rows(&regularised);
         let weights =
             solve(&regularised, &self.b).expect("ridge-regularised normal equations are solvable");
         // P = (A₀ + A)⁻¹, column by column through the same solver; the
         // result is symmetrised so refit → to-stats round trips stay stable.
-        let mut p = vec![vec![0.0; dim]; dim];
-        for col in 0..dim {
-            let mut unit = vec![0.0; dim];
-            unit[col] = 1.0;
-            let column =
-                solve(&regularised, &unit).expect("ridge-regularised inverse column is solvable");
-            for (row, value) in column.into_iter().enumerate() {
-                p[row][col] = value;
-            }
-        }
+        let mut p = inverse_columns(&regularised, "ridge-regularised inverse column is solvable");
         symmetrise(&mut p);
-        RecursiveLeastSquares::from_fitted_state(weights, p, lambda, self.n as usize)
+        RecursiveLeastSquares::from_fitted_state(array(&weights), p, lambda, self.n as usize)
     }
 
     /// Recovers the sufficient statistics from a fitted estimator:
@@ -156,44 +130,57 @@ impl RlsStats {
     /// Panics if the estimator's covariance is singular to working precision
     /// (cannot happen for states produced by `λ = 1` updates from the
     /// standard prior).
-    pub fn from_estimator(rls: &RecursiveLeastSquares) -> Self {
-        let dim = rls.input_dim();
-        let p = rls.covariance();
-        let prior = 1.0 / RecursiveLeastSquares::INITIAL_COVARIANCE_SCALE;
+    pub fn from_estimator(rls: &RecursiveLeastSquares<D>) -> Self {
+        let prior = 1.0 / RecursiveLeastSquares::<D>::INITIAL_COVARIANCE_SCALE;
         // Information matrix P⁻¹, column by column.
-        let mut information = vec![vec![0.0; dim]; dim];
-        for col in 0..dim {
-            let mut unit = vec![0.0; dim];
-            unit[col] = 1.0;
-            let column = solve(p, &unit).expect("estimator covariance is invertible");
-            for (row, value) in column.into_iter().enumerate() {
-                information[row][col] = value;
-            }
-        }
-        symmetrise(&mut information);
-        let b: Vec<f64> = information
-            .iter()
-            .map(|row| row.iter().zip(rls.weights()).map(|(entry, w)| entry * w).sum())
-            .collect();
-        let mut a: Vec<f64> = Vec::with_capacity(dim * dim);
-        for (i, row) in information.iter().enumerate() {
-            for (j, &value) in row.iter().enumerate() {
-                a.push(if i == j { value - prior } else { value });
-            }
+        let mut a = inverse_columns(&rows(rls.covariance()), "estimator covariance is invertible");
+        symmetrise(&mut a);
+        let b = a.map(|row| row.iter().zip(rls.weights()).map(|(entry, w)| entry * w).sum());
+        for (i, row) in a.iter_mut().enumerate() {
+            row[i] -= prior;
         }
         Self { a, b, n: rls.samples_seen() as u64 }
     }
 
     /// Approximate in-memory footprint of the statistics, in bytes.
     pub fn approx_bytes(&self) -> usize {
-        let dim = self.dim();
-        (dim * dim + dim) * std::mem::size_of::<f64>() + std::mem::size_of::<u64>()
+        std::mem::size_of::<Self>()
     }
 }
 
+impl<const D: usize> Serialize for RlsStats<D> {
+    fn serialize_json(&self, out: &mut String) {
+        serialize_fields(&[("a", &self.a), ("b", &self.b), ("n", &self.n)], out);
+    }
+}
+
+/// A matrix as the nested vectors [`solve`] takes.
+fn rows<const D: usize>(m: &[[f64; D]; D]) -> Vec<Vec<f64>> {
+    m.iter().map(|row| row.to_vec()).collect()
+}
+
+/// A solver result as an array.
+fn array<const D: usize>(v: &[f64]) -> [f64; D] {
+    std::array::from_fn(|i| v[i])
+}
+
+/// `m⁻¹`, one [`solve`] per unit column.
+fn inverse_columns<const D: usize>(m: &[Vec<f64>], singular: &str) -> [[f64; D]; D] {
+    let mut inverse = [[0.0; D]; D];
+    for col in 0..D {
+        let mut unit = [0.0; D];
+        unit[col] = 1.0;
+        let column = solve(m, &unit).expect(singular);
+        for (row, value) in inverse.iter_mut().zip(column) {
+            row[col] = value;
+        }
+    }
+    inverse
+}
+
 /// Forces exact symmetry on a numerically near-symmetric matrix.
-fn symmetrise(m: &mut [Vec<f64>]) {
-    for i in 0..m.len() {
+fn symmetrise<const D: usize>(m: &mut [[f64; D]; D]) {
+    for i in 0..D {
         let (head, tail) = m.split_at_mut(i);
         let row_i = &mut tail[0];
         for (j, row_j) in head.iter_mut().enumerate() {
@@ -208,19 +195,19 @@ fn symmetrise(m: &mut [Vec<f64>]) {
 mod tests {
     use super::*;
 
-    fn stream(seed: u64, n: usize) -> Vec<(Vec<f64>, f64)> {
+    fn stream(seed: u64, n: usize) -> Vec<([f64; 3], f64)> {
         (0..n)
             .map(|i| {
                 let k = i as u64 + seed;
-                let x = vec![((k * 37) % 101) as f64 / 101.0, ((k * 61) % 89) as f64 / 89.0, 1.0];
+                let x = [((k * 37) % 101) as f64 / 101.0, ((k * 61) % 89) as f64 / 89.0, 1.0];
                 let y = 2.5 * x[0] - 0.75 * x[1] + 0.3 + ((k % 7) as f64 - 3.0) * 0.01;
                 (x, y)
             })
             .collect()
     }
 
-    fn batch_fit(data: &[(Vec<f64>, f64)]) -> RecursiveLeastSquares {
-        let mut rls = RecursiveLeastSquares::new(3, 1.0);
+    fn batch_fit(data: &[([f64; 3], f64)]) -> RecursiveLeastSquares<3> {
+        let mut rls = RecursiveLeastSquares::new(1.0);
         for (x, y) in data {
             rls.update_retaining(x, *y);
         }
@@ -230,7 +217,7 @@ mod tests {
     #[test]
     fn refit_matches_sequential_batch_fit() {
         let data = stream(3, 240);
-        let mut stats = RlsStats::zero(3);
+        let mut stats = RlsStats::<3>::zero();
         for (x, y) in &data {
             stats.observe(x, *y);
         }
@@ -245,8 +232,8 @@ mod tests {
     #[test]
     fn merge_of_partitions_refits_like_concatenation() {
         let data = stream(11, 300);
-        let mut left = RlsStats::zero(3);
-        let mut right = RlsStats::zero(3);
+        let mut left = RlsStats::<3>::zero();
+        let mut right = RlsStats::<3>::zero();
         for (i, (x, y)) in data.iter().enumerate() {
             if i % 2 == 0 { &mut left } else { &mut right }.observe(x, *y);
         }
@@ -279,32 +266,22 @@ mod tests {
 
     #[test]
     fn empty_stats_refit_to_the_prior_state() {
-        let refit = RlsStats::zero(4).refit(1.0);
-        let fresh = RecursiveLeastSquares::new(4, 1.0);
+        let refit = RlsStats::<4>::zero().refit(1.0);
+        let fresh = RecursiveLeastSquares::<4>::new(1.0);
         assert_eq!(refit.samples_seen(), 0);
         assert!(refit.weights().iter().all(|&w| w == 0.0));
         for (row_a, row_b) in refit.covariance().iter().zip(fresh.covariance()) {
             for (a, b) in row_a.iter().zip(row_b) {
-                assert!((a - b).abs() < 1e-6 * RecursiveLeastSquares::INITIAL_COVARIANCE_SCALE);
+                assert!(
+                    (a - b).abs() < 1e-6 * RecursiveLeastSquares::<4>::INITIAL_COVARIANCE_SCALE
+                );
             }
         }
     }
 
     #[test]
     fn approx_bytes_counts_the_scatter_matrix() {
-        let stats = RlsStats::zero(9);
+        let stats = RlsStats::<9>::zero();
         assert_eq!(stats.approx_bytes(), (81 + 9) * 8 + 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "feature dimension mismatch")]
-    fn observe_rejects_wrong_dimension() {
-        RlsStats::zero(3).observe(&[1.0], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal feature dimensions")]
-    fn merge_rejects_wrong_dimension() {
-        RlsStats::zero(3).merge(&RlsStats::zero(2));
     }
 }

@@ -1,24 +1,5 @@
 //! Common model interfaces shared by the learning primitives.
 
-/// A regression model that is trained incrementally, one sample at a time.
-///
-/// Online regressors are the backbone of the paper's adaptive models: the
-/// power, performance and sensitivity models are all updated after every
-/// snippet or frame using the latest hardware-counter observation.
-pub trait OnlineRegressor {
-    /// Incorporates one observation `(x, y)` into the model.
-    fn update(&mut self, x: &[f64], y: f64);
-
-    /// Predicts the target for the feature vector `x`.
-    fn predict(&self, x: &[f64]) -> f64;
-
-    /// Number of input features the model expects.
-    fn input_dim(&self) -> usize;
-
-    /// Number of updates the model has absorbed so far.
-    fn samples_seen(&self) -> usize;
-}
-
 /// A regression model trained in one shot from a batch of samples.
 pub trait Regressor {
     /// Fits the model to the dataset.
@@ -54,7 +35,6 @@ mod tests {
     /// behind `Box<dyn …>`.
     #[test]
     fn traits_are_object_safe() {
-        fn _takes_online(_: &dyn OnlineRegressor) {}
         fn _takes_batch(_: &dyn Regressor) {}
         fn _takes_classifier(_: &dyn Classifier) {}
     }

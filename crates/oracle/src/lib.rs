@@ -38,7 +38,8 @@
 
 use serde::Serialize;
 use soclearn_soc_sim::{
-    DvfsConfig, DvfsPolicy, PolicyDecision, SnippetExecution, SocPlatform, SocSimulator,
+    DvfsConfig, DvfsPolicy, PolicyDecision, SnippetCounters, SnippetExecution, SocPlatform,
+    SocSimulator,
 };
 use soclearn_workloads::SnippetProfile;
 
@@ -174,7 +175,7 @@ impl OracleRun {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Demonstration {
     /// Normalised counter features observed while the previous snippet executed.
-    pub features: Vec<f64>,
+    pub features: [f64; SnippetCounters::NORMALIZED_FEATURE_DIM],
     /// Configuration the previous snippet executed at.
     pub previous_config: DvfsConfig,
     /// Oracle-optimal configuration for the upcoming snippet.

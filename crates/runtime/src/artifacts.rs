@@ -29,10 +29,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use soclearn_imitation::{
-    pretrain_candidate_models, OfflineIlPolicy, OnlineIlConfig, OnlineIlPolicy, PolicyModelKind,
+    pretrain_candidate_models, CandidateModel, OfflineIlPolicy, OnlineIlConfig, OnlineIlPolicy,
+    PolicyModelKind,
 };
 use soclearn_noc_sim::{MeshConfig, SvrLatencyModel, TrafficPattern};
-use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_oracle::{collect_demonstrations, OracleObjective};
 use soclearn_soc_sim::{SocPlatform, SocSimulator};
 use soclearn_workloads::{ApplicationSequence, BenchmarkSuite, SnippetProfile, SuiteKind};
@@ -90,8 +90,8 @@ pub struct TrainingArtifacts {
     pub mlp_policy: OfflineIlPolicy,
     /// Online candidate models, batch-pretrained once (`λ = 1`) and cloned into
     /// every policy handed out by [`TrainingArtifacts::online_policy`].
-    pretrained_power: RecursiveLeastSquares,
-    pretrained_time: RecursiveLeastSquares,
+    pretrained_power: CandidateModel,
+    pretrained_time: CandidateModel,
 }
 
 impl TrainingArtifacts {
@@ -142,7 +142,7 @@ impl TrainingArtifacts {
     /// fitted with `λ = 1` updates, their exact sufficient statistics can be
     /// recovered (`RlsStats::from_estimator`) and per-user deltas folded in
     /// with an exact, associative merge.
-    pub fn pretrained_models(&self) -> (&RecursiveLeastSquares, &RecursiveLeastSquares) {
+    pub fn pretrained_models(&self) -> (&CandidateModel, &CandidateModel) {
         (&self.pretrained_power, &self.pretrained_time)
     }
 }

@@ -278,7 +278,10 @@ pub struct DriverTelemetry {
     pub scenarios: usize,
     /// Total policy decisions served.
     pub decisions: usize,
-    /// Total simulated energy, joules.
+    /// Total simulated energy, joules: each scenario's decisions summed in
+    /// serving order, the scenarios folded in index order, so the bits are
+    /// the same at any worker count (as are `simulated_time_s` and the
+    /// per-lane energy and time).
     pub total_energy_j: f64,
     /// Total simulated execution time, seconds.
     pub simulated_time_s: f64,
@@ -291,8 +294,10 @@ pub struct DriverTelemetry {
     /// Per-decision policy latency distribution.
     pub latency: LatencyHistogram,
     /// Clock time spent serving across all workers (per-decision simulated
-    /// time with the dilation applied), seconds.  Zero unless the driver runs
-    /// in service-time mode ([`ScenarioDriver::with_service_time`]).
+    /// time with the dilation applied), seconds: the integer nanoseconds
+    /// every decision spent, summed exactly and converted once, so the bits
+    /// are the same at any worker count.  Zero unless the driver runs in
+    /// service-time mode ([`ScenarioDriver::with_service_time`]).
     pub service_time_s: f64,
     /// Per-scenario sojourn times (queueing wait + service) on the source's
     /// queueing timeline.  Populated only when a queue-aware source returns
@@ -319,7 +324,8 @@ pub struct DriverTelemetry {
     /// Per-substrate decision/energy/time breakdown, canonical order
     /// (cross-substrate energy accounting of a heterogeneous fleet).
     pub substrates: [SubstrateTelemetry; 3],
-    /// Per-worker breakdowns, indexed by worker.
+    /// Per-worker breakdowns, indexed by worker, summed in the order each
+    /// worker served its decisions.
     pub workers: Vec<WorkerTelemetry>,
     /// Tiered model store accounting (deltas materialized, resident copies,
     /// fleet-merge counters); `None` unless the driver ran with
@@ -570,6 +576,8 @@ impl ScenarioDriver {
         let mut queue_delay = QuantileSketch::new();
         let mut workers = Vec::with_capacity(worker_slots.len());
         let mut records = Vec::new();
+        let mut scenario_totals = Vec::new();
+        let mut service_ns = 0u64;
         let mut noc_budget_violations = 0;
         for slot in worker_slots {
             latency.merge(&slot.latency);
@@ -578,15 +586,28 @@ impl ScenarioDriver {
             noc_budget_violations += slot.noc_budget_violations;
             workers.push(slot.telemetry);
             records.extend(slot.records);
+            scenario_totals.extend(slot.scenario_totals);
+            service_ns = service_ns.saturating_add(slot.service_ns);
         }
         let decisions: usize = workers.iter().map(|w| w.decisions).sum();
         let matches: usize = workers.iter().map(|w| w.oracle_matches).sum();
+        // The run's energy and time fold each scenario's subtotals in
+        // scenario-index order, so their bits do not depend on which worker
+        // served which scenario.
+        scenario_totals.sort_unstable_by_key(|&(index, _)| index);
         let mut substrates = SubstrateTelemetry::lanes();
+        let (mut total_energy_j, mut simulated_time_s) = (0.0, 0.0);
+        for (_, scenario) in &scenario_totals {
+            total_energy_j += scenario.energy_j;
+            simulated_time_s += scenario.time_s;
+            for (lane, &(energy_j, time_s)) in substrates.iter_mut().zip(&scenario.lanes) {
+                lane.energy_j += energy_j;
+                lane.time_s += time_s;
+            }
+        }
         for worker in &workers {
             for (lane, total) in substrates.iter_mut().zip(&worker.substrates) {
                 lane.decisions += total.decisions;
-                lane.energy_j += total.energy_j;
-                lane.time_s += total.time_s;
             }
         }
         let cpu_decisions = substrates[DecisionKind::Cpu.lane()].decisions;
@@ -599,12 +620,12 @@ impl ScenarioDriver {
         let telemetry = DriverTelemetry {
             scenarios: workers.iter().map(|w| w.scenarios).sum(),
             decisions,
-            total_energy_j: workers.iter().map(|w| w.energy_j).sum(),
-            simulated_time_s: workers.iter().map(|w| w.simulated_time_s).sum(),
+            total_energy_j,
+            simulated_time_s,
             wall_seconds,
             decisions_per_second: decisions as f64 / wall_seconds.max(1e-9),
             latency,
-            service_time_s: workers.iter().map(|w| w.busy_s).sum(),
+            service_time_s: service_ns as f64 / 1e9,
             sojourn,
             queue_delay,
             oracle_agreement: self.oracle_reference.map(|_| {
@@ -683,6 +704,8 @@ impl ScenarioDriver {
             sojourn: QuantileSketch::new(),
             queue_delay: QuantileSketch::new(),
             records: Vec::new(),
+            scenario_totals: Vec::new(),
+            service_ns: 0,
             max_completion_ns: 0,
             noc_budget_violations: 0,
         };
@@ -772,6 +795,7 @@ impl ScenarioDriver {
         // DVFS/slice transition state and the controller's workload estimate
         // carry across that scenario's GPU segments.
         let mut gpu_adapter: Option<GpuAdapter> = None;
+        let mut totals = ScenarioTotals::default();
         let mut scenario_matches = 0usize;
         let mut decisions = record.then(|| Vec::with_capacity(scenario.decision_count()));
         let mut counters = SnippetCounters::default();
@@ -819,7 +843,7 @@ impl ScenarioDriver {
                             time_s: result.time_s,
                             counters: result.counters,
                         };
-                        self.account_decision(slot, service_ns, &decision);
+                        self.account_decision(slot, service_ns, &mut totals, &decision);
                         if let Some(decisions) = &mut decisions {
                             decisions.push(SubstrateRecord::Cpu(decision));
                         }
@@ -838,7 +862,7 @@ impl ScenarioDriver {
                             Some(started_ns) => self.clock.now_ns().saturating_sub(started_ns),
                             None => 0,
                         });
-                        self.account_decision(slot, service_ns, &decision);
+                        self.account_decision(slot, service_ns, &mut totals, &decision);
                         if let Some(decisions) = &mut decisions {
                             decisions.push(SubstrateRecord::Gpu(decision));
                         }
@@ -858,7 +882,7 @@ impl ScenarioDriver {
                         if decision.measured_latency_cycles > session.latency_budget_cycles {
                             slot.noc_budget_violations += 1;
                         }
-                        self.account_decision(slot, service_ns, &decision);
+                        self.account_decision(slot, service_ns, &mut totals, &decision);
                         if let Some(decisions) = &mut decisions {
                             decisions.push(SubstrateRecord::Noc(decision));
                         }
@@ -868,6 +892,7 @@ impl ScenarioDriver {
             }
         }
         slot.telemetry.scenarios += 1;
+        slot.scenario_totals.push((index, totals));
         // Service-time mode: hand the scenario's service duration back to
         // the source, which places it on the queueing timeline (FIFO
         // behind earlier arrivals of the same user).
@@ -910,12 +935,14 @@ impl ScenarioDriver {
         }
     }
 
-    /// Folds one served decision (any substrate) into the worker totals and,
-    /// in service-time mode, spends its simulated time on the driver's clock.
+    /// Folds one served decision (any substrate) into the worker and
+    /// scenario totals and, in service-time mode, spends its simulated time
+    /// on the driver's clock.
     fn account_decision<D: SubstrateDecision>(
         &self,
         slot: &mut WorkerSlot,
         service_ns: &mut u64,
+        totals: &mut ScenarioTotals,
         decision: &D,
     ) {
         if let Some(dilation) = self.service_dilation {
@@ -926,6 +953,7 @@ impl ScenarioDriver {
             let decision_ns = (decision.service_time_s().max(0.0) * dilation * 1e9).round() as u64;
             *service_ns = service_ns.saturating_add(decision_ns);
             self.clock.advance_ns(decision_ns);
+            slot.service_ns = slot.service_ns.saturating_add(decision_ns);
             slot.telemetry.busy_s += decision_ns as f64 / 1e9;
         }
         slot.telemetry.decisions += 1;
@@ -935,6 +963,11 @@ impl ScenarioDriver {
         lane.decisions += 1;
         lane.energy_j += decision.energy_j();
         lane.time_s += decision.service_time_s();
+        totals.energy_j += decision.energy_j();
+        totals.time_s += decision.service_time_s();
+        let (energy_j, time_s) = &mut totals.lanes[decision.kind().lane()];
+        *energy_j += decision.energy_j();
+        *time_s += decision.service_time_s();
     }
 }
 
@@ -954,6 +987,16 @@ fn oracle_reference(
     decisions
 }
 
+/// One served scenario's simulated energy and time, overall and per
+/// substrate lane.
+#[derive(Debug, Clone, Copy, Default)]
+struct ScenarioTotals {
+    energy_j: f64,
+    time_s: f64,
+    /// `(energy_j, time_s)` per lane, canonical order.
+    lanes: [(f64, f64); 3],
+}
+
 /// Everything one worker brings back from its serve loop.
 struct WorkerSlot {
     telemetry: WorkerTelemetry,
@@ -961,6 +1004,10 @@ struct WorkerSlot {
     sojourn: QuantileSketch,
     queue_delay: QuantileSketch,
     records: Vec<ScenarioRecord>,
+    /// Each served scenario's index and totals, in serving order.
+    scenario_totals: Vec<(usize, ScenarioTotals)>,
+    /// Clock nanoseconds this worker's decisions spent in service-time mode.
+    service_ns: u64,
     /// Latest queueing-timeline completion stamp this worker observed; the
     /// run's `wall_seconds` is the maximum across workers.
     max_completion_ns: u64,

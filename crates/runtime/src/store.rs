@@ -7,7 +7,7 @@
 //!
 //! * **Tier 0 — shared base.** One immutable, `Arc`'d `BaseTier` per store:
 //!   the batch-pretrained policy prototype plus the cumulative `λ = 1`
-//!   sufficient statistics ([`RlsStats`]) its analytical models refit from.
+//!   sufficient statistics ([`CandidateStats`]) its analytical models refit from.
 //!   A lease only holds the `Arc` until its first CPU decision, so users that
 //!   never make one (GPU- or NoC-only sessions) cost zero per-user bytes.
 //! * **Tier 1 — copy-on-write per-user deltas.** A lease's first
@@ -25,8 +25,8 @@
 //!   batch fit over pretraining plus every recorded user observation to
 //!   floating-point rounding, regardless of completion order or worker count
 //!   (the *low-order bits* can differ across completion orders — f64 addition
-//!   is not associative — so personalized runs are excluded from byte-compare
-//!   determinism gates).
+//!   is not associative — so personalized runs are byte-compared only at one
+//!   worker, whose completions follow its serving order).
 //!
 //! Only the **analytical models** (power/time RLS) are federated; per-user
 //! MLP adaptation lives and dies with the lease — there is no exact merge for
@@ -43,9 +43,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use soclearn_imitation::{OnlineIlConfig, OnlineIlPolicy};
-use soclearn_online_learning::stats::RlsStats;
-use soclearn_online_learning::traits::OnlineRegressor;
+use soclearn_imitation::{CandidateStats, OnlineIlConfig, OnlineIlPolicy};
 use soclearn_soc_sim::{DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 use soclearn_telemetry::{ObservedMutex, TelemetryRegistry};
 
@@ -60,15 +58,15 @@ struct BaseTier {
     prototype: OnlineIlPolicy,
     /// Cumulative `λ = 1` sufficient statistics: pretraining plus every
     /// fleet-merged user observation.
-    power_stats: RlsStats,
+    power_stats: CandidateStats,
     /// Time-model counterpart of `power_stats`.
-    time_stats: RlsStats,
+    time_stats: CandidateStats,
 }
 
 /// Tier 2: per-user deltas folded into one accumulated pair on completion.
 struct PendingPool {
-    power: RlsStats,
-    time: RlsStats,
+    power: CandidateStats,
+    time: CandidateStats,
     /// Diverged completions folded since the last fleet merge.
     completions: usize,
 }
@@ -175,8 +173,8 @@ impl TieredModelStore {
         assert!(merge_every > 0, "merge cadence must be positive");
         let prototype = artifacts.online_policy(config);
         let (power, time) = artifacts.pretrained_models();
-        let power_stats = RlsStats::from_estimator(power);
-        let time_stats = RlsStats::from_estimator(time);
+        let power_stats = CandidateStats::from_estimator(power);
+        let time_stats = CandidateStats::from_estimator(time);
         let full_copy_bytes = prototype.model_bytes();
         Self {
             config,
@@ -189,8 +187,8 @@ impl TieredModelStore {
             pending: ObservedMutex::new(
                 "model_store_pending",
                 PendingPool {
-                    power: RlsStats::zero(power.input_dim()),
-                    time: RlsStats::zero(time.input_dim()),
+                    power: CandidateStats::zero(),
+                    time: CandidateStats::zero(),
                     completions: 0,
                 },
             ),
@@ -242,7 +240,7 @@ impl TieredModelStore {
 
     /// Clones the base tier's cumulative `(power, time)` sufficient
     /// statistics — what the merge-law tests compare against batch fits.
-    pub fn base_stats(&self) -> (RlsStats, RlsStats) {
+    pub fn base_stats(&self) -> (CandidateStats, CandidateStats) {
         let base = self.base.lock();
         (base.power_stats.clone(), base.time_stats.clone())
     }
@@ -344,7 +342,7 @@ impl TieredModelStore {
 
     /// Folds one completed lease's recorded deltas into the pending pool and
     /// triggers a fleet merge when the cadence is reached.
-    fn release_diverged(&self, stats: Option<(RlsStats, RlsStats)>, copy_bytes: usize) {
+    fn release_diverged(&self, stats: Option<(CandidateStats, CandidateStats)>, copy_bytes: usize) {
         self.resident_copies.fetch_sub(1, Ordering::Relaxed);
         self.peak_copy_bytes.fetch_max(copy_bytes, Ordering::Relaxed);
         let taken = {
@@ -368,23 +366,22 @@ impl TieredModelStore {
         &self,
         pool: &mut PendingPool,
         predicate: impl Fn(&PendingPool) -> bool,
-    ) -> Option<(RlsStats, RlsStats)> {
+    ) -> Option<(CandidateStats, CandidateStats)> {
         if !predicate(pool) {
             return None;
         }
-        let (power_dim, time_dim) = (pool.power.dim(), pool.time.dim());
-        let power = std::mem::replace(&mut pool.power, RlsStats::zero(power_dim));
-        let time = std::mem::replace(&mut pool.time, RlsStats::zero(time_dim));
+        let power = std::mem::replace(&mut pool.power, CandidateStats::zero());
+        let time = std::mem::replace(&mut pool.time, CandidateStats::zero());
         pool.completions = 0;
         Some((power, time))
     }
 
     /// The fleet merge: absorb `(power, time)` deltas into the cumulative
     /// base statistics, refit the analytical models at `λ = 1` and publish a
-    /// new base generation.  Exact by the [`RlsStats::merge`] law; concurrent
+    /// new base generation.  Exact by the [`CandidateStats::merge`] law; concurrent
     /// merges serialize on the base lock and compose (each folds its
     /// delta into whatever cumulative state it finds).
-    fn fold_into_base(&self, power: RlsStats, time: RlsStats) {
+    fn fold_into_base(&self, power: CandidateStats, time: CandidateStats) {
         let mut slot = self.base.lock();
         let mut power_stats = slot.power_stats.clone();
         let mut time_stats = slot.time_stats.clone();
@@ -449,7 +446,7 @@ impl Drop for TieredPolicy {
         match std::mem::replace(&mut self.state, LeaseState::Released) {
             LeaseState::Diverged { mut policy } => {
                 let copy_bytes = policy.model_bytes();
-                self.store.release_diverged(policy.finish_stats_recording(), copy_bytes);
+                self.store.release_diverged(policy.take_recorded_stats(), copy_bytes);
             }
             // A user who never decided never owned resident state.
             LeaseState::Shared { .. } | LeaseState::Released => {}

@@ -65,9 +65,9 @@ impl SnippetCounters {
     /// Scale-free feature vector used by the learned policies: rates per
     /// kilo-instruction and utilizations, which transfer across snippets of
     /// different lengths and across applications.
-    pub fn normalized_features(&self) -> Vec<f64> {
+    pub fn normalized_features(&self) -> [f64; Self::NORMALIZED_FEATURE_DIM] {
         let kilo_instructions = (self.instructions_retired / 1000.0).max(1e-9);
-        vec![
+        [
             self.cpu_cycles_total / self.instructions_retired.max(1.0),
             self.branch_mispredictions_per_core / kilo_instructions,
             self.l2_cache_misses / kilo_instructions,

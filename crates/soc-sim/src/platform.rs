@@ -207,25 +207,24 @@ impl SocPlatform {
 
     /// Configurations reachable from `config` by moving each cluster's frequency by
     /// at most `radius` levels (the local candidate neighbourhood used by the
-    /// online-IL runtime Oracle).  The result always contains `config` itself.
-    pub fn neighbourhood(&self, config: DvfsConfig, radius: usize) -> Vec<DvfsConfig> {
+    /// online-IL runtime Oracle), LITTLE level outermost, both ascending.  The
+    /// walk always yields `config` itself and allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is not a configuration of this platform.
+    pub fn neighbourhood(
+        &self,
+        config: DvfsConfig,
+        radius: usize,
+    ) -> impl Iterator<Item = DvfsConfig> {
         assert!(self.is_valid(config), "invalid DVFS configuration {config}");
-        let radius = radius as isize;
-        let mut out = Vec::new();
-        for dl in -radius..=radius {
-            for db in -radius..=radius {
-                let li = config.little_idx as isize + dl;
-                let bi = config.big_idx as isize + db;
-                if li >= 0
-                    && bi >= 0
-                    && (li as usize) < self.little_freqs_hz.len()
-                    && (bi as usize) < self.big_freqs_hz.len()
-                {
-                    out.push(DvfsConfig::new(li as usize, bi as usize));
-                }
-            }
-        }
-        out
+        let around = |idx: usize, levels: usize| {
+            idx.saturating_sub(radius)..idx.saturating_add(radius).saturating_add(1).min(levels)
+        };
+        let big = around(config.big_idx, self.big_freqs_hz.len());
+        around(config.little_idx, self.little_freqs_hz.len())
+            .flat_map(move |little| big.clone().map(move |big| DvfsConfig::new(little, big)))
     }
 
     /// The highest-performance configuration (both clusters at maximum frequency).
@@ -280,12 +279,38 @@ mod tests {
     fn neighbourhood_respects_bounds_and_contains_self() {
         let p = SocPlatform::odroid_xu3();
         let corner = p.min_config();
-        let n = p.neighbourhood(corner, 1);
+        let n: Vec<_> = p.neighbourhood(corner, 1).collect();
         assert!(n.contains(&corner));
         assert_eq!(n.len(), 4, "corner has a 2x2 neighbourhood");
         let middle = DvfsConfig::new(2, 4);
-        assert_eq!(p.neighbourhood(middle, 1).len(), 9);
-        assert_eq!(p.neighbourhood(middle, 0), vec![middle]);
+        assert_eq!(p.neighbourhood(middle, 1).count(), 9);
+        assert_eq!(p.neighbourhood(middle, 0).collect::<Vec<_>>(), vec![middle]);
+    }
+
+    /// The walk yields what the filtered double loop over level offsets it
+    /// replaced collected, in the same order, for every centre and radius.
+    #[test]
+    fn neighbourhood_keeps_the_offset_loop_order() {
+        let p = SocPlatform::odroid_xu3();
+        let levels = |kind| p.level_count(kind) as isize;
+        for centre in p.configs() {
+            for radius in 0..4isize {
+                let mut expected = Vec::new();
+                for dl in -radius..=radius {
+                    for db in -radius..=radius {
+                        let li = centre.little_idx as isize + dl;
+                        let bi = centre.big_idx as isize + db;
+                        if (0..levels(ClusterKind::Little)).contains(&li)
+                            && (0..levels(ClusterKind::Big)).contains(&bi)
+                        {
+                            expected.push(DvfsConfig::new(li as usize, bi as usize));
+                        }
+                    }
+                }
+                let walked: Vec<_> = p.neighbourhood(centre, radius as usize).collect();
+                assert_eq!(walked, expected, "centre {centre}, radius {radius}");
+            }
+        }
     }
 
     #[test]

@@ -42,8 +42,12 @@
 //! prints the store's accounting — bytes per user against a full per-user
 //! copy, merge rounds, base version — and a per-family
 //! delta-materialization table.  Merged base weights depend on completion
-//! order at the floating-point level, so `--personalize` is not combined with
-//! the byte-compare determinism gates.
+//! order at the floating-point level.  One worker completes users in serving
+//! order, so a personalized run at `--workers 1` is deterministic: CI runs
+//! `--personalize --virtual-clock --workers 1 --users 200` twice and
+//! byte-compares the two `--trace-out` files.  Past one worker the order
+//! follows thread timing, so `--personalize` stays out of the 2- and
+//! 4-worker gates until the store merges at fixed epochs.
 //!
 //! `--substrates all` swaps the CPU-only generator for the heterogeneous
 //! seven-family mix — CPU DVFS scenarios, GPU eNMPC rendering sessions and
@@ -716,6 +720,7 @@ mod tests {
              --metrics-out metrics-ref.json --prom-out prom-ref.txt --obs-summary",
             "--virtual-clock --queueing --workers 4 --users 10000 --trace-out scale-a.jsonl",
             "--personalize --users 1000",
+            "--personalize --virtual-clock --workers 1 --users 200 --trace-out personalized-a.jsonl",
             "--substrates cpu --personalize --virtual-clock --workers 1",
         ] {
             if let Err(error) = parse(line) {

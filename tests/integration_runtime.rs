@@ -190,7 +190,11 @@ fn oracle_reference_figures_are_pinned_at_any_worker_count() {
     const MATCHES: usize = 266;
     /// 266 / 4,787.
     const AGREEMENT_BITS: u64 = 0x3fac_734c_86fa_9945;
+    /// Every decision's energy summed in record order.
     const ENERGY_BITS: u64 = 0x4092_acdd_a097_ea86;
+    /// The driver's total: each user's energy summed, the users folded in
+    /// index order.
+    const TOTAL_ENERGY_BITS: u64 = 0x4092_acdd_a097_ea83;
     let platform = SocPlatform::odroid_xu3();
     let specs = ScenarioGenerator::standard(1, 40).scenarios(120);
     let warm = Arc::new(SweepCache::new());
@@ -222,21 +226,74 @@ fn oracle_reference_figures_are_pinned_at_any_worker_count() {
             assert_eq!(matches, MATCHES, "{case}");
             let worker_matches: usize = telemetry.workers.iter().map(|w| w.oracle_matches).sum();
             assert_eq!(worker_matches, MATCHES, "{case}");
-            // Each worker sums the energy of the users it claimed, so the
-            // telemetry total's last bits depend on the claim order past
-            // one worker; the records summed in index order do not.
             let energy = records
                 .iter()
                 .flat_map(|r| r.decisions.iter().map(SubstrateDecision::energy_j))
                 .fold(0.0, |sum, energy| sum + energy);
             assert_eq!(energy.to_bits(), ENERGY_BITS, "{case}");
-            if workers == 1 {
-                assert_eq!(telemetry.total_energy_j.to_bits(), ENERGY_BITS, "{case}");
-            }
+            assert_eq!(telemetry.total_energy_j.to_bits(), TOTAL_ENERGY_BITS, "{case}");
             assert_eq!(telemetry.l1, SweepL1Stats::default(), "{case}");
         }
     }
     assert_eq!(warm.stats(), warm_stats, "serving must not read the cache");
+}
+
+/// The run totals do not depend on which worker served which user: on the
+/// 120-user ondemand fleet (whose energy used to read `…ea86`, `…ea87` and
+/// `…ea81` at 1, 2 and 4 workers) and on a mixed CPU–GPU–NoC fleet, the
+/// total energy and time and every lane's energy and time keep one bit
+/// pattern at 1, 2 and 4 workers: the users' subtotals folded in index
+/// order.  So does the service time, summed in integer nanoseconds.
+#[test]
+fn run_totals_have_one_bit_pattern_at_any_worker_count() {
+    const ONDEMAND_ENERGY_BITS: u64 = 0x4092_acdd_a097_ea83;
+    let platform = SocPlatform::odroid_xu3();
+    let fleets = [
+        ScenarioGenerator::standard(1, 40).scenarios(120),
+        ScenarioGenerator::heterogeneous(5, 6).scenarios(24),
+    ];
+    for (fleet, specs) in fleets.iter().enumerate() {
+        let totals = |workers| {
+            let driver = ScenarioDriver::new(platform.clone(), workers).with_service_time(1.0);
+            let (telemetry, records) = driver
+                .run_recorded_mixed(&SliceSource::new(specs), |_, _| {
+                    SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
+                });
+            // The same fold from the records: each user's decisions in
+            // order, the users in index order.
+            let (mut energy, mut time) = (0.0, 0.0);
+            for record in &records {
+                let (mut user_energy, mut user_time) = (0.0, 0.0);
+                for decision in &record.decisions {
+                    user_energy += decision.energy_j();
+                    user_time += decision.service_time_s();
+                }
+                energy += user_energy;
+                time += user_time;
+            }
+            assert_eq!(telemetry.total_energy_j.to_bits(), energy.to_bits(), "{workers} workers");
+            assert_eq!(telemetry.simulated_time_s.to_bits(), time.to_bits(), "{workers} workers");
+            let lanes = telemetry
+                .substrates
+                .map(|lane| (lane.decisions, lane.energy_j.to_bits(), lane.time_s.to_bits()));
+            let service = telemetry.service_time_s.to_bits();
+            (
+                telemetry.total_energy_j.to_bits(),
+                telemetry.simulated_time_s.to_bits(),
+                service,
+                lanes,
+            )
+        };
+        let reference = totals(1);
+        if fleet == 0 {
+            assert_eq!(reference.0, ONDEMAND_ENERGY_BITS);
+        } else {
+            assert!(reference.3.iter().all(|&(decisions, ..)| decisions > 0), "every lane serves");
+        }
+        for workers in [2, 4] {
+            assert_eq!(totals(workers), reference, "fleet {fleet}, {workers} workers");
+        }
+    }
 }
 
 /// The sweep cache's bookkeeping on a cold fleet with more distinct Oracle
@@ -319,4 +376,52 @@ fn cold_fleet_sweep_cache_bookkeeping_is_pinned() {
     for (index, (shard, &(hits, misses, evictions))) in shards.iter().zip(&recorded).enumerate() {
         assert_eq!(*shard, stats(hits, misses, evictions, 256), "shard {index}");
     }
+}
+
+/// A one-worker personalized fleet whose store merges mid-run: 64 Odroid-XU3
+/// users of about 8 snippets lease from a `TieredModelStore` that folds every
+/// 8 completions into a refit base, so later users are served by models
+/// refit from earlier users' observations.  The figures pin the whole
+/// lease → record → merge → refit path: the decisions, the energy (each
+/// user's decisions summed, the users folded in index order) and the bits of
+/// the final base's refit weights.  They were recorded from the estimators
+/// that kept their covariance in nested vectors.
+#[test]
+fn personalized_fleet_with_mid_run_merges_is_pinned() {
+    const DECISION_HASH: u64 = 0xaff5_e4fa_b20c_842a;
+    const ENERGY_BITS: u64 = 0x405e_2e2d_1d82_a99a;
+    const WEIGHT_HASH: u64 = 0x43f9_b898_35da_2e19;
+    let platform = SocPlatform::odroid_xu3();
+    let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
+    let config = OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() };
+    let store = Arc::new(TieredModelStore::new(&artifacts, config, 8));
+    let specs = ScenarioGenerator::standard(1, 8).scenarios(64);
+    let driver = ScenarioDriver::new(platform.clone(), 1).with_personalization(Arc::clone(&store));
+    let (telemetry, records) = driver.run_recorded_mixed(&SliceSource::new(&specs), |_, _| {
+        SubstratePolicies::cpu_only(Box::new(store.lease("pinned")))
+    });
+    let fnv = |h: u64, word: u64| (h ^ word).wrapping_mul(0x0100_0000_01b3);
+    let mut decision_hash = 0xcbf2_9ce4_8422_2325;
+    let mut energy = 0.0;
+    for record in &records {
+        let mut user_energy = 0.0;
+        for decision in &record.decisions {
+            let cpu = decision.as_cpu().expect("standard users run CPU work only");
+            decision_hash = fnv(decision_hash, cpu.config.little_idx as u64);
+            decision_hash = fnv(decision_hash, cpu.config.big_idx as u64);
+            user_energy += cpu.energy_j;
+        }
+        energy += user_energy;
+    }
+    let (power, time) = store.base_stats();
+    let (power, time) = (power.refit(1.0), time.refit(1.0));
+    let weights = power.weights().iter().chain(time.weights());
+    let weight_hash = weights.map(|w| w.to_bits()).fold(0xcbf2_9ce4_8422_2325, fnv);
+    let stats = telemetry.model_store.expect("a personalized run reports its store");
+    assert_eq!(telemetry.decisions, 518);
+    assert_eq!(stats.users_leased, 64);
+    assert_eq!(stats.merge_rounds, 8, "one merge per 8 completions");
+    assert_eq!(decision_hash, DECISION_HASH, "{decision_hash:#018x}");
+    assert_eq!(energy.to_bits(), ENERGY_BITS, "{energy}");
+    assert_eq!(weight_hash, WEIGHT_HASH, "{weight_hash:#018x}");
 }

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use soclearn_core::prelude::*;
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
-use soclearn_online_learning::traits::OnlineRegressor;
 use soclearn_power_thermal::RcThermalModel;
 use soclearn_scenarios::TraceError;
 use soclearn_soc_sim::ClusterKind;
@@ -106,7 +105,7 @@ proptest! {
     fn neighbourhood_is_valid_and_contains_centre(little in 0usize..5, big in 0usize..8, radius in 0usize..4) {
         let platform = SocPlatform::odroid_xu3();
         let centre = DvfsConfig::new(little, big);
-        let neighbours = platform.neighbourhood(centre, radius);
+        let neighbours: Vec<_> = platform.neighbourhood(centre, radius).collect();
         prop_assert!(neighbours.contains(&centre));
         prop_assert!(neighbours.iter().all(|&c| platform.is_valid(c)));
         let expected_max = (2 * radius + 1) * (2 * radius + 1);
@@ -143,7 +142,7 @@ proptest! {
     /// blow-up), even with aggressive forgetting.
     #[test]
     fn rls_stays_finite(stream in proptest::collection::vec((-10.0f64..10.0, -10.0f64..10.0, -100.0f64..100.0), 1..200)) {
-        let mut rls = RecursiveLeastSquares::new(3, 0.9);
+        let mut rls = RecursiveLeastSquares::<3>::new(0.9);
         for (a, b, y) in &stream {
             rls.update(&[*a, *b, 1.0], *y);
             let p = rls.predict(&[*a, *b, 1.0]);

@@ -21,15 +21,15 @@ fn samples_strategy() -> impl Strategy<Value = Vec<(Vec<f64>, f64)>> {
     )
 }
 
-fn stats_of(samples: &[(Vec<f64>, f64)]) -> RlsStats {
-    let mut stats = RlsStats::zero(DIM);
+fn stats_of(samples: &[(Vec<f64>, f64)]) -> RlsStats<DIM> {
+    let mut stats = RlsStats::zero();
     for (x, y) in samples {
-        stats.observe(x, *y);
+        stats.observe(x.as_slice().try_into().expect("DIM features"), *y);
     }
     stats
 }
 
-fn max_weight_gap(a: &RlsStats, b: &RlsStats) -> f64 {
+fn max_weight_gap(a: &RlsStats<DIM>, b: &RlsStats<DIM>) -> f64 {
     let (fa, fb) = (a.refit(1.0), b.refit(1.0));
     fa.weights()
         .iter()
@@ -81,7 +81,7 @@ proptest! {
         // Cut the sample list at pseudo-random, strategy-chosen points.
         let mut cuts: Vec<usize> = splits.iter().map(|s| s % (samples.len() + 1)).collect();
         cuts.sort_unstable();
-        let mut merged = RlsStats::zero(DIM);
+        let mut merged = RlsStats::zero();
         let mut start = 0usize;
         for cut in cuts.into_iter().chain(std::iter::once(samples.len())) {
             merged.merge(&stats_of(&samples[start..cut.max(start)]));
