@@ -17,6 +17,8 @@
 //! reports that ~100 entries give close to 100% accuracy at under 20 KB of
 //! storage, which the [`OnlineIlStats::buffer_bytes`] accounting reproduces.
 
+use std::sync::Arc;
+
 use serde::Serialize;
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
@@ -134,12 +136,32 @@ pub fn pretrain_candidate_models(
     (power_model, time_model)
 }
 
-/// The model-guided online imitation-learning policy.
-#[derive(Debug, PartialEq, Serialize)]
-pub struct OnlineIlPolicy {
+/// The policy's feature scaler and its two networks.  They change only when
+/// the aggregation buffer fills and back-propagation retrains them, so
+/// copies of a policy share one group until they retrain.
+#[derive(Debug, Clone, PartialEq)]
+struct PolicyNetworks {
     scaler: StandardScaler,
     little_mlp: PolicyNetwork,
     big_mlp: PolicyNetwork,
+}
+
+impl PolicyNetworks {
+    /// Approximate resident footprint in bytes: the scaler's count, mean,
+    /// M2 and cached standard deviation, and both networks' parameters.
+    fn bytes(&self) -> usize {
+        let f = std::mem::size_of::<f64>();
+        let scaler = (3 * self.scaler.dim() + 1) * f;
+        scaler + (self.little_mlp.param_count() + self.big_mlp.param_count()) * f
+    }
+}
+
+/// The model-guided online imitation-learning policy.
+#[derive(Debug, PartialEq)]
+pub struct OnlineIlPolicy {
+    /// Shared with every clone until this policy or the clone retrains
+    /// (`Arc::make_mut` in [`OnlineIlPolicy::retrain_from_buffer`]).
+    networks: Arc<PolicyNetworks>,
     power_model: CandidateModel,
     time_model: CandidateModel,
     buffer: Vec<(StateRow, DvfsConfig)>,
@@ -151,22 +173,21 @@ pub struct OnlineIlPolicy {
     /// `(x, y)` observation into `(power, time)` [`RlsStats`], so a fleet can
     /// later merge per-user deltas back into a shared base exactly (the
     /// runtime models themselves run with forgetting and are not mergeable).
-    #[serde(skip_serializing_if = "Option::is_none")]
     delta_stats: Option<(CandidateStats, CandidateStats)>,
-    name: String,
 }
 
-/// A clone keeps the buffer's full capacity, so a copy (a fleet lease's
-/// first decision clones the shared prototype) aggregates without
-/// allocating until it retrains.
+/// A clone shares the scaler and both networks with the original until
+/// either of them retrains, which gives the retraining policy a private
+/// copy and leaves the other's networks as they were.  It copies the
+/// online models, the statistics and the buffer, keeping the buffer's full
+/// capacity, so a copy (a fleet lease's first decision clones the shared
+/// prototype) aggregates without allocating until it retrains.
 impl Clone for OnlineIlPolicy {
     fn clone(&self) -> Self {
         let mut buffer = Vec::with_capacity(self.config.buffer_capacity);
         buffer.extend_from_slice(&self.buffer);
         Self {
-            scaler: self.scaler.clone(),
-            little_mlp: self.little_mlp.clone(),
-            big_mlp: self.big_mlp.clone(),
+            networks: Arc::clone(&self.networks),
             power_model: self.power_model.clone(),
             time_model: self.time_model.clone(),
             buffer,
@@ -174,7 +195,6 @@ impl Clone for OnlineIlPolicy {
             stats: self.stats,
             last_time_s: self.last_time_s,
             delta_stats: self.delta_stats.clone(),
-            name: self.name.clone(),
         }
     }
 }
@@ -189,9 +209,7 @@ impl OnlineIlPolicy {
     pub fn from_offline(offline: OfflineIlPolicy, config: OnlineIlConfig) -> Self {
         let (scaler, little_mlp, big_mlp) = offline.into_mlp_parts();
         Self {
-            scaler,
-            little_mlp,
-            big_mlp,
+            networks: Arc::new(PolicyNetworks { scaler, little_mlp, big_mlp }),
             power_model: CandidateModel::new(FORGETTING_FACTOR),
             time_model: CandidateModel::new(FORGETTING_FACTOR),
             buffer: Vec::with_capacity(config.buffer_capacity),
@@ -199,7 +217,6 @@ impl OnlineIlPolicy {
             stats: OnlineIlStats::default(),
             last_time_s: None,
             delta_stats: None,
-            name: "online-il".to_owned(),
         }
     }
 
@@ -256,23 +273,39 @@ impl OnlineIlPolicy {
 
     /// Approximate resident footprint of one policy instance in bytes: the
     /// scaler, both policy networks, both online RLS models, the aggregation
-    /// buffer and any delta-statistics recorder.  This is the per-user cost a
-    /// naive "full copy per user" personalization scheme would pay, and the
-    /// denominator of the tiered store's bytes/user gauge.
+    /// buffer's filled rows ([`OnlineIlStats::buffer_bytes`], the paper's
+    /// accounting) and any delta-statistics recorder.  This is the per-user
+    /// cost a naive "full copy per user" personalization scheme would pay,
+    /// and the denominator of the tiered store's bytes/user gauge.
     pub fn model_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
-        // The scaler: count, mean, M2 and the cached standard deviation.
-        let scaler = (3 * self.scaler.dim() + 1) * f;
-        let mlps = (self.little_mlp.param_count() + self.big_mlp.param_count()) * f;
+        self.networks.bytes() + self.online_model_bytes() + self.stats.buffer_bytes
+    }
+
+    /// What this policy holds on its own: the online models, any
+    /// delta-statistics recorder and the aggregation buffer's whole
+    /// allocation (a clone reserves `buffer_capacity` rows up front), plus
+    /// the scaler and networks only once no other policy shares them (a
+    /// clone owns its networks after it retrains).  What a fleet lease costs
+    /// on top of the shared base.
+    pub fn owned_bytes(&self) -> usize {
+        let networks =
+            if Arc::strong_count(&self.networks) == 1 { self.networks.bytes() } else { 0 };
+        let buffer = self.buffer.capacity() * std::mem::size_of::<(StateRow, DvfsConfig)>();
+        networks + self.online_model_bytes() + buffer
+    }
+
+    /// Bytes of both online RLS models and any delta-statistics recorder.
+    fn online_model_bytes(&self) -> usize {
         // Each RLS model: the `d × d` covariance plus the weight vector.
-        let models =
-            2 * (CANDIDATE_FEATURE_DIM * CANDIDATE_FEATURE_DIM + CANDIDATE_FEATURE_DIM) * f;
+        let models = 2
+            * (CANDIDATE_FEATURE_DIM * CANDIDATE_FEATURE_DIM + CANDIDATE_FEATURE_DIM)
+            * std::mem::size_of::<f64>();
         let deltas = self
             .delta_stats
             .as_ref()
             .map(|(p, t)| p.approx_bytes() + t.approx_bytes())
             .unwrap_or(0);
-        scaler + mlps + models + self.stats.buffer_bytes + deltas
+        models + deltas
     }
 
     /// The configuration parameters the policy was created with.
@@ -310,11 +343,9 @@ impl OnlineIlPolicy {
 
     /// Policy-network prediction from an already-scaled feature vector.
     fn prediction_from_scaled(&self, platform: &SocPlatform, x: &StateRow) -> DvfsConfig {
-        let little = self
-            .little_mlp
-            .predict_class(x)
-            .min(platform.level_count(ClusterKind::Little) - 1);
-        let big = self.big_mlp.predict_class(x).min(platform.level_count(ClusterKind::Big) - 1);
+        let PolicyNetworks { little_mlp, big_mlp, .. } = &*self.networks;
+        let little = little_mlp.predict_class(x).min(platform.level_count(ClusterKind::Little) - 1);
+        let big = big_mlp.predict_class(x).min(platform.level_count(ClusterKind::Big) - 1);
         DvfsConfig::new(little, big)
     }
 
@@ -338,12 +369,14 @@ impl OnlineIlPolicy {
 
     /// Back-propagation over the buffer.  The two networks share no state, so
     /// training the LITTLE one over every epoch and then the big one equals
-    /// interleaving them sample by sample.
+    /// interleaving them sample by sample.  Networks still shared with a
+    /// clone are copied first, so a retrain changes no other policy's.
     fn retrain_from_buffer(&mut self) {
+        let networks = Arc::make_mut(&mut self.networks);
         let little = self.buffer.iter().map(|(x, label)| (x, label.little_idx));
-        self.little_mlp.train_classification_epochs(little, UPDATE_EPOCHS);
+        networks.little_mlp.train_classification_epochs(little, UPDATE_EPOCHS);
         let big = self.buffer.iter().map(|(x, label)| (x, label.big_idx));
-        self.big_mlp.train_classification_epochs(big, UPDATE_EPOCHS);
+        networks.big_mlp.train_classification_epochs(big, UPDATE_EPOCHS);
         self.buffer.clear();
         self.stats.policy_updates += 1;
         self.stats.buffer_bytes = 0;
@@ -352,7 +385,7 @@ impl OnlineIlPolicy {
 
 impl DvfsPolicy for OnlineIlPolicy {
     fn name(&self) -> &str {
-        &self.name
+        "online-il"
     }
 
     fn decide(&mut self, platform: &SocPlatform, decision: PolicyDecision<'_>) -> DvfsConfig {
@@ -388,7 +421,7 @@ impl DvfsPolicy for OnlineIlPolicy {
         //    reused for the aggregation push in step 4.
         let features = policy_features(platform, counters, current);
         let mut scaled = [0.0; POLICY_FEATURE_DIM];
-        self.scaler.transform_into(&features, &mut scaled);
+        self.networks.scaler.transform_into(&features, &mut scaled);
         let proposal = self.prediction_from_scaled(platform, &scaled);
 
         // 3. Runtime Oracle approximation over the local candidate neighbourhood,
@@ -505,7 +538,7 @@ mod tests {
         // final weights, not only the decisions they led to.
         let probe: [f64; POLICY_FEATURE_DIM] = std::array::from_fn(|i| i as f64 * 0.3 - 1.2);
         let mut weight_hash = 0xcbf2_9ce4_8422_2325;
-        for net in [&online.little_mlp, &online.big_mlp] {
+        for net in [&online.networks.little_mlp, &online.networks.big_mlp] {
             weight_hash = net.forward(&probe).iter().map(|v| v.to_bits()).fold(weight_hash, fnv);
         }
         let stats = online.stats();
@@ -555,6 +588,39 @@ mod tests {
             cortex.benchmarks().iter().chain(parsec.benchmarks().iter()),
         );
         seq.snippets().iter().map(|s| s.profile.clone()).collect()
+    }
+
+    /// A clone shares its original's networks until one of them retrains,
+    /// and a retrain copies them first: a clone that retrains leaves the
+    /// original's networks bit-unchanged, the original then decides exactly
+    /// as a twin that was never cloned, and the original's own retrains do
+    /// not reach a clone that never ran.
+    #[test]
+    fn a_retraining_clone_leaves_the_original_untouched() {
+        let platform = SocPlatform::small();
+        let config = OnlineIlConfig { buffer_capacity: 6, ..OnlineIlConfig::default() };
+        let mut original = trained_online_policy(&platform, config);
+        let mut twin = trained_online_policy(&platform, config);
+        let profiles = unseen_profiles();
+        let (head, tail) = profiles.split_at(20);
+        // `Debug` prints every float in its shortest round-trip form, sign of
+        // zero included, so equal strings mean equal bits.
+        let snapshot = format!("{:?}", original.networks);
+
+        let mut clone = original.clone();
+        let idle = original.clone();
+        run_policy(&platform, &mut clone, head);
+        assert_eq!(clone.stats().policy_updates, 3);
+        assert_ne!(format!("{:?}", clone.networks), snapshot, "the clone's retrains moved its own");
+        assert_eq!(format!("{:?}", original.networks), snapshot);
+
+        let (energy, decisions) = run_policy(&platform, &mut original, tail);
+        let (twin_energy, twin_decisions) = run_policy(&platform, &mut twin, tail);
+        assert!(original.stats().policy_updates > 0);
+        assert_eq!(decisions, twin_decisions);
+        assert_eq!(energy.to_bits(), twin_energy.to_bits());
+        assert_eq!(format!("{:?}", original.networks), format!("{:?}", twin.networks));
+        assert_eq!(format!("{:?}", idle.networks), snapshot);
     }
 
     #[test]
@@ -701,7 +767,8 @@ mod tests {
         assert_eq!(online.stats().policy_updates, 2);
         assert!(!online.buffer.is_empty());
 
-        let (mut little, mut big) = (online.little_mlp.clone(), online.big_mlp.clone());
+        let (mut little, mut big) =
+            (online.networks.little_mlp.clone(), online.networks.big_mlp.clone());
         for _ in 0..UPDATE_EPOCHS {
             for (x, label) in &online.buffer {
                 let _ = little.train_classification(x, label.little_idx);
@@ -711,8 +778,8 @@ mod tests {
         online.retrain_from_buffer();
         // `Debug` prints every float in its shortest round-trip form, sign of
         // zero included, so equal strings mean equal bits.
-        assert_eq!(format!("{:?}", online.little_mlp), format!("{little:?}"));
-        assert_eq!(format!("{:?}", online.big_mlp), format!("{big:?}"));
+        assert_eq!(format!("{:?}", online.networks.little_mlp), format!("{little:?}"));
+        assert_eq!(format!("{:?}", online.networks.big_mlp), format!("{big:?}"));
     }
 
     #[test]
@@ -746,7 +813,7 @@ mod tests {
         }
         // A poisoned first layer makes a network ignore its input.
         let (zeros, ones) = ([0.0; POLICY_FEATURE_DIM], [1.0; POLICY_FEATURE_DIM]);
-        for net in [&online.little_mlp, &online.big_mlp] {
+        for net in [&online.networks.little_mlp, &online.networks.big_mlp] {
             let (a, b) = (net.forward(&zeros), net.forward(&ones));
             assert!(a.iter().chain(&b).all(|v| v.is_finite()));
             assert_ne!(a, b, "network output must still depend on its input");

@@ -28,8 +28,9 @@
 //! and throughput are computed against discrete-event time and become
 //! deterministic functions of the scenario stream.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use soclearn_oracle::{OracleObjective, OracleSearch};
 use soclearn_soc_sim::{DvfsConfig, PolicyDecision, SnippetCounters, SocPlatform, SocSimulator};
@@ -548,10 +549,14 @@ impl ScenarioDriver {
         if let (Some(obs), Some(store)) = (&self.obs, &self.personalization) {
             store.attach_contention(&obs.registry);
         }
+        let run_totals = Mutex::new(RunTotals::default());
         let mut worker_slots: Vec<WorkerSlot> = std::thread::scope(|scope| {
+            let run_totals = &run_totals;
             let handles: Vec<_> = (0..self.workers)
                 .map(|worker| {
-                    scope.spawn(move || self.serve(worker, source, make_policies, record))
+                    scope.spawn(move || {
+                        self.serve(worker, source, make_policies, record, run_totals)
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("driver worker panicked")).collect()
@@ -576,7 +581,6 @@ impl ScenarioDriver {
         let mut queue_delay = QuantileSketch::new();
         let mut workers = Vec::with_capacity(worker_slots.len());
         let mut records = Vec::new();
-        let mut scenario_totals = Vec::new();
         let mut service_ns = 0u64;
         let mut noc_budget_violations = 0;
         for slot in worker_slots {
@@ -586,24 +590,15 @@ impl ScenarioDriver {
             noc_budget_violations += slot.noc_budget_violations;
             workers.push(slot.telemetry);
             records.extend(slot.records);
-            scenario_totals.extend(slot.scenario_totals);
             service_ns = service_ns.saturating_add(slot.service_ns);
         }
         let decisions: usize = workers.iter().map(|w| w.decisions).sum();
         let matches: usize = workers.iter().map(|w| w.oracle_matches).sum();
-        // The run's energy and time fold each scenario's subtotals in
-        // scenario-index order, so their bits do not depend on which worker
-        // served which scenario.
-        scenario_totals.sort_unstable_by_key(|&(index, _)| index);
+        let totals = run_totals.into_inner().expect("run totals lock").finish();
         let mut substrates = SubstrateTelemetry::lanes();
-        let (mut total_energy_j, mut simulated_time_s) = (0.0, 0.0);
-        for (_, scenario) in &scenario_totals {
-            total_energy_j += scenario.energy_j;
-            simulated_time_s += scenario.time_s;
-            for (lane, &(energy_j, time_s)) in substrates.iter_mut().zip(&scenario.lanes) {
-                lane.energy_j += energy_j;
-                lane.time_s += time_s;
-            }
+        for (lane, &(energy_j, time_s)) in substrates.iter_mut().zip(&totals.lanes) {
+            lane.energy_j = energy_j;
+            lane.time_s = time_s;
         }
         for worker in &workers {
             for (lane, total) in substrates.iter_mut().zip(&worker.substrates) {
@@ -620,8 +615,8 @@ impl ScenarioDriver {
         let telemetry = DriverTelemetry {
             scenarios: workers.iter().map(|w| w.scenarios).sum(),
             decisions,
-            total_energy_j,
-            simulated_time_s,
+            total_energy_j: totals.energy_j,
+            simulated_time_s: totals.time_s,
             wall_seconds,
             decisions_per_second: decisions as f64 / wall_seconds.max(1e-9),
             latency,
@@ -684,7 +679,14 @@ impl ScenarioDriver {
     }
 
     /// Worker loop: claim scenarios until the source drains.
-    fn serve<S, F>(&self, worker: usize, source: &S, make_policies: &F, record: bool) -> WorkerSlot
+    fn serve<S, F>(
+        &self,
+        worker: usize,
+        source: &S,
+        make_policies: &F,
+        record: bool,
+        run_totals: &Mutex<RunTotals>,
+    ) -> WorkerSlot
     where
         S: ScenarioSource + ?Sized,
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
@@ -704,7 +706,6 @@ impl ScenarioDriver {
             sojourn: QuantileSketch::new(),
             queue_delay: QuantileSketch::new(),
             records: Vec::new(),
-            scenario_totals: Vec::new(),
             service_ns: 0,
             max_completion_ns: 0,
             noc_budget_violations: 0,
@@ -733,6 +734,7 @@ impl ScenarioDriver {
                     source,
                     make_policies,
                     record,
+                    run_totals,
                     &mut slot,
                     &mut sim,
                     &mut oracle_sim,
@@ -758,6 +760,7 @@ impl ScenarioDriver {
         source: &S,
         make_policies: &F,
         record: bool,
+        run_totals: &Mutex<RunTotals>,
         slot: &mut WorkerSlot,
         sim: &mut SocSimulator,
         oracle_sim: &mut Option<SocSimulator>,
@@ -892,7 +895,7 @@ impl ScenarioDriver {
             }
         }
         slot.telemetry.scenarios += 1;
-        slot.scenario_totals.push((index, totals));
+        run_totals.lock().expect("run totals lock").complete(index, totals);
         // Service-time mode: hand the scenario's service duration back to
         // the source, which places it on the queueing timeline (FIFO
         // behind earlier arrivals of the same user).
@@ -988,13 +991,65 @@ fn oracle_reference(
 }
 
 /// One served scenario's simulated energy and time, overall and per
-/// substrate lane.
+/// substrate lane; also the run's, summed over scenarios.
 #[derive(Debug, Clone, Copy, Default)]
 struct ScenarioTotals {
     energy_j: f64,
     time_s: f64,
     /// `(energy_j, time_s)` per lane, canonical order.
     lanes: [(f64, f64); 3],
+}
+
+impl ScenarioTotals {
+    fn add(&mut self, scenario: &ScenarioTotals) {
+        self.energy_j += scenario.energy_j;
+        self.time_s += scenario.time_s;
+        for (run, scenario) in self.lanes.iter_mut().zip(&scenario.lanes) {
+            run.0 += scenario.0;
+            run.1 += scenario.1;
+        }
+    }
+}
+
+/// The run's energy and time, folded from each scenario's subtotals in
+/// scenario-index order as the scenarios complete, so their bits do not
+/// depend on which worker served which scenario.  Only completions that
+/// overtake the oldest scenario still in flight are held, until it
+/// completes: when the source hands out indices from 0 in order, as
+/// [`SliceSource`] and the scenarios crate's fleet source do, that is about
+/// one per worker while sessions are of about one length, and as many as
+/// complete during the longest session when they are not.
+#[derive(Default)]
+struct RunTotals {
+    /// The index the fold adds next.
+    next: usize,
+    /// Completed scenarios waiting for an earlier index.
+    waiting: BTreeMap<usize, ScenarioTotals>,
+    sum: ScenarioTotals,
+}
+
+impl RunTotals {
+    fn complete(&mut self, index: usize, totals: ScenarioTotals) {
+        if index != self.next {
+            self.waiting.insert(index, totals);
+            return;
+        }
+        self.sum.add(&totals);
+        self.next += 1;
+        while let Some(totals) = self.waiting.remove(&self.next) {
+            self.sum.add(&totals);
+            self.next += 1;
+        }
+    }
+
+    /// Adds whatever still waits (a source whose indices have gaps) in
+    /// index order.
+    fn finish(mut self) -> ScenarioTotals {
+        for totals in self.waiting.values() {
+            self.sum.add(totals);
+        }
+        self.sum
+    }
 }
 
 /// Everything one worker brings back from its serve loop.
@@ -1004,8 +1059,6 @@ struct WorkerSlot {
     sojourn: QuantileSketch,
     queue_delay: QuantileSketch,
     records: Vec<ScenarioRecord>,
-    /// Each served scenario's index and totals, in serving order.
-    scenario_totals: Vec<(usize, ScenarioTotals)>,
     /// Clock nanoseconds this worker's decisions spent in service-time mode.
     service_ns: u64,
     /// Latest queueing-timeline completion stamp this worker observed; the

@@ -11,9 +11,12 @@
 //!   A lease only holds the `Arc` until its first CPU decision, so users that
 //!   never make one (GPU- or NoC-only sessions) cost zero per-user bytes.
 //! * **Tier 1 — copy-on-write per-user deltas.** A lease's first
-//!   [`DvfsPolicy::decide`] clones the base prototype, and from then on the
-//!   user adapts privately, with every model update also recorded as raw
-//!   sufficient statistics.
+//!   [`DvfsPolicy::decide`] copies the base prototype's per-user state (its
+//!   two RLS models, zeroed delta statistics, counters and an empty buffer)
+//!   and shares its scaler and policy networks, which the user owns only
+//!   once its buffer fills and retrains them.  From then on the user adapts
+//!   privately, with every model update also recorded as raw sufficient
+//!   statistics.
 //! * **Tier 2 — pending merge pool.** When a lease completes, its recorded
 //!   per-user stats are folded into one accumulated `(power, time)` pair
 //!   (`O(1)` memory however many users complete) and the copy is dropped.
@@ -33,11 +36,14 @@
 //! back-propagated weights, and the paper's model-guided supervision means the
 //! analytical models are what carry cross-user knowledge.
 //!
-//! Peak resident model memory is `resident copies × copy bytes`, and resident
-//! copies is bounded by in-flight leases (≈ the driver's worker count), not by
-//! the user population — which is how a fleet stays under 10% of one full
-//! per-user copy in amortized bytes/user (asserted by the scenarios crate's
-//! fleet-scale store invariant at 10⁴ users, and at 10⁶ users nightly).
+//! Peak resident model memory is `resident copies × copy bytes`, where a
+//! copy is charged for what the lease holds on its own (its buffer's whole
+//! allocation, and the networks only after it retrains), and resident
+//! copies is bounded by in-flight leases (≈ the driver's worker count), not
+//! by the user population — which is how a fleet stays under 10% of one
+//! full per-user copy in amortized bytes/user (asserted by the scenarios
+//! crate's fleet-scale store invariant at 10⁴ users, and at 10⁶ users
+//! nightly, together with a bound of one resident copy per worker).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -55,6 +61,8 @@ struct BaseTier {
     version: u64,
     /// Ready-to-clone policy whose analytical models are the refit of
     /// `power_stats` / `time_stats` wrapped in the store's runtime config.
+    /// Its networks are shared by every later generation, and by each lease
+    /// until that lease retrains.
     prototype: OnlineIlPolicy,
     /// Cumulative `λ = 1` sufficient statistics: pretraining plus every
     /// fleet-merged user observation.
@@ -101,9 +109,13 @@ pub struct ModelStoreStats {
     pub merged_samples: u64,
     /// Current base generation (0 = pristine pretrained base).
     pub base_version: u64,
-    /// Resident bytes of one full policy copy (the naive per-user cost).
+    /// Resident bytes of one full policy copy (the naive per-user cost),
+    /// [`OnlineIlPolicy::model_bytes`] of the base prototype.
     pub full_copy_bytes: usize,
-    /// Largest observed resident footprint of a single private copy.
+    /// Largest observed footprint a single lease held on its own
+    /// ([`OnlineIlPolicy::owned_bytes`]): its online models, delta
+    /// statistics and the buffer's whole allocation, plus its networks once
+    /// it retrained.
     pub peak_copy_bytes: usize,
 }
 
@@ -199,7 +211,7 @@ impl TieredModelStore {
             peak_resident_copies: AtomicUsize::new(0),
             merge_rounds: AtomicU64::new(0),
             merged_samples: AtomicU64::new(0),
-            peak_copy_bytes: AtomicUsize::new(full_copy_bytes),
+            peak_copy_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -408,11 +420,12 @@ pub struct TieredPolicy {
 impl TieredPolicy {
     /// Switches a still-shared lease to a private copy of the base
     /// prototype that records its model updates as sufficient statistics.
+    /// The copy shares the prototype's networks until it retrains them.
     fn materialize(&mut self) {
         if let LeaseState::Shared { base } = &self.state {
             let mut policy = base.prototype.clone();
             policy.enable_stats_recording();
-            self.store.note_materialized(&self.family, policy.model_bytes());
+            self.store.note_materialized(&self.family, policy.owned_bytes());
             self.state = LeaseState::Diverged { policy: Box::new(policy) };
         }
     }
@@ -445,7 +458,7 @@ impl Drop for TieredPolicy {
     fn drop(&mut self) {
         match std::mem::replace(&mut self.state, LeaseState::Released) {
             LeaseState::Diverged { mut policy } => {
-                let copy_bytes = policy.model_bytes();
+                let copy_bytes = policy.owned_bytes();
                 self.store.release_diverged(policy.take_recorded_stats(), copy_bytes);
             }
             // A user who never decided never owned resident state.
@@ -511,6 +524,50 @@ mod tests {
         assert_eq!(stats.resident_copies, 0, "drop must release the copy");
         assert_eq!(stats.peak_resident_copies, 1);
         assert!(stats.full_copy_bytes > 0 && stats.peak_copy_bytes >= stats.full_copy_bytes);
+    }
+
+    /// A lease owns its networks only once it retrains them, so retrained
+    /// leases leave the base's untouched: after they drop (before any merge
+    /// refits the base), a new lease decides exactly as one from a fresh
+    /// store, from its first decision on.
+    #[test]
+    fn retrained_leases_leave_the_base_networks_untouched() {
+        let platform = SocPlatform::small();
+        let artifacts = quick_artifacts();
+        let config = OnlineIlConfig { buffer_capacity: 6, ..OnlineIlConfig::default() };
+        let profiles: Vec<SnippetProfile> =
+            artifacts.training_profiles.iter().take(24).cloned().collect();
+        let store = Arc::new(TieredModelStore::new(&artifacts, config, 1_000));
+        for user in 0..3 {
+            let mut lease = store.lease("retrained");
+            run_lease(&platform, &mut lease, &profiles[user..]);
+        }
+        assert_eq!(store.base_version(), 0, "no merge refit the base");
+        let fresh = Arc::new(TieredModelStore::new(&artifacts, config, 1_000));
+        let after = run_lease(&platform, &mut store.lease("next"), &profiles[..20]);
+        let reference = run_lease(&platform, &mut fresh.lease("next"), &profiles[..20]);
+        assert_eq!(after[0], reference[0], "first decision");
+        assert_eq!(after, reference);
+    }
+
+    /// A lease is charged for what it holds on its own: its online models,
+    /// delta statistics and buffer while it shares the base's networks, and
+    /// the networks too once it retrains them.
+    #[test]
+    fn a_lease_is_charged_for_its_networks_only_once_it_retrains() {
+        let platform = SocPlatform::small();
+        let artifacts = quick_artifacts();
+        let config = OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() };
+        let store = Arc::new(TieredModelStore::with_defaults(&artifacts, config));
+        let profiles: Vec<SnippetProfile> =
+            artifacts.training_profiles.iter().take(20).cloned().collect();
+        run_lease(&platform, &mut store.lease("short"), &profiles[..14]);
+        let shared = store.snapshot();
+        assert!(shared.peak_copy_bytes > 0);
+        assert!(shared.peak_copy_bytes < shared.full_copy_bytes, "{shared:?}");
+        run_lease(&platform, &mut store.lease("retrained"), &profiles);
+        let owned = store.snapshot();
+        assert!(owned.peak_copy_bytes > owned.full_copy_bytes, "{owned:?}");
     }
 
     /// A lease that never decides (a user with no CPU segment) stays on the

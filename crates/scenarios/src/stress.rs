@@ -1530,7 +1530,8 @@ mod tests {
         let merge_every = (users / 64).max(64);
         let store =
             Arc::new(TieredModelStore::new(&artifacts, OnlineIlConfig::default(), merge_every));
-        let fleet = week_long_fleet(ScenarioGenerator::standard(2020, 8), users, 2)
+        let workers = 2;
+        let fleet = week_long_fleet(ScenarioGenerator::standard(2020, 8), users, workers)
             .with_personalization(Arc::clone(&store));
         let report = fleet.drain(|i, _| SubstratePolicies::cpu_only(fleet.personalized_policy(i)));
         assert!(report.decisions > 0);
@@ -1542,6 +1543,12 @@ mod tests {
         assert!(
             (stats.peak_resident_copies as usize) < users,
             "resident copies ({}) are bounded by in-flight leases, not the fleet",
+            stats.peak_resident_copies
+        );
+        // A worker drops a user's lease before it serves the next user.
+        assert!(
+            stats.peak_resident_copies <= workers,
+            "{} resident copies on {workers} workers",
             stats.peak_resident_copies
         );
         assert!(

@@ -388,12 +388,47 @@ fn cold_fleet_sweep_cache_bookkeeping_is_pinned() {
 /// that kept their covariance in nested vectors.
 #[test]
 fn personalized_fleet_with_mid_run_merges_is_pinned() {
-    const DECISION_HASH: u64 = 0xaff5_e4fa_b20c_842a;
-    const ENERGY_BITS: u64 = 0x405e_2e2d_1d82_a99a;
-    const WEIGHT_HASH: u64 = 0x43f9_b898_35da_2e19;
+    let fleet = personalized_fleet(15);
+    assert_eq!(fleet.retrains, 0, "sessions are shorter than the buffer");
+    assert_eq!(fleet.decision_hash, 0xaff5_e4fa_b20c_842a, "{:#018x}", fleet.decision_hash);
+    assert_eq!(fleet.energy.to_bits(), 0x405e_2e2d_1d82_a99a, "{}", fleet.energy);
+    assert_eq!(fleet.weight_hash, 0x43f9_b898_35da_2e19, "{:#018x}", fleet.weight_hash);
+}
+
+/// The same fleet with a buffer of 6, so most leases retrain their networks
+/// mid-session.  A lease's networks are its own only once it retrains: the
+/// figures were recorded when every lease copied both networks at its first
+/// decision, so a retrain that reached the shared base's networks (or
+/// another lease's) would move the decisions of every later user.
+#[test]
+fn personalized_fleet_whose_leases_retrain_is_pinned() {
+    let fleet = personalized_fleet(6);
+    assert_eq!(fleet.retrains, 64);
+    assert_eq!(fleet.decision_hash, 0x28b1_ea0e_44f1_030d, "{:#018x}", fleet.decision_hash);
+    assert_eq!(fleet.energy.to_bits(), 0x405e_042e_f444_b185, "{}", fleet.energy);
+    assert_eq!(fleet.weight_hash, 0x2d0e_534b_978a_0bf6, "{:#018x}", fleet.weight_hash);
+}
+
+/// What the personalized-fleet pins read off one run.
+struct PersonalizedFleet {
+    decision_hash: u64,
+    /// Each user's decisions summed, the users folded in index order.
+    energy: f64,
+    /// The bits of the final base's refit weights.
+    weight_hash: u64,
+    /// Decisions that filled a lease's aggregation buffer, so retrained
+    /// its networks (every state row of these users is finite).
+    retrains: usize,
+}
+
+/// Serves 64 Odroid-XU3 users of about 8 snippets on one worker from a
+/// `TieredModelStore` with the given aggregation buffer that folds every 8
+/// completions into a refit base, so later users are served by models refit
+/// from earlier users' observations.
+fn personalized_fleet(buffer_capacity: usize) -> PersonalizedFleet {
     let platform = SocPlatform::odroid_xu3();
     let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
-    let config = OnlineIlConfig { buffer_capacity: 15, ..OnlineIlConfig::default() };
+    let config = OnlineIlConfig { buffer_capacity, ..OnlineIlConfig::default() };
     let store = Arc::new(TieredModelStore::new(&artifacts, config, 8));
     let specs = ScenarioGenerator::standard(1, 8).scenarios(64);
     let driver = ScenarioDriver::new(platform.clone(), 1).with_personalization(Arc::clone(&store));
@@ -403,13 +438,15 @@ fn personalized_fleet_with_mid_run_merges_is_pinned() {
     let fnv = |h: u64, word: u64| (h ^ word).wrapping_mul(0x0100_0000_01b3);
     let mut decision_hash = 0xcbf2_9ce4_8422_2325;
     let mut energy = 0.0;
+    let mut retrains = 0;
     for record in &records {
         let mut user_energy = 0.0;
-        for decision in &record.decisions {
+        for (ordinal, decision) in record.decisions.iter().enumerate() {
             let cpu = decision.as_cpu().expect("standard users run CPU work only");
             decision_hash = fnv(decision_hash, cpu.config.little_idx as u64);
             decision_hash = fnv(decision_hash, cpu.config.big_idx as u64);
             user_energy += cpu.energy_j;
+            retrains += usize::from((ordinal + 1) % buffer_capacity == 0);
         }
         energy += user_energy;
     }
@@ -421,7 +458,5 @@ fn personalized_fleet_with_mid_run_merges_is_pinned() {
     assert_eq!(telemetry.decisions, 518);
     assert_eq!(stats.users_leased, 64);
     assert_eq!(stats.merge_rounds, 8, "one merge per 8 completions");
-    assert_eq!(decision_hash, DECISION_HASH, "{decision_hash:#018x}");
-    assert_eq!(energy.to_bits(), ENERGY_BITS, "{energy}");
-    assert_eq!(weight_hash, WEIGHT_HASH, "{weight_hash:#018x}");
+    PersonalizedFleet { decision_hash, energy, weight_hash, retrains }
 }
