@@ -9,7 +9,6 @@
 use serde::Serialize;
 use soclearn_online_learning::mlp::{Mlp, MlpBuilder};
 use soclearn_online_learning::scaler::StandardScaler;
-use soclearn_online_learning::traits::Classifier;
 use soclearn_online_learning::tree::DecisionTreeClassifier;
 use soclearn_oracle::Demonstration;
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};

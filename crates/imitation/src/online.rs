@@ -23,7 +23,6 @@ use serde::Serialize;
 use soclearn_online_learning::rls::RecursiveLeastSquares;
 use soclearn_online_learning::scaler::StandardScaler;
 use soclearn_online_learning::stats::RlsStats;
-use soclearn_online_learning::traits::Classifier;
 use soclearn_soc_sim::{ClusterKind, DvfsConfig, DvfsPolicy, PolicyDecision, SocPlatform};
 
 use crate::features::{

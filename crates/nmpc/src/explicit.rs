@@ -10,7 +10,6 @@
 use serde::Serialize;
 use soclearn_gpu_sim::{FrameResult, GpuConfig, GpuController, GpuPlatform};
 use soclearn_online_learning::linear::RidgeRegression;
-use soclearn_online_learning::traits::Regressor;
 
 use crate::controller::{MultiRateNmpcController, NmpcSettings};
 use crate::sensitivity::GpuSensitivityModel;

@@ -11,7 +11,6 @@
 use serde::Serialize;
 use soclearn_online_learning::kernel::KernelRidgeRegression;
 use soclearn_online_learning::scaler::StandardScaler;
-use soclearn_online_learning::traits::Regressor;
 
 use crate::analytical::AnalyticalLatencyModel;
 use crate::simulator::{MeshConfig, NocSimulator, TrafficPattern};

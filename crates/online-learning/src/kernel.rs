@@ -10,7 +10,6 @@
 use serde::Serialize;
 
 use crate::linalg;
-use crate::traits::Regressor;
 
 /// RBF-kernel ridge regression ("SVR-style" nonlinear regressor).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -52,10 +51,13 @@ impl KernelRidgeRegression {
     fn kernel(&self, a: &[f64], b: &[f64]) -> f64 {
         (-self.gamma * linalg::squared_distance(a, b)).exp()
     }
-}
 
-impl Regressor for KernelRidgeRegression {
-    fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
+    /// Fits the model to the dataset: every sample becomes a support point.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty dataset or a sample/target count mismatch.
+    pub fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
         assert!(!xs.is_empty(), "cannot fit on an empty dataset");
         assert_eq!(xs.len(), ys.len(), "sample/target count mismatch");
         let n = xs.len();
@@ -73,7 +75,12 @@ impl Regressor for KernelRidgeRegression {
         self.fitted = true;
     }
 
-    fn predict(&self, x: &[f64]) -> f64 {
+    /// Predicts the target for the feature vector `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first `fit`.
+    pub fn predict(&self, x: &[f64]) -> f64 {
         assert!(self.fitted, "predict called before fit");
         self.support.iter().zip(&self.alphas).map(|(s, a)| a * self.kernel(s, x)).sum()
     }

@@ -43,7 +43,6 @@ pub mod mlp;
 pub mod rls;
 pub mod scaler;
 pub mod stats;
-pub mod traits;
 pub mod tree;
 
 pub use kernel::KernelRidgeRegression;
@@ -52,7 +51,6 @@ pub use mlp::{Mlp, MlpBuilder};
 pub use rls::{AdaptiveForgettingRls, RecursiveLeastSquares};
 pub use scaler::StandardScaler;
 pub use stats::RlsStats;
-pub use traits::{Classifier, Regressor};
 pub use tree::DecisionTreeClassifier;
 
 /// Writes `fields` as one JSON object: the shim `Serialize` derive rejects

@@ -8,7 +8,6 @@
 use serde::Serialize;
 
 use crate::linalg;
-use crate::traits::Regressor;
 
 /// Linear model fit by ridge-regularised least squares (with intercept).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -49,16 +48,20 @@ impl RidgeRegression {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Regressor::fit`].
+    /// Panics under the same conditions as [`RidgeRegression::fit`].
     pub fn fitted(xs: &[Vec<f64>], ys: &[f64], lambda: f64) -> Self {
         let mut model = Self::new(lambda);
         model.fit(xs, ys);
         model
     }
-}
 
-impl Regressor for RidgeRegression {
-    fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
+    /// Fits the model to the dataset.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty dataset, a sample/target count mismatch, a zero
+    /// feature dimension or a ragged feature matrix.
+    pub fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
         assert!(!xs.is_empty(), "cannot fit on an empty dataset");
         assert_eq!(xs.len(), ys.len(), "sample/target count mismatch");
         let dim = xs[0].len();
@@ -93,7 +96,12 @@ impl Regressor for RidgeRegression {
         self.fitted = true;
     }
 
-    fn predict(&self, x: &[f64]) -> f64 {
+    /// Predicts the target for the feature vector `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first `fit` or on a feature-dimension mismatch.
+    pub fn predict(&self, x: &[f64]) -> f64 {
         assert!(self.fitted, "predict called before fit");
         assert_eq!(x.len(), self.weights.len(), "feature dimension mismatch");
         self.intercept + linalg::dot(&self.weights, x)

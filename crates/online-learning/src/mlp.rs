@@ -22,7 +22,7 @@
 //! over inputs or hidden units runs to a compile-time bound and unrolls.
 //! Only the class scores have a run-time length: a training batch
 //! ([`Mlp::train_classification_epochs`]) keeps them in one vector, and
-//! inference ([`Classifier::predict_class`]) keeps a running argmax instead,
+//! inference ([`Mlp::predict_class`]) keeps a running argmax instead,
 //! so it never touches the heap.
 //!
 //! # Bit-identity contract
@@ -52,7 +52,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 use crate::serialize_fields;
-use crate::traits::Classifier;
 
 #[cfg(test)]
 mod reference;
@@ -365,12 +364,15 @@ impl<const IN: usize, const HIDDEN: usize> Serialize for Mlp<IN, HIDDEN> {
     }
 }
 
-impl<const IN: usize, const HIDDEN: usize> Classifier for Mlp<IN, HIDDEN> {
+impl<const IN: usize, const HIDDEN: usize> Mlp<IN, HIDDEN> {
+    /// Trains the network on feature vectors and class labels: 30 epochs of
+    /// [`Mlp::train_classification`] over the samples in order.
+    ///
     /// # Panics
     ///
     /// Panics on a count mismatch, an empty dataset, a row that is not `IN`
     /// wide or a label `>= output_dim`.
-    fn fit(&mut self, xs: &[Vec<f64>], labels: &[usize]) {
+    pub fn fit(&mut self, xs: &[Vec<f64>], labels: &[usize]) {
         assert_eq!(xs.len(), labels.len(), "sample/label count mismatch");
         assert!(!xs.is_empty(), "cannot fit on an empty dataset");
         const EPOCHS: usize = 30;
@@ -378,9 +380,13 @@ impl<const IN: usize, const HIDDEN: usize> Classifier for Mlp<IN, HIDDEN> {
         self.train_classification_epochs(rows.iter().copied().zip(labels.iter().copied()), EPOCHS);
     }
 
-    /// The first class with the highest score, kept as a running argmax over
-    /// the scores as they are computed.
-    fn predict_class(&self, x: &[f64]) -> usize {
+    /// Predicts the class label of `x`: the first class with the highest
+    /// score, kept as a running argmax over the scores as they are computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `IN` wide.
+    pub fn predict_class(&self, x: &[f64]) -> usize {
         let mut best = (0, f64::NAN);
         self.each_score(&self.hidden_layer(as_row(x)), |o, v| {
             if o == 0 || v > best.1 {
@@ -388,14 +394,6 @@ impl<const IN: usize, const HIDDEN: usize> Classifier for Mlp<IN, HIDDEN> {
             }
         });
         best.0
-    }
-
-    fn scores(&self, x: &[f64]) -> Vec<f64> {
-        self.probabilities(as_row(x))
-    }
-
-    fn class_count(&self) -> usize {
-        self.output_dim()
     }
 }
 
@@ -453,7 +451,7 @@ mod tests {
         net.fit(&xs, &labels);
         let correct = xs.iter().zip(&labels).filter(|(x, &l)| net.predict_class(x) == l).count();
         assert!(correct as f64 / xs.len() as f64 > 0.95, "accuracy {}/{}", correct, xs.len());
-        assert_eq!(net.class_count(), 3);
+        assert_eq!(net.output_dim(), 3);
     }
 
     #[test]

@@ -145,7 +145,6 @@ mod tests {
 
     use super::super::{Mlp, MlpBuilder};
     use super::*;
-    use crate::traits::Classifier;
 
     /// A random network: `(classes, small shape, learning rate, seed)`.
     type NetSpec = (usize, usize, f64, u64);

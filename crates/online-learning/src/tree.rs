@@ -8,8 +8,6 @@
 
 use serde::Serialize;
 
-use crate::traits::Classifier;
-
 #[derive(Debug, Clone, PartialEq, Serialize)]
 enum Node {
     Leaf {
@@ -90,6 +88,37 @@ impl DecisionTreeClassifier {
         self.root.as_ref().map_or(0, Node::leaves)
     }
 
+    /// Fits the tree to feature vectors and class labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty dataset, a sample/label count mismatch or a label
+    /// `>= classes`.
+    pub fn fit(&mut self, xs: &[Vec<f64>], labels: &[usize]) {
+        assert!(!xs.is_empty(), "cannot fit on an empty dataset");
+        assert_eq!(xs.len(), labels.len(), "sample/label count mismatch");
+        assert!(labels.iter().all(|&l| l < self.classes), "label out of range");
+        let indices: Vec<usize> = (0..xs.len()).collect();
+        self.root = Some(self.build(xs, labels, &indices, 0));
+    }
+
+    /// Predicts the class label of `x`: the class with the most training
+    /// samples in the leaf `x` falls in.
+    pub fn predict_class(&self, x: &[f64]) -> usize {
+        let scores = self.scores(x);
+        scores
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap_or(0)
+    }
+
+    /// Per-class training counts of the leaf `x` falls in.
+    fn scores(&self, x: &[f64]) -> Vec<f64> {
+        self.root.as_ref().expect("predict called before fit").evaluate(x).to_vec()
+    }
+
     fn class_counts(&self, labels: &[usize], indices: &[usize]) -> Vec<f64> {
         let mut counts = vec![0.0; self.classes];
         for &i in indices {
@@ -157,34 +186,6 @@ impl DecisionTreeClassifier {
     }
 }
 
-impl Classifier for DecisionTreeClassifier {
-    fn fit(&mut self, xs: &[Vec<f64>], labels: &[usize]) {
-        assert!(!xs.is_empty(), "cannot fit on an empty dataset");
-        assert_eq!(xs.len(), labels.len(), "sample/label count mismatch");
-        assert!(labels.iter().all(|&l| l < self.classes), "label out of range");
-        let indices: Vec<usize> = (0..xs.len()).collect();
-        self.root = Some(self.build(xs, labels, &indices, 0));
-    }
-
-    fn predict_class(&self, x: &[f64]) -> usize {
-        let scores = self.scores(x);
-        scores
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    fn scores(&self, x: &[f64]) -> Vec<f64> {
-        self.root.as_ref().expect("predict called before fit").evaluate(x).to_vec()
-    }
-
-    fn class_count(&self) -> usize {
-        self.classes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +210,6 @@ mod tests {
         let tree = DecisionTreeClassifier::fitted(&xs, &labels, 4);
         let correct = xs.iter().zip(&labels).filter(|(x, &l)| tree.predict_class(x) == l).count();
         assert!(correct as f64 / xs.len() as f64 > 0.98);
-        assert_eq!(tree.class_count(), 4);
         assert!(tree.leaf_count() >= 4);
     }
 

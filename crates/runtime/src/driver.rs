@@ -21,12 +21,12 @@
 //! `soclearn-scenarios` trace layer serialises into replayable JSONL traces.
 //!
 //! The driver aggregates serving telemetry: decision throughput
-//! (decisions/second of clock time), a per-decision policy-latency histogram,
-//! total simulated energy/time and per-worker breakdowns.  All timestamps
-//! read the driver's [`Clock`] — a real wall clock by default, or a shared
-//! virtual clock ([`ScenarioDriver::with_clock`]) under which the duration
-//! and throughput are computed against discrete-event time and become
-//! deterministic functions of the scenario stream.
+//! (decisions/second of clock time), a per-decision policy-latency sketch,
+//! total simulated energy/time, per-substrate lanes and per-worker counts.
+//! All timestamps read the driver's [`Clock`] — a real wall clock by
+//! default, or a shared virtual clock ([`ScenarioDriver::with_clock`]) under
+//! which the duration and throughput are computed against discrete-event
+//! time and become deterministic functions of the scenario stream.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +38,7 @@ use soclearn_workloads::{ApplicationSequence, SnippetProfile};
 
 use crate::clock::Clock;
 use crate::obs::Observability;
-use soclearn_telemetry::{LatencyHistogram, QuantileSketch, Span};
+use soclearn_telemetry::{QuantileSketch, Span};
 
 use crate::substrate::{
     DecisionKind, GpuAdapter, NocModel, SubstrateDecision, SubstratePolicies, SubstrateRecord,
@@ -258,18 +258,8 @@ pub struct WorkerTelemetry {
     pub scenarios: usize,
     /// Decisions this worker served.
     pub decisions: usize,
-    /// Simulated energy over this worker's scenarios, joules.
-    pub energy_j: f64,
-    /// Simulated execution time over this worker's scenarios, seconds.
-    pub simulated_time_s: f64,
-    /// Clock time this worker spent *serving* (per-decision simulated time
-    /// with the dilation factor applied), seconds.  Zero unless the driver
-    /// runs in service-time mode.
-    pub busy_s: f64,
     /// Decisions whose big-cluster level matched the Oracle reference.
     pub oracle_matches: usize,
-    /// Per-substrate breakdown of this worker's decisions, canonical order.
-    pub substrates: [SubstrateTelemetry; 3],
 }
 
 /// Aggregated serving telemetry of one driver run.
@@ -292,8 +282,9 @@ pub struct DriverTelemetry {
     pub wall_seconds: f64,
     /// Serving throughput: decisions per clock second (wall or virtual).
     pub decisions_per_second: f64,
-    /// Per-decision policy latency distribution.
-    pub latency: LatencyHistogram,
+    /// Per-decision policy latency distribution, nanoseconds (all zero under
+    /// a virtual clock, see [`ScenarioDriver::with_clock`]).
+    pub latency: QuantileSketch,
     /// Clock time spent serving across all workers (per-decision simulated
     /// time with the dilation applied), seconds: the integer nanoseconds
     /// every decision spent, summed exactly and converted once, so the bits
@@ -323,10 +314,10 @@ pub struct DriverTelemetry {
     /// reads `l1.hits`; the field goes with the sweep cache.
     pub l1: SweepL1Stats,
     /// Per-substrate decision/energy/time breakdown, canonical order
-    /// (cross-substrate energy accounting of a heterogeneous fleet).
+    /// (cross-substrate energy accounting of a heterogeneous fleet), folded
+    /// like `total_energy_j`.
     pub substrates: [SubstrateTelemetry; 3],
-    /// Per-worker breakdowns, indexed by worker, summed in the order each
-    /// worker served its decisions.
+    /// Per-worker counts, indexed by worker.
     pub workers: Vec<WorkerTelemetry>,
     /// Tiered model store accounting (deltas materialized, resident copies,
     /// fleet-merge counters); `None` unless the driver ran with
@@ -419,7 +410,7 @@ impl ScenarioDriver {
     /// Replaces the driver's time source (default: a wall clock).
     ///
     /// With a [`Clock::virtual_clock`] the run duration, throughput and the
-    /// latency histogram are computed against **virtual time**: the duration
+    /// latency sketch are computed against **virtual time**: the duration
     /// is the span of virtual time the run covered (advanced by whoever waits
     /// on the clock — e.g. a fleet source pacing arrivals), and per-decision
     /// latencies are recorded as zero — decisions are instantaneous in
@@ -576,7 +567,7 @@ impl ScenarioDriver {
         };
 
         worker_slots.sort_by_key(|slot| slot.telemetry.worker);
-        let mut latency = LatencyHistogram::new();
+        let mut latency = QuantileSketch::new();
         let mut sojourn = QuantileSketch::new();
         let mut queue_delay = QuantileSketch::new();
         let mut workers = Vec::with_capacity(worker_slots.len());
@@ -595,17 +586,7 @@ impl ScenarioDriver {
         let decisions: usize = workers.iter().map(|w| w.decisions).sum();
         let matches: usize = workers.iter().map(|w| w.oracle_matches).sum();
         let totals = run_totals.into_inner().expect("run totals lock").finish();
-        let mut substrates = SubstrateTelemetry::lanes();
-        for (lane, &(energy_j, time_s)) in substrates.iter_mut().zip(&totals.lanes) {
-            lane.energy_j = energy_j;
-            lane.time_s = time_s;
-        }
-        for worker in &workers {
-            for (lane, total) in substrates.iter_mut().zip(&worker.substrates) {
-                lane.decisions += total.decisions;
-            }
-        }
-        let cpu_decisions = substrates[DecisionKind::Cpu.lane()].decisions;
+        let cpu_decisions = totals.lanes[DecisionKind::Cpu.lane()].decisions;
         // All leases are dropped (workers joined), so the final fleet merge
         // folds every completed user's deltas before the snapshot is taken.
         let model_store = self.personalization.as_ref().map(|store| {
@@ -632,7 +613,7 @@ impl ScenarioDriver {
             }),
             noc_budget_violations,
             l1: SweepL1Stats::default(),
-            substrates,
+            substrates: totals.lanes,
             workers,
             model_store,
         };
@@ -647,8 +628,10 @@ impl ScenarioDriver {
 
     /// Folds one run's aggregated telemetry into the observability plane:
     /// run/lane/worker counters, throughput gauges, and the merged latency /
-    /// sojourn / queue-delay distributions (one merge per run, so the
-    /// per-decision hot path stays untouched).
+    /// sojourn / queue-delay sketches (one merge per run, so the
+    /// per-decision hot path stays untouched).  Counters and sketches add up
+    /// every run that shares the plane; the `driver_*` gauges are set, so
+    /// they describe the last run that published into it.
     fn publish_run(obs: &Observability, telemetry: &DriverTelemetry) {
         let reg = &obs.registry;
         reg.counter("driver_runs_total", &[]).inc();
@@ -671,7 +654,7 @@ impl ScenarioDriver {
         reg.gauge("driver_wall_seconds", &[]).set(telemetry.wall_seconds);
         reg.gauge("driver_service_time_seconds", &[]).set(telemetry.service_time_s);
         reg.gauge("driver_total_energy_joules", &[]).set(telemetry.total_energy_j);
-        reg.histogram("driver_policy_latency_ns", &[]).merge(&telemetry.latency);
+        reg.sketch("driver_policy_latency_ns", &[]).merge(&telemetry.latency);
         if telemetry.sojourn.count() > 0 {
             reg.sketch("driver_sojourn_ns", &[]).merge(&telemetry.sojourn);
             reg.sketch("driver_queue_delay_ns", &[]).merge(&telemetry.queue_delay);
@@ -692,17 +675,8 @@ impl ScenarioDriver {
         F: Fn(usize, &ScenarioSpec) -> SubstratePolicies + Sync,
     {
         let mut slot = WorkerSlot {
-            telemetry: WorkerTelemetry {
-                worker,
-                scenarios: 0,
-                decisions: 0,
-                energy_j: 0.0,
-                simulated_time_s: 0.0,
-                busy_s: 0.0,
-                oracle_matches: 0,
-                substrates: SubstrateTelemetry::lanes(),
-            },
-            latency: LatencyHistogram::new(),
+            telemetry: WorkerTelemetry { worker, scenarios: 0, decisions: 0, oracle_matches: 0 },
+            latency: QuantileSketch::new(),
             sojourn: QuantileSketch::new(),
             queue_delay: QuantileSketch::new(),
             records: Vec::new(),
@@ -846,7 +820,7 @@ impl ScenarioDriver {
                             time_s: result.time_s,
                             counters: result.counters,
                         };
-                        self.account_decision(slot, service_ns, &mut totals, &decision);
+                        self.account_decision(service_ns, &mut totals, &decision);
                         if let Some(decisions) = &mut decisions {
                             decisions.push(SubstrateRecord::Cpu(decision));
                         }
@@ -865,7 +839,7 @@ impl ScenarioDriver {
                             Some(started_ns) => self.clock.now_ns().saturating_sub(started_ns),
                             None => 0,
                         });
-                        self.account_decision(slot, service_ns, &mut totals, &decision);
+                        self.account_decision(service_ns, &mut totals, &decision);
                         if let Some(decisions) = &mut decisions {
                             decisions.push(SubstrateRecord::Gpu(decision));
                         }
@@ -885,7 +859,7 @@ impl ScenarioDriver {
                         if decision.measured_latency_cycles > session.latency_budget_cycles {
                             slot.noc_budget_violations += 1;
                         }
-                        self.account_decision(slot, service_ns, &mut totals, &decision);
+                        self.account_decision(service_ns, &mut totals, &decision);
                         if let Some(decisions) = &mut decisions {
                             decisions.push(SubstrateRecord::Noc(decision));
                         }
@@ -895,6 +869,8 @@ impl ScenarioDriver {
             }
         }
         slot.telemetry.scenarios += 1;
+        slot.telemetry.decisions += ordinal;
+        slot.service_ns = slot.service_ns.saturating_add(*service_ns);
         run_totals.lock().expect("run totals lock").complete(index, totals);
         // Service-time mode: hand the scenario's service duration back to
         // the source, which places it on the queueing timeline (FIFO
@@ -938,12 +914,11 @@ impl ScenarioDriver {
         }
     }
 
-    /// Folds one served decision (any substrate) into the worker and
-    /// scenario totals and, in service-time mode, spends its simulated time
-    /// on the driver's clock.
+    /// Folds one served decision (any substrate) into its scenario's totals
+    /// and, in service-time mode, spends its simulated time on the driver's
+    /// clock.
     fn account_decision<D: SubstrateDecision>(
         &self,
-        slot: &mut WorkerSlot,
         service_ns: &mut u64,
         totals: &mut ScenarioTotals,
         decision: &D,
@@ -956,21 +931,13 @@ impl ScenarioDriver {
             let decision_ns = (decision.service_time_s().max(0.0) * dilation * 1e9).round() as u64;
             *service_ns = service_ns.saturating_add(decision_ns);
             self.clock.advance_ns(decision_ns);
-            slot.service_ns = slot.service_ns.saturating_add(decision_ns);
-            slot.telemetry.busy_s += decision_ns as f64 / 1e9;
         }
-        slot.telemetry.decisions += 1;
-        slot.telemetry.energy_j += decision.energy_j();
-        slot.telemetry.simulated_time_s += decision.service_time_s();
-        let lane = &mut slot.telemetry.substrates[decision.kind().lane()];
+        totals.energy_j += decision.energy_j();
+        totals.time_s += decision.service_time_s();
+        let lane = &mut totals.lanes[decision.kind().lane()];
         lane.decisions += 1;
         lane.energy_j += decision.energy_j();
         lane.time_s += decision.service_time_s();
-        totals.energy_j += decision.energy_j();
-        totals.time_s += decision.service_time_s();
-        let (energy_j, time_s) = &mut totals.lanes[decision.kind().lane()];
-        *energy_j += decision.energy_j();
-        *time_s += decision.service_time_s();
     }
 }
 
@@ -991,13 +958,20 @@ fn oracle_reference(
 }
 
 /// One served scenario's simulated energy and time, overall and per
-/// substrate lane; also the run's, summed over scenarios.
-#[derive(Debug, Clone, Copy, Default)]
+/// substrate lane (with the lane's decision count); also the run's, summed
+/// over scenarios.
+#[derive(Debug, Clone, Copy)]
 struct ScenarioTotals {
     energy_j: f64,
     time_s: f64,
-    /// `(energy_j, time_s)` per lane, canonical order.
-    lanes: [(f64, f64); 3],
+    /// One lane per [`DecisionKind`], canonical order.
+    lanes: [SubstrateTelemetry; 3],
+}
+
+impl Default for ScenarioTotals {
+    fn default() -> Self {
+        Self { energy_j: 0.0, time_s: 0.0, lanes: SubstrateTelemetry::lanes() }
+    }
 }
 
 impl ScenarioTotals {
@@ -1005,16 +979,17 @@ impl ScenarioTotals {
         self.energy_j += scenario.energy_j;
         self.time_s += scenario.time_s;
         for (run, scenario) in self.lanes.iter_mut().zip(&scenario.lanes) {
-            run.0 += scenario.0;
-            run.1 += scenario.1;
+            run.decisions += scenario.decisions;
+            run.energy_j += scenario.energy_j;
+            run.time_s += scenario.time_s;
         }
     }
 }
 
-/// The run's energy and time, folded from each scenario's subtotals in
-/// scenario-index order as the scenarios complete, so their bits do not
-/// depend on which worker served which scenario.  Only completions that
-/// overtake the oldest scenario still in flight are held, until it
+/// The run's energy, time and lane counts, folded from each scenario's
+/// subtotals in scenario-index order as the scenarios complete, so their bits
+/// do not depend on which worker served which scenario.  Only completions
+/// that overtake the oldest scenario still in flight are held, until it
 /// completes: when the source hands out indices from 0 in order, as
 /// [`SliceSource`] and the scenarios crate's fleet source do, that is about
 /// one per worker while sessions are of about one length, and as many as
@@ -1055,7 +1030,7 @@ impl RunTotals {
 /// Everything one worker brings back from its serve loop.
 struct WorkerSlot {
     telemetry: WorkerTelemetry,
-    latency: LatencyHistogram,
+    latency: QuantileSketch,
     sojourn: QuantileSketch,
     queue_delay: QuantileSketch,
     records: Vec<ScenarioRecord>,
@@ -1219,7 +1194,7 @@ mod tests {
             SubstratePolicies::cpu_only(Box::new(OndemandGovernor::new(&platform)))
         });
         // Decisions are no longer instantaneous: the run's virtual span covers
-        // the simulated service time, and busy time accounts for it exactly.
+        // the simulated service time.
         assert!(telemetry.service_time_s > 0.0);
         assert!(
             (telemetry.service_time_s - telemetry.simulated_time_s).abs()
@@ -1228,7 +1203,6 @@ mod tests {
         );
         assert!(telemetry.wall_seconds >= telemetry.service_time_s * (1.0 - 1e-9));
         assert_eq!(clock.now_ns(), (telemetry.wall_seconds * 1e9).round() as u64);
-        assert!((telemetry.workers[0].busy_s - telemetry.service_time_s).abs() < 1e-12);
         // No queue-aware source: the sojourn sketches stay empty.
         assert_eq!(telemetry.sojourn.count(), 0);
         assert_eq!(telemetry.queue_delay.count(), 0);

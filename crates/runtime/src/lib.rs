@@ -19,7 +19,7 @@
 //!    under `perfbench/` still builds against them.
 //! 3. [`ScenarioDriver`] — a multi-worker serving harness that executes many
 //!    independent application-sequence "users" concurrently and aggregates
-//!    serving telemetry: decision throughput, per-decision latency histogram,
+//!    serving telemetry: decision throughput, a per-decision latency sketch,
 //!    energy and policy-vs-oracle agreement.  Every
 //!    timestamp reads a pluggable [`Clock`] — real wall time by default, or a
 //!    shared virtual discrete-event clock that lets arrival schedules
@@ -73,7 +73,7 @@ pub use scale::ExperimentScale;
 /// Re-exported so downstream crates can configure [`TieredModelStore`]
 /// leases without depending on `soclearn-imitation` directly.
 pub use soclearn_imitation::OnlineIlConfig;
-pub use soclearn_telemetry::{LatencyHistogram, QuantileSketch};
+pub use soclearn_telemetry::QuantileSketch;
 pub use store::{ModelStoreStats, TieredModelStore, TieredPolicy};
 pub use substrate::{
     noc_decision_seed, replay_noc_window, DecisionKind, FrameDemand, GpuConfig, GpuDecisionRecord,

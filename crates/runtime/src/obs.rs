@@ -9,9 +9,8 @@
 use std::sync::Arc;
 
 pub use soclearn_telemetry::{
-    sorted_quantile_ns, validate_prometheus, Counter, Gauge, HistogramCell, LatencyHistogram,
-    MetricId, MetricsSnapshot, ObservedMutex, QuantileSketch, SketchCell, Span, SpanRecorder,
-    TelemetryRegistry,
+    sorted_quantile_ns, validate_prometheus, Counter, Gauge, MetricId, MetricsSnapshot,
+    ObservedMutex, QuantileSketch, SketchCell, Span, SpanRecorder, TelemetryRegistry,
 };
 
 /// Shared handle on the observability plane: one metrics registry plus one

@@ -23,10 +23,11 @@
 //!   Every [`TieredModelStore::merge_every`] diverged completions — and once
 //!   at run end — the pool is fleet-merged into the base: cumulative stats
 //!   absorb the pool (exact, associative merge) and the base's analytical
-//!   models are refit, bumping [`TieredModelStore::base_version`].  Because
-//!   the merge operates on sufficient statistics, the merged base equals a
-//!   batch fit over pretraining plus every recorded user observation to
-//!   floating-point rounding, regardless of completion order or worker count
+//!   models are refit into a new base generation, counted by
+//!   [`ModelStoreStats::merge_rounds`].  Because the merge operates on
+//!   sufficient statistics, the merged base equals a batch fit over
+//!   pretraining plus every recorded user observation to floating-point
+//!   rounding, regardless of completion order or worker count
 //!   (the *low-order bits* can differ across completion orders — f64 addition
 //!   is not associative — so personalized runs are byte-compared only at one
 //!   worker, whose completions follow its serving order).
@@ -57,8 +58,6 @@ use crate::artifacts::TrainingArtifacts;
 
 /// Tier 0: the shared, immutable base model generation.
 struct BaseTier {
-    /// Monotonic generation counter; bumped by every fleet merge.
-    version: u64,
     /// Ready-to-clone policy whose analytical models are the refit of
     /// `power_stats` / `time_stats` wrapped in the store's runtime config.
     /// Its networks are shared by every later generation, and by each lease
@@ -103,12 +102,11 @@ pub struct ModelStoreStats {
     pub resident_copies: usize,
     /// High-water mark of concurrently resident private copies.
     pub peak_resident_copies: usize,
-    /// Fleet merges folded into the base so far.
+    /// Fleet merges folded into the base so far, which is also the base's
+    /// generation (0 = the pristine pretrained base).
     pub merge_rounds: u64,
     /// Per-user observations (power + time) absorbed by fleet merges.
     pub merged_samples: u64,
-    /// Current base generation (0 = pristine pretrained base).
-    pub base_version: u64,
     /// Resident bytes of one full policy copy (the naive per-user cost),
     /// [`OnlineIlPolicy::model_bytes`] of the base prototype.
     pub full_copy_bytes: usize,
@@ -194,7 +192,7 @@ impl TieredModelStore {
             full_copy_bytes,
             base: ObservedMutex::new(
                 "model_store_base",
-                Arc::new(BaseTier { version: 0, prototype, power_stats, time_stats }),
+                Arc::new(BaseTier { prototype, power_stats, time_stats }),
             ),
             pending: ObservedMutex::new(
                 "model_store_pending",
@@ -245,11 +243,6 @@ impl TieredModelStore {
         }
     }
 
-    /// Current base generation (0 until the first fleet merge completes).
-    pub fn base_version(&self) -> u64 {
-        self.base.lock().version
-    }
-
     /// Clones the base tier's cumulative `(power, time)` sufficient
     /// statistics — what the merge-law tests compare against batch fits.
     pub fn base_stats(&self) -> (CandidateStats, CandidateStats) {
@@ -266,7 +259,6 @@ impl TieredModelStore {
             peak_resident_copies: self.peak_resident_copies.load(Ordering::Relaxed),
             merge_rounds: self.merge_rounds.load(Ordering::Relaxed),
             merged_samples: self.merged_samples.load(Ordering::Relaxed),
-            base_version: self.base_version(),
             full_copy_bytes: self.full_copy_bytes,
             peak_copy_bytes: self.peak_copy_bytes.load(Ordering::Relaxed),
         }
@@ -323,7 +315,6 @@ impl TieredModelStore {
         registry
             .gauge("model_store_merged_samples", &[])
             .set(stats.merged_samples as f64);
-        registry.gauge("model_store_base_version", &[]).set(stats.base_version as f64);
         registry
             .gauge("model_store_full_copy_bytes", &[])
             .set(stats.full_copy_bytes as f64);
@@ -401,8 +392,7 @@ impl TieredModelStore {
         time_stats.merge(&time);
         let mut prototype = slot.prototype.clone();
         prototype.install_pretrained_models(power_stats.refit(1.0), time_stats.refit(1.0));
-        *slot =
-            Arc::new(BaseTier { version: slot.version + 1, prototype, power_stats, time_stats });
+        *slot = Arc::new(BaseTier { prototype, power_stats, time_stats });
         self.merge_rounds.fetch_add(1, Ordering::Relaxed);
         self.merged_samples
             .fetch_add(power.samples() + time.samples(), Ordering::Relaxed);
@@ -542,7 +532,7 @@ mod tests {
             let mut lease = store.lease("retrained");
             run_lease(&platform, &mut lease, &profiles[user..]);
         }
-        assert_eq!(store.base_version(), 0, "no merge refit the base");
+        assert_eq!(store.snapshot().merge_rounds, 0, "no merge refit the base");
         let fresh = Arc::new(TieredModelStore::new(&artifacts, config, 1_000));
         let after = run_lease(&platform, &mut store.lease("next"), &profiles[..20]);
         let reference = run_lease(&platform, &mut fresh.lease("next"), &profiles[..20]);
@@ -584,8 +574,7 @@ mod tests {
         assert_eq!(stats.deltas_materialized, 0);
         assert_eq!(stats.peak_resident_copies, 0);
         assert_eq!(stats.peak_resident_bytes(), 0);
-        assert_eq!(stats.merge_rounds, 0);
-        assert_eq!(store.base_version(), 0, "nothing to merge");
+        assert_eq!(stats.merge_rounds, 0, "nothing to merge");
     }
 
     #[test]
@@ -614,7 +603,7 @@ mod tests {
             expected_power.merge(&dp);
             expected_time.merge(&dt);
         }
-        assert!(store.finish_run() || store.base_version() > 0);
+        assert!(store.finish_run() || store.snapshot().merge_rounds > 0);
         let (merged_power, merged_time) = store.base_stats();
         assert_eq!(merged_power.samples(), expected_power.samples());
         assert_eq!(merged_time.samples(), expected_time.samples());
@@ -629,7 +618,6 @@ mod tests {
         let stats = store.snapshot();
         assert!(stats.merge_rounds >= 1);
         assert!(stats.merged_samples > 0);
-        assert!(store.base_version() >= 1);
         assert_eq!(store.family_materializations().len(), 3);
     }
 
@@ -644,7 +632,7 @@ mod tests {
         let mut first = store.lease("gen0");
         run_lease(&platform, &mut first, &profiles);
         drop(first); // merge_every = 1 → immediate fleet merge
-        assert!(store.base_version() >= 1);
+        assert!(store.snapshot().merge_rounds >= 1);
         // The next lease is served off the merged generation and still works.
         let mut second = store.lease("gen1");
         let decisions = run_lease(&platform, &mut second, &profiles);

@@ -11,10 +11,11 @@ use std::io::{self, Write};
 
 use crate::registry::{MetricId, MetricsSnapshot};
 
-/// Schema version of the metrics JSON document.
-pub const METRICS_JSON_SCHEMA: u32 = 1;
+/// Schema version of the metrics JSON document.  Version 2 carries
+/// counters, gauges and sketches; version 1 also had a `histograms` array.
+pub const METRICS_JSON_SCHEMA: u32 = 2;
 
-/// Quantiles exported for histograms and sketches, as `(label, q)`.
+/// Quantiles exported for sketches, as `(label, q)`.
 const EXPORT_QUANTILES: [(&str, f64); 3] = [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
 
 /// Escape a string for embedding in a JSON string literal.
@@ -88,25 +89,6 @@ impl MetricsSnapshot {
             )?;
         }
         writeln!(out, "  ],")?;
-        writeln!(out, "  \"histograms\": [")?;
-        for (i, (id, hist)) in self.histograms.iter().enumerate() {
-            let comma = if i + 1 < self.histograms.len() { "," } else { "" };
-            writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"labels\": {}, \"count\": {}, \"mean_ns\": {}, \
-                 \"max_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}{}",
-                escape_json(&id.name),
-                json_labels(id),
-                hist.count(),
-                json_f64(hist.mean_ns()),
-                hist.max_ns(),
-                hist.quantile_upper_bound_ns(0.50),
-                hist.quantile_upper_bound_ns(0.95),
-                hist.quantile_upper_bound_ns(0.99),
-                comma
-            )?;
-        }
-        writeln!(out, "  ],")?;
         writeln!(out, "  \"sketches\": [")?;
         for (i, (id, sketch)) in self.sketches.iter().enumerate() {
             let comma = if i + 1 < self.sketches.len() { "," } else { "" };
@@ -141,8 +123,7 @@ impl MetricsSnapshot {
     }
 
     /// Write the snapshot in the Prometheus text exposition format.
-    /// Counters and gauges export directly; histograms and sketches export
-    /// as summaries (`{quantile="..."}` samples plus `_sum`/`_count`). The
+    /// Counters and gauges export directly; sketches export as summaries (`{quantile="..."}` samples plus `_sum`/`_count`). The
     /// snapshot is sorted by name, so label variants of one metric are
     /// adjacent and share a single `# TYPE` line (the format forbids
     /// repeating it).
@@ -165,21 +146,6 @@ impl MetricsSnapshot {
             let name = prom_name(&id.name);
             type_line(&mut out, &name, "gauge")?;
             writeln!(out, "{name}{} {}", prom_labels(id, None), prom_f64(*value))?;
-        }
-        for (id, hist) in &self.histograms {
-            let name = prom_name(&id.name);
-            type_line(&mut out, &name, "summary")?;
-            for (q_label, q) in EXPORT_QUANTILES {
-                writeln!(
-                    out,
-                    "{name}{} {}",
-                    prom_labels(id, Some(q_label)),
-                    hist.quantile_upper_bound_ns(q)
-                )?;
-            }
-            let sum_ns = (hist.mean_ns() * hist.count() as f64).round() as u64;
-            writeln!(out, "{name}_sum{} {sum_ns}", prom_labels(id, None))?;
-            writeln!(out, "{name}_count{} {}", prom_labels(id, None), hist.count())?;
         }
         for (id, sketch) in &self.sketches {
             let name = prom_name(&id.name);
@@ -379,10 +345,6 @@ mod tests {
         let reg = TelemetryRegistry::new();
         reg.counter("decisions_total", &[("worker", "0")]).add(42);
         reg.gauge("cache_hit_rate", &[]).set(0.75);
-        let h = reg.histogram("policy_latency_ns", &[]);
-        for ns in [100u64, 200, 400, 800] {
-            h.record(ns);
-        }
         let s = reg.sketch("sojourn_ns", &[("family", "burst")]);
         for ns in [1_000u64, 2_000, 50_000] {
             s.record(ns);
@@ -400,7 +362,8 @@ mod tests {
         assert!(a.contains("\"value\": 42"));
         assert!(a.contains("\"cache_hit_rate\""));
         assert!(a.contains("\"sojourn_ns\""));
-        assert!(a.contains("\"schema\": 1"));
+        assert!(a.contains("\"schema\": 2"));
+        assert!(!a.contains("histograms"));
     }
 
     #[test]

@@ -13,15 +13,16 @@
 //!    discrete-event counter.  Arrival pacing, run durations and decision
 //!    latencies read a `Clock`, so a virtual clock plays a multi-day
 //!    schedule out in the milliseconds its decisions take to serve.
-//! 2. Mergeable aggregates — [`LatencyHistogram`] (power-of-two buckets) and
-//!    [`QuantileSketch`] (log-linear HDR-style buckets with a documented
-//!    relative-error bound).  Both are fixed-memory and their
+//! 2. The mergeable aggregate — [`QuantileSketch`] (log-linear HDR-style
+//!    buckets with a documented relative-error bound), which holds every
+//!    distribution the plane records: policy latencies, sojourns, queue
+//!    delays and lock waits.  It is fixed-memory and its
 //!    [`QuantileSketch::merge`] is **associative and commutative** (integer
 //!    bucket adds), so shards aggregated in any order produce bit-identical
 //!    results — the property that makes million-user fleet telemetry O(1)
 //!    per user.
 //! 3. [`TelemetryRegistry`] — a lock-cheap metrics registry of
-//!    [`Counter`]s, [`Gauge`]s, histograms and sketches.  Handles are `Arc`s
+//!    [`Counter`]s, [`Gauge`]s and sketches.  Handles are `Arc`s
 //!    updated with atomics; the registry mutex is touched only at
 //!    registration and snapshot time.  [`MetricsSnapshot`] exports to a
 //!    deterministic JSON document and to the Prometheus text exposition
@@ -44,7 +45,6 @@
 pub mod clock;
 pub mod contention;
 pub mod export;
-pub mod histogram;
 pub mod registry;
 pub mod sketch;
 pub mod span;
@@ -52,9 +52,6 @@ pub mod span;
 pub use clock::Clock;
 pub use contention::ObservedMutex;
 pub use export::validate_prometheus;
-pub use histogram::LatencyHistogram;
-pub use registry::{
-    Counter, Gauge, HistogramCell, MetricId, MetricsSnapshot, SketchCell, TelemetryRegistry,
-};
+pub use registry::{Counter, Gauge, MetricId, MetricsSnapshot, SketchCell, TelemetryRegistry};
 pub use sketch::{sorted_quantile_ns, QuantileSketch};
 pub use span::{Span, SpanRecorder};

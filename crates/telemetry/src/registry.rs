@@ -1,8 +1,8 @@
 //! Lock-cheap metrics registry.
 //!
-//! Hot paths hold an [`Arc`] handle to a [`Counter`], [`Gauge`],
-//! [`HistogramCell`] or [`SketchCell`] and update it directly — counters and
-//! gauges are single atomic ops, cells take an uncontended per-metric mutex.
+//! Hot paths hold an [`Arc`] handle to a [`Counter`], [`Gauge`] or
+//! [`SketchCell`] and update it directly — counters and gauges are single
+//! atomic ops, sketch cells take an uncontended per-metric mutex.
 //! The registry's own mutex is touched only when a handle is looked up
 //! (at attach time, once per scenario for the driver's per-policy decision
 //! counter, and at run end) and at snapshot time, so instrumenting a hot
@@ -11,10 +11,10 @@
 //! update interleaving.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::histogram::LatencyHistogram;
 use crate::sketch::QuantileSketch;
 
 /// A metric's identity: name plus sorted `key=value` labels.
@@ -68,46 +68,9 @@ impl Gauge {
         self.0.store(value.to_bits(), Ordering::Relaxed);
     }
 
-    /// Add to the gauge (CAS loop; gauges are not hot-path metrics).
-    pub fn add(&self, delta: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// A [`LatencyHistogram`] behind an uncontended per-metric mutex.
-#[derive(Debug, Default)]
-pub struct HistogramCell(Mutex<LatencyHistogram>);
-
-impl HistogramCell {
-    /// Record one value.
-    pub fn record(&self, ns: u64) {
-        self.0.lock().expect("histogram lock poisoned").record(ns);
-    }
-
-    /// Fold a locally-accumulated histogram in (one lock per batch, the
-    /// preferred hot-path shape: accumulate per-worker, merge at the end).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        self.0.lock().expect("histogram lock poisoned").merge(other);
-    }
-
-    /// Snapshot the current histogram.
-    pub fn snapshot(&self) -> LatencyHistogram {
-        self.0.lock().expect("histogram lock poisoned").clone()
     }
 }
 
@@ -146,7 +109,8 @@ impl SketchCell {
         }
     }
 
-    /// Fold a locally-accumulated sketch in (one lock per batch).
+    /// Fold a locally-accumulated sketch in (one lock per batch, the
+    /// preferred hot-path shape: accumulate per-worker, merge at the end).
     pub fn merge(&self, other: &QuantileSketch) {
         self.sketch.lock().expect("sketch lock poisoned").merge(other);
     }
@@ -164,12 +128,11 @@ impl SketchCell {
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<HistogramCell>),
     Sketch(Arc<SketchCell>),
 }
 
 /// Metrics registry. Cloneable handles come out of the `counter` / `gauge` /
-/// `histogram` / `sketch` accessors; re-registering the same `(name, labels)`
+/// `sketch` accessors; re-registering the same `(name, labels)`
 /// returns the existing handle, so any layer can look up a metric without
 /// threading handles through APIs.
 #[derive(Debug, Default)]
@@ -212,14 +175,6 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Get or register a latency histogram.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<HistogramCell> {
-        match self.get_or_register(name, labels, || Metric::Histogram(Arc::default())) {
-            Metric::Histogram(h) => h,
-            other => panic!("metric {name} already registered as {other:?}"),
-        }
-    }
-
     /// Get or register a quantile sketch.
     pub fn sketch(&self, name: &str, labels: &[(&str, &str)]) -> Arc<SketchCell> {
         match self.get_or_register(name, labels, || Metric::Sketch(Arc::default())) {
@@ -233,21 +188,18 @@ impl TelemetryRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
         let mut sketches = Vec::new();
         for (id, metric) in self.metrics.lock().expect("registry lock poisoned").iter() {
             match metric {
                 Metric::Counter(c) => counters.push((id.clone(), c.get())),
                 Metric::Gauge(g) => gauges.push((id.clone(), g.get())),
-                Metric::Histogram(h) => histograms.push((id.clone(), h.snapshot())),
                 Metric::Sketch(s) => sketches.push((id.clone(), s.snapshot())),
             }
         }
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         sketches.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot { counters, gauges, histograms, sketches }
+        MetricsSnapshot { counters, gauges, histograms: Vec::new(), sketches }
     }
 }
 
@@ -260,8 +212,10 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(MetricId, u64)>,
     /// `(id, value)` for every gauge.
     pub gauges: Vec<(MetricId, f64)>,
-    /// `(id, histogram)` for every latency histogram.
-    pub histograms: Vec<(MetricId, LatencyHistogram)>,
+    /// Always empty: every distribution is a sketch.  Only the benchmark
+    /// under `perfbench/` reads it (its length); the field goes with that
+    /// benchmark's next change.
+    pub histograms: Vec<Infallible>,
     /// `(id, sketch)` for every quantile sketch.
     pub sketches: Vec<(MetricId, QuantileSketch)>,
 }
@@ -269,7 +223,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Total number of metrics in the snapshot.
     pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len() + self.sketches.len()
+        self.counters.len() + self.gauges.len() + self.sketches.len()
     }
 
     /// True when no metrics were registered.
@@ -349,13 +303,5 @@ mod tests {
         assert_eq!(snap.counter("work_total", &[]), Some(4000));
         assert_eq!(snap.sketches.len(), 4);
         assert!(snap.sketches.iter().all(|(_, s)| s.count() == 1000));
-    }
-
-    #[test]
-    fn gauge_add_accumulates() {
-        let g = Gauge::default();
-        g.set(1.0);
-        g.add(2.5);
-        assert_eq!(g.get(), 3.5);
     }
 }

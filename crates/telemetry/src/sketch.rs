@@ -291,6 +291,21 @@ mod tests {
     }
 
     #[test]
+    fn sum_does_not_wrap_at_day_scale_times_million_counts() {
+        // 10⁶ day-scale durations (86 400 s = ~2^46.3 ns each, ~2^66.2 ns
+        // in all) would wrap a u64 sum and leave `mean_ns` ~4.3 days short.
+        let day_ns: u64 = 86_400_000_000_000;
+        let counts = 1_000_000u64;
+        let mut s = QuantileSketch::new();
+        s.record_n(day_ns, counts);
+        assert_eq!(s.mean_ns(), day_ns as f64, "mean must be exactly one day");
+        let mut merged = s.clone();
+        merged.merge(&s);
+        assert_eq!(merged.count(), 2 * counts);
+        assert_eq!(merged.mean_ns(), day_ns as f64);
+    }
+
+    #[test]
     fn record_n_matches_repeated_record() {
         let mut a = QuantileSketch::new();
         a.record_n(123_456, 5);

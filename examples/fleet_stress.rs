@@ -40,7 +40,7 @@
 //! shared base, copy it on their first CPU decision, and their RLS
 //! sufficient statistics are federated back into the base.  The run then
 //! prints the store's accounting — bytes per user against a full per-user
-//! copy, merge rounds, base version — and a per-family
+//! copy, merge rounds, merged observations — and a per-family
 //! delta-materialization table.  Merged base weights depend on completion
 //! order at the floating-point level.  One worker completes users in serving
 //! order, so a personalized run at `--workers 1` is deterministic: CI runs
@@ -306,7 +306,7 @@ fn main() {
             "Serving: {:.0} decisions/s, mean latency {:.1} us, p99 {:.1} us, tail max {:.1} us",
             il.telemetry.decisions_per_second,
             il.telemetry.latency.mean_ns() / 1e3,
-            il.telemetry.latency.quantile_upper_bound_ns(0.99) as f64 / 1e3,
+            il.telemetry.latency.quantile_ns(0.99) as f64 / 1e3,
             il.telemetry.latency.max_ns() as f64 / 1e3,
         );
     }
@@ -479,8 +479,8 @@ fn print_store_tables(store: &TieredModelStore, il: &FleetReport) {
         stats.peak_resident_bytes() / 1024,
     );
     println!(
-        "Federation: {} merge rounds absorbed {} observations; base at version {}.\n",
-        stats.merge_rounds, stats.merged_samples, stats.base_version,
+        "Federation: {} merge rounds absorbed {} observations.\n",
+        stats.merge_rounds, stats.merged_samples,
     );
 }
 
@@ -490,9 +490,10 @@ fn sojourn_quantile_min(sketch: &QuantileSketch, q: f64) -> f64 {
 }
 
 /// Renders `--obs-summary`: the run's registry and contention digest on one
-/// screen — the top counters, the busiest duration sketches' percentiles, and
-/// the measured wait per lock site, read from the `lock_wait_ns{site}`
-/// sketches and `lock_contended_total{site}` counters.
+/// screen — the top counters, the busiest duration sketches' percentiles
+/// (leaving out sketches of zeros only, such as the policy latency under a
+/// virtual clock), and the measured wait per lock site, read from the
+/// `lock_wait_ns{site}` sketches and `lock_contended_total{site}` counters.
 fn print_obs_summary(snapshot: &soclearn_runtime::obs::MetricsSnapshot) {
     let label_suffix = |id: &soclearn_runtime::obs::MetricId| {
         if id.labels.is_empty() {
@@ -515,7 +516,7 @@ fn print_obs_summary(snapshot: &soclearn_runtime::obs::MetricsSnapshot) {
     let mut sketches: Vec<_> = snapshot
         .sketches
         .iter()
-        .filter(|(id, sketch)| sketch.count() > 0 && !id.name.starts_with("lock_"))
+        .filter(|(id, sketch)| sketch.max_ns() > 0 && !id.name.starts_with("lock_"))
         .collect();
     sketches.sort_by(|a, b| b.1.count().cmp(&a.1.count()).then_with(|| a.0.cmp(&b.0)));
     let rows: Vec<Vec<String>> = sketches

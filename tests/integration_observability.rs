@@ -1,8 +1,8 @@
-//! Integration tests of the observability plane: sketch/histogram merge
-//! laws and observed-lock accounting invariants (property-based),
-//! virtual-clock span-dump determinism across worker counts, and the
-//! exporters (metrics JSON parses, Prometheus exposition lints, the fleet's
-//! lock sites are named).
+//! Integration tests of the observability plane: sketch merge laws and
+//! observed-lock accounting invariants (property-based), virtual-clock
+//! span-dump determinism across worker counts, the exporters (metrics JSON
+//! parses, Prometheus exposition lints, the fleet's lock sites are named)
+//! and per-policy fleet gauges on a shared plane.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use soclearn_core::prelude::*;
 use soclearn_runtime::obs::{validate_prometheus, MetricId, ObservedMutex, TelemetryRegistry};
-use soclearn_runtime::LatencyHistogram;
 use soclearn_scenarios::{json, sorted_quantile_ns};
 
 /// Durations spanning the sketch's exact range (< 32 ns), the log-linear
@@ -95,40 +94,6 @@ proptest! {
                 exact
             );
         }
-    }
-
-    /// The fixed-bucket latency histogram obeys the same merge laws.
-    #[test]
-    fn histogram_merge_is_associative(
-        a in durations_strategy(),
-        b in durations_strategy(),
-        c in durations_strategy(),
-    ) {
-        let hist_of = |values: &[u64]| {
-            let mut h = LatencyHistogram::new();
-            for &v in values {
-                h.record(v);
-            }
-            h
-        };
-        let mut left = hist_of(&a);
-        left.merge(&hist_of(&b));
-        left.merge(&hist_of(&c));
-        let mut tail = hist_of(&b);
-        tail.merge(&hist_of(&c));
-        let mut right = hist_of(&a);
-        right.merge(&tail);
-        prop_assert!(left.buckets() == right.buckets(), "histogram merge not associative");
-        prop_assert!(left.count() == right.count(), "histogram counts diverged");
-        let mut concat = a.clone();
-        concat.extend_from_slice(&b);
-        concat.extend_from_slice(&c);
-        concat.sort_unstable();
-        let from_sorted = LatencyHistogram::from_sorted_ns(&concat);
-        prop_assert!(
-            left.buckets() == from_sorted.buckets(),
-            "from_sorted_ns != merged parts"
-        );
     }
 
     /// Observed-lock accounting is exact for any mix of pre-attach and
@@ -371,9 +336,62 @@ fn exporters_parse_and_lint() {
         .expect("queue-model wait sketch registered")
         .1;
     assert_eq!(wait.count(), acquisitions, "one wait sample per acquisition");
+    // Every distribution is a sketch, the policy latency included.
+    let latency = &snapshot
+        .sketches
+        .iter()
+        .find(|(id, _)| id.name == "driver_policy_latency_ns")
+        .expect("policy latency sketch registered")
+        .1;
+    assert_eq!(latency.count() as usize, report.telemetry.decisions);
+    assert!(snapshot.histograms.is_empty(), "no metric is a histogram");
 
     let prometheus = snapshot.to_prometheus();
     validate_prometheus(&prometheus).expect("Prometheus exposition lints");
+}
+
+/// The policy fleet and its two governor baselines publish into one plane.
+/// Each family's `fleet_oracle_agreement{family, policy}` gauge is its own
+/// fleet's agreement, so the online-IL figure survives the governor fleets
+/// that publish after it, while the last-writer `driver_oracle_agreement`
+/// gauge describes the last fleet, *interactive*.
+#[test]
+fn fleet_agreement_gauges_keep_each_policy_apart() {
+    let platform = SocPlatform::small();
+    let artifacts = shared_artifacts(&platform, ExperimentScale::Quick);
+    let obs = Observability::new();
+    let fleet = FleetStress::new(platform.clone(), ScenarioGenerator::standard(2020, 6), 8, 2)
+        .with_clock(Clock::virtual_clock())
+        .with_oracle_reference(OracleObjective::Energy)
+        .with_observability(obs.clone());
+    let (il, [ondemand, interactive], _) = fleet.run_against_governors(|_, _| {
+        SubstratePolicies::cpu_only(Box::new(artifacts.online_policy(OnlineIlConfig::default())))
+    });
+    assert_eq!(il.policy, "online-il");
+
+    let snapshot = obs.snapshot();
+    let gauges = |report: &FleetReport| -> Vec<f64> {
+        report
+            .families
+            .iter()
+            .map(|family| {
+                let labels = [("family", family.family.as_str()), ("policy", &report.policy)];
+                let gauge = snapshot
+                    .gauge("fleet_oracle_agreement", &labels)
+                    .expect("agreement gauge registered");
+                assert_eq!(Some(gauge), family.oracle_agreement, "{labels:?}");
+                gauge
+            })
+            .collect()
+    };
+    let il_gauges = gauges(&il);
+    gauges(&ondemand);
+    assert_ne!(il_gauges, gauges(&interactive), "online-IL gauges read the interactive fleet");
+    assert_eq!(
+        snapshot.gauge("driver_oracle_agreement", &[]),
+        interactive.telemetry.oracle_agreement,
+        "driver gauges describe the last fleet that shared the plane"
+    );
 }
 
 /// Every lock site the serving stack names registers in the registry of a

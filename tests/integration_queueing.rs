@@ -163,7 +163,7 @@ fn utilisation_tracks_offered_load_from_underload_to_saturation() {
 }
 
 /// The whole queueing telemetry surface — per-family aggregates, the queue
-/// report, the recorded stamps, the driver's sojourn histograms — is
+/// report, the recorded stamps, the driver's sojourn sketches — is
 /// bit-identical across 1, 2 and 4 workers on the virtual clock.
 #[test]
 fn queueing_telemetry_is_bit_identical_across_worker_counts() {
